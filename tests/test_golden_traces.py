@@ -1,0 +1,79 @@
+"""Golden digests of the CSV trace body of every preset and seed at T = 1000.
+
+The CSV body is a pure function of (config, seed).  These SHA-256 digests
+pin it, so an engine change has to keep every trace byte-identical or
+change a digest on purpose (with a note in CHANGES.md saying why).
+``python scripts/trace_digest.py`` prints the same digests.
+
+The runs come from the session fixtures in conftest.py; those configs differ
+from the presets only in ``bounds``, which does not enter the CSV body.
+"""
+
+import hashlib
+
+import pytest
+
+from dffr import harness
+
+GOLDEN = {
+    "paper-tracking-alg1": {
+        0: "1281c00212f39de406be9a6d323ddd4b38b74945db129b137ebf120ed3b4ebfe",
+        1: "b346541545ccf4a496e8bce70f6cc1f62b5e8b0e89cf4e365b231eaffe808448",
+        2: "dc4dc47751f60b4a56cee8cad3db90d0d1e326b4d046f03adc5020be83f5e628",
+        3: "70b74806e7e59853dfa64b91dfa543791174eee112c1c3cf3201349a235b0b57",
+        4: "fa1b4ab83580502271b7e55427e17ffb374fb222ba4471609a1e007e09846f74",
+        5: "bd8a8e8d69e5d82bf0fadcd02dbeb375759fb32359ca8598086fbf6197f81d08",
+        6: "d3efe0e0d664515a10c2c56c47bb372d0a63e6a960e596612cd26a85aa18cf94",
+        7: "5cc0349325f750d8c2f7a0f744e4fa528a08693d658b5f136856d84924687f19",
+        8: "99db90ab9d26ba61db0a683f7eec9d92f49e19e98ac5dd1cdb0078f8d9c2ce66",
+        9: "52f2788aa288bce05db6c4c18d132b85210870665499891478ff9eb6f5f3f950",
+        10: "1800620c8af43d60871847c6b1dd5b22def08d1ba49e9b15fe7ebec08d9b0f09",
+        11: "5cb933cf4a38b8ab119127f68c5e03389ffaeb1c9f69b33a67d6dbdcd324211e",
+        12: "b0cf2d583d03df1a85cfb5e32b9270fc3f2cc36d86cd1b1b231cb3555213e7a9",
+        13: "6b5e96289a8e3b01ddc07baf9d1618c0bdbdc0b6ffda788bc549c062375ef02a",
+        14: "fb7862feffb557cb1268e8a787514b3ebffb9d4649d763bd0b0351891c3af886",
+        15: "8e5e6b083f8d9a9d33cd00abc6426c3b46b3ca7350de32bb5016cb36d85ba893",
+        16: "f13018b8a5520c40bd60fd44544d373c049284777eaea4f3801188f2eb42e8ce",
+        17: "52acbdd9b92b8d885d457bb313953a416ce5507ae775c7a3e4c31d8461bb1c0c",
+        18: "4e22aab680c086e86d9ee00f79f57113779a629e3ad6a1a971ce87de5d1f3c60",
+        19: "89f4d1c5ab685ca1c31a1a27721a8edcc0914a97142014acd43bbe61f91b4747",
+    },
+    "paper-tracking-alg2": {
+        0: "bd82d6d031a4de9ec18c7c4f07a9a5a7dc7c4b683241f52713bae35452abfdcb",
+    },
+    "paper-tracking-alg2-linesearch": {
+        0: "18ec6a79df275e7787e1ee8c4427876b3d58cbfd80097ef712695001fc29ccf8",
+    },
+    "paper-tracking-dogd": {
+        0: "a79fc28bebc4f7b2bf451c420e36134760b1f016da834638dc556be404262eb7",
+    },
+    "remark1-synthetic": {
+        0: "61ecdce7cf310439a10b09ff24ab9d5c127d55f6dc14a6a458332fb83ccc4c43",
+    },
+}
+
+FIXTURES = {
+    "paper-tracking-alg1": "alg1_traces",
+    "paper-tracking-alg2": "alg2_fixed_trace",
+    "paper-tracking-alg2-linesearch": "alg2_exact_trace",
+    "paper-tracking-dogd": "dogd_trace",
+}
+
+
+def test_every_preset_is_pinned():
+    assert sorted(GOLDEN) == sorted(harness.PRESET_NAMES)
+
+
+@pytest.mark.parametrize("name", harness.PRESET_NAMES)
+def test_csv_body_matches_golden_digest(name, request, tmp_path):
+    cfg = harness.preset(name)
+    if name in FIXTURES:
+        traces = request.getfixturevalue(FIXTURES[name])
+        traces = traces if isinstance(traces, list) else [traces]
+    else:
+        traces = [harness.run_single(cfg, seed) for seed in cfg.seeds]
+    digests = {}
+    for seed, trace in zip(cfg.seeds, traces):
+        csv_path, _ = harness.write_trace(trace, cfg.rho, tmp_path / f"seed{seed}")
+        digests[seed] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert digests == GOLDEN[name]
