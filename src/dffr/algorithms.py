@@ -15,7 +15,9 @@ gossip, update):
 
 Within a round every agent reads only the previous round's global state and
 its own RNG stream, so per-agent updates are order-independent; the round
-boundary is a hard barrier.
+boundary is a hard barrier.  Each step therefore updates all agents with
+array operations, through the stream's batched evaluators, and refuses a
+non-finite update or an out-of-box query by naming the round and the agent.
 """
 
 from __future__ import annotations
@@ -24,13 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationOutsideBaseSet, OutOfFeasibleSet
-from .geometry import BoxSet, ShrunkSet, ball_batch, lmo, sample_unit_sphere
-from .linesearch import golden_section
-from .objectives import ObjectiveStream, round_optimum
+from .errors import EvaluationOutsideBaseSet, NonFiniteInput, OutOfFeasibleSet
+from .geometry import BoxSet, ShrunkSet, ball_batch, sphere_batch
+from .objectives import ObjectiveStream
 from .trace import Trace
-
-LINE_SEARCH_TOL = 1e-10
 
 
 def splitmix64(value: int) -> int:
@@ -48,6 +47,15 @@ def agent_rngs(master_seed: int, n: int) -> list[np.random.Generator]:
         np.random.default_rng(splitmix64(master ^ (i + 1)))
         for i in range(n)
     ]
+
+
+def sphere_draws(rngs: list[np.random.Generator], T: int, d: int) -> np.ndarray:
+    """Each agent's sphere draws for rounds 1..T, shape (T, n, d).
+
+    Row t-1 holds the draws of round t: agent i's block is what T calls of
+    ``sample_unit_sphere`` on its own generator would return.
+    """
+    return np.stack([sphere_batch(rng, T, d) for rng in rngs], axis=1)
 
 
 @dataclass(frozen=True)
@@ -172,6 +180,25 @@ def smoothed_value(
     )
 
 
+def _first_failing_agent(ok: np.ndarray) -> int | None:
+    """First agent (row) with a False entry in an (n, d) mask, or None."""
+    if ok.all():
+        return None
+    return int(np.argmin(ok.all(axis=1)))
+
+
+def _require_finite(rows: np.ndarray, t: int, what: str) -> np.ndarray:
+    i = _first_failing_agent(np.isfinite(rows))
+    if i is not None:
+        raise NonFiniteInput(f"round {t}: agent {i} {what} {rows[i]} is not finite")
+    return rows
+
+
+def _projected(set_, rows: np.ndarray, t: int) -> np.ndarray:
+    """Row-wise projection onto a box; refuses a non-finite step."""
+    return np.clip(_require_finite(rows, t, "step"), set_.lower, set_.upper)
+
+
 def gradient_free_step(
     states: AgentStates,
     stream: ObjectiveStream,
@@ -179,38 +206,33 @@ def gradient_free_step(
     shrunk: ShrunkSet,
     t: int,
     alpha_t: float,
-    rngs: list[np.random.Generator],
+    u: np.ndarray,
+    fx: np.ndarray | None = None,
 ) -> tuple[AgentStates, EstimatorRecord]:
-    """One bandit-feedback round: estimate, gossip, step, project onto the shrunk box."""
-    n, d = states.x.shape
-    u = np.empty((n, d))
-    g = np.empty((n, d))
-    for i in range(n):
-        u[i] = sample_unit_sphere(rngs[i], d)
-        g[i] = gradient_estimate(stream, i, t, states.x[i], shrunk.delta, u[i])
-    z_new = wm.w @ states.x
-    x_new = np.empty_like(states.x)
-    for i in range(n):
-        x_new[i] = shrunk.project(z_new[i] - alpha_t * g[i])
+    """One bandit-feedback round: estimate, gossip, step, project onto the shrunk box.
+
+    ``u`` holds every agent's sphere draw of the round, shape (n, d).  ``fx``
+    is the agents' own losses at their decisions, when the caller already
+    has them (the engine records them as ``loss_self``).  Per agent this is
+    ``gradient_estimate``: only zeroth-order queries.
+    """
+    x = states.x
+    delta = shrunk.delta
+    probe = x + delta * u
+    box = stream.box
+    i = _first_failing_agent((probe >= box.lower - 1e-9) & (probe <= box.upper + 1e-9))
+    if i is not None:
+        raise EvaluationOutsideBaseSet(
+            f"round {t}: agent {i} perturbed query {probe[i]} outside the box"
+        )
+    if fx is None:
+        fx = stream.values(t, x)
+    diff = stream.values(t, probe) - fx
+    g = ((stream.d / delta) * diff)[:, None] * u
+    z_new = wm.w @ x
+    x_new = _projected(shrunk, z_new - alpha_t * g, t)
     eps = np.linalg.norm(x_new - z_new, axis=1)
     return AgentStates(x=x_new, z=z_new, eps_norm=eps), EstimatorRecord(u=u, g=g)
-
-
-def _line_coefficient(
-    stream: ObjectiveStream, i: int, t: int, base: np.ndarray, direction: np.ndarray
-) -> float:
-    """Exact minimizer of alpha -> f_i^t(base + alpha*direction) over [0, 1]."""
-    if float(np.dot(direction, direction)) == 0.0:
-        return 0.0
-    if hasattr(stream, "line_minimum_coefficient"):
-        raw = stream.line_minimum_coefficient(i, t, base, direction)
-        return float(min(1.0, max(0.0, raw)))
-    return golden_section(
-        lambda a: stream.value(i, t, base + a * direction, check=False),
-        0.0,
-        1.0,
-        tol=LINE_SEARCH_TOL,
-    )
 
 
 def projection_free_step(
@@ -229,21 +251,19 @@ def projection_free_step(
     not guaranteed to stay in the box when z_new != x_old, so an optional
     clamp is available (off by default).
     """
-    n, _ = states.x.shape
-    v = np.empty_like(states.x)
-    for i in range(n):
-        v[i] = lmo(box, stream.gradient(i, t, states.x[i], check=False))
-    z_new = wm.w @ states.x
-    x_new = np.empty_like(states.x)
-    for i in range(n):
-        h = v[i] - states.x[i]
-        if line_search == "fixed_alpha0":
-            coeff = alpha0
-        else:
-            coeff = _line_coefficient(stream, i, t, z_new[i], h)
-        x_new[i] = z_new[i] + coeff * h
-        if clamp_to_feasible:
-            x_new[i] = box.project(x_new[i])
+    x = states.x
+    grad = _require_finite(stream.gradients(t, x), t, "gradient")
+    v = np.where(grad < 0.0, box.upper, box.lower)  # lmo, row by row
+    z_new = wm.w @ x
+    h = v - x
+    if line_search == "fixed_alpha0":
+        x_new = z_new + alpha0 * h
+    else:
+        x_new = z_new + stream.line_search_coefficients(t, z_new, h)[:, None] * h
+    if clamp_to_feasible:
+        x_new = _projected(box, x_new, t)
+    else:
+        _require_finite(x_new, t, "step")
     eps = np.linalg.norm(x_new - z_new, axis=1)
     return AgentStates(x=x_new, z=z_new, eps_norm=eps)
 
@@ -258,10 +278,7 @@ def projected_gradient_step(
 ) -> AgentStates:
     """One baseline round: gossip, exact-gradient step, projection onto the box."""
     z_new = wm.w @ states.x
-    x_new = np.empty_like(states.x)
-    for i in range(states.x.shape[0]):
-        grad = stream.gradient(i, t, states.x[i], check=False)
-        x_new[i] = box.project(z_new[i] - alpha_t * grad)
+    x_new = _projected(box, z_new - alpha_t * stream.gradients(t, states.x), t)
     eps = np.linalg.norm(x_new - z_new, axis=1)
     return AgentStates(x=x_new, z=z_new, eps_norm=eps)
 
@@ -305,15 +322,15 @@ def run(
                 raise OutOfFeasibleSet(f"initial decision of agent {i} is infeasible")
 
     states = AgentStates.initial(x0)
-    rngs = agent_rngs(cfg.seed, n) if cfg.kind == "gradient_free" else None
+    if cfg.kind == "gradient_free":
+        u = sphere_draws(agent_rngs(cfg.seed, n), T, d)
 
     x_hist = np.empty((T, n, d))
     z_hist = np.empty((T, n, d))
     eps_hist = np.empty((T, n))
     loss_self = np.empty((T, n))
     loss_global = np.empty((T, n))
-    x_star = np.empty((T, d))
-    f_star = np.empty(T)
+    x_path, f_path = stream.optimum_path(T, box)
     g_norm = np.zeros((T, n))
 
     for t in range(1, T + 1):
@@ -321,12 +338,8 @@ def run(
         x_hist[row] = states.x
         z_hist[row] = states.z
         eps_hist[row] = states.eps_norm
-        opt = round_optimum(stream, t, box)
-        x_star[row] = opt.x_star
-        f_star[row] = opt.f_star
-        for i in range(n):
-            loss_self[row, i] = stream.value(i, t, states.x[i], check=False)
-            loss_global[row, i] = stream.average_value(t, states.x[i], check=False)
+        loss_self[row] = stream.values(t, states.x)
+        loss_global[row] = stream.average_values(t, states.x)
 
         if debug_checks:
             for i in range(n):
@@ -337,7 +350,7 @@ def run(
 
         if cfg.kind == "gradient_free":
             states, record = gradient_free_step(
-                states, stream, wm, shrunk, t, cfg.step(t), rngs
+                states, stream, wm, shrunk, t, cfg.step(t), u[row], fx=loss_self[row]
             )
             g_norm[row] = np.linalg.norm(record.g, axis=1)
         elif cfg.kind == "projection_free":
@@ -372,8 +385,8 @@ def run(
         eps_norm=eps_hist,
         loss_self=loss_self,
         loss_global=loss_global,
-        x_star=x_star,
-        f_star=f_star,
+        x_star=x_path.copy(),
+        f_star=f_path.copy(),
         g_norm=g_norm,
         final_eps_norm=states.eps_norm.copy(),
     )

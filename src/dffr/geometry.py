@@ -193,15 +193,22 @@ def sample_unit_ball(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def sphere_batch(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
-    """(count, d) array of independent uniform sphere draws."""
-    v = rng.standard_normal((count, d))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    bad = norms[:, 0] <= 1e-12
-    while np.any(bad):
-        v[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(v, axis=1, keepdims=True)
-        bad = norms[:, 0] <= 1e-12
-    return v / norms
+    """(count, d) array of independent uniform sphere draws.
+
+    Equal, bit for bit, to ``count`` calls of ``sample_unit_sphere``: one
+    (count, d) Gaussian block is the same stream as ``count`` calls of
+    ``standard_normal(d)``, each row norm runs the same dot kernel as
+    ``np.linalg.norm`` of one vector, and a row too short to normalize is
+    skipped in favour of the next one drawn, as the scalar loop redraws.
+    """
+    rows = []
+    while count > 0:
+        v = rng.standard_normal((count, d))
+        norms = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        keep = norms > 1e-12
+        rows.append(v[keep] / norms[keep, None])
+        count -= int(keep.sum())
+    return np.concatenate(rows) if len(rows) > 1 else rows[0]
 
 
 def ball_batch(rng: np.random.Generator, count: int, d: int) -> np.ndarray:

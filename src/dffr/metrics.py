@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import RhoNotGreaterThanLambda, RhoOutOfRange
 from .network import MixingConstants
-from .objectives import ObjectiveStream, round_optimum
+from .objectives import ObjectiveStream
 from .trace import Trace
 
 
@@ -136,9 +136,7 @@ def power_spike_gaps(T: int, base: int = 3) -> np.ndarray:
 
 def optimum_path_lengths(stream: ObjectiveStream, set_, T: int) -> np.ndarray:
     """theta_t = ||x*_{t} - x*_{t+1}|| over the given set, for t = 1..T."""
-    optima = np.stack(
-        [round_optimum(stream, t, set_).x_star for t in range(1, T + 2)]
-    )
+    optima, _ = stream.optimum_path(T + 1, set_)
     return np.linalg.norm(np.diff(optima, axis=0), axis=1)
 
 

@@ -11,6 +11,13 @@ Agents are indexed 0..n-1; rounds are 1-based because the round index enters
 the loss formulas directly.  Evaluators stay defined for every round >= 1
 (``horizon`` is the nominal experiment length, not a hard domain bound), which
 lets optimum-path diagnostics look one round past the end of a run.
+
+The round engine reads a stream through its batched evaluators (``values``,
+``gradients``, ``average_values``, ``line_search_coefficients``), which take
+every agent's point of a round at once.  The base class loops over the scalar
+evaluators, so a stream that only defines ``_value`` and ``_gradient`` works
+unchanged; the quadratic family overrides them with closed forms that give
+the same bits as the scalar loop.
 """
 
 from __future__ import annotations
@@ -26,6 +33,27 @@ from .linesearch import golden_section
 
 MEMBERSHIP_TOL = 1e-9
 ORACLE_TOL = 1e-5
+LINE_SEARCH_TOL = 1e-10
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """<a[..., k, :], b[..., k, :]> for every row, shape a.shape[:-1].
+
+    A stack of (1, d) @ (d, 1) products runs the same dot kernel as
+    ``np.dot`` on one vector, so each entry has the bits of the scalar
+    evaluators; ``np.linalg.norm(axis=-1)``, ``einsum`` and ``(a*a).sum(-1)``
+    sum in other orders.
+    """
+    b = a if b is None else b
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _agent_sum(v: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over the agent axis, left to right like Python's ``sum``.
+
+    ``np.sum`` over a contiguous axis sums pairwise, which moves the last bit.
+    """
+    return np.take(np.cumsum(v, axis=axis), -1, axis=axis)
 
 
 class ObjectiveStream:
@@ -47,6 +75,7 @@ class ObjectiveStream:
         self.L = float(L)
         self.L_s = float(L_s)
         self.L_1 = float(L_1)
+        self._optima: dict = {}
 
     def _check(self, i: int, t: int, x: np.ndarray, check: bool) -> np.ndarray:
         if not 0 <= i < self.n:
@@ -72,10 +101,85 @@ class ObjectiveStream:
         """Average of all agents' losses at a single point."""
         return sum(self.value(i, t, x, check=check) for i in range(self.n)) / self.n
 
-    def batch_average_value(self, t: int, points: np.ndarray) -> np.ndarray:
-        """Average loss at many points, shape (count,); no membership checks."""
+    # --- batched evaluators: no membership checks --------------------------
+
+    def _points(self, t: int, X, rows: int | None = None) -> np.ndarray:
+        if t < 1:
+            raise IndexOutOfRange(f"round {t} must be >= 1")
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.d or (rows is not None and X.shape[0] != rows):
+            expected = f"({'m' if rows is None else rows}, {self.d})"
+            raise ValueError(f"points have shape {X.shape}, expected {expected}")
+        return X
+
+    def values(self, t: int, X) -> np.ndarray:
+        """Agent i's loss at X[i] for every agent, shape (n,)."""
+        X = self._points(t, X, self.n)
+        return np.array([self.value(i, t, X[i], check=False) for i in range(self.n)])
+
+    def gradients(self, t: int, X) -> np.ndarray:
+        """Agent i's gradient at X[i] for every agent, shape (n, d)."""
+        X = self._points(t, X, self.n)
         return np.array(
-            [self.average_value(t, p, check=False) for p in points]
+            [self.gradient(i, t, X[i], check=False) for i in range(self.n)]
+        ).reshape(self.n, self.d)
+
+    def average_values(self, t: int, X) -> np.ndarray:
+        """The all-agent average loss at each row of an (m, d) array, shape (m,)."""
+        X = self._points(t, X)
+        return np.array([self.average_value(t, x, check=False) for x in X])
+
+    def batch_average_value(self, t: int, points: np.ndarray) -> np.ndarray:
+        """Same as ``average_values``."""
+        return self.average_values(t, points)
+
+    def line_search_coefficients(self, t: int, base, direction) -> np.ndarray:
+        """Exact line search for every agent, shape (n,).
+
+        Entry i minimizes alpha -> f_i^t(base[i] + alpha * direction[i]) over
+        [0, 1]; it is 0 where direction[i] is the zero vector.  Golden-section
+        search here; closed-form streams override it.
+        """
+        base = self._points(t, base, self.n)
+        direction = self._points(t, direction, self.n)
+        out = np.zeros(self.n)
+        for i in range(self.n):
+            h = direction[i]
+            if float(np.dot(h, h)) != 0.0:
+                out[i] = golden_section(
+                    lambda a: self.value(i, t, base[i] + a * h, check=False),
+                    0.0,
+                    1.0,
+                    tol=LINE_SEARCH_TOL,
+                )
+        return out
+
+    def optimum_path(self, T: int, set_=None) -> tuple[np.ndarray, np.ndarray]:
+        """x*_t, shape (T, d), and f*_t, shape (T,), for rounds 1..T over the set.
+
+        The set defaults to the stream's box.  Each round is computed once per
+        set and kept on the stream, so every seed's run and the bound inputs
+        read the same read-only arrays.
+        """
+        set_ = self.box if set_ is None else set_
+        key = (set_.lower.tobytes(), set_.upper.tobytes())
+        x_star, f_star = self._optima.get(key, (np.empty((0, self.d)), np.empty(0)))
+        have = f_star.shape[0]
+        if T > have:
+            x_new, f_new = self._optimum_rounds(have + 1, T, set_)
+            x_star = np.concatenate([x_star, x_new])
+            f_star = np.concatenate([f_star, f_new])
+            x_star.flags.writeable = False
+            f_star.flags.writeable = False
+            self._optima[key] = (x_star, f_star)
+        return x_star[:T], f_star[:T]
+
+    def _optimum_rounds(self, first: int, last: int, set_) -> tuple[np.ndarray, np.ndarray]:
+        """x*_t and f*_t for rounds first..last."""
+        optima = [round_optimum(self, t, set_) for t in range(first, last + 1)]
+        return (
+            np.stack([opt.x_star for opt in optima]),
+            np.array([opt.f_star for opt in optima]),
         )
 
     def _value(self, i, t, x):  # pragma: no cover - interface
@@ -98,6 +202,10 @@ class QuadraticTrackingFamily(ObjectiveStream):
     2 a_i (a_i x - c(t)); the unconstrained minimizer of the average loss is
     (sum a_i) c(t) / (sum a_i^2) per coordinate, and the box-constrained
     optimum is its clamp because the average loss is separable.
+
+    c(t) is computed once per round into a table that every evaluator reads.
+    The table is filled by the scalar callable, because NumPy's ``t**p`` can
+    differ from Python's in the last bit.
     """
 
     def __init__(self, scales, target, box: BoxSet, horizon: int):
@@ -110,33 +218,44 @@ class QuadraticTrackingFamily(ObjectiveStream):
             amplitude, power = target
             self._target = power_path(float(amplitude), float(power))
         self.scales = scales
-        L, L_s, L_1 = self._constants(scales, box, horizon)
         super().__init__(
-            n=scales.size, d=box.d, horizon=horizon, box=box, L=L, L_s=L_s, L_1=L_1
+            n=scales.size, d=box.d, horizon=horizon, box=box, L=0.0, L_s=0.0, L_1=0.0
         )
+        self._targets = np.empty((0, self.d))
+        self.L, self.L_s, self.L_1 = self._constants()
 
-    def target(self, t: int) -> np.ndarray:
+    def _target_row(self, t: int) -> np.ndarray:
         c = np.asarray(self._target(t), dtype=float)
         if c.ndim == 0:
-            c = np.full(self.box.d, float(c))
+            return np.full(self.d, float(c))
+        if c.shape != (self.d,):
+            raise ValueError(f"target path has shape {c.shape} at round {t}, expected ({self.d},)")
         return c
 
-    def _target_d(self, t: int, d: int) -> np.ndarray:
-        c = np.asarray(self._target(t), dtype=float)
-        return np.full(d, float(c)) if c.ndim == 0 else c
+    def targets(self, T: int) -> np.ndarray:
+        """c(1..T) as read-only rows, shape (T, d)."""
+        have = self._targets.shape[0]
+        if T > have:
+            rows = [self._target_row(t) for t in range(have + 1, T + 1)]
+            table = np.concatenate([self._targets, np.array(rows).reshape(-1, self.d)])
+            table.flags.writeable = False
+            self._targets = table
+        return self._targets[:T]
 
-    def _constants(self, scales, box, horizon):
+    def target(self, t: int) -> np.ndarray:
+        if 1 <= t <= self._targets.shape[0]:
+            return self._targets[t - 1]
+        return self._target_row(t)
+
+    def _constants(self) -> tuple[float, float, float]:
         # Worst case over box corners and rounds 1..horizon; exact for fixed t
         # because the per-coordinate deviation maximum is attained at a corner.
-        ts = np.arange(1, horizon + 1)
-        worst_sq = np.zeros(scales.size)
-        for t in ts:
-            c = self._target_d(int(t), box.d)
-            dev_lo = np.abs(scales[:, None] * box.lower[None, :] - c[None, :])
-            dev_hi = np.abs(scales[:, None] * box.upper[None, :] - c[None, :])
-            worst_sq = np.maximum(
-                worst_sq, np.sum(np.maximum(dev_lo, dev_hi) ** 2, axis=1)
-            )
+        c = self.targets(self.horizon)
+        lower, upper, scales = self.box.lower, self.box.upper, self.scales
+        worst_sq = np.empty(self.n)
+        for i, a in enumerate(scales):
+            dev = np.maximum(np.abs(a * lower - c), np.abs(a * upper - c))  # (horizon, d)
+            worst_sq[i] = np.max(np.sum(dev**2, axis=1))
         L = float(np.max(2.0 * scales * np.sqrt(worst_sq)))
         L_s = float(np.max(2.0 * scales**2))
         L_1 = float(np.max(worst_sq))
@@ -151,13 +270,38 @@ class QuadraticTrackingFamily(ObjectiveStream):
 
     def unconstrained_optimum(self, t: int) -> np.ndarray:
         """Stationary point of the average loss, before box clamping."""
-        return (
-            float(np.sum(self.scales)) / float(np.sum(self.scales**2))
-        ) * self.target(t)
+        return self._optimum_factor() * self.target(t)
 
-    def batch_average_value(self, t: int, points: np.ndarray) -> np.ndarray:
-        residual = self.scales[None, :, None] * points[:, None, :] - self.target(t)[None, None, :]
-        return np.sum(residual**2, axis=2).mean(axis=1)
+    def _optimum_factor(self) -> float:
+        return float(np.sum(self.scales)) / float(np.sum(self.scales**2))
+
+    def values(self, t: int, X) -> np.ndarray:
+        X = self._points(t, X, self.n)
+        return _row_dots(self.scales[:, None] * X - self.target(t))
+
+    def gradients(self, t: int, X) -> np.ndarray:
+        X = self._points(t, X, self.n)
+        a = self.scales[:, None]
+        return 2.0 * a * (a * X - self.target(t))
+
+    def average_values(self, t: int, X) -> np.ndarray:
+        X = self._points(t, X)
+        residual = self.scales[:, None, None] * X[None, :, :] - self.target(t)  # (n, m, d)
+        return _agent_sum(_row_dots(residual), axis=0) / self.n
+
+    batch_average_value = ObjectiveStream.batch_average_value  # traced by name (perfbench/tracer.py)
+
+    def line_search_coefficients(self, t: int, base, direction) -> np.ndarray:
+        base = self._points(t, base, self.n)
+        direction = self._points(t, direction, self.n)
+        a = self.scales
+        denom = a * _row_dots(direction)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw = _row_dots(self.target(t) - a[:, None] * base, direction) / denom
+        # The clamp keeps Python's min(1, max(0, raw)) semantics, NaN and -0.0 included.
+        coeff = np.where(raw > 0.0, raw, 0.0)
+        coeff = np.where(coeff < 1.0, coeff, 1.0)
+        return np.where(denom == 0.0, 0.0, coeff)
 
     def line_minimum_coefficient(self, i: int, t: int, base, direction) -> float:
         """Unclamped minimizer of alpha -> f_i^t(base + alpha * direction)."""
@@ -168,6 +312,12 @@ class QuadraticTrackingFamily(ObjectiveStream):
         if denom == 0.0:
             return 0.0
         return float(np.dot(self.target(t) - a * base, direction)) / denom
+
+    def _optimum_rounds(self, first: int, last: int, set_) -> tuple[np.ndarray, np.ndarray]:
+        c = self.targets(last)[first - 1:]
+        x_star = np.clip(self._optimum_factor() * c, set_.lower, set_.upper)
+        residual = self.scales[None, :, None] * x_star[:, None, :] - c[:, None, :]  # (rounds, n, d)
+        return x_star, _agent_sum(_row_dots(residual), axis=1) / self.n
 
 
 def paper_tracking_stream(horizon: int = 1000) -> QuadraticTrackingFamily:

@@ -12,12 +12,13 @@ from dffr.algorithms import (
     projection_free_step,
     run,
     smoothed_value,
+    sphere_draws,
     splitmix64,
 )
-from dffr.errors import EvaluationOutsideBaseSet, OutOfFeasibleSet
-from dffr.geometry import BoxSet, ShrunkSet
+from dffr.errors import EvaluationOutsideBaseSet, NonFiniteInput, OutOfFeasibleSet
+from dffr.geometry import BoxSet, ShrunkSet, lmo, sample_unit_sphere
 from dffr.linesearch import golden_section
-from dffr.network import validate_weight_matrix
+from dffr.network import generator_matrix, validate_weight_matrix
 from dffr.objectives import ObjectiveStream, QuadraticTrackingFamily, paper_tracking_stream
 
 
@@ -106,9 +107,11 @@ class TestGradientEstimate:
             raise AssertionError("zeroth-order contract violated")
 
         monkeypatch.setattr(paper_stream, "gradient", boom)
+        monkeypatch.setattr(paper_stream, "gradients", boom)
         shrunk = ShrunkSet(paper_stream.box, 0.01)
         states = AgentStates.initial(np.zeros((4, 1)))
-        gradient_free_step(states, paper_stream, wm4, shrunk, 1, 0.5, agent_rngs(0, 4))
+        u = sphere_draws(agent_rngs(0, 4), 1, 1)[0]
+        gradient_free_step(states, paper_stream, wm4, shrunk, 1, 0.5, u)
 
 
 class TestGradientFreeStep:
@@ -118,7 +121,7 @@ class TestGradientFreeStep:
         x0 = np.array([[1.0], [2.0], [3.0], [4.0]])
         states = AgentStates.initial(x0)
         new, record = gradient_free_step(
-            states, stream, wm4, shrunk, 1, 0.7, agent_rngs(3, 4)
+            states, stream, wm4, shrunk, 1, 0.7, sphere_draws(agent_rngs(3, 4), 1, 1)[0]
         )
         assert record.g == pytest.approx(np.zeros((4, 1)), abs=1e-12)
         assert new.x == pytest.approx(wm4.w @ x0)
@@ -127,10 +130,10 @@ class TestGradientFreeStep:
     def test_iterates_stay_in_shrunk_set(self, paper_stream, wm4):
         shrunk = ShrunkSet(paper_stream.box, 0.01)
         states = AgentStates.initial(np.zeros((4, 1)))
-        rngs = agent_rngs(11, 4)
+        u = sphere_draws(agent_rngs(11, 4), 59, 1)
         for t in range(1, 60):
             states, _ = gradient_free_step(
-                states, paper_stream, wm4, shrunk, t, 2.0 / np.sqrt(t), rngs
+                states, paper_stream, wm4, shrunk, t, 2.0 / np.sqrt(t), u[t - 1]
             )
             assert np.all(np.abs(states.x) <= 9.99 + 1e-12)
             assert states.eps_norm == pytest.approx(
@@ -337,3 +340,151 @@ class TestAlgorithmConfig:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             AlgorithmConfig(kind="mirror_descent")
+
+
+# --- the per-agent loops the batched steps replaced, kept as references ---------
+
+def reference_gradient_free_step(states, stream, wm, shrunk, t, alpha_t, u):
+    n, d = states.x.shape
+    g = np.empty((n, d))
+    for i in range(n):
+        g[i] = gradient_estimate(stream, i, t, states.x[i], shrunk.delta, u[i])
+    z_new = wm.w @ states.x
+    x_new = np.empty_like(states.x)
+    for i in range(n):
+        x_new[i] = shrunk.project(z_new[i] - alpha_t * g[i])
+    return x_new, z_new, g
+
+
+def reference_projection_free_step(states, stream, wm, box, t, line_search, alpha0, clamp):
+    n, _ = states.x.shape
+    v = np.empty_like(states.x)
+    for i in range(n):
+        v[i] = lmo(box, stream.gradient(i, t, states.x[i], check=False))
+    z_new = wm.w @ states.x
+    x_new = np.empty_like(states.x)
+    for i in range(n):
+        h = v[i] - states.x[i]
+        if line_search == "fixed_alpha0":
+            coeff = alpha0
+        elif float(np.dot(h, h)) == 0.0:
+            coeff = 0.0
+        else:
+            raw = stream.line_minimum_coefficient(i, t, z_new[i], h)
+            coeff = float(min(1.0, max(0.0, raw)))
+        x_new[i] = z_new[i] + coeff * h
+        if clamp:
+            x_new[i] = box.project(x_new[i])
+    return x_new, z_new
+
+
+def reference_projected_gradient_step(states, stream, wm, box, t, alpha_t):
+    z_new = wm.w @ states.x
+    x_new = np.empty_like(states.x)
+    for i in range(states.x.shape[0]):
+        grad = stream.gradient(i, t, states.x[i], check=False)
+        x_new[i] = box.project(z_new[i] - alpha_t * grad)
+    return x_new, z_new
+
+
+def ring_case(n, d, seed):
+    rng = np.random.default_rng(seed)
+    box = BoxSet.symmetric(10.0, d=d)
+    stream = QuadraticTrackingFamily(
+        scales=rng.uniform(0.5, 6.0, n), target=(8.0, 0.5), box=box, horizon=100
+    )
+    w = [[1.0]] if n == 1 else generator_matrix("ring", n=n, weight=0.3)
+    return stream, validate_weight_matrix(w), rng
+
+
+class TestBatchedSteps:
+    """Each batched step gives the bits of the per-agent loop it replaced."""
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (4, 1), (4, 3), (32, 10)])
+    def test_gradient_free_matches_loop(self, n, d):
+        stream, wm, rng = ring_case(n, d, 1)
+        shrunk = ShrunkSet(stream.box, 0.01)
+        u = sphere_draws(agent_rngs(5, n), 20, d)
+        states = AgentStates.initial(np.tile(shrunk.project(np.zeros(d)), (n, 1)))
+        for t in range(1, 21):
+            x_ref, z_ref, g_ref = reference_gradient_free_step(
+                states, stream, wm, shrunk, t, 0.02 / np.sqrt(t), u[t - 1]
+            )
+            states, record = gradient_free_step(
+                states, stream, wm, shrunk, t, 0.02 / np.sqrt(t), u[t - 1]
+            )
+            assert np.array_equal(record.g, g_ref)
+            assert np.array_equal(states.x, x_ref) and np.array_equal(states.z, z_ref)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (4, 1), (4, 3), (32, 10)])
+    @pytest.mark.parametrize(
+        "line_search, alpha0, clamp",
+        [("exact_1d", None, False), ("fixed_alpha0", 0.05, False), ("exact_1d", None, True)],
+    )
+    def test_projection_free_matches_loop(self, n, d, line_search, alpha0, clamp):
+        stream, wm, rng = ring_case(n, d, 2)
+        states = AgentStates.initial(rng.uniform(-9.0, 9.0, size=(n, d)))
+        for t in range(1, 21):
+            x_ref, z_ref = reference_projection_free_step(
+                states, stream, wm, stream.box, t, line_search, alpha0, clamp
+            )
+            states = projection_free_step(
+                states, stream, wm, stream.box, t,
+                line_search=line_search, alpha0=alpha0, clamp_to_feasible=clamp,
+            )
+            assert np.array_equal(states.x, x_ref) and np.array_equal(states.z, z_ref)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (4, 3), (32, 10)])
+    def test_projected_gradient_matches_loop(self, n, d):
+        stream, wm, rng = ring_case(n, d, 3)
+        states = AgentStates.initial(rng.uniform(-9.0, 9.0, size=(n, d)))
+        for t in range(1, 21):
+            x_ref, z_ref = reference_projected_gradient_step(
+                states, stream, wm, stream.box, t, 0.02
+            )
+            states = projected_gradient_step(states, stream, wm, stream.box, t, 0.02)
+            assert np.array_equal(states.x, x_ref) and np.array_equal(states.z, z_ref)
+
+    def test_sphere_draws_are_each_agents_scalar_draws(self):
+        u = sphere_draws(agent_rngs(9, 4), 30, 3)
+        for i, rng in enumerate(agent_rngs(9, 4)):
+            assert np.array_equal(u[:, i], [sample_unit_sphere(rng, 3) for _ in range(30)])
+
+
+class NaNAtOneAgent(ObjectiveStream):
+    """Zero losses, except NaN value and gradient for agent 2 at round 3."""
+
+    def __init__(self):
+        box = BoxSet.symmetric(10.0)
+        super().__init__(4, 1, 10, box, 1.0, 1.0, 1.0)
+
+    def _value(self, i, t, x):
+        return float("nan") if (i, t) == (2, 3) else float(x[0] ** 2)
+
+    def _gradient(self, i, t, x):
+        return np.array([float("nan")]) if (i, t) == (2, 3) else 2.0 * x
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            AlgorithmConfig(kind="gradient_free", step=StepSchedule(c=0.1), delta=0.01),
+            AlgorithmConfig(kind="projection_free", line_search="exact_1d"),
+            AlgorithmConfig(kind="projection_free", line_search="fixed_alpha0", alpha0=0.1),
+            AlgorithmConfig(kind="projected_gd", step=StepSchedule(c=0.1)),
+        ],
+        ids=["gradient_free", "exact_1d", "fixed_alpha0", "projected_gd"],
+    )
+    def test_nonfinite_loss_names_round_and_agent(self, cfg, wm4):
+        stream = NaNAtOneAgent()
+        with pytest.raises(NonFiniteInput, match="round 3: agent 2 "):
+            run(stream, wm4, stream.box, cfg, T=6)
+
+    def test_probe_outside_box_names_round_and_agent(self, paper_stream, wm4):
+        shrunk = ShrunkSet(paper_stream.box, 0.01)
+        states = AgentStates.initial(np.array([[0.0], [9.995], [0.0], [0.0]]))
+        with pytest.raises(EvaluationOutsideBaseSet, match="round 7: agent 1 "):
+            gradient_free_step(
+                states, paper_stream, wm4, shrunk, 7, 0.1, np.ones((4, 1))
+            )

@@ -164,6 +164,37 @@ class TestSampling:
         se = (u**2).std(axis=0) / np.sqrt(n)
         assert np.all(np.abs(sq - 1.0 / 3.0) < 3.0 * se)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 300),
+        d=st.sampled_from([1, 3, 10]),
+    )
+    def test_sphere_batch_equals_scalar_draws(self, seed, count, d):
+        block_rng = np.random.default_rng(seed)
+        scalar_rng = np.random.default_rng(seed)
+        block = sphere_batch(block_rng, count, d)
+        scalar = np.stack([sample_unit_sphere(scalar_rng, d) for _ in range(count)])
+        assert np.array_equal(block, scalar)
+        assert block_rng.random() == scalar_rng.random()  # same draws consumed
+
+    def test_sphere_batch_redraws_like_scalar_loop(self):
+        # A row too short to normalize is replaced by the next row drawn.
+        class Scripted:
+            def __init__(self):
+                self.normals = np.array([3.0, 4.0, 0.0, 1e-13, 0.0, -2.0, 6.0, 8.0])
+
+            def standard_normal(self, size):
+                k = int(np.prod(size))
+                out, self.normals = self.normals[:k], self.normals[k:]
+                return out.reshape(size)
+
+        block = sphere_batch(Scripted(), 3, 2)
+        rng = Scripted()
+        scalar = np.stack([sample_unit_sphere(rng, 2) for _ in range(3)])
+        assert np.array_equal(block, scalar)
+        assert np.array_equal(block, [[0.6, 0.8], [0.0, -1.0], [0.6, 0.8]])
+
     def test_ball_inside(self, rng):
         v = ball_batch(rng, 2000, 4)
         assert np.all(np.linalg.norm(v, axis=1) <= 1.0 + 1e-12)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dffr.errors import IndexOutOfRange, OracleDisagreement, OutOfFeasibleSet
 from dffr.geometry import BoxSet, ShrunkSet
+from dffr.linesearch import golden_section
 from dffr.objectives import (
+    LINE_SEARCH_TOL,
     ObjectiveStream,
     QuadraticTrackingFamily,
     paper_tracking_stream,
@@ -25,6 +29,21 @@ class ZeroStream(ObjectiveStream):
 
     def _gradient(self, i, t, x):
         return np.zeros(self.d)
+
+
+class Opaque(ObjectiveStream):
+    """A stream that only has the scalar evaluators: the base-class batched paths."""
+
+    def __init__(self, inner):
+        super().__init__(inner.n, inner.d, inner.horizon, inner.box,
+                         inner.L, inner.L_s, inner.L_1)
+        self.inner = inner
+
+    def _value(self, i, t, x):
+        return self.inner._value(i, t, x)
+
+    def _gradient(self, i, t, x):
+        return self.inner._gradient(i, t, x)
 
 
 class TestEvaluators:
@@ -130,18 +149,6 @@ class TestRoundOptimum:
         assert opt.x_star == pytest.approx([9.99])
 
     def test_search_fallback_matches_closed_form(self, paper_stream):
-        class Opaque(ObjectiveStream):
-            def __init__(self, inner):
-                super().__init__(inner.n, inner.d, inner.horizon, inner.box,
-                                 inner.L, inner.L_s, inner.L_1)
-                self.inner = inner
-
-            def _value(self, i, t, x):
-                return self.inner._value(i, t, x)
-
-            def _gradient(self, i, t, x):
-                return self.inner._gradient(i, t, x)
-
         opaque = Opaque(paper_stream)
         for t in (2, 7):
             searched = round_optimum(opaque, t)
@@ -204,3 +211,107 @@ class TestQuadraticFamily:
             alpha = paper_stream.line_minimum_coefficient(i, t, base, direction)
             f = lambda a: paper_stream.value(i, t, base + a * direction, check=False)
             assert f(alpha) <= min(f(alpha - 1e-4), f(alpha + 1e-4)) + 1e-12
+
+
+def quadratic_case(n, d, seed):
+    """A random quadratic stream with n agents in d dimensions, and an RNG for points."""
+    rng = np.random.default_rng(seed)
+    box = BoxSet(-rng.uniform(1.0, 20.0, d), rng.uniform(1.0, 20.0, d))
+    power = float(rng.choice([0.0, 0.5, 1.3, 2.0]))
+    stream = QuadraticTrackingFamily(
+        scales=rng.uniform(0.5, 6.0, n),
+        target=(float(rng.uniform(-30.0, 30.0)), power),
+        box=box,
+        horizon=50,
+    )
+    return stream, rng
+
+
+CASES = st.tuples(
+    st.sampled_from([1, 4, 32]), st.sampled_from([1, 3, 10]), st.integers(0, 2**32 - 1)
+)
+
+
+class TestBatchedEvaluators:
+    """The batched evaluators give the scalar evaluators' bits (==, not approx)."""
+
+    @staticmethod
+    def check_against_scalar(stream, rng):
+        n, d = stream.n, stream.d
+        for t in (1, 2, int(rng.integers(3, 80))):
+            X = rng.uniform(-25.0, 25.0, size=(n, d))
+            points = rng.uniform(-25.0, 25.0, size=(5, d))
+            assert np.array_equal(
+                stream.values(t, X),
+                [stream.value(i, t, X[i], check=False) for i in range(n)],
+            )
+            assert np.array_equal(
+                stream.gradients(t, X),
+                np.stack([stream.gradient(i, t, X[i], check=False) for i in range(n)]),
+            )
+            assert np.array_equal(
+                stream.average_values(t, points),
+                [stream.average_value(t, p, check=False) for p in points],
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(CASES)
+    def test_quadratic_matches_scalar(self, case):
+        self.check_against_scalar(*quadratic_case(*case))
+
+    @settings(max_examples=15, deadline=None)
+    @given(CASES)
+    def test_base_class_fallback_matches_scalar(self, case):
+        stream, rng = quadratic_case(*case)
+        self.check_against_scalar(Opaque(stream), rng)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (4, 1), (4, 3), (32, 10)])
+    def test_line_search_matches_scalar(self, n, d):
+        stream, rng = quadratic_case(n, d, 7)
+        opaque = Opaque(stream)
+        for t in (1, 3, 40):
+            base = rng.uniform(-10.0, 10.0, size=(n, d))
+            direction = rng.uniform(-20.0, 20.0, size=(n, d))
+            direction[0] = 0.0  # a zero direction gives 0
+            closed = stream.line_search_coefficients(t, base, direction)
+            expected = [0.0] + [
+                min(1.0, max(0.0, stream.line_minimum_coefficient(i, t, base[i], direction[i])))
+                for i in range(1, n)
+            ]
+            assert np.array_equal(closed, expected)
+            searched = opaque.line_search_coefficients(t, base, direction)
+            assert searched[0] == 0.0
+            for i in range(1, n):
+                f = lambda a: stream.value(i, t, base[i] + a * direction[i], check=False)
+                assert searched[i] == golden_section(f, 0.0, 1.0, tol=LINE_SEARCH_TOL)
+            assert searched == pytest.approx(closed, abs=1e-6)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (4, 3), (32, 10)])
+    def test_optimum_path_matches_round_optimum(self, n, d):
+        stream, _ = quadratic_case(n, d, 3)
+        shrunk = ShrunkSet(stream.box, delta=0.01)
+        for set_ in (None, shrunk):
+            x_star, f_star = stream.optimum_path(60, set_)
+            assert x_star.shape == (60, d) and f_star.shape == (60,)
+            for t in range(1, 61):
+                opt = round_optimum(stream, t, set_)
+                assert np.array_equal(x_star[t - 1], opt.x_star)
+                assert f_star[t - 1] == opt.f_star
+            # a shorter request reads the same arrays
+            assert np.array_equal(stream.optimum_path(10, set_)[1], f_star[:10])
+
+    def test_optimum_path_fallback_is_round_optimum(self, paper_stream):
+        opaque = Opaque(paper_stream)
+        x_star, f_star = opaque.optimum_path(4)
+        for t in range(1, 5):
+            opt = round_optimum(opaque, t)
+            assert np.array_equal(x_star[t - 1], opt.x_star)
+            assert f_star[t - 1] == opt.f_star
+
+    def test_point_shapes_checked(self, paper_stream):
+        with pytest.raises(ValueError):
+            paper_stream.values(1, np.zeros((3, 1)))
+        with pytest.raises(ValueError):
+            paper_stream.average_values(1, np.zeros(4))
+        with pytest.raises(IndexOutOfRange):
+            paper_stream.gradients(0, np.zeros((4, 1)))
