@@ -83,3 +83,7 @@ class UnknownParameter(DffrError):
 
 class SchemaVersionMismatch(DffrError):
     """Trace file schema does not match this version of the code."""
+
+
+class MalformedTrace(DffrError):
+    """A row of a trace file's CSV body has the wrong width or a non-numeric field."""

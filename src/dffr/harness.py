@@ -27,6 +27,7 @@ from . import algorithms, metrics, network
 from .algorithms import AlgorithmConfig, StepSchedule
 from .errors import (
     ConstraintViolation,
+    MalformedTrace,
     ParseError,
     SchemaVersionMismatch,
     UnknownParameter,
@@ -87,6 +88,7 @@ class ExperimentConfig:
     seeds: list = field(default_factory=lambda: [0])
     bounds: bool = False
     out: str | None = None
+    _built: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -184,10 +186,23 @@ class ExperimentConfig:
             seed=seed,
         )
 
+    def built(self) -> tuple[ObjectiveStream | None, WeightMatrix, BoxSet]:
+        """The stream, weight matrix and box, built once and shared by every seed.
+
+        They are built again if the problem or topology section changed since.
+        """
+        key = repr((self.problem, self.topology))
+        if self._built is None or self._built[0] != key:
+            self._built = (
+                key,
+                (self.build_stream(), self.build_weight_matrix(), self.build_box()),
+            )
+        return self._built[1]
+
     def effective_lambda(self) -> float:
         if self.topology.lambda_override is not None:
             return float(self.topology.lambda_override)
-        return mixing_constants(self.build_weight_matrix()).lam
+        return mixing_constants(self.built()[1]).lam
 
     # --- validation ---------------------------------------------------------
 
@@ -213,8 +228,7 @@ class ExperimentConfig:
             raise ConstraintViolation(
                 f"smoothing delta {algo.delta} must be below the inradius {box.r}"
             )
-        self.build_stream()
-        self.build_weight_matrix()
+        self.built()
         if self.bounds:
             if algo.kind == "projected_gd":
                 raise ConstraintViolation(
@@ -361,9 +375,7 @@ def run_single(cfg: ExperimentConfig, seed: int, debug_checks: bool = False) -> 
         trace = Trace.from_gap_sequence(gaps, algorithm="remark1")
         trace.config.update(cfg.to_dict())
         return trace
-    stream = cfg.build_stream()
-    wm = cfg.build_weight_matrix()
-    box = cfg.build_box()
+    stream, wm, box = cfg.built()
     algo = cfg.build_algorithm(seed=seed)
     return algorithms.run(
         stream,
@@ -433,9 +445,7 @@ def _aggregate(per_seed: list[dict], rhos: list[float]) -> dict:
 
 
 def _bound_curves(cfg: ExperimentConfig, traces: list[Trace]) -> dict:
-    stream = cfg.build_stream()
-    wm = cfg.build_weight_matrix()
-    box = cfg.build_box()
+    stream, wm, box = cfg.built()
     mc = mixing_constants(wm)
     algo = cfg.build_algorithm(seed=0)
     lam = cfg.topology.lambda_override
@@ -590,17 +600,26 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
             f"trace schema {meta.get('schema_version')} != {SCHEMA_VERSION}"
         )
     with csv_path.open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if header != meta["columns"]:
-        raise SchemaVersionMismatch("trace columns do not match the sidecar")
+        header = next(csv.reader([fh.readline()]), [])
+        if header != meta["columns"]:
+            raise SchemaVersionMismatch("trace columns do not match the sidecar")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise _malformed_row(csv_path, header, exc) from None
     T, n, d = meta["T"], meta["n"], meta["d"]
-    if len(rows) != T * n:
-        raise SchemaVersionMismatch(
-            f"trace has {len(rows)} rows, expected T*n = {T * n}"
+    rows = data.shape[0]
+    if rows and data.shape[1] != len(header):
+        raise MalformedTrace(
+            f"{csv_path}: line 2: {data.shape[1]} fields, the header has {len(header)}"
         )
-    data = np.array([[float(v) for v in row] for row in rows])
+    if rows != T * n:
+        raise SchemaVersionMismatch(
+            f"{csv_path}: line {min(rows, T * n) + 2}: trace has {rows} rows, "
+            f"expected T*n = {T * n}"
+        )
     col = {name: idx for idx, name in enumerate(header)}
     x = np.empty((T, n, d))
     z = np.empty((T, n, d))
@@ -629,6 +648,25 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
         for rho in meta["rhos"]
     }
     return meta, trace, stored
+
+
+def _malformed_row(csv_path: Path, header: list[str], exc: ValueError) -> MalformedTrace:
+    """Name the first body line that is not one number per header column."""
+    with csv_path.open() as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            if not row:
+                continue
+            where = f"{csv_path}: line {reader.line_num}"
+            if len(row) != len(header):
+                return MalformedTrace(f"{where}: {len(row)} fields, expected {len(header)}")
+            for name, value in zip(header, row):
+                try:
+                    float(value)
+                except ValueError:
+                    return MalformedTrace(f"{where}: {name} is not a number: {value!r}")
+    return MalformedTrace(f"{csv_path}: {exc}")
 
 
 def recompute_metrics(trace_path, rhos: list[float]) -> dict:

@@ -7,6 +7,7 @@ import pytest
 from dffr import cli, harness, metrics
 from dffr.errors import (
     ConstraintViolation,
+    MalformedTrace,
     ParseError,
     SchemaVersionMismatch,
     UnknownParameter,
@@ -22,6 +23,12 @@ def small_alg2_config(horizon=40, **overrides) -> ExperimentConfig:
     raw["bounds"] = False
     raw.update(overrides)
     return ExperimentConfig.from_dict(raw)
+
+
+def _with_field(line: str, k: int, value: str) -> str:
+    fields = line.split(",")
+    fields[k] = value
+    return ",".join(fields)
 
 
 class TestPresets:
@@ -154,6 +161,25 @@ class TestRunExperiment:
         assert list(tmp_path.glob("*.csv")) == []
         assert list(tmp_path.glob("*.json")) == []
 
+    def test_pieces_built_once_per_config(self, monkeypatch):
+        raw = harness.preset("paper-tracking-alg1").to_dict()
+        raw["problem"]["horizon"] = 30
+        raw["seeds"] = [0, 1, 2]
+        cfg = ExperimentConfig.from_dict(raw)  # validation builds stream, matrix and box
+        builds = []
+        for name in ("build_stream", "build_weight_matrix", "build_box"):
+            real = getattr(ExperimentConfig, name)
+            monkeypatch.setattr(
+                ExperimentConfig, name,
+                lambda self, real=real, name=name: builds.append(name) or real(self),
+            )
+        summary = harness.run_experiment(cfg)
+        assert builds == []
+        assert len(summary["traces"]) == 3 and "bounds" in summary
+        cfg.problem.horizon = 20  # a changed section is built again
+        assert harness.run_single(cfg, 0).T == 20
+        assert sorted(builds) == ["build_box", "build_stream", "build_weight_matrix"]
+
     def test_hand_set_gap_trace_roundtrip(self, tmp_path):
         trace = Trace.from_gap_sequence([1.0, 1.0, 1.0])
         harness.write_trace(trace, [0.5], tmp_path / "hand")
@@ -168,6 +194,24 @@ class TestRunExperiment:
         lines = csv_path.read_text().splitlines()
         csv_path.write_text("\n".join(lines[:-5]) + "\n")
         with pytest.raises(SchemaVersionMismatch):
+            harness.recompute_metrics(tmp_path / "paper-tracking-alg2-seed0", [0.9875])
+
+    @pytest.mark.parametrize(
+        "corrupt, line",
+        [
+            (lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]], 161),
+            (lambda lines: lines[:9] + [_with_field(lines[9], 4, "abc")] + lines[10:], 10),
+            (lambda lines: lines[:4] + [lines[4] + ",0.5"] + lines[5:], 5),
+        ],
+        ids=["truncated-row", "non-numeric", "wrong-width"],
+    )
+    def test_malformed_body_names_file_and_line(self, tmp_path, corrupt, line):
+        cfg = small_alg2_config()
+        harness.run_experiment(cfg, out_dir=tmp_path)
+        csv_path = tmp_path / "paper-tracking-alg2-seed0.csv"
+        lines = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join(corrupt(lines)) + "\n")
+        with pytest.raises(MalformedTrace, match=f"seed0.csv: line {line}: "):
             harness.recompute_metrics(tmp_path / "paper-tracking-alg2-seed0", [0.9875])
 
     def test_schema_version_mismatch(self, tmp_path):
