@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationOutsideBaseSet, NonFiniteInput, OutOfFeasibleSet
-from .geometry import BoxSet, ShrunkSet, ball_batch, sphere_batch
+from .geometry import BoxSet, ShrunkSet, ball_batch, lmo, sphere_batch
 from .objectives import ObjectiveStream
 from .trace import Trace
 
@@ -253,7 +253,7 @@ def projection_free_step(
     """
     x = states.x
     grad = _require_finite(stream.gradients(t, x), t, "gradient")
-    v = np.where(grad < 0.0, box.upper, box.lower)  # lmo, row by row
+    v = lmo(box, grad)
     z_new = wm.w @ x
     h = v - x
     if line_search == "fixed_alpha0":

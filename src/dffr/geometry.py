@@ -144,13 +144,14 @@ def project(set_, y) -> np.ndarray:
 def lmo(box: BoxSet, g) -> np.ndarray:
     """Vertex of the box minimizing the linear form <g, v>.
 
-    Tie-break: a zero gradient coordinate selects the lower bound, so the
-    output is deterministic.
+    An (n, d) array of gradients gives one vertex per row.  Tie-break: a
+    zero gradient coordinate selects the lower bound, so the output is
+    deterministic.
     """
-    g = _vector(g)
+    g = np.atleast_1d(np.asarray(g, dtype=float))
     _require_finite(g, "gradient")
-    if g.size != box.d:
-        raise ValueError(f"gradient has dimension {g.size}, box has {box.d}")
+    if g.ndim > 2 or g.shape[-1] != box.d:
+        raise ValueError(f"gradient has shape {g.shape}, box has dimension {box.d}")
     return np.where(g < 0.0, box.upper, box.lower)
 
 

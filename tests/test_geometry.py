@@ -116,6 +116,13 @@ class TestLmo:
         with pytest.raises(NonFiniteInput):
             lmo(self.box, [np.inf])
 
+    def test_rows_are_vertices(self, rng):
+        box = BoxSet(-rng.uniform(0.5, 3.0, 3), rng.uniform(0.5, 3.0, 3))
+        g = rng.standard_normal((5, 3))
+        assert np.array_equal(lmo(box, g), np.stack([lmo(box, row) for row in g]))
+        with pytest.raises(ValueError):
+            lmo(box, np.zeros((5, 2)))
+
 
 class TestProjectionInequality:
     def test_zero_shift_gap_is_nonnegative(self):
