@@ -243,6 +243,7 @@ class QuadraticTrackingFamily(ObjectiveStream):
         return self._targets[:T]
 
     def target(self, t: int) -> np.ndarray:
+        """c(t), shape (d,): a read-only table row for the rounds tabled so far."""
         if 1 <= t <= self._targets.shape[0]:
             return self._targets[t - 1]
         return self._target_row(t)
