@@ -201,6 +201,7 @@ class TestSampling:
         scalar = np.stack([sample_unit_sphere(rng, 2) for _ in range(3)])
         assert np.array_equal(block, scalar)
         assert np.array_equal(block, [[0.6, 0.8], [0.0, -1.0], [0.6, 0.8]])
+        assert sphere_batch(Scripted(), 0, 2).shape == (0, 2)
 
     def test_ball_inside(self, rng):
         v = ball_batch(rng, 2000, 4)
