@@ -23,7 +23,6 @@ from .geometry import (
     ShrunkSet,
     lmo,
     minkowski_containment_check,
-    project,
     projection_inequality_gap,
     sample_unit_ball,
     sample_unit_sphere,
@@ -34,7 +33,6 @@ from .metrics import (
     dffr,
     dffr_series,
     final_round_gap,
-    gradient_free_constant_step_bound,
     gradient_free_regret_bound,
     projection_free_regret_bound,
     tracking_time,

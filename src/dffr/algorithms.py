@@ -22,7 +22,7 @@ non-finite update or an out-of-box query by naming the round and the agent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,10 +74,6 @@ class StepSchedule:
     def __call__(self, t: int) -> float:
         return self.c / t**self.p
 
-    @property
-    def constant(self) -> bool:
-        return self.p == 0.0
-
 
 ALGORITHM_KINDS = ("gradient_free", "projection_free", "projected_gd")
 LINE_SEARCH_MODES = ("exact_1d", "fixed_alpha0")
@@ -123,14 +119,6 @@ class AgentStates:
         # consensus error starts at zero.
         x0 = np.asarray(x0, dtype=float)
         return cls(x=x0.copy(), z=x0.copy(), eps_norm=np.zeros(x0.shape[0]))
-
-
-@dataclass(frozen=True)
-class EstimatorRecord:
-    """Realized randomness of one gradient-free round."""
-
-    u: np.ndarray  # (n, d) sphere draws
-    g: np.ndarray  # (n, d) gradient estimates
 
 
 def gradient_estimate(
@@ -199,6 +187,17 @@ def _projected(set_, rows: np.ndarray, t: int) -> np.ndarray:
     return np.clip(_require_finite(rows, t, "step"), set_.lower, set_.upper)
 
 
+def _gossip_round(states: AgentStates, wm, update) -> AgentStates:
+    """The round every rule shares: gossip z = W x, then x_new = update(z).
+
+    Records each agent's consensus error ||x_new - z||.
+    """
+    z_new = wm.w @ states.x
+    x_new = update(z_new)
+    eps = np.linalg.norm(x_new - z_new, axis=1)
+    return AgentStates(x=x_new, z=z_new, eps_norm=eps)
+
+
 def gradient_free_step(
     states: AgentStates,
     stream: ObjectiveStream,
@@ -208,13 +207,14 @@ def gradient_free_step(
     alpha_t: float,
     u: np.ndarray,
     fx: np.ndarray | None = None,
-) -> tuple[AgentStates, EstimatorRecord]:
+) -> tuple[AgentStates, np.ndarray]:
     """One bandit-feedback round: estimate, gossip, step, project onto the shrunk box.
 
     ``u`` holds every agent's sphere draw of the round, shape (n, d).  ``fx``
     is the agents' own losses at their decisions, when the caller already
     has them (the engine records them as ``loss_self``).  Per agent this is
-    ``gradient_estimate``: only zeroth-order queries.
+    ``gradient_estimate``: only zeroth-order queries.  Returns the new
+    states and the (n, d) gradient estimates.
     """
     x = states.x
     delta = shrunk.delta
@@ -229,10 +229,7 @@ def gradient_free_step(
         fx = stream.values(t, x)
     diff = stream.values(t, probe) - fx
     g = ((stream.d / delta) * diff)[:, None] * u
-    z_new = wm.w @ x
-    x_new = _projected(shrunk, z_new - alpha_t * g, t)
-    eps = np.linalg.norm(x_new - z_new, axis=1)
-    return AgentStates(x=x_new, z=z_new, eps_norm=eps), EstimatorRecord(u=u, g=g)
+    return _gossip_round(states, wm, lambda z: _projected(shrunk, z - alpha_t * g, t)), g
 
 
 def projection_free_step(
@@ -253,19 +250,18 @@ def projection_free_step(
     """
     x = states.x
     grad = _require_finite(stream.gradients(t, x), t, "gradient")
-    v = lmo(box, grad)
-    z_new = wm.w @ x
-    h = v - x
-    if line_search == "fixed_alpha0":
-        x_new = z_new + alpha0 * h
-    else:
-        x_new = z_new + stream.line_search_coefficients(t, z_new, h)[:, None] * h
-    if clamp_to_feasible:
-        x_new = _projected(box, x_new, t)
-    else:
-        _require_finite(x_new, t, "step")
-    eps = np.linalg.norm(x_new - z_new, axis=1)
-    return AgentStates(x=x_new, z=z_new, eps_norm=eps)
+    h = lmo(box, grad) - x
+
+    def update(z):
+        if line_search == "fixed_alpha0":
+            x_new = z + alpha0 * h
+        else:
+            x_new = z + stream.line_search_coefficients(t, z, h)[:, None] * h
+        if clamp_to_feasible:
+            return _projected(box, x_new, t)
+        return _require_finite(x_new, t, "step")
+
+    return _gossip_round(states, wm, update)
 
 
 def projected_gradient_step(
@@ -277,10 +273,8 @@ def projected_gradient_step(
     alpha_t: float,
 ) -> AgentStates:
     """One baseline round: gossip, exact-gradient step, projection onto the box."""
-    z_new = wm.w @ states.x
-    x_new = _projected(box, z_new - alpha_t * stream.gradients(t, states.x), t)
-    eps = np.linalg.norm(x_new - z_new, axis=1)
-    return AgentStates(x=x_new, z=z_new, eps_norm=eps)
+    grad = stream.gradients(t, states.x)
+    return _gossip_round(states, wm, lambda z: _projected(box, z - alpha_t * grad, t))
 
 
 def run(
@@ -290,7 +284,6 @@ def run(
     cfg: AlgorithmConfig,
     T: int,
     x0: np.ndarray | None = None,
-    debug_checks: bool = False,
     config_snapshot: dict | None = None,
 ) -> Trace:
     """Advance all agents through rounds 1..T and record a complete trace.
@@ -306,12 +299,7 @@ def run(
         raise ValueError(f"network has {wm.n} agents, stream has {stream.n}")
     n, d = stream.n, stream.d
 
-    shrunk = None
-    if cfg.kind == "gradient_free":
-        shrunk = ShrunkSet(box, cfg.delta)
-        feasible = shrunk
-    else:
-        feasible = box
+    feasible = ShrunkSet(box, cfg.delta) if cfg.kind == "gradient_free" else box
 
     if x0 is None:
         x0 = np.tile(feasible.project(np.zeros(d)), (n, 1))
@@ -341,18 +329,11 @@ def run(
         loss_self[row] = stream.values(t, states.x)
         loss_global[row] = stream.average_values(t, states.x)
 
-        if debug_checks:
-            for i in range(n):
-                if cfg.kind != "projection_free" and not feasible.contains(states.x[i]):
-                    raise OutOfFeasibleSet(
-                        f"round {t}: agent {i} decision left the feasible set"
-                    )
-
         if cfg.kind == "gradient_free":
-            states, record = gradient_free_step(
-                states, stream, wm, shrunk, t, cfg.step(t), u[row], fx=loss_self[row]
+            states, g = gradient_free_step(
+                states, stream, wm, feasible, t, cfg.step(t), u[row], fx=loss_self[row]
             )
-            g_norm[row] = np.linalg.norm(record.g, axis=1)
+            g_norm[row] = np.linalg.norm(g, axis=1)
         elif cfg.kind == "projection_free":
             states = projection_free_step(
                 states,

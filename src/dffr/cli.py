@@ -31,10 +31,15 @@ def _parse_seeds(args) -> list[int] | None:
     spec = getattr(args, "seeds", None)
     if spec is None:
         return None
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in spec.split(",") if s]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(s) for s in spec.split(",") if s]
+    except ValueError:
+        raise harness.ParseError(
+            f"bad --seeds {spec!r}: expected a list '0,1,2' or a range '0..19'"
+        ) from None
 
 
 def _strip_traces(summary: dict) -> dict:

@@ -86,4 +86,4 @@ class SchemaVersionMismatch(DffrError):
 
 
 class MalformedTrace(DffrError):
-    """A row of a trace file's CSV body has the wrong width or a non-numeric field."""
+    """A trace sidecar is not JSON or lacks a field, or a CSV body row is malformed."""

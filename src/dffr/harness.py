@@ -368,7 +368,7 @@ def preset(name: str) -> ExperimentConfig:
 
 # --- execution ----------------------------------------------------------------
 
-def run_single(cfg: ExperimentConfig, seed: int, debug_checks: bool = False) -> Trace:
+def run_single(cfg: ExperimentConfig, seed: int) -> Trace:
     """One seeded run of the configured experiment."""
     if cfg.problem.stream == "remark1":
         gaps = metrics.power_spike_gaps(cfg.problem.horizon)
@@ -383,7 +383,6 @@ def run_single(cfg: ExperimentConfig, seed: int, debug_checks: bool = False) -> 
         box,
         algo,
         T=cfg.problem.horizon,
-        debug_checks=debug_checks,
         config_snapshot=cfg.to_dict(),
     )
 
@@ -395,7 +394,6 @@ def _seed_summary(trace: Trace, rhos: list[float]) -> dict:
         "seed": trace.seed,
         "consensus_time": metrics.persistent_time_below(consensus, CONSENSUS_THRESHOLD),
         "tracking_time": metrics.persistent_time_below(tracking, TRACKING_THRESHOLD),
-        "first_consensus_time": metrics.first_time_below(consensus, CONSENSUS_THRESHOLD),
         "first_tracking_time": metrics.first_time_below(tracking, TRACKING_THRESHOLD),
         "final_gap": metrics.final_round_gap(trace),
         "final_cumulative_regret": float(metrics.cumulative_regret(trace)[-1]),
@@ -425,7 +423,6 @@ def _aggregate(per_seed: list[dict], rhos: list[float]) -> dict:
     for key in (
         "consensus_time",
         "tracking_time",
-        "first_consensus_time",
         "first_tracking_time",
     ):
         agg[f"median_{key}"] = _median([e[key] for e in per_seed])
@@ -457,10 +454,7 @@ def _bound_curves(cfg: ExperimentConfig, traces: list[Trace]) -> dict:
                 traces, stream, mc, rho, delta=algo.delta,
                 path_set=shrunk, lam_override=lam,
             )
-            if algo.step.constant:
-                bound = metrics.gradient_free_constant_step_bound(inputs, algo.step.c)
-            else:
-                bound = metrics.gradient_free_regret_bound(inputs, algo.step)
+            bound = metrics.gradient_free_regret_bound(inputs, algo.step)
         else:
             inputs = BoundInputs.from_traces(
                 traces, stream, mc, rho, lam_override=lam
@@ -476,9 +470,7 @@ def _bound_curves(cfg: ExperimentConfig, traces: list[Trace]) -> dict:
     return curves
 
 
-def run_experiment(
-    cfg: ExperimentConfig, out_dir=None, debug_checks: bool = False
-) -> dict:
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Run every configured seed; write traces and a summary when an output directory is given.
 
     Partial outputs are removed if any seed fails.
@@ -491,7 +483,7 @@ def run_experiment(
         if out:
             out.mkdir(parents=True, exist_ok=True)
         for seed in cfg.seeds:
-            trace = run_single(cfg, seed, debug_checks=debug_checks)
+            trace = run_single(cfg, seed)
             traces.append(trace)
             per_seed.append(_seed_summary(trace, cfg.rho))
             if out:
@@ -585,6 +577,10 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
     return [csv_path, meta_path]
 
 
+# Sidecar fields read_trace needs to rebuild a trace.
+_SIDECAR_KEYS = ("algorithm", "seed", "T", "n", "d", "rhos", "columns", "final_eps_norm")
+
+
 def read_trace(base_path) -> tuple[dict, Trace, dict]:
     """Re-ingest a trace file pair; returns (meta, trace, stored running-regret columns)."""
     base = Path(base_path)
@@ -594,11 +590,19 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
     meta_path = base.with_suffix(".meta.json")
     if not csv_path.exists() or not meta_path.exists():
         raise SchemaVersionMismatch(f"missing trace files at {base}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise MalformedTrace(f"{meta_path}: line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(meta, dict):
+        raise MalformedTrace(f"{meta_path}: the sidecar is not a JSON object")
     if meta.get("schema_version") != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"trace schema {meta.get('schema_version')} != {SCHEMA_VERSION}"
         )
+    missing = [key for key in _SIDECAR_KEYS if key not in meta]
+    if missing:
+        raise MalformedTrace(f"{meta_path}: the sidecar lacks {', '.join(missing)}")
     with csv_path.open() as fh:
         header = next(csv.reader([fh.readline()]), [])
         if header != meta["columns"]:

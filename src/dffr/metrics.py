@@ -10,10 +10,10 @@ S_t = rho*S_{t-1} + a_t instead of explicit powers, which avoids underflow
 for long horizons and yields the whole running sequence in one pass.
 
 The bound evaluators assemble, term by term, the theoretical upper bounds for
-the gradient-free algorithm (time-varying and constant step) and the
-projection-free algorithm, given measured input sequences and the problem
-constants.  They require the forgetting factor to exceed the network mixing
-rate.
+the gradient-free algorithm (any step schedule; a constant step is the
+schedule with p = 0) and the projection-free algorithm, given measured input
+sequences and the problem constants.  They require the forgetting factor to
+exceed the network mixing rate.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ class BoundInputs:
             L=stream.L,
             L_s=stream.L_s,
             L_1=stream.L_1,
-            M=stream.box.M,
+            M=stream.box.R,
             r=stream.box.r,
             gamma=mixing.gamma,
             lam=lam_override if lam_override is not None else mixing.lam,
@@ -257,23 +257,6 @@ def gradient_free_regret_bound(inputs: BoundInputs, schedule) -> np.ndarray:
     term4 = (inputs.delta / inputs.r) * inputs.L_1 * rec(np.ones(T))
     term5 = 2.0 * inputs.M * rec(inputs.theta / alphas)
     term6 = 2.0 * inputs.M**2 / alphas
-    return term1 + term2 + term3 + term4 + term5 + term6
-
-
-def gradient_free_constant_step_bound(inputs: BoundInputs, alpha: float) -> np.ndarray:
-    """Constant-step specialization of the gradient-free bound, per horizon."""
-    if alpha <= 0.0:
-        raise ValueError("step size must be positive")
-    rho = inputs.rho
-    T = inputs.T
-    rec = lambda a: forgetting_weighted_series(a, rho)
-    x1 = float(np.sum(inputs.init_norms))
-    term1 = 2.0 * inputs.L * (1.0 + inputs.d) * inputs.gamma * x1 * rec(_lam_powers(inputs))
-    term2 = (4.0 * inputs.L * (1.0 + inputs.d) / inputs.n) * rec(inputs.F.sum(axis=1))
-    term3 = (inputs.sigma**2 * alpha * inputs.n / 2.0) * rec(np.ones(T))
-    term4 = (inputs.delta / inputs.r) * inputs.L_1 * rec(np.ones(T))
-    term5 = (2.0 * inputs.M / alpha) * rec(inputs.theta)
-    term6 = 2.0 * inputs.M**2 / alpha
     return term1 + term2 + term3 + term4 + term5 + term6
 
 

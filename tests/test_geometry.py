@@ -12,7 +12,6 @@ from dffr.geometry import (
     ball_batch,
     lmo,
     minkowski_containment_check,
-    project,
     projection_inequality_gap,
     sample_unit_ball,
     sample_unit_sphere,
@@ -33,13 +32,12 @@ class TestBoxSet:
     def test_interval_fields(self):
         box = BoxSet.symmetric(10.0)
         assert box.d == 1
-        assert box.r == box.R == box.M == 10.0
+        assert box.r == box.R == 10.0
 
     def test_asymmetric_fields(self):
         box = BoxSet([-1.0, -3.0], [2.0, 1.0])
         assert box.r == 1.0
         assert box.R == pytest.approx(np.sqrt(13.0))
-        assert box.M == box.R
         assert 0 < box.r <= box.R
 
     def test_rejects_origin_on_boundary(self):
@@ -54,27 +52,27 @@ class TestBoxSet:
 class TestProjection:
     def test_clamps_outside_point(self):
         box = BoxSet.symmetric(10.0)
-        assert project(box, [14.4]) == pytest.approx([10.0])
+        assert box.project([14.4]) == pytest.approx([10.0])
 
     def test_identity_inside(self):
         box = BoxSet.symmetric(10.0)
-        assert project(box, [3.7]) == pytest.approx([3.7])
+        assert box.project([3.7]) == pytest.approx([3.7])
 
     def test_shrunk_clamp(self):
         shrunk = ShrunkSet(BoxSet.symmetric(10.0), delta=0.01)
         assert shrunk.factor == pytest.approx(0.999)
-        assert project(shrunk, [14.4]) == pytest.approx([9.99])
+        assert shrunk.project([14.4]) == pytest.approx([9.99])
 
     def test_nonfinite_rejected(self):
         box = BoxSet.symmetric(1.0)
         with pytest.raises(NonFiniteInput):
-            project(box, [np.nan])
+            box.project([np.nan])
 
     @settings(max_examples=200)
     @given(boxes(3), st.lists(st.floats(-100, 100), min_size=3, max_size=3))
     def test_idempotent(self, box, y):
-        once = project(box, y)
-        assert np.array_equal(project(box, once), once)
+        once = box.project(y)
+        assert np.array_equal(box.project(once), once)
 
     @settings(max_examples=200)
     @given(
@@ -83,7 +81,7 @@ class TestProjection:
         st.lists(st.floats(-100, 100), min_size=2, max_size=2),
     )
     def test_nonexpansive(self, box, a, b):
-        pa, pb = project(box, a), project(box, b)
+        pa, pb = box.project(a), box.project(b)
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(np.array(a) - np.array(b)) + 1e-12
 
 

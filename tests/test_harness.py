@@ -150,10 +150,10 @@ class TestRunExperiment:
         cfg = ExperimentConfig.from_dict(raw)
         real = harness.run_single
 
-        def flaky(config, seed, debug_checks=False):
+        def flaky(config, seed):
             if seed == 1:
                 raise RuntimeError("injected failure")
-            return real(config, seed, debug_checks=debug_checks)
+            return real(config, seed)
 
         monkeypatch.setattr(harness, "run_single", flaky)
         with pytest.raises(RuntimeError):
@@ -222,6 +222,32 @@ class TestRunExperiment:
         meta["schema_version"] = 999
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(SchemaVersionMismatch):
+            harness.recompute_metrics(tmp_path / "paper-tracking-alg2-seed0", [0.9875])
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda lines: lines[:3] + ['  "T": 40,,'] + lines[3:], "line 4: "),
+            (lambda lines: ["[1, 2]"], "the sidecar is not a JSON object"),
+        ],
+        ids=["not-json", "not-an-object"],
+    )
+    def test_corrupt_sidecar_names_file(self, tmp_path, corrupt, message):
+        harness.run_experiment(small_alg2_config(), out_dir=tmp_path)
+        meta_path = tmp_path / "paper-tracking-alg2-seed0.meta.json"
+        lines = meta_path.read_text().splitlines()
+        meta_path.write_text("\n".join(corrupt(lines)) + "\n")
+        with pytest.raises(MalformedTrace, match=f"seed0.meta.json: {message}"):
+            harness.recompute_metrics(tmp_path / "paper-tracking-alg2-seed0", [0.9875])
+
+    @pytest.mark.parametrize("key", ["columns", "T", "n", "d", "rhos", "final_eps_norm"])
+    def test_sidecar_missing_field_names_file_and_field(self, tmp_path, key):
+        harness.run_experiment(small_alg2_config(), out_dir=tmp_path)
+        meta_path = tmp_path / "paper-tracking-alg2-seed0.meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta[key]
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(MalformedTrace, match=f"seed0.meta.json: the sidecar lacks {key}$"):
             harness.recompute_metrics(tmp_path / "paper-tracking-alg2-seed0", [0.9875])
 
     def test_remark1_synthetic_run(self):
@@ -330,6 +356,11 @@ class TestCli:
         assert cli.main(["run", "--preset", "remark1-synthetic", "--seeds", "0..2"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert len(out["per_seed"]) == 3
+
+    @pytest.mark.parametrize("spec", ["abc", "1..x", "0,1,z"])
+    def test_bad_seed_spec_is_an_error(self, spec, capsys):
+        assert cli.main(["run", "--preset", "remark1-synthetic", "--seeds", spec]) == 1
+        assert f"error: bad --seeds {spec!r}" in capsys.readouterr().err
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg = small_alg2_config(horizon=20)

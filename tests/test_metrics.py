@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dffr import metrics
+from dffr.algorithms import StepSchedule
 from dffr.errors import RhoNotGreaterThanLambda, RhoOutOfRange
 from dffr.geometry import ShrunkSet
 from dffr.metrics import (
@@ -16,7 +17,6 @@ from dffr.metrics import (
     final_round_gap,
     first_time_below,
     forgetting_weighted_series,
-    gradient_free_constant_step_bound,
     gradient_free_regret_bound,
     optimum_path_lengths,
     persistent_time_below,
@@ -206,7 +206,7 @@ class TestBoundEvaluators:
         T = 4000
         inputs = make_inputs(T=T, rho=0.99, lam=0.5)
         alpha = 0.05
-        bound = gradient_free_constant_step_bound(inputs, alpha)
+        bound = gradient_free_regret_bound(inputs, StepSchedule(c=alpha))
         asymptote = metrics.constant_step_asymptote(inputs, alpha)
         assert bound[-1] == pytest.approx(asymptote, rel=0.01)
 
