@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Run the benchmark of two checkouts in alternating pairs and record the results.
+
+    python3 scripts/bench_pairs.py --parent ../old --change . \\
+        --workload scale-ring-n32-d10 --seeds 201..210 --out BENCH_6.json
+
+Each seed is one pair: ``perfbench/run.py --trace 0`` of both checkouts
+(each its own copy, from its own directory, at its default run length), the
+parent first in odd pairs and the change first in even ones.  The output
+file records the machine (CPU model and count, Python and numpy versions),
+each checkout's commit (whether its tree was dirty, and the git tree of the
+``src/`` it ran), every run's result line, the seeds, and for each
+end-to-end metric the median and quartiles of each side and the number of
+pairs in which the change was lower.  An existing output file keeps its
+other workloads, so one file can hold several.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from dffr import cli, harness
+
+
+def cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def machine() -> dict:
+    return {
+        "cpu_model": cpu_model(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }
+
+
+def git(checkout: Path, *args: str) -> str:
+    proc = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else ""
+
+
+def commit(checkout: Path) -> dict:
+    """HEAD, whether the tracked files differ from it, and the tree of src/ as run.
+
+    ``src_tree`` equals ``git rev-parse <commit>:src`` of any commit whose
+    src/ is the measured one, dirty or not.
+    """
+    dirty = bool(git(checkout, "status", "--porcelain", "--untracked-files=no"))
+    snapshot = git(checkout, "stash", "create") if dirty else "HEAD"
+    return {
+        "head": git(checkout, "rev-parse", "HEAD") or None,
+        "dirty": dirty,
+        "src_tree": git(checkout, "rev-parse", f"{snapshot}:src") or None,
+    }
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """One benchmark run of a checkout; its result line, parsed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: {' '.join(cmd)} failed:\n{proc.stderr.strip()}")
+    return json.loads(lines[-1])
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict]) -> dict:
+    summary = {}
+    for name in pairs[0]["parent"]["metrics"]:
+        value = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in ("parent", "change")}
+        summary[name] = {
+            "parent": spread(value["parent"]),
+            "change": spread(value["change"]),
+            "change_lower_in": sum(c < p for p, c in zip(value["parent"], value["change"])),
+        }
+    return summary
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="one seed per pair: '1,2,3' or '1..10'")
+    parser.add_argument("--out", required=True, type=Path, help="output JSON, e.g. BENCH_6.json")
+    args = parser.parse_args()
+    try:
+        seeds = cli._parse_seeds(args)
+    except harness.ParseError as exc:
+        parser.error(str(exc))
+    if len(seeds) < 2:
+        parser.error(f"need at least 2 pairs, one seed each; got {len(seeds)} seeds")
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    pairs = []
+    for k, seed in enumerate(seeds):
+        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+        pair = {"seed": seed, "order": order}
+        for side in order:
+            pair[side] = run_once(sides[side], args.workload, seed)
+        pairs.append(pair)
+        print(
+            f"pair {k + 1}/{len(seeds)} seed {seed}: "
+            + ", ".join(
+                f"{name} {pair['parent']['metrics'][name]['value']:.4g} -> {pair['change']['metrics'][name]['value']:.4g}"
+                for name in pair["parent"]["metrics"]
+            ),
+            flush=True,
+        )
+
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    record["machine"] = machine()
+    record.setdefault("workloads", {})[args.workload] = {
+        "commits": {side: commit(path) for side, path in sides.items()},
+        "command": f"perfbench/run.py --workload {args.workload} --seed SEED --trace 0",
+        "seeds": seeds,
+        "pairs": pairs,
+        "summary": summarize(pairs),
+    }
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import io
 import json
 import math
 import re
@@ -122,14 +121,23 @@ class ExperimentConfig:
         algorithm = raw.get("algorithm")
         if algorithm is None and not synthetic:
             raise ParseError("config is missing the 'algorithm' section")
+        seeds = raw.get("seeds", [0])
+        if not isinstance(seeds, list):
+            raise ParseError(f"field 'seeds' must be a list of seeds, got {seeds!r}")
+        for seed in seeds:
+            if not _is_count(seed):
+                raise ParseError(f"field 'seeds' holds {seed!r}; a seed is a non-negative integer")
+        bounds = raw.get("bounds", False)
+        if not isinstance(bounds, bool):
+            raise ParseError(f"field 'bounds' must be true or false, got {bounds!r}")
         cfg = cls(
             name=raw.get("name", "experiment"),
             problem=problem,
             topology=topology,
             algorithm=copy.deepcopy(algorithm),
             rho=list(raw.get("rho", [])),
-            seeds=list(raw.get("seeds", [0])),
-            bounds=bool(raw.get("bounds", False)),
+            seeds=list(seeds),
+            bounds=bounds,
             out=raw.get("out"),
         )
         cfg.validate()
@@ -244,6 +252,11 @@ class ExperimentConfig:
                     raise ConstraintViolation(
                         f"bound evaluation needs rho > lambda, got rho={rho}, lambda={lam}"
                     )
+
+
+def _is_count(value) -> bool:
+    """A non-negative integer; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _parse_target(spec) -> tuple[float, float]:
@@ -532,33 +545,26 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
     """Write <base>.csv (deterministic body) and <base>.meta.json (sidecar).
 
     Rows are round-major then agent; per-round values (optimum, gap, running
-    regret) repeat on each agent row of the round.
+    regret) repeat on each agent row of the round.  Every value is written as
+    ``repr(float(v))``.  The body is formatted and written one round at a
+    time, and each round's per-round values are formatted once.  A write
+    that fails leaves neither file behind.
     """
     base = Path(base_path)
     csv_path = base.with_suffix(".csv")
     meta_path = base.with_suffix(".meta.json")
-    gaps = trace.gaps
-    series = {rho: metrics.dffr_series(trace, rho) for rho in rhos}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(trace_columns(trace.d, rhos))
-    for row in range(trace.T):
-        t = row + 1
-        for i in range(trace.n):
-            out = [str(t), str(i)]
-            out += [_fmt(v) for v in trace.x[row, i]]
-            out += [_fmt(v) for v in trace.z[row, i]]
-            out += [
-                _fmt(trace.eps_norm[row, i]),
-                _fmt(trace.g_norm[row, i]),
-                _fmt(trace.loss_self[row, i]),
-                _fmt(trace.loss_global[row, i]),
-            ]
-            out += [_fmt(v) for v in trace.x_star[row]]
-            out += [_fmt(trace.f_star[row]), _fmt(gaps[row])]
-            out += [_fmt(series[rho][row]) for rho in rhos]
-            writer.writerow(out)
-    csv_path.write_text(buf.getvalue())
+    columns = trace_columns(trace.d, rhos)
+    per_agent = np.concatenate(
+        [
+            trace.x,
+            trace.z,
+            np.stack([trace.eps_norm, trace.g_norm, trace.loss_self, trace.loss_global], axis=2),
+        ],
+        axis=2,
+    ).astype(float, copy=False)
+    per_round = np.column_stack(
+        [trace.x_star, trace.f_star, trace.gaps, *(metrics.dffr_series(trace, rho) for rho in rhos)]
+    ).astype(float, copy=False)
     meta = {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": ARTIFACT_VERSION,
@@ -569,11 +575,24 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
         "n": trace.n,
         "d": trace.d,
         "rhos": [float(r) for r in rhos],
-        "columns": trace_columns(trace.d, rhos),
+        "columns": columns,
         "final_eps_norm": [float(v) for v in trace.final_eps_norm],
         "config": trace.config,
     }
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    try:
+        with csv_path.open("w") as fh:
+            fh.write(",".join(columns) + "\n")
+            for t, (agents, tail) in enumerate(zip(per_agent, per_round.tolist()), start=1):
+                tail = ",".join(map(repr, tail))
+                fh.write("".join([
+                    f"{t},{i},{','.join(map(repr, row))},{tail}\n"
+                    for i, row in enumerate(agents.tolist())
+                ]))
+        meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    except BaseException:
+        csv_path.unlink(missing_ok=True)
+        meta_path.unlink(missing_ok=True)
+        raise
     return [csv_path, meta_path]
 
 
@@ -607,6 +626,7 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
         header = next(csv.reader([fh.readline()]), [])
         if header != meta["columns"]:
             raise SchemaVersionMismatch("trace columns do not match the sidecar")
+        _check_sidecar_fields(meta_path, meta, header)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # an empty body
@@ -652,6 +672,46 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
         for rho in meta["rhos"]
     }
     return meta, trace, stored
+
+
+def _check_sidecar_fields(meta_path: Path, meta: dict, header: list[str]) -> None:
+    """Raise MalformedTrace naming a sidecar field of the wrong type or with columns the header lacks."""
+    for key in ("T", "n", "d"):
+        if not _is_count(meta[key]):
+            raise MalformedTrace(
+                f"{meta_path}: sidecar field {key!r} must be a non-negative integer, "
+                f"got {meta[key]!r}"
+            )
+    for key in ("rhos", "final_eps_norm"):
+        value = meta[key]
+        if not isinstance(value, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+        ):
+            raise MalformedTrace(
+                f"{meta_path}: sidecar field {key!r} must be a list of numbers, got {value!r}"
+            )
+    if len(meta["final_eps_norm"]) != meta["n"]:
+        raise MalformedTrace(
+            f"{meta_path}: sidecar field 'final_eps_norm' has "
+            f"{len(meta['final_eps_norm'])} entries, n is {meta['n']}"
+        )
+    least = 3 * meta["d"] + 8  # trace_columns(d, []) has this many names
+    if least > len(header):
+        raise MalformedTrace(
+            f"{meta_path}: sidecar field 'd' implies {least} or more columns, "
+            f"the header has {len(header)}"
+        )
+    implied = {
+        "d": trace_columns(meta["d"], []),
+        "rhos": [f"dffr_{_fmt(rho)}" for rho in meta["rhos"]],
+    }
+    for key, names in implied.items():
+        lacking = [name for name in names if name not in header]
+        if lacking:
+            raise MalformedTrace(
+                f"{meta_path}: sidecar field {key!r} implies columns the header "
+                f"lacks: {', '.join(lacking)}"
+            )
 
 
 def _malformed_row(csv_path: Path, header: list[str], exc: ValueError) -> MalformedTrace:

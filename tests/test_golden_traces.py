@@ -7,6 +7,12 @@ change a digest on purpose (with a note in CHANGES.md saying why).
 
 The runs come from the session fixtures in conftest.py; those configs differ
 from the presets only in ``bounds``, which does not enter the CSV body.
+
+The presets are all one-dimensional, so ``SCALE_GOLDEN`` also pins short
+runs of both paper rules at n = 32, d = 10 with two forgetting factors (the
+problem of the benchmark's ``scale-ring-n32-d10`` workload at T = 40).
+``python scripts/trace_digest.py --config <file> --seeds 0,1`` prints them
+for ``scale_config(<rule>)`` saved as JSON.
 """
 
 import hashlib
@@ -14,6 +20,7 @@ import hashlib
 import pytest
 
 from dffr import harness
+from dffr.harness import ExperimentConfig
 
 GOLDEN = {
     "paper-tracking-alg1": {
@@ -52,6 +59,42 @@ GOLDEN = {
     },
 }
 
+SCALE_GOLDEN = {
+    "scale-gradient-free": {
+        0: "a4eb972d9445a3411e34cba92f7fa08c3f2e5843500ecc28d16b1935e3298f67",
+        1: "e101368338e9f56fe234eed161ce4e9d822a4b3968f7035ba1a3a9c535fa9c79",
+    },
+    "scale-projection-free": {
+        0: "dd6029af7bcd8d05213bb975266d707338df961d6daea537efd900a3f049dd73",
+    },
+}
+
+SCALE_RULES = {
+    "scale-gradient-free": {"kind": "gradient_free", "step": {"c": 0.02, "p": 0.5}, "delta": 0.01},
+    "scale-projection-free": {"kind": "projection_free", "line_search": "exact_1d"},
+}
+
+
+def scale_config(name: str) -> dict:
+    """32 agents on a ring (edge weight 0.3), d = 10, T = 40, rho 0.95 and 0.99."""
+    n, d = 32, 10
+    return {
+        "name": name,
+        "problem": {
+            "stream": "quadratic",
+            "horizon": 40,
+            "box": [[-10.0, 10.0]] * d,
+            "scales": [1.0 + 5.0 * i / (n - 1) for i in range(n)],
+            "target": "8.0/t^0.5",
+        },
+        "topology": {"generator": "ring", "params": {"n": n, "weight": 0.3}, "B": 1},
+        "algorithm": SCALE_RULES[name],
+        "rho": [0.95, 0.99],
+        "seeds": sorted(SCALE_GOLDEN[name]),
+        "bounds": False,
+    }
+
+
 FIXTURES = {
     "paper-tracking-alg1": "alg1_traces",
     "paper-tracking-alg2": "alg2_fixed_trace",
@@ -77,3 +120,14 @@ def test_csv_body_matches_golden_digest(name, request, tmp_path):
         csv_path, _ = harness.write_trace(trace, cfg.rho, tmp_path / f"seed{seed}")
         digests[seed] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
     assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_GOLDEN))
+def test_wide_csv_body_matches_golden_digest(name, tmp_path):
+    cfg = ExperimentConfig.from_dict(scale_config(name))
+    digests = {}
+    for seed in cfg.seeds:
+        trace = harness.run_single(cfg, seed)
+        csv_path, _ = harness.write_trace(trace, cfg.rho, tmp_path / f"seed{seed}")
+        digests[seed] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert digests == SCALE_GOLDEN[name]

@@ -89,6 +89,33 @@ class TestConfigValidation:
         again = harness.parse_config(path)
         assert again == cfg
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seeds", "0"),
+            ("seeds", 0),
+            ("seeds", [0.5]),
+            ("seeds", [-1]),
+            ("seeds", [True]),
+            ("seeds", [0, "1"]),
+            ("bounds", "no"),
+            ("bounds", 1),
+            ("bounds", None),
+        ],
+        ids=["seeds-str", "seeds-int", "seed-float", "seed-negative", "seed-bool",
+             "seed-str", "bounds-str", "bounds-int", "bounds-null"],
+    )
+    def test_bad_seeds_or_bounds_name_the_field(self, key, value):
+        raw = harness.preset("paper-tracking-alg2").to_dict()
+        raw[key] = value
+        with pytest.raises(ParseError, match=f"^field '{key}' "):
+            ExperimentConfig.from_dict(raw)
+
+    def test_presets_parse_to_the_same_dicts(self):
+        for name in harness.PRESET_NAMES:
+            raw = harness.preset(name).to_dict()
+            assert ExperimentConfig.from_dict(raw).to_dict() == raw
+
     def test_parse_error_on_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -248,6 +275,34 @@ class TestRunExperiment:
         del meta[key]
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(MalformedTrace, match=f"seed0.meta.json: the sidecar lacks {key}$"):
+            harness.recompute_metrics(tmp_path / "paper-tracking-alg2-seed0", [0.9875])
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("T", "20", "sidecar field 'T' must be a non-negative integer, got '20'"),
+            ("T", 20.5, "sidecar field 'T' must be a non-negative integer, got 20.5"),
+            ("T", True, "sidecar field 'T' must be a non-negative integer, got True"),
+            ("n", None, "sidecar field 'n' must be a non-negative integer, got None"),
+            ("d", -1, "sidecar field 'd' must be a non-negative integer, got -1"),
+            ("rhos", 0.9875, "sidecar field 'rhos' must be a list of numbers, got 0.9875"),
+            ("rhos", [True], "sidecar field 'rhos' must be a list of numbers, got \\[True\\]"),
+            ("final_eps_norm", "abc", "sidecar field 'final_eps_norm' must be a list of numbers"),
+            ("final_eps_norm", [0.1], "sidecar field 'final_eps_norm' has 1 entries, n is 4"),
+            ("d", 2, "sidecar field 'd' implies 14 or more columns, the header has 12$"),
+            ("d", 10**9, "sidecar field 'd' implies 3000000008 or more columns, the header has 12$"),
+            ("rhos", [0.5], "sidecar field 'rhos' implies columns the header lacks: dffr_0.5$"),
+        ],
+        ids=["T-str", "T-float", "T-bool", "n-null", "d-negative", "rhos-number",
+             "rhos-bool", "eps-str", "eps-length", "d-columns", "d-huge", "rhos-columns"],
+    )
+    def test_bad_sidecar_field_names_file_and_field(self, tmp_path, key, value, message):
+        harness.run_experiment(small_alg2_config(), out_dir=tmp_path)
+        meta_path = tmp_path / "paper-tracking-alg2-seed0.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(MalformedTrace, match=f"seed0.meta.json: {message}"):
             harness.recompute_metrics(tmp_path / "paper-tracking-alg2-seed0", [0.9875])
 
     def test_remark1_synthetic_run(self):

@@ -1,0 +1,163 @@
+"""The bulk trace writer against the per-field writer it replaced.
+
+``reference_body`` is the former ``harness.write_trace`` body: one
+``csv.writer`` row per (round, agent), every value through
+``repr(float(v))``.  It stays here as the reference, the way
+tests/test_algorithms.py keeps the per-agent loops of the batched engine.
+"""
+
+import csv
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dffr import harness, metrics
+from dffr.trace import Trace
+
+
+def reference_body(trace: Trace, rhos: list[float]) -> str:
+    fmt = harness._fmt
+    gaps = trace.gaps
+    series = {rho: metrics.dffr_series(trace, rho) for rho in rhos}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(harness.trace_columns(trace.d, rhos))
+    for row in range(trace.T):
+        t = row + 1
+        for i in range(trace.n):
+            out = [str(t), str(i)]
+            out += [fmt(v) for v in trace.x[row, i]]
+            out += [fmt(v) for v in trace.z[row, i]]
+            out += [
+                fmt(trace.eps_norm[row, i]),
+                fmt(trace.g_norm[row, i]),
+                fmt(trace.loss_self[row, i]),
+                fmt(trace.loss_global[row, i]),
+            ]
+            out += [fmt(v) for v in trace.x_star[row]]
+            out += [fmt(trace.f_star[row]), fmt(gaps[row])]
+            out += [fmt(series[rho][row]) for rho in rhos]
+            writer.writerow(out)
+    return buf.getvalue()
+
+
+# Values whose shortest repr takes each of Python's forms: signed zero, the
+# switch to exponent notation at 1e-4 and 1e16, subnormals and the extremes.
+EDGE_VALUES = [
+    0.0, -0.0, 1e-05, 9.999e-05, 0.0001, 0.1, 1.0, -1.5, 123456.789,
+    9999999999999998.0, 1e16, -1e16, 1e22, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 3.0000000000000004,
+]
+
+values = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def traces(draw):
+    T = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 3]))
+    d = draw(st.sampled_from([1, 3]))
+
+    def arr(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+    return Trace(
+        algorithm="hand",
+        seed=draw(st.integers(0, 9)),
+        config={},
+        x=arr(T, n, d),
+        z=arr(T, n, d),
+        eps_norm=arr(T, n),
+        loss_self=arr(T, n),
+        loss_global=arr(T, n),
+        x_star=arr(T, d),
+        f_star=arr(T),
+        g_norm=arr(T, n),
+        final_eps_norm=arr(n),
+    )
+
+
+rho_lists = st.lists(st.sampled_from([0.5, 0.9, 0.95, 0.99, 0.9875, 1e-05]), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces(), rho_lists)
+def test_body_matches_per_field_writer(trace, rhos):
+    with np.errstate(all="ignore"), tempfile.TemporaryDirectory() as tmp:
+        csv_path, meta_path = harness.write_trace(trace, rhos, Path(tmp) / "hand")
+        assert csv_path.read_bytes() == reference_body(trace, rhos).encode()
+        meta = json.loads(meta_path.read_text())
+    assert meta["columns"] == harness.trace_columns(trace.d, rhos)
+    assert (meta["T"], meta["n"], meta["d"]) == (trace.T, trace.n, trace.d)
+
+
+def _small_trace() -> Trace:
+    rng = np.random.default_rng(3)
+    T, n, d = 6, 3, 2
+    return Trace(
+        algorithm="hand",
+        seed=0,
+        config={},
+        x=rng.standard_normal((T, n, d)),
+        z=rng.standard_normal((T, n, d)),
+        eps_norm=rng.random((T, n)),
+        loss_self=rng.random((T, n)),
+        loss_global=rng.random((T, n)) + 1.0,
+        x_star=rng.standard_normal((T, d)),
+        f_star=rng.random(T),
+        g_norm=rng.random((T, n)),
+    )
+
+
+def _repr_failing_after(calls: int):
+    """A stand-in for ``repr`` that raises once it has formatted ``calls`` values."""
+    seen = []
+
+    def failing_repr(v):
+        seen.append(v)
+        if len(seen) > calls:
+            raise RuntimeError("injected formatting failure")
+        return repr(v)
+
+    return failing_repr
+
+
+class TestFailedWrite:
+    """A write that fails partway leaves neither the CSV nor the sidecar."""
+
+    # The header formats one value and a round of _small_trace 29; two rounds come
+    # before the failure, so the CSV exists and holds rows when it fails.
+    FAIL_AFTER = 60
+
+    def test_failure_while_formatting_the_body(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "repr", _repr_failing_after(self.FAIL_AFTER), raising=False)
+        with pytest.raises(RuntimeError, match="injected formatting failure"):
+            harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rewrite_leaves_no_stale_sidecar(self, tmp_path, monkeypatch):
+        harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
+        monkeypatch.setattr(harness, "repr", _repr_failing_after(self.FAIL_AFTER), raising=False)
+        with pytest.raises(RuntimeError, match="injected formatting failure"):
+            harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_while_writing_the_sidecar(self, tmp_path, monkeypatch):
+        def failing_dumps(*args, **kwargs):
+            raise RuntimeError("injected sidecar failure")
+
+        monkeypatch.setattr(harness.json, "dumps", failing_dumps)
+        with pytest.raises(RuntimeError, match="injected sidecar failure"):
+            harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
+        assert list(tmp_path.iterdir()) == []
