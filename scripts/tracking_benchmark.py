@@ -1,30 +1,18 @@
 #!/usr/bin/env python3
 """Run the 4-agent tracking benchmark under all three update rules.
 
-Prints the consensus time (first round after which the decision diameter
-stays below the threshold), the first tracking crossing time, and the final
-forgetting-factor regret for the gradient-free algorithm (20-seed median),
-the projection-free algorithm (fixed step and exact line search), and the
-projected-gradient baseline.  Pass --out DIR to keep the trace files.
+Prints, from each run's summary aggregate, the median consensus time (first
+round after which the decision diameter stays below the threshold), the
+median first tracking crossing time, and the mean final forgetting-factor
+regret, for the gradient-free algorithm (20 seeds), the projection-free
+algorithm (fixed step and exact line search), and the projected-gradient
+baseline.  Pass --out DIR to keep the trace files.
 """
 
 import argparse
-import math
 
-import numpy as np
-
-from dffr import harness, metrics
+from dffr import harness
 from dffr.harness import ExperimentConfig
-
-
-def crossing_times(trace):
-    # All agents share their initial decision, so the diameter is 0 in
-    # round 1; only the persistent consensus time is informative.
-    track = metrics.tracking_error_series(trace)
-    return (
-        metrics.consensus_time(trace, harness.CONSENSUS_THRESHOLD),
-        metrics.first_time_below(track, harness.TRACKING_THRESHOLD),
-    )
 
 
 def main():
@@ -39,24 +27,18 @@ def main():
         "paper-tracking-alg2-linesearch",
         "paper-tracking-dogd",
     ]
+    fmt = lambda v: "never" if v is None else f"{v:.0f}"
     print(f"{'preset':34s} {'consensus':>10s} {'tracking':>10s} {'final regret':>14s}")
     for name in presets:
         raw = harness.preset(name).to_dict()
         raw["problem"]["horizon"] = args.horizon
         raw["bounds"] = False
         cfg = ExperimentConfig.from_dict(raw)
-        summary = harness.run_experiment(cfg, out_dir=args.out)
-        traces = summary["traces"]
-        rho = cfg.rho[0]
-        finals = [metrics.dffr(tr, rho) for tr in traces]
-        pairs = [crossing_times(tr) for tr in traces]
-        cons = sorted((c if c is not None else math.inf) for c, _ in pairs)
-        track = sorted((t if t is not None else math.inf) for _, t in pairs)
-        med = lambda v: v[len(v) // 2]
-        fmt = lambda v: "never" if math.isinf(v) else f"{v:.0f}"
+        agg = harness.run_experiment(cfg, out_dir=args.out)["aggregate"]
         print(
-            f"{name:34s} {fmt(med(cons)):>10s} {fmt(med(track)):>10s} "
-            f"{float(np.mean(finals)):>14.4g}"
+            f"{name:34s} {fmt(agg['median_consensus_time']):>10s} "
+            f"{fmt(agg['median_first_tracking_time']):>10s} "
+            f"{agg['mean_final_dffr'][repr(float(cfg.rho[0]))]:>14.4g}"
         )
 
 

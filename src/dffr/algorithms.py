@@ -16,8 +16,9 @@ gossip, update):
 Within a round every agent reads only the previous round's global state and
 its own RNG stream, so per-agent updates are order-independent; the round
 boundary is a hard barrier.  Each step therefore updates all agents with
-array operations, through the stream's batched evaluators, and refuses a
-non-finite update or an out-of-box query by naming the round and the agent.
+array operations (``network.gossip_average``, the stream's batched evaluators,
+the set's ``project``) and refuses a non-finite update or an out-of-box query
+by naming the round and the agent.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import network
 from .errors import EvaluationOutsideBaseSet, NonFiniteInput, OutOfFeasibleSet
 from .geometry import BoxSet, ShrunkSet, ball_batch, lmo, sphere_batch
 from .objectives import ObjectiveStream
@@ -183,8 +185,12 @@ def _require_finite(rows: np.ndarray, t: int, what: str) -> np.ndarray:
 
 
 def _projected(set_, rows: np.ndarray, t: int) -> np.ndarray:
-    """Row-wise projection onto a box; refuses a non-finite step."""
-    return np.clip(_require_finite(rows, t, "step"), set_.lower, set_.upper)
+    """Row-wise projection onto a box; a non-finite step is refused by naming its agent."""
+    try:
+        return set_.project(rows)
+    except NonFiniteInput:
+        _require_finite(rows, t, "step")
+        raise
 
 
 def _gossip_round(states: AgentStates, wm, update) -> AgentStates:
@@ -192,7 +198,7 @@ def _gossip_round(states: AgentStates, wm, update) -> AgentStates:
 
     Records each agent's consensus error ||x_new - z||.
     """
-    z_new = wm.w @ states.x
+    z_new = network.gossip_average(wm, states.x)
     x_new = update(z_new)
     eps = np.linalg.norm(x_new - z_new, axis=1)
     return AgentStates(x=x_new, z=z_new, eps_norm=eps)

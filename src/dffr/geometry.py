@@ -79,8 +79,12 @@ class BoxSet:
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
     def project(self, y) -> np.ndarray:
-        y = _vector(y)
-        _require_finite(y)
+        """Nearest point of the box to a vector, or to each row of an (m, d) array."""
+        y = np.asarray(y, dtype=float)
+        if not 1 <= y.ndim <= 2 or y.shape[-1] != self.d:
+            raise ValueError(f"points have shape {y.shape}, box has dimension {self.d}")
+        if not np.isfinite(y).all():
+            raise NonFiniteInput("input contains non-finite entries")
         return np.clip(y, self.lower, self.upper)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -99,6 +103,8 @@ class ShrunkSet:
     base: BoxSet
     delta: float
     factor: float = field(init=False)
+    lower: np.ndarray = field(init=False)
+    upper: np.ndarray = field(init=False)
 
     def __post_init__(self):
         delta = float(self.delta)
@@ -108,18 +114,14 @@ class ShrunkSet:
             )
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "factor", 1.0 - delta / self.base.r)
+        for name in ("lower", "upper"):
+            bound = self.factor * getattr(self.base, name)
+            bound.flags.writeable = False
+            object.__setattr__(self, name, bound)
 
     @property
     def d(self) -> int:
         return self.base.d
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.factor * self.base.lower
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.factor * self.base.upper
 
     # The box operations read only lower and upper; bound here, they are
     # still traced by name (perfbench/tracer.py).

@@ -130,12 +130,19 @@ class ExperimentConfig:
         bounds = raw.get("bounds", False)
         if not isinstance(bounds, bool):
             raise ParseError(f"field 'bounds' must be true or false, got {bounds!r}")
+        rhos = raw.get("rho", [])
+        if not isinstance(rhos, list) or not all(_is_number(rho) for rho in rhos):
+            raise ParseError(f"field 'rho' must be a list of numbers, got {rhos!r}")
+        if not _is_count(problem.horizon):
+            raise ParseError(
+                f"field 'problem.horizon' must be a positive integer, got {problem.horizon!r}"
+            )
         cfg = cls(
             name=raw.get("name", "experiment"),
             problem=problem,
             topology=topology,
             algorithm=copy.deepcopy(algorithm),
-            rho=list(raw.get("rho", [])),
+            rho=list(rhos),
             seeds=list(seeds),
             bounds=bounds,
             out=raw.get("out"),
@@ -232,10 +239,11 @@ class ExperimentConfig:
             algo = self.build_algorithm(seed=0)
         except (KeyError, ValueError) as exc:
             raise ConstraintViolation(str(exc)) from None
-        if algo.kind == "gradient_free" and not algo.delta < box.r:
-            raise ConstraintViolation(
-                f"smoothing delta {algo.delta} must be below the inradius {box.r}"
-            )
+        if algo.kind == "gradient_free":
+            try:
+                ShrunkSet(box, algo.delta)
+            except ValueError as exc:
+                raise ConstraintViolation(f"smoothing {exc}") from None
         self.built()
         if self.bounds:
             if algo.kind == "projected_gd":
@@ -257,6 +265,11 @@ class ExperimentConfig:
 def _is_count(value) -> bool:
     """A non-negative integer; a bool is not one."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_number(value) -> bool:
+    """An int or a float; a bool is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _parse_target(spec) -> tuple[float, float]:
@@ -400,7 +413,12 @@ def run_single(cfg: ExperimentConfig, seed: int) -> Trace:
     )
 
 
-def _seed_summary(trace: Trace, rhos: list[float]) -> dict:
+def _dffr_curves(trace: Trace, rhos: list[float]) -> dict[float, np.ndarray]:
+    return {rho: metrics.dffr_series(trace, rho) for rho in rhos}
+
+
+def _seed_summary(trace: Trace, curves: dict[float, np.ndarray]) -> dict:
+    """The per-seed summary entry; ``curves`` maps each rho to its DFFR series."""
     consensus = metrics.consensus_diameter_series(trace)
     tracking = metrics.tracking_error_series(trace)
     entry = {
@@ -413,8 +431,7 @@ def _seed_summary(trace: Trace, rhos: list[float]) -> dict:
         "final_dffr": {},
         "regret_first_below": {},
     }
-    for rho in rhos:
-        series = metrics.dffr_series(trace, rho)
+    for rho, series in curves.items():
         key = repr(float(rho))
         entry["final_dffr"][key] = float(series[-1])
         entry["regret_first_below"][key] = metrics.first_time_below(
@@ -498,7 +515,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         for seed in cfg.seeds:
             trace = run_single(cfg, seed)
             traces.append(trace)
-            per_seed.append(_seed_summary(trace, cfg.rho))
+            per_seed.append(_seed_summary(trace, _dffr_curves(trace, cfg.rho)))
             if out:
                 base = out / f"{cfg.name}-seed{seed}"
                 written.extend(write_trace(trace, cfg.rho, base))
@@ -684,9 +701,7 @@ def _check_sidecar_fields(meta_path: Path, meta: dict, header: list[str]) -> Non
             )
     for key in ("rhos", "final_eps_norm"):
         value = meta[key]
-        if not isinstance(value, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        ):
+        if not isinstance(value, list) or not all(_is_number(v) for v in value):
             raise MalformedTrace(
                 f"{meta_path}: sidecar field {key!r} must be a list of numbers, got {value!r}"
             )
@@ -734,26 +749,20 @@ def _malformed_row(csv_path: Path, header: list[str], exc: ValueError) -> Malfor
 
 
 def recompute_metrics(trace_path, rhos: list[float]) -> dict:
-    """Recompute metrics from stored trace rows only (no re-simulation).
+    """Recompute the per-seed summary entry from stored trace rows only (no re-simulation).
 
     For every requested forgetting factor that was stored at write time, the
     recomputed running regret is compared against the stored column; the
-    worst absolute deviation is reported.
+    worst absolute deviation is reported as ``stored_dffr_max_delta``.
     """
     meta, trace, stored = read_trace(trace_path)
-    result = {
-        "consensus_time": metrics.consensus_time(trace, CONSENSUS_THRESHOLD),
-        "tracking_time": metrics.tracking_time(trace, TRACKING_THRESHOLD),
-        "final_gap": metrics.final_round_gap(trace),
-        "final_dffr": {},
-        "stored_dffr_max_delta": {},
+    curves = _dffr_curves(trace, rhos)
+    result = _seed_summary(trace, curves)
+    result["stored_dffr_max_delta"] = {
+        repr(float(rho)): float(np.max(np.abs(series - stored[float(rho)])))
+        for rho, series in curves.items()
+        if float(rho) in stored
     }
-    for rho in rhos:
-        series = metrics.dffr_series(trace, rho)
-        result["final_dffr"][repr(float(rho))] = float(series[-1])
-        if float(rho) in stored:
-            delta = float(np.max(np.abs(series - stored[float(rho)])))
-            result["stored_dffr_max_delta"][repr(float(rho))] = delta
     return result
 
 

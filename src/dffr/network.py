@@ -155,31 +155,18 @@ def mixing_bound_check(
     )
 
 
-def gossip_average(wm, states) -> np.ndarray:
+def gossip_average(wm: WeightMatrix, states) -> np.ndarray:
     """One synchronous gossip round: z_i = sum_j w_ij x_j.
 
-    ``states`` is an (n, d) array (or a list of n equal-length vectors);
-    ``wm`` may be a WeightMatrix or a raw matrix (unit tests exercise
-    degenerate matrices that would not validate).
+    ``states`` is an (n, d) array, or a list of n equal-length vectors.
     """
-    w = wm.w if isinstance(wm, WeightMatrix) else np.asarray(wm, dtype=float)
     try:
         x = np.asarray(states, dtype=float)
     except ValueError as exc:
         raise DimensionMismatch("agent states must share one dimension") from exc
-    if x.ndim == 1:
-        x = x[:, None]
-        squeeze = True
-    elif x.ndim == 2:
-        squeeze = False
-    else:
-        raise DimensionMismatch(f"states must be (n, d), got shape {x.shape}")
-    if x.shape[0] != w.shape[0]:
-        raise DimensionMismatch(
-            f"{x.shape[0]} state vectors for {w.shape[0]} agents"
-        )
-    z = w @ x
-    return z[:, 0] if squeeze else z
+    if x.ndim != 2 or x.shape[0] != wm.n:
+        raise DimensionMismatch(f"states must be ({wm.n}, d), got shape {x.shape}")
+    return wm.w @ x
 
 
 # --- built-in generators ----------------------------------------------------

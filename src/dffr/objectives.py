@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import IndexOutOfRange, OracleDisagreement, OutOfFeasibleSet
-from .geometry import BoxSet, ShrunkSet
+from .geometry import BoxSet
 from .linesearch import golden_section
 
 MEMBERSHIP_TOL = 1e-9
@@ -175,12 +175,11 @@ class ObjectiveStream:
         return x_star[:T], f_star[:T]
 
     def _optimum_rounds(self, first: int, last: int, set_) -> tuple[np.ndarray, np.ndarray]:
-        """x*_t and f*_t for rounds first..last."""
-        optima = [round_optimum(self, t, set_) for t in range(first, last + 1)]
-        return (
-            np.stack([opt.x_star for opt in optima]),
-            np.array([opt.f_star for opt in optima]),
-        )
+        """x*_t and f*_t for rounds first..last, by search."""
+        rounds = range(first, last + 1)
+        x_star = np.stack([_search_optimum(self, t, set_) for t in rounds])
+        f_star = [self.average_value(t, x, check=False) for t, x in zip(rounds, x_star)]
+        return x_star, np.array(f_star)
 
     def _value(self, i, t, x):  # pragma: no cover - interface
         raise NotImplementedError
@@ -218,6 +217,7 @@ class QuadraticTrackingFamily(ObjectiveStream):
             amplitude, power = target
             self._target = power_path(float(amplitude), float(power))
         self.scales = scales
+        self._optimum_factor = float(np.sum(scales)) / float(np.sum(scales**2))
         super().__init__(
             n=scales.size, d=box.d, horizon=horizon, box=box, L=0.0, L_s=0.0, L_1=0.0
         )
@@ -271,10 +271,7 @@ class QuadraticTrackingFamily(ObjectiveStream):
 
     def unconstrained_optimum(self, t: int) -> np.ndarray:
         """Stationary point of the average loss, before box clamping."""
-        return self._optimum_factor() * self.target(t)
-
-    def _optimum_factor(self) -> float:
-        return float(np.sum(self.scales)) / float(np.sum(self.scales**2))
+        return self._optimum_factor * self.target(t)
 
     def values(self, t: int, X) -> np.ndarray:
         X = self._points(t, X, self.n)
@@ -316,7 +313,7 @@ class QuadraticTrackingFamily(ObjectiveStream):
 
     def _optimum_rounds(self, first: int, last: int, set_) -> tuple[np.ndarray, np.ndarray]:
         c = self.targets(last)[first - 1:]
-        x_star = np.clip(self._optimum_factor() * c, set_.lower, set_.upper)
+        x_star = set_.project([self.unconstrained_optimum(t) for t in range(first, last + 1)])
         residual = self.scales[None, :, None] * x_star[:, None, :] - c[:, None, :]  # (rounds, n, d)
         return x_star, _agent_sum(_row_dots(residual), axis=1) / self.n
 
@@ -406,19 +403,15 @@ def round_optimum(
 ) -> RoundOptimum:
     """Per-round minimizer of the average loss over the set (default: the stream's box).
 
-    Quadratic families use their clamped closed form; other streams fall back
-    to search.  With ``cross_check`` the result is compared against the grid
-    oracle and a disagreement in optimal value beyond 1e-5 raises.
+    Reads round t of ``stream.optimum_path``: the clamped closed form for
+    quadratic families, search for other streams.  With ``cross_check`` the
+    result is compared against the grid oracle and a disagreement in optimal
+    value beyond 1e-5 raises.
     """
     if t < 1:
         raise IndexOutOfRange(f"round {t} must be >= 1")
-    set_ = stream.box if set_ is None else set_
-    if isinstance(stream, QuadraticTrackingFamily):
-        x_star = set_.project(stream.unconstrained_optimum(t))
-    else:
-        x_star = _search_optimum(stream, t, set_)
-    f_star = stream.average_value(t, x_star, check=False)
-    result = RoundOptimum(t=t, x_star=x_star, f_star=float(f_star))
+    x_path, f_path = stream.optimum_path(t, set_)
+    result = RoundOptimum(t=t, x_star=x_path[t - 1].copy(), f_star=float(f_path[t - 1]))
     if cross_check:
         oracle = round_optimum_grid(stream, t, set_, pitch=pitch)
         if abs(oracle.f_star - result.f_star) > ORACLE_TOL:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dffr import network
 from dffr.algorithms import (
     AgentStates,
     AlgorithmConfig,
@@ -488,3 +489,43 @@ class TestRefusals:
             gradient_free_step(
                 states, paper_stream, wm4, shrunk, 7, 0.1, np.ones((4, 1))
             )
+
+
+class Bypassed(Exception):
+    """Raised by a patched primitive: the engine reached it."""
+
+
+def bypassed(*args, **kwargs):
+    raise Bypassed
+
+
+RULES = {
+    "gradient_free": AlgorithmConfig(kind="gradient_free", step=StepSchedule(c=0.1), delta=0.01),
+    "exact_1d": AlgorithmConfig(kind="projection_free", line_search="exact_1d"),
+    "clamped": AlgorithmConfig(
+        kind="projection_free", line_search="exact_1d", clamp_to_feasible=True
+    ),
+    "projected_gd": AlgorithmConfig(kind="projected_gd", step=StepSchedule(c=0.1)),
+}
+
+
+class TestSinglePaths:
+    """The engine gossips and projects through the primitives tested on their own."""
+
+    @pytest.mark.parametrize("kind", sorted(RULES))
+    def test_gossip_goes_through_network(self, kind, paper_stream, wm4, monkeypatch):
+        monkeypatch.setattr(network, "gossip_average", bypassed)
+        with pytest.raises(Bypassed):
+            run(paper_stream, wm4, paper_stream.box, RULES[kind], T=3, x0=np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("kind", ["gradient_free", "clamped", "projected_gd"])
+    def test_projection_goes_through_the_set(self, kind, paper_stream, wm4, monkeypatch):
+        # x0 is given, so the engine needs no projection before round 1
+        monkeypatch.setattr(BoxSet, "project", bypassed)
+        monkeypatch.setattr(ShrunkSet, "project", bypassed)
+        with pytest.raises(Bypassed):
+            run(paper_stream, wm4, paper_stream.box, RULES[kind], T=3, x0=np.zeros((4, 1)))
+
+    def test_unclamped_projection_free_never_projects(self, paper_stream, wm4, monkeypatch):
+        monkeypatch.setattr(BoxSet, "project", bypassed)
+        run(paper_stream, wm4, paper_stream.box, RULES["exact_1d"], T=3, x0=np.zeros((4, 1)))

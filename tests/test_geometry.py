@@ -67,6 +67,8 @@ class TestProjection:
         box = BoxSet.symmetric(1.0)
         with pytest.raises(NonFiniteInput):
             box.project([np.nan])
+        with pytest.raises(NonFiniteInput):
+            box.project([[0.0], [np.inf]])
 
     @settings(max_examples=200)
     @given(boxes(3), st.lists(st.floats(-100, 100), min_size=3, max_size=3))
@@ -83,6 +85,22 @@ class TestProjection:
     def test_nonexpansive(self, box, a, b):
         pa, pb = box.project(a), box.project(b)
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(np.array(a) - np.array(b)) + 1e-12
+
+    @settings(max_examples=100)
+    @given(
+        boxes(3),
+        st.floats(0.01, 0.09),
+        st.lists(st.lists(st.floats(-100, 100), min_size=3, max_size=3), min_size=1, max_size=5),
+    )
+    def test_rows_are_projected_one_by_one(self, box, delta, rows):
+        for set_ in (box, ShrunkSet(box, delta)):
+            projected = set_.project(rows)
+            assert np.array_equal(projected, [set_.project(row) for row in rows])
+
+    @pytest.mark.parametrize("y", [1.0, [1.0], [[1.0]], np.zeros((1, 1, 2))])
+    def test_wrong_shape_rejected(self, y):
+        with pytest.raises(ValueError, match="box has dimension 2"):
+            BoxSet.symmetric(1.0, d=2).project(y)
 
 
 class TestLmo:

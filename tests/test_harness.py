@@ -25,6 +25,14 @@ def small_alg2_config(horizon=40, **overrides) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+def _set_field(raw: dict, key: str, value) -> None:
+    """Set a config field given by its dotted path, e.g. 'problem.horizon'."""
+    *sections, name = key.split(".")
+    for part in sections:
+        raw = raw[part]
+    raw[name] = value
+
+
 def _with_field(line: str, k: int, value: str) -> str:
     fields = line.split(",")
     fields[k] = value
@@ -101,13 +109,19 @@ class TestConfigValidation:
             ("bounds", "no"),
             ("bounds", 1),
             ("bounds", None),
+            ("problem.horizon", "100"),
+            ("problem.horizon", 100.0),
+            ("problem.horizon", True),
+            ("rho", ["0.99"]),
+            ("rho", 0.99),
         ],
         ids=["seeds-str", "seeds-int", "seed-float", "seed-negative", "seed-bool",
-             "seed-str", "bounds-str", "bounds-int", "bounds-null"],
+             "seed-str", "bounds-str", "bounds-int", "bounds-null", "horizon-str",
+             "horizon-float", "horizon-bool", "rho-str", "rho-number"],
     )
     def test_bad_seeds_or_bounds_name_the_field(self, key, value):
         raw = harness.preset("paper-tracking-alg2").to_dict()
-        raw[key] = value
+        _set_field(raw, key, value)
         with pytest.raises(ParseError, match=f"^field '{key}' "):
             ExperimentConfig.from_dict(raw)
 
@@ -169,6 +183,22 @@ class TestRunExperiment:
         )
         assert result["stored_dffr_max_delta"]["0.9875"] <= 1e-9
         assert "0.5" in result["final_dffr"]
+
+    def test_recompute_is_the_seed_summary(self, tmp_path):
+        raw = small_alg2_config(horizon=30).to_dict()
+        raw["algorithm"] = {"kind": "gradient_free", "step": {"c": 2.0, "p": 0.5}, "delta": 0.01}
+        raw["rho"] = [0.9875, 0.5]
+        raw["seeds"] = [0, 3]
+        cfg = ExperimentConfig.from_dict(raw)
+        summary = harness.run_experiment(cfg, out_dir=tmp_path)
+        for entry in summary["per_seed"]:
+            result = harness.recompute_metrics(
+                tmp_path / f"{cfg.name}-seed{entry['seed']}", cfg.rho
+            )
+            assert result.pop("stored_dffr_max_delta") == {"0.9875": 0.0, "0.5": 0.0}
+            assert set(result) == set(entry)
+            for key, value in entry.items():
+                assert result[key] == value, key
 
     def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
         cfg = small_alg2_config()

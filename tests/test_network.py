@@ -111,12 +111,6 @@ class TestGossip:
         z = gossip_average(wm, [[2.0], [4.0]])
         assert np.allclose(z, [[3.0], [3.0]], atol=1e-15)
 
-    def test_identity_weights_bypass(self):
-        # degenerate matrix, valid only through the raw-array path
-        states = np.array([[1.0, 2.0], [3.0, 4.0]])
-        z = gossip_average(np.eye(2), states)
-        assert np.array_equal(z, states)
-
     def test_matches_matvec_oracle(self, paper_wm, rng):
         states = np.array([[1.0], [2.0], [3.0], [4.0]])
         z = gossip_average(paper_wm, states)
@@ -130,6 +124,8 @@ class TestGossip:
             gossip_average(paper_wm, np.zeros((3, 1)))
         with pytest.raises(DimensionMismatch):
             gossip_average(paper_wm, [[1.0], [2.0, 3.0], [4.0], [5.0]])
+        with pytest.raises(DimensionMismatch):
+            gossip_average(paper_wm, np.zeros(4))  # one value per agent is not (n, d)
 
     @settings(max_examples=100)
     @given(

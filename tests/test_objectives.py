@@ -293,10 +293,14 @@ class TestBatchedEvaluators:
         for set_ in (None, shrunk):
             x_star, f_star = stream.optimum_path(60, set_)
             assert x_star.shape == (60, d) and f_star.shape == (60,)
+            bounds = stream.box if set_ is None else set_
             for t in range(1, 61):
+                # reference: the per-round clamped closed form the path replaced
+                x_ref = np.clip(stream.unconstrained_optimum(t), bounds.lower, bounds.upper)
+                f_ref = stream.average_value(t, x_ref, check=False)
                 opt = round_optimum(stream, t, set_)
-                assert np.array_equal(x_star[t - 1], opt.x_star)
-                assert f_star[t - 1] == opt.f_star
+                assert np.array_equal(x_star[t - 1], x_ref) and f_star[t - 1] == f_ref
+                assert np.array_equal(opt.x_star, x_ref) and opt.f_star == f_ref
             # a shorter request reads the same arrays
             assert np.array_equal(stream.optimum_path(10, set_)[1], f_star[:10])
 
@@ -304,9 +308,14 @@ class TestBatchedEvaluators:
         opaque = Opaque(paper_stream)
         x_star, f_star = opaque.optimum_path(4)
         for t in range(1, 5):
+            # reference: golden-section search over the interval, round by round
+            x_ref = golden_section(
+                lambda v: opaque.average_value(t, np.array([v]), check=False), -10.0, 10.0
+            )
+            f_ref = opaque.average_value(t, np.array([x_ref]), check=False)
             opt = round_optimum(opaque, t)
-            assert np.array_equal(x_star[t - 1], opt.x_star)
-            assert f_star[t - 1] == opt.f_star
+            assert x_star[t - 1, 0] == x_ref and f_star[t - 1] == f_ref
+            assert opt.x_star[0] == x_ref and opt.f_star == f_ref
 
     def test_point_shapes_checked(self, paper_stream):
         with pytest.raises(ValueError):
