@@ -8,7 +8,6 @@ harness.
 """
 
 from .algorithms import (
-    AgentStates,
     AlgorithmConfig,
     StepSchedule,
     gradient_estimate,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .errors import EvaluationOutsideBaseSet, NonFiniteInput, OutOfFeasibleSet
+from .errors import DimensionMismatch, EvaluationOutsideBaseSet, NonFiniteInput, OutOfFeasibleSet
 from .geometry import BoxSet, ShrunkSet, ball_batch, lmo, sphere_batch
 from .objectives import ObjectiveStream
 from .trace import Trace
@@ -107,22 +107,6 @@ class AlgorithmConfig:
                     raise ValueError("fixed_alpha0 mode requires alpha0 in (0, 1)")
 
 
-@dataclass
-class AgentStates:
-    """Stacked per-agent state: decisions, last gossip intermediates, error norms."""
-
-    x: np.ndarray         # (n, d)
-    z: np.ndarray         # (n, d)
-    eps_norm: np.ndarray  # (n,)
-
-    @classmethod
-    def initial(cls, x0: np.ndarray) -> "AgentStates":
-        # Convention: before any gossip has happened, z := x so the carried
-        # consensus error starts at zero.
-        x0 = np.asarray(x0, dtype=float)
-        return cls(x=x0.copy(), z=x0.copy(), eps_norm=np.zeros(x0.shape[0]))
-
-
 def gradient_estimate(
     stream: ObjectiveStream, i: int, t: int, x: np.ndarray, delta: float, u: np.ndarray
 ) -> np.ndarray:
@@ -193,36 +177,14 @@ def _projected(set_, rows: np.ndarray, t: int) -> np.ndarray:
         raise
 
 
-def _gossip_round(states: AgentStates, wm, update) -> AgentStates:
-    """The round every rule shares: gossip z = W x, then x_new = update(z).
+def gradient_free_step(stream, shrunk: ShrunkSet, t: int, x, z, fx, alpha_t: float, u):
+    """One bandit-feedback update: estimate, step from z, project onto the shrunk box.
 
-    Records each agent's consensus error ||x_new - z||.
-    """
-    z_new = network.gossip_average(wm, states.x)
-    x_new = update(z_new)
-    eps = np.linalg.norm(x_new - z_new, axis=1)
-    return AgentStates(x=x_new, z=z_new, eps_norm=eps)
-
-
-def gradient_free_step(
-    states: AgentStates,
-    stream: ObjectiveStream,
-    wm,
-    shrunk: ShrunkSet,
-    t: int,
-    alpha_t: float,
-    u: np.ndarray,
-    fx: np.ndarray | None = None,
-) -> tuple[AgentStates, np.ndarray]:
-    """One bandit-feedback round: estimate, gossip, step, project onto the shrunk box.
-
-    ``u`` holds every agent's sphere draw of the round, shape (n, d).  ``fx``
-    is the agents' own losses at their decisions, when the caller already
-    has them (the engine records them as ``loss_self``).  Per agent this is
+    ``fx`` holds the agents' own losses at their decisions ``x`` and ``u``
+    their sphere draws of the round.  Per agent the estimate is
     ``gradient_estimate``: only zeroth-order queries.  Returns the new
-    states and the (n, d) gradient estimates.
+    decisions and the (n, d) gradient estimates.
     """
-    x = states.x
     delta = shrunk.delta
     probe = x + delta * u
     box = stream.box
@@ -231,62 +193,34 @@ def gradient_free_step(
         raise EvaluationOutsideBaseSet(
             f"round {t}: agent {i} perturbed query {probe[i]} outside the box"
         )
-    if fx is None:
-        fx = stream.values(t, x)
-    diff = stream.values(t, probe) - fx
-    g = ((stream.d / delta) * diff)[:, None] * u
-    return _gossip_round(states, wm, lambda z: _projected(shrunk, z - alpha_t * g, t)), g
+    g = ((stream.d / delta) * (stream.values(t, probe) - fx))[:, None] * u
+    return _projected(shrunk, z - alpha_t * g, t), g
 
 
-def projection_free_step(
-    states: AgentStates,
-    stream: ObjectiveStream,
-    wm,
-    box: BoxSet,
-    t: int,
-    line_search: str = "exact_1d",
-    alpha0: float | None = None,
-    clamp_to_feasible: bool = False,
-) -> AgentStates:
-    """One projection-free round: vertex oracle, gossip, move along the vertex direction.
+def projection_free_step(stream, box: BoxSet, t: int, x, z, line_search, alpha0, clamp_to_feasible):
+    """One projection-free update: vertex oracle at x, then z plus a multiple of v - x.
 
-    The update x_new = z_new + alpha*(v - x_old) is applied verbatim; it is
-    not guaranteed to stay in the box when z_new != x_old, so an optional
-    clamp is available (off by default).
+    The update is applied verbatim; it is not guaranteed to stay in the box
+    when z != x, so an optional clamp is available.
     """
-    x = states.x
-    grad = _require_finite(stream.gradients(t, x), t, "gradient")
-    h = lmo(box, grad) - x
-
-    def update(z):
-        if line_search == "fixed_alpha0":
-            x_new = z + alpha0 * h
-        else:
-            x_new = z + stream.line_search_coefficients(t, z, h)[:, None] * h
-        if clamp_to_feasible:
-            return _projected(box, x_new, t)
-        return _require_finite(x_new, t, "step")
-
-    return _gossip_round(states, wm, update)
+    h = lmo(box, _require_finite(stream.gradients(t, x), t, "gradient")) - x
+    if line_search == "fixed_alpha0":
+        x_new = z + alpha0 * h
+    else:
+        x_new = z + stream.line_search_coefficients(t, z, h)[:, None] * h
+    if clamp_to_feasible:
+        return _projected(box, x_new, t)
+    return _require_finite(x_new, t, "step")
 
 
-def projected_gradient_step(
-    states: AgentStates,
-    stream: ObjectiveStream,
-    wm,
-    box: BoxSet,
-    t: int,
-    alpha_t: float,
-) -> AgentStates:
-    """One baseline round: gossip, exact-gradient step, projection onto the box."""
-    grad = stream.gradients(t, states.x)
-    return _gossip_round(states, wm, lambda z: _projected(box, z - alpha_t * grad, t))
+def projected_gradient_step(stream, box: BoxSet, t: int, x, z, alpha_t: float):
+    """One baseline update: exact-gradient step from z, projected onto the box."""
+    return _projected(box, z - alpha_t * stream.gradients(t, x), t)
 
 
 def run(
     stream: ObjectiveStream,
     wm,
-    box: BoxSet,
     cfg: AlgorithmConfig,
     T: int,
     x0: np.ndarray | None = None,
@@ -294,30 +228,45 @@ def run(
 ) -> Trace:
     """Advance all agents through rounds 1..T and record a complete trace.
 
-    Each round is recorded before its update (decision-then-reveal order);
-    the update applied at the final round contributes only the epilogue
-    consensus errors.  Identical (config, seed) pairs produce bit-identical
-    traces.
+    The feasible set is the stream's box, shrunk by delta for the
+    gradient-free rule.  Each round records the state, gossips z = W x and
+    applies the rule's hook (t, x, z, own losses) -> (x_new, g or None).
+    Rounds are recorded before their update (decision-then-reveal order), so
+    the final update contributes only the epilogue consensus errors.
+    Identical (config, seed) pairs produce bit-identical traces.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
     if wm.n != stream.n:
-        raise ValueError(f"network has {wm.n} agents, stream has {stream.n}")
+        raise DimensionMismatch(f"network has {wm.n} agents, stream has {stream.n}")
     n, d = stream.n, stream.d
-
+    box = stream.box
     feasible = ShrunkSet(box, cfg.delta) if cfg.kind == "gradient_free" else box
 
     if x0 is None:
-        x0 = np.tile(feasible.project(np.zeros(d)), (n, 1))
+        x = np.tile(feasible.project(np.zeros(d)), (n, 1))
     else:
-        x0 = np.asarray(x0, dtype=float).reshape(n, d).copy()
+        x = np.asarray(x0, dtype=float).reshape(n, d).copy()
         for i in range(n):
-            if not feasible.contains(x0[i]):
+            if not feasible.contains(x[i]):
                 raise OutOfFeasibleSet(f"initial decision of agent {i} is infeasible")
+    # Before any gossip has happened, z := x so the consensus error starts at zero.
+    z, eps = x, np.zeros(n)
 
-    states = AgentStates.initial(x0)
+    # The hooks name the step functions, so a wrapper rebound over one later
+    # (a profiler, a test) still sees every call.
     if cfg.kind == "gradient_free":
         u = sphere_draws(agent_rngs(cfg.seed, n), T, d)
+
+        def step(t, x, z, fx):
+            return gradient_free_step(stream, feasible, t, x, z, fx, cfg.step(t), u[t - 1])
+    elif cfg.kind == "projection_free":
+        def step(t, x, z, fx):
+            args = cfg.line_search, cfg.alpha0, cfg.clamp_to_feasible
+            return projection_free_step(stream, box, t, x, z, *args), None
+    else:
+        def step(t, x, z, fx):
+            return projected_gradient_step(stream, box, t, x, z, cfg.step(t)), None
 
     x_hist = np.empty((T, n, d))
     z_hist = np.empty((T, n, d))
@@ -329,30 +278,16 @@ def run(
 
     for t in range(1, T + 1):
         row = t - 1
-        x_hist[row] = states.x
-        z_hist[row] = states.z
-        eps_hist[row] = states.eps_norm
-        loss_self[row] = stream.values(t, states.x)
-        loss_global[row] = stream.average_values(t, states.x)
-
-        if cfg.kind == "gradient_free":
-            states, g = gradient_free_step(
-                states, stream, wm, feasible, t, cfg.step(t), u[row], fx=loss_self[row]
-            )
+        x_hist[row] = x
+        z_hist[row] = z
+        eps_hist[row] = eps
+        loss_self[row] = stream.values(t, x)
+        loss_global[row] = stream.average_values(t, x)
+        z = network.gossip_average(wm, x)
+        x, g = step(t, x, z, loss_self[row])
+        eps = np.linalg.norm(x - z, axis=1)
+        if g is not None:
             g_norm[row] = np.linalg.norm(g, axis=1)
-        elif cfg.kind == "projection_free":
-            states = projection_free_step(
-                states,
-                stream,
-                wm,
-                box,
-                t,
-                line_search=cfg.line_search,
-                alpha0=cfg.alpha0,
-                clamp_to_feasible=cfg.clamp_to_feasible,
-            )
-        else:
-            states = projected_gradient_step(states, stream, wm, box, t, cfg.step(t))
 
     snapshot = {
         "algorithm": cfg.kind,
@@ -375,5 +310,5 @@ def run(
         x_star=x_path.copy(),
         f_star=f_path.copy(),
         g_norm=g_norm,
-        final_eps_norm=states.eps_norm.copy(),
+        final_eps_norm=eps,
     )

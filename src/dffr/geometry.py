@@ -32,7 +32,7 @@ def _require_finite(x: np.ndarray, name: str = "input") -> None:
         raise NonFiniteInput(f"{name} contains non-finite entries")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxSet:
     """Axis-aligned box {x : lower <= x <= upper} containing the origin strictly.
 
@@ -40,6 +40,8 @@ class BoxSet:
       r  largest radius whose origin-centered ball fits inside the box
       R  smallest radius whose origin-centered ball covers the box, which
          is also the sup of the Euclidean norm over the box
+
+    Boxes (and shrunk boxes) compare and hash by identity.
     """
 
     lower: np.ndarray
@@ -91,7 +93,7 @@ class BoxSet:
         return rng.uniform(self.lower, self.upper)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShrunkSet:
     """The base box scaled by factor = 1 - delta/r.
 

@@ -201,8 +201,8 @@ class ExperimentConfig:
             seed=seed,
         )
 
-    def built(self) -> tuple[ObjectiveStream | None, WeightMatrix, BoxSet]:
-        """The stream, weight matrix and box, built once and shared by every seed.
+    def built(self) -> tuple[ObjectiveStream | None, WeightMatrix]:
+        """The stream and weight matrix, built once and shared by every seed.
 
         They are built again if the problem or topology section changed since.
         """
@@ -210,7 +210,7 @@ class ExperimentConfig:
         if self._built is None or self._built[0] != key:
             self._built = (
                 key,
-                (self.build_stream(), self.build_weight_matrix(), self.build_box()),
+                (self.build_stream(), self.build_weight_matrix()),
             )
         return self._built[1]
 
@@ -239,12 +239,24 @@ class ExperimentConfig:
             algo = self.build_algorithm(seed=0)
         except (KeyError, ValueError) as exc:
             raise ConstraintViolation(str(exc)) from None
+        stream, wm = self.built()
+        if not (
+            np.array_equal(box.lower, stream.box.lower)
+            and np.array_equal(box.upper, stream.box.upper)
+        ):
+            own = np.column_stack([stream.box.lower, stream.box.upper]).tolist()
+            raise ConstraintViolation(
+                f"problem.box {p.box} is not the box of the {p.stream!r} stream, {own}"
+            )
+        if wm.n != stream.n:
+            raise ConstraintViolation(
+                f"the topology has {wm.n} agents, the {p.stream!r} stream has {stream.n}"
+            )
         if algo.kind == "gradient_free":
             try:
                 ShrunkSet(box, algo.delta)
             except ValueError as exc:
                 raise ConstraintViolation(f"smoothing {exc}") from None
-        self.built()
         if self.bounds:
             if algo.kind == "projected_gd":
                 raise ConstraintViolation(
@@ -401,15 +413,10 @@ def run_single(cfg: ExperimentConfig, seed: int) -> Trace:
         trace = Trace.from_gap_sequence(gaps, algorithm="remark1")
         trace.config.update(cfg.to_dict())
         return trace
-    stream, wm, box = cfg.built()
+    stream, wm = cfg.built()
     algo = cfg.build_algorithm(seed=seed)
     return algorithms.run(
-        stream,
-        wm,
-        box,
-        algo,
-        T=cfg.problem.horizon,
-        config_snapshot=cfg.to_dict(),
+        stream, wm, algo, T=cfg.problem.horizon, config_snapshot=cfg.to_dict()
     )
 
 
@@ -471,15 +478,16 @@ def _aggregate(per_seed: list[dict], rhos: list[float]) -> dict:
     return agg
 
 
-def _bound_curves(cfg: ExperimentConfig, traces: list[Trace]) -> dict:
-    stream, wm, box = cfg.built()
+def _bound_curves(cfg: ExperimentConfig, traces: list[Trace], curves: list[dict]) -> dict:
+    """Each rho's bound curve and the mean of the seeds' DFFR ``curves``."""
+    stream, wm = cfg.built()
     mc = mixing_constants(wm)
     algo = cfg.build_algorithm(seed=0)
     lam = cfg.topology.lambda_override
-    curves = {}
+    out = {}
     for rho in cfg.rho:
         if algo.kind == "gradient_free":
-            shrunk = ShrunkSet(box, algo.delta)
+            shrunk = ShrunkSet(stream.box, algo.delta)
             inputs = BoundInputs.from_traces(
                 traces, stream, mc, rho, delta=algo.delta,
                 path_set=shrunk, lam_override=lam,
@@ -490,14 +498,12 @@ def _bound_curves(cfg: ExperimentConfig, traces: list[Trace]) -> dict:
                 traces, stream, mc, rho, lam_override=lam
             )
             bound = metrics.projection_free_regret_bound(inputs, algo.alpha0)
-        mean_dffr = np.mean(
-            [metrics.dffr_series(tr, rho) for tr in traces], axis=0
-        )
-        curves[repr(float(rho))] = {
+        mean_dffr = np.mean([seed_curves[rho] for seed_curves in curves], axis=0)
+        out[repr(float(rho))] = {
             "bound": [float(v) for v in bound],
             "mean_dffr": [float(v) for v in mean_dffr],
         }
-    return curves
+    return out
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -508,6 +514,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     out = Path(out_dir) if out_dir else (Path(cfg.out) if cfg.out else None)
     written: list[Path] = []
     traces: list[Trace] = []
+    curves: list[dict] = []
     per_seed: list[dict] = []
     try:
         if out:
@@ -515,7 +522,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         for seed in cfg.seeds:
             trace = run_single(cfg, seed)
             traces.append(trace)
-            per_seed.append(_seed_summary(trace, _dffr_curves(trace, cfg.rho)))
+            curves.append(_dffr_curves(trace, cfg.rho))
+            per_seed.append(_seed_summary(trace, curves[-1]))
             if out:
                 base = out / f"{cfg.name}-seed{seed}"
                 written.extend(write_trace(trace, cfg.rho, base))
@@ -528,7 +536,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
             "aggregate": _aggregate(per_seed, cfg.rho),
         }
         if cfg.bounds and cfg.problem.stream != "remark1":
-            summary["bounds"] = _bound_curves(cfg, traces)
+            summary["bounds"] = _bound_curves(cfg, traces, curves)
         if out:
             summary_path = out / f"{cfg.name}-summary.json"
             summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")

@@ -3,7 +3,6 @@ import pytest
 
 from dffr import network
 from dffr.algorithms import (
-    AgentStates,
     AlgorithmConfig,
     StepSchedule,
     agent_rngs,
@@ -16,7 +15,12 @@ from dffr.algorithms import (
     sphere_draws,
     splitmix64,
 )
-from dffr.errors import EvaluationOutsideBaseSet, NonFiniteInput, OutOfFeasibleSet
+from dffr.errors import (
+    DimensionMismatch,
+    EvaluationOutsideBaseSet,
+    NonFiniteInput,
+    OutOfFeasibleSet,
+)
 from dffr.geometry import BoxSet, ShrunkSet, lmo, sample_unit_sphere
 from dffr.linesearch import golden_section
 from dffr.network import generator_matrix, validate_weight_matrix
@@ -110,9 +114,10 @@ class TestGradientEstimate:
         monkeypatch.setattr(paper_stream, "gradient", boom)
         monkeypatch.setattr(paper_stream, "gradients", boom)
         shrunk = ShrunkSet(paper_stream.box, 0.01)
-        states = AgentStates.initial(np.zeros((4, 1)))
+        x = np.zeros((4, 1))
         u = sphere_draws(agent_rngs(0, 4), 1, 1)[0]
-        gradient_free_step(states, paper_stream, wm4, shrunk, 1, 0.5, u)
+        fx = paper_stream.values(1, x)
+        gradient_free_step(paper_stream, shrunk, 1, x, wm4.w @ x, fx, 0.5, u)
 
 
 class TestGradientFreeStep:
@@ -120,26 +125,22 @@ class TestGradientFreeStep:
         stream = ConstStream()
         shrunk = ShrunkSet(stream.box, 0.01)
         x0 = np.array([[1.0], [2.0], [3.0], [4.0]])
-        states = AgentStates.initial(x0)
-        new, g = gradient_free_step(
-            states, stream, wm4, shrunk, 1, 0.7, sphere_draws(agent_rngs(3, 4), 1, 1)[0]
-        )
+        z = wm4.w @ x0
+        u = sphere_draws(agent_rngs(3, 4), 1, 1)[0]
+        x, g = gradient_free_step(stream, shrunk, 1, x0, z, stream.values(1, x0), 0.7, u)
         assert g == pytest.approx(np.zeros((4, 1)), abs=1e-12)
-        assert new.x == pytest.approx(wm4.w @ x0)
-        assert new.z == pytest.approx(wm4.w @ x0)
+        assert x == pytest.approx(wm4.w @ x0)
+        assert z == pytest.approx(wm4.w @ x0)
 
     def test_iterates_stay_in_shrunk_set(self, paper_stream, wm4):
         shrunk = ShrunkSet(paper_stream.box, 0.01)
-        states = AgentStates.initial(np.zeros((4, 1)))
+        x = np.zeros((4, 1))
         u = sphere_draws(agent_rngs(11, 4), 59, 1)
         for t in range(1, 60):
-            states, _ = gradient_free_step(
-                states, paper_stream, wm4, shrunk, t, 2.0 / np.sqrt(t), u[t - 1]
-            )
-            assert np.all(np.abs(states.x) <= 9.99 + 1e-12)
-            assert states.eps_norm == pytest.approx(
-                np.linalg.norm(states.x - states.z, axis=1), abs=1e-12
-            )
+            z = wm4.w @ x
+            fx = paper_stream.values(t, x)
+            x, _ = gradient_free_step(paper_stream, shrunk, t, x, z, fx, 2.0 / np.sqrt(t), u[t - 1])
+            assert np.all(np.abs(x) <= 9.99 + 1e-12)
 
 
 class TestSmoothedValue:
@@ -190,36 +191,35 @@ class TestSmoothedValue:
 class TestProjectionFreeStep:
     def test_vertex_choice_example(self, paper_stream, wm4):
         # scale-1 agent at x=0, t=2: gradient 2(0-15) < 0 selects +10
-        states = AgentStates.initial(np.zeros((4, 1)))
+        x = np.zeros((4, 1))
         new = projection_free_step(
-            states, paper_stream, wm4, paper_stream.box, 2,
-            line_search="fixed_alpha0", alpha0=0.5,
+            paper_stream, paper_stream.box, 2, x, wm4.w @ x,
+            line_search="fixed_alpha0", alpha0=0.5, clamp_to_feasible=False,
         )
-        assert new.x[0] == pytest.approx([5.0])  # 0 + 0.5 * (10 - 0)
+        assert new[0] == pytest.approx([5.0])  # 0 + 0.5 * (10 - 0)
 
     def test_consensus_case_is_convex_combination(self, paper_stream, wm4):
         x0 = np.full((4, 1), 2.0)
-        states = AgentStates.initial(x0)
         new = projection_free_step(
-            states, paper_stream, wm4, paper_stream.box, 3,
-            line_search="fixed_alpha0", alpha0=0.25,
+            paper_stream, paper_stream.box, 3, x0, wm4.w @ x0,
+            line_search="fixed_alpha0", alpha0=0.25, clamp_to_feasible=False,
         )
         # z = x at consensus, so the step is (1-a) x + a v with v in the box
-        assert np.all(np.abs(new.x) <= 10.0 + 1e-12)
+        assert np.all(np.abs(new) <= 10.0 + 1e-12)
 
     def test_exact_search_beats_grid(self, paper_stream, wm4, rng):
-        states = AgentStates.initial(rng.uniform(-5, 5, size=(4, 1)))
+        x = rng.uniform(-5, 5, size=(4, 1))
+        z_all = wm4.w @ x
         t = 4
         new = projection_free_step(
-            states, paper_stream, wm4, paper_stream.box, t, line_search="exact_1d"
+            paper_stream, paper_stream.box, t, x, z_all,
+            line_search="exact_1d", alpha0=None, clamp_to_feasible=False,
         )
-        from dffr.geometry import lmo
-
         for i in range(4):
-            h = lmo(paper_stream.box, paper_stream.gradient(i, t, states.x[i])) - states.x[i]
-            z = new.z[i]
+            h = lmo(paper_stream.box, paper_stream.gradient(i, t, x[i])) - x[i]
+            z = z_all[i]
             f = lambda a: paper_stream.value(i, t, z + a * h, check=False)
-            achieved = paper_stream.value(i, t, new.x[i], check=False)
+            achieved = paper_stream.value(i, t, new[i], check=False)
             assert achieved <= min(f(0.0), f(1.0)) + 1e-9
 
     def test_closed_form_matches_golden_section(self, paper_stream, rng):
@@ -242,7 +242,7 @@ class TestProjectionFreeStep:
         )
         wm = validate_weight_matrix([[1.0]])
         cfg = AlgorithmConfig(kind="projection_free", line_search="exact_1d")
-        trace = run(stream, wm, box, cfg, T=200)
+        trace = run(stream, wm, cfg, T=200)
         final_gap = stream.value(0, 200, trace.x[-1, 0], check=False) - 0.0
         assert final_gap <= 1e-6
 
@@ -250,11 +250,10 @@ class TestProjectionFreeStep:
 class TestProjectedGradientStep:
     def test_zero_gradient_is_pure_consensus(self, wm4):
         stream = ConstStream()
-        x0 = np.array([[1.0], [2.0], [3.0], [4.0]])
-        states = AgentStates.initial(x0)
+        x = np.array([[1.0], [2.0], [3.0], [4.0]])
         for t in range(1, 40):
-            states = projected_gradient_step(states, stream, wm4, stream.box, t, 0.5)
-        assert states.x == pytest.approx(np.full((4, 1), 2.5), abs=1e-6)
+            x = projected_gradient_step(stream, stream.box, t, x, wm4.w @ x, 0.5)
+        assert x == pytest.approx(np.full((4, 1), 2.5), abs=1e-6)
 
     def test_single_agent_matches_classical_pgd(self):
         box = BoxSet.symmetric(10.0)
@@ -263,7 +262,7 @@ class TestProjectedGradientStep:
         )
         wm = validate_weight_matrix([[1.0]])
         cfg = AlgorithmConfig(kind="projected_gd", step=StepSchedule(c=0.1), seed=0)
-        trace = run(stream, wm, box, cfg, T=20)
+        trace = run(stream, wm, cfg, T=20)
         x = 0.0
         for t in range(1, 20):
             grad = 2.0 * 2.0 * (2.0 * x - 8.0 / t)
@@ -274,7 +273,7 @@ class TestProjectedGradientStep:
 class TestRunEngine:
     def test_horizon_one_records_initial_state(self, paper_stream, wm4):
         cfg = AlgorithmConfig(kind="projected_gd", step=StepSchedule(c=0.1))
-        trace = run(paper_stream, wm4, paper_stream.box, cfg, T=1)
+        trace = run(paper_stream, wm4, cfg, T=1)
         assert trace.T == 1
         assert trace.x[0] == pytest.approx(np.zeros((4, 1)))
         assert trace.x_star[0] == pytest.approx([10.0])
@@ -283,30 +282,48 @@ class TestRunEngine:
         cfg = AlgorithmConfig(
             kind="gradient_free", step=StepSchedule(c=2.0, p=0.5), delta=0.01, seed=5
         )
-        a = run(paper_stream, wm4, paper_stream.box, cfg, T=40)
-        b = run(paper_stream, wm4, paper_stream.box, cfg, T=40)
+        a = run(paper_stream, wm4, cfg, T=40)
+        b = run(paper_stream, wm4, cfg, T=40)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.g_norm, b.g_norm)
         assert np.array_equal(a.final_eps_norm, b.final_eps_norm)
 
     def test_different_seeds_differ(self, paper_stream, wm4):
         base = dict(kind="gradient_free", step=StepSchedule(c=2.0, p=0.5), delta=0.01)
-        a = run(paper_stream, wm4, paper_stream.box, AlgorithmConfig(seed=1, **base), T=40)
-        b = run(paper_stream, wm4, paper_stream.box, AlgorithmConfig(seed=2, **base), T=40)
+        a = run(paper_stream, wm4, AlgorithmConfig(seed=1, **base), T=40)
+        b = run(paper_stream, wm4, AlgorithmConfig(seed=2, **base), T=40)
         assert not np.array_equal(a.x, b.x)
 
     def test_gradient_free_respects_shrunk_set(self, paper_stream, wm4):
         cfg = AlgorithmConfig(
             kind="gradient_free", step=StepSchedule(c=2.0, p=0.5), delta=0.01, seed=0
         )
-        trace = run(paper_stream, wm4, paper_stream.box, cfg, T=80)
+        trace = run(paper_stream, wm4, cfg, T=80)
         assert np.max(np.abs(trace.x)) <= 9.99 + 1e-12
 
     def test_eps_norm_consistent_with_states(self, paper_stream, wm4):
         cfg = AlgorithmConfig(kind="projected_gd", step=StepSchedule(c=0.05), seed=0)
-        trace = run(paper_stream, wm4, paper_stream.box, cfg, T=30)
+        trace = run(paper_stream, wm4, cfg, T=30)
         derived = np.linalg.norm(trace.x - trace.z, axis=2)
         assert trace.eps_norm == pytest.approx(derived, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["gradient_free", "exact_1d", "projected_gd"])
+    def test_records_eps_and_g_norms(self, kind, paper_stream, wm4):
+        trace = run(paper_stream, wm4, RULES[kind], T=30)
+        derived = np.linalg.norm(trace.x[1:] - trace.z[1:], axis=2)
+        assert np.array_equal(trace.eps_norm[1:], derived)
+        assert np.all(trace.eps_norm[0] == 0.0)
+        if kind == "gradient_free":
+            assert np.all(trace.g_norm <= paper_stream.d * paper_stream.L + 1e-9)
+            assert np.any(trace.g_norm > 0.0)
+        else:
+            assert np.all(trace.g_norm == 0.0)
+
+    def test_agent_count_mismatch_raises(self, paper_stream):
+        wm3 = validate_weight_matrix(generator_matrix("ring", n=3, weight=0.3))
+        cfg = AlgorithmConfig(kind="projected_gd", step=StepSchedule(c=0.1))
+        with pytest.raises(DimensionMismatch, match="network has 3 agents, stream has 4"):
+            run(paper_stream, wm3, cfg, T=3)
 
     def test_infeasible_initialization_rejected(self, paper_stream, wm4):
         cfg = AlgorithmConfig(
@@ -314,7 +331,7 @@ class TestRunEngine:
         )
         with pytest.raises(OutOfFeasibleSet):
             run(
-                paper_stream, wm4, paper_stream.box, cfg, T=5,
+                paper_stream, wm4, cfg, T=5,
                 x0=np.full((4, 1), 9.995),
             )
 
@@ -324,8 +341,8 @@ class TestRunEngine:
             ("projected_gd", dict(step=StepSchedule(c=2.0, p=1.0))),
         ):
             cfg = AlgorithmConfig(kind=kind, seed=0, **extra)
-            a = run(paper_stream, wm4, paper_stream.box, cfg, T=50)
-            b = run(paper_stream, wm4, paper_stream.box, cfg, T=50)
+            a = run(paper_stream, wm4, cfg, T=50)
+            b = run(paper_stream, wm4, cfg, T=50)
             assert np.array_equal(a.x, b.x)
 
 
@@ -345,27 +362,27 @@ class TestAlgorithmConfig:
 
 # --- the per-agent loops the batched steps replaced, kept as references ---------
 
-def reference_gradient_free_step(states, stream, wm, shrunk, t, alpha_t, u):
-    n, d = states.x.shape
+def reference_gradient_free_step(x, stream, wm, shrunk, t, alpha_t, u):
+    n, d = x.shape
     g = np.empty((n, d))
     for i in range(n):
-        g[i] = gradient_estimate(stream, i, t, states.x[i], shrunk.delta, u[i])
-    z_new = wm.w @ states.x
-    x_new = np.empty_like(states.x)
+        g[i] = gradient_estimate(stream, i, t, x[i], shrunk.delta, u[i])
+    z_new = wm.w @ x
+    x_new = np.empty_like(x)
     for i in range(n):
         x_new[i] = shrunk.project(z_new[i] - alpha_t * g[i])
     return x_new, z_new, g
 
 
-def reference_projection_free_step(states, stream, wm, box, t, line_search, alpha0, clamp):
-    n, _ = states.x.shape
-    v = np.empty_like(states.x)
+def reference_projection_free_step(x, stream, wm, box, t, line_search, alpha0, clamp):
+    n, _ = x.shape
+    v = np.empty_like(x)
     for i in range(n):
-        v[i] = lmo(box, stream.gradient(i, t, states.x[i], check=False))
-    z_new = wm.w @ states.x
-    x_new = np.empty_like(states.x)
+        v[i] = lmo(box, stream.gradient(i, t, x[i], check=False))
+    z_new = wm.w @ x
+    x_new = np.empty_like(x)
     for i in range(n):
-        h = v[i] - states.x[i]
+        h = v[i] - x[i]
         if line_search == "fixed_alpha0":
             coeff = alpha0
         elif float(np.dot(h, h)) == 0.0:
@@ -379,11 +396,11 @@ def reference_projection_free_step(states, stream, wm, box, t, line_search, alph
     return x_new, z_new
 
 
-def reference_projected_gradient_step(states, stream, wm, box, t, alpha_t):
-    z_new = wm.w @ states.x
-    x_new = np.empty_like(states.x)
-    for i in range(states.x.shape[0]):
-        grad = stream.gradient(i, t, states.x[i], check=False)
+def reference_projected_gradient_step(x, stream, wm, box, t, alpha_t):
+    z_new = wm.w @ x
+    x_new = np.empty_like(x)
+    for i in range(x.shape[0]):
+        grad = stream.gradient(i, t, x[i], check=False)
         x_new[i] = box.project(z_new[i] - alpha_t * grad)
     return x_new, z_new
 
@@ -406,16 +423,17 @@ class TestBatchedSteps:
         stream, wm, rng = ring_case(n, d, 1)
         shrunk = ShrunkSet(stream.box, 0.01)
         u = sphere_draws(agent_rngs(5, n), 20, d)
-        states = AgentStates.initial(np.tile(shrunk.project(np.zeros(d)), (n, 1)))
+        x = np.tile(shrunk.project(np.zeros(d)), (n, 1))
         for t in range(1, 21):
             x_ref, z_ref, g_ref = reference_gradient_free_step(
-                states, stream, wm, shrunk, t, 0.02 / np.sqrt(t), u[t - 1]
+                x, stream, wm, shrunk, t, 0.02 / np.sqrt(t), u[t - 1]
             )
-            states, g = gradient_free_step(
-                states, stream, wm, shrunk, t, 0.02 / np.sqrt(t), u[t - 1]
+            z = network.gossip_average(wm, x)
+            x, g = gradient_free_step(
+                stream, shrunk, t, x, z, stream.values(t, x), 0.02 / np.sqrt(t), u[t - 1]
             )
             assert np.array_equal(g, g_ref)
-            assert np.array_equal(states.x, x_ref) and np.array_equal(states.z, z_ref)
+            assert np.array_equal(x, x_ref) and np.array_equal(z, z_ref)
 
     @pytest.mark.parametrize("n, d", [(1, 1), (4, 1), (4, 3), (32, 10)])
     @pytest.mark.parametrize(
@@ -424,27 +442,29 @@ class TestBatchedSteps:
     )
     def test_projection_free_matches_loop(self, n, d, line_search, alpha0, clamp):
         stream, wm, rng = ring_case(n, d, 2)
-        states = AgentStates.initial(rng.uniform(-9.0, 9.0, size=(n, d)))
+        x = rng.uniform(-9.0, 9.0, size=(n, d))
         for t in range(1, 21):
             x_ref, z_ref = reference_projection_free_step(
-                states, stream, wm, stream.box, t, line_search, alpha0, clamp
+                x, stream, wm, stream.box, t, line_search, alpha0, clamp
             )
-            states = projection_free_step(
-                states, stream, wm, stream.box, t,
+            z = network.gossip_average(wm, x)
+            x = projection_free_step(
+                stream, stream.box, t, x, z,
                 line_search=line_search, alpha0=alpha0, clamp_to_feasible=clamp,
             )
-            assert np.array_equal(states.x, x_ref) and np.array_equal(states.z, z_ref)
+            assert np.array_equal(x, x_ref) and np.array_equal(z, z_ref)
 
     @pytest.mark.parametrize("n, d", [(1, 1), (4, 3), (32, 10)])
     def test_projected_gradient_matches_loop(self, n, d):
         stream, wm, rng = ring_case(n, d, 3)
-        states = AgentStates.initial(rng.uniform(-9.0, 9.0, size=(n, d)))
+        x = rng.uniform(-9.0, 9.0, size=(n, d))
         for t in range(1, 21):
             x_ref, z_ref = reference_projected_gradient_step(
-                states, stream, wm, stream.box, t, 0.02
+                x, stream, wm, stream.box, t, 0.02
             )
-            states = projected_gradient_step(states, stream, wm, stream.box, t, 0.02)
-            assert np.array_equal(states.x, x_ref) and np.array_equal(states.z, z_ref)
+            z = network.gossip_average(wm, x)
+            x = projected_gradient_step(stream, stream.box, t, x, z, 0.02)
+            assert np.array_equal(x, x_ref) and np.array_equal(z, z_ref)
 
     def test_sphere_draws_are_each_agents_scalar_draws(self):
         u = sphere_draws(agent_rngs(9, 4), 30, 3)
@@ -480,15 +500,14 @@ class TestRefusals:
     def test_nonfinite_loss_names_round_and_agent(self, cfg, wm4):
         stream = NaNAtOneAgent()
         with pytest.raises(NonFiniteInput, match="round 3: agent 2 "):
-            run(stream, wm4, stream.box, cfg, T=6)
+            run(stream, wm4, cfg, T=6)
 
     def test_probe_outside_box_names_round_and_agent(self, paper_stream, wm4):
         shrunk = ShrunkSet(paper_stream.box, 0.01)
-        states = AgentStates.initial(np.array([[0.0], [9.995], [0.0], [0.0]]))
+        x = np.array([[0.0], [9.995], [0.0], [0.0]])
+        fx = paper_stream.values(7, x)
         with pytest.raises(EvaluationOutsideBaseSet, match="round 7: agent 1 "):
-            gradient_free_step(
-                states, paper_stream, wm4, shrunk, 7, 0.1, np.ones((4, 1))
-            )
+            gradient_free_step(paper_stream, shrunk, 7, x, wm4.w @ x, fx, 0.1, np.ones((4, 1)))
 
 
 class Bypassed(Exception):
@@ -516,7 +535,7 @@ class TestSinglePaths:
     def test_gossip_goes_through_network(self, kind, paper_stream, wm4, monkeypatch):
         monkeypatch.setattr(network, "gossip_average", bypassed)
         with pytest.raises(Bypassed):
-            run(paper_stream, wm4, paper_stream.box, RULES[kind], T=3, x0=np.zeros((4, 1)))
+            run(paper_stream, wm4, RULES[kind], T=3, x0=np.zeros((4, 1)))
 
     @pytest.mark.parametrize("kind", ["gradient_free", "clamped", "projected_gd"])
     def test_projection_goes_through_the_set(self, kind, paper_stream, wm4, monkeypatch):
@@ -524,8 +543,8 @@ class TestSinglePaths:
         monkeypatch.setattr(BoxSet, "project", bypassed)
         monkeypatch.setattr(ShrunkSet, "project", bypassed)
         with pytest.raises(Bypassed):
-            run(paper_stream, wm4, paper_stream.box, RULES[kind], T=3, x0=np.zeros((4, 1)))
+            run(paper_stream, wm4, RULES[kind], T=3, x0=np.zeros((4, 1)))
 
     def test_unclamped_projection_free_never_projects(self, paper_stream, wm4, monkeypatch):
         monkeypatch.setattr(BoxSet, "project", bypassed)
-        run(paper_stream, wm4, paper_stream.box, RULES["exact_1d"], T=3, x0=np.zeros((4, 1)))
+        run(paper_stream, wm4, RULES["exact_1d"], T=3, x0=np.zeros((4, 1)))

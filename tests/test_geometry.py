@@ -48,6 +48,13 @@ class TestBoxSet:
         with pytest.raises(ValueError):
             BoxSet([1.0], [-1.0])
 
+    def test_boxes_compare_and_hash_by_identity(self):
+        a, b = BoxSet.symmetric(1.0, d=2), BoxSet.symmetric(1.0, d=2)
+        shrunk = ShrunkSet(a, 0.1)
+        assert a == a and a != b
+        assert shrunk == shrunk and shrunk != ShrunkSet(a, 0.1)
+        assert len({a, b, a, shrunk, shrunk}) == 3
+
 
 class TestProjection:
     def test_clamps_outside_point(self):

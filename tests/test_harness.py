@@ -235,7 +235,8 @@ class TestRunExperiment:
         assert len(summary["traces"]) == 3 and "bounds" in summary
         cfg.problem.horizon = 20  # a changed section is built again
         assert harness.run_single(cfg, 0).T == 20
-        assert sorted(builds) == ["build_box", "build_stream", "build_weight_matrix"]
+        # the run reads the box from the stream and never builds one
+        assert sorted(builds) == ["build_stream", "build_weight_matrix"]
 
     def test_hand_set_gap_trace_roundtrip(self, tmp_path):
         trace = Trace.from_gap_sequence([1.0, 1.0, 1.0])
@@ -432,6 +433,38 @@ class TestCli:
         harness.serialize_config(harness.preset("paper-tracking-alg2"), cfg_path)
         assert cli.main(["validate", "--config", str(cfg_path)]) == 0
         assert "OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            (
+                "topology",
+                {"generator": "ring", "params": {"n": 3, "weight": 0.3}},
+                "the topology has 3 agents, the 'paper_tracking' stream has 4",
+            ),
+            (
+                "problem.box",
+                [[-10.0, 10.0], [-10.0, 10.0]],
+                "problem.box [[-10.0, 10.0], [-10.0, 10.0]] is not the box of the "
+                "'paper_tracking' stream, [[-10.0, 10.0]]",
+            ),
+            (
+                "problem.box",
+                [[-5.0, 5.0]],
+                "problem.box [[-5.0, 5.0]] is not the box of the 'paper_tracking' stream",
+            ),
+        ],
+        ids=["agents", "box-2d", "box-narrow"],
+    )
+    def test_config_at_odds_with_its_stream(self, tmp_path, capsys, command, key, value, message):
+        raw = small_alg2_config(horizon=5).to_dict()
+        _set_field(raw, key, value)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
 
     def test_error_exit_code(self, capsys):
         assert cli.main(["run", "--preset", "nope"]) == 1

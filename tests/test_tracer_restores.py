@@ -10,6 +10,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import dffr.harness  # noqa: F401  (loads every layer module)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -51,3 +53,28 @@ def test_instrument_rebinds_and_restores_every_attribute():
         assert now.keys() == snap.keys(), owner
         for attr, value in snap.items():
             assert now[attr] is value, f"{owner}.{attr} not restored"
+
+
+# Each rule's step function, as the tracer names its spans.
+STEP_OF_PRESET = {
+    "paper-tracking-alg1": "algorithms.gradient_free_step",
+    "paper-tracking-alg2": "algorithms.projection_free_step",
+    "paper-tracking-dogd": "algorithms.projected_gradient_step",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_OF_PRESET))
+def test_each_rule_records_its_step_spans(name):
+    # The engine must call the step functions by name, so a rebound wrapper
+    # sees every round: the benchmark's per-layer step counts rely on it.
+    tracer = load_tracer()
+    raw = dffr.harness.PRESETS[name]()
+    raw["problem"]["horizon"] = 3
+    raw["bounds"] = False
+    cfg = dffr.harness.ExperimentConfig.from_dict(raw)
+    recorder = tracer.SpanRecorder()
+    with tracer.instrument(recorder):
+        dffr.harness.run_single(cfg, 0)
+    step = STEP_OF_PRESET[name]
+    assert step in tracer.STEP_SPANS
+    assert recorder.totals(0, len(recorder)).get(step, (0, 0.0))[0] == 3
