@@ -26,6 +26,7 @@ from . import algorithms, metrics, network
 from .algorithms import AlgorithmConfig, StepSchedule
 from .errors import (
     ConstraintViolation,
+    DffrError,
     MalformedTrace,
     ParseError,
     SchemaVersionMismatch,
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .geometry import BoxSet, ShrunkSet
 from .metrics import BoundInputs
-from .network import WeightMatrix, generator_matrix, mixing_constants
+from .network import MixingConstants, WeightMatrix, generator_matrix, mixing_constants
 from .objectives import ObjectiveStream, QuadraticTrackingFamily, paper_tracking_stream
 from .trace import Trace
 
@@ -118,6 +119,8 @@ class ExperimentConfig:
             topology = TopologyConfig(**topology_raw) if topology_raw else None
         except TypeError as exc:
             raise ParseError(f"bad 'topology' section: {exc}") from None
+        if topology is not None and not (_is_count(topology.B) and topology.B >= 1):
+            raise ParseError(f"field 'topology.B' must be a positive integer, got {topology.B!r}")
         algorithm = raw.get("algorithm")
         if algorithm is None and not synthetic:
             raise ParseError("config is missing the 'algorithm' section")
@@ -153,8 +156,18 @@ class ExperimentConfig:
     # --- construction of the experiment pieces -----------------------------
 
     def build_box(self) -> BoxSet:
-        bounds = np.asarray(self.problem.box, dtype=float)
-        return BoxSet(bounds[:, 0], bounds[:, 1])
+        box = self.problem.box
+        if not (isinstance(box, list) and box and all(
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair)) for pair in box
+        )):
+            raise ParseError(
+                f"field 'problem.box' must be a list of [lower, upper] number pairs, got {box!r}"
+            )
+        bounds = np.asarray(box, dtype=float)
+        try:
+            return BoxSet(bounds[:, 0], bounds[:, 1])
+        except (ValueError, DffrError) as exc:
+            raise ParseError(f"field 'problem.box' {box!r} is not a box: {exc}") from None
 
     def build_stream(self) -> ObjectiveStream | None:
         p = self.problem
@@ -481,22 +494,18 @@ def _aggregate(per_seed: list[dict], rhos: list[float]) -> dict:
 def _bound_curves(cfg: ExperimentConfig, traces: list[Trace], curves: list[dict]) -> dict:
     """Each rho's bound curve and the mean of the seeds' DFFR ``curves``."""
     stream, wm = cfg.built()
-    mc = mixing_constants(wm)
+    mc = MixingConstants(gamma=mixing_constants(wm).gamma, lam=cfg.effective_lambda())
     algo = cfg.build_algorithm(seed=0)
-    lam = cfg.topology.lambda_override
     out = {}
     for rho in cfg.rho:
         if algo.kind == "gradient_free":
             shrunk = ShrunkSet(stream.box, algo.delta)
             inputs = BoundInputs.from_traces(
-                traces, stream, mc, rho, delta=algo.delta,
-                path_set=shrunk, lam_override=lam,
+                traces, stream, mc, rho, delta=algo.delta, path_set=shrunk
             )
             bound = metrics.gradient_free_regret_bound(inputs, algo.step)
         else:
-            inputs = BoundInputs.from_traces(
-                traces, stream, mc, rho, lam_override=lam
-            )
+            inputs = BoundInputs.from_traces(traces, stream, mc, rho)
             bound = metrics.projection_free_regret_bound(inputs, algo.alpha0)
         mean_dffr = np.mean([seed_curves[rho] for seed_curves in curves], axis=0)
         out[repr(float(rho))] = {
@@ -555,15 +564,29 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+# The trace body's layout after the ``t`` and ``agent`` columns: each Trace field
+# in column order, its column stem, whether it has one value per agent (else one
+# per round, repeated on each agent row) and whether it has one column per
+# coordinate.  Per-agent fields come first; ``gap`` and ``dffr_<rho>`` follow.
+_INDEX = ("t", "agent")
+_LAYOUT = (
+    # field, stem, per_agent, per_coordinate
+    ("x", "x", True, True),
+    ("z", "z", True, True),
+    ("eps_norm", "eps_norm", True, False),
+    ("g_norm", "g_norm", True, False),
+    ("loss_self", "loss_self", True, False),
+    ("loss_global", "loss_global", True, False),
+    ("x_star", "xstar", False, True),
+    ("f_star", "f_star", False, False),
+)
+
+
 def trace_columns(d: int, rhos: list[float]) -> list[str]:
-    cols = ["t", "agent"]
-    cols += [f"x_{k}" for k in range(d)]
-    cols += [f"z_{k}" for k in range(d)]
-    cols += ["eps_norm", "g_norm", "loss_self", "loss_global"]
-    cols += [f"xstar_{k}" for k in range(d)]
-    cols += ["f_star", "gap"]
-    cols += [f"dffr_{_fmt(rho)}" for rho in rhos]
-    return cols
+    cols = list(_INDEX)
+    for _, stem, _, per_coordinate in _LAYOUT:
+        cols += [f"{stem}_{k}" for k in range(d)] if per_coordinate else [stem]
+    return cols + ["gap"] + [f"dffr_{_fmt(rho)}" for rho in rhos]
 
 
 def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
@@ -579,16 +602,13 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
     csv_path = base.with_suffix(".csv")
     meta_path = base.with_suffix(".meta.json")
     columns = trace_columns(trace.d, rhos)
-    per_agent = np.concatenate(
-        [
-            trace.x,
-            trace.z,
-            np.stack([trace.eps_norm, trace.g_norm, trace.loss_self, trace.loss_global], axis=2),
-        ],
-        axis=2,
-    ).astype(float, copy=False)
+    blocks = {True: [], False: []}  # per agent (T, n, width), per round (T, width)
+    for name, _, per_agent, per_coordinate in _LAYOUT:
+        lead = (trace.T, trace.n) if per_agent else (trace.T,)
+        blocks[per_agent].append(getattr(trace, name).reshape(*lead, trace.d if per_coordinate else 1))
+    per_agent = np.concatenate(blocks[True], axis=2).astype(float, copy=False)
     per_round = np.column_stack(
-        [trace.x_star, trace.f_star, trace.gaps, *(metrics.dffr_series(trace, rho) for rho in rhos)]
+        [*blocks[False], trace.gaps, *(metrics.dffr_series(trace, rho) for rho in rhos)]
     ).astype(float, copy=False)
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -621,8 +641,14 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
     return [csv_path, meta_path]
 
 
-# Sidecar fields read_trace needs to rebuild a trace.
-_SIDECAR_KEYS = ("algorithm", "seed", "T", "n", "d", "rhos", "columns", "final_eps_norm")
+# Sidecar fields read_trace needs to rebuild a trace, each with its type test
+# and what the test asks for (None: any value).
+_COUNT = (_is_count, "a non-negative integer")
+_NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers")
+_SIDECAR_FIELDS = {
+    "algorithm": None, "seed": None, "T": _COUNT, "n": _COUNT, "d": _COUNT,
+    "rhos": _NUMBERS, "columns": None, "final_eps_norm": _NUMBERS,
+}
 
 
 def read_trace(base_path) -> tuple[dict, Trace, dict]:
@@ -644,7 +670,7 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
         raise SchemaVersionMismatch(
             f"trace schema {meta.get('schema_version')} != {SCHEMA_VERSION}"
         )
-    missing = [key for key in _SIDECAR_KEYS if key not in meta]
+    missing = [key for key in _SIDECAR_FIELDS if key not in meta]
     if missing:
         raise MalformedTrace(f"{meta_path}: the sidecar lacks {', '.join(missing)}")
     with csv_path.open() as fh:
@@ -669,72 +695,64 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
             f"{csv_path}: line {min(rows, T * n) + 2}: trace has {rows} rows, "
             f"expected T*n = {T * n}"
         )
-    col = {name: idx for idx, name in enumerate(header)}
-    x = np.empty((T, n, d))
-    z = np.empty((T, n, d))
-    for k in range(d):
-        x[:, :, k] = data[:, col[f"x_{k}"]].reshape(T, n)
-        z[:, :, k] = data[:, col[f"z_{k}"]].reshape(T, n)
-    x_star = np.empty((T, d))
-    for k in range(d):
-        x_star[:, k] = data[:, col[f"xstar_{k}"]].reshape(T, n)[:, 0]
-    trace = Trace(
-        algorithm=meta["algorithm"],
-        seed=meta["seed"],
-        config=meta.get("config", {}),
-        x=x,
-        z=z,
-        eps_norm=data[:, col["eps_norm"]].reshape(T, n),
-        loss_self=data[:, col["loss_self"]].reshape(T, n),
-        loss_global=data[:, col["loss_global"]].reshape(T, n),
-        x_star=x_star,
-        f_star=data[:, col["f_star"]].reshape(T, n)[:, 0],
-        g_norm=data[:, col["g_norm"]].reshape(T, n),
-        final_eps_norm=np.asarray(meta["final_eps_norm"], dtype=float),
-    )
-    stored = {
-        rho: data[:, col[f"dffr_{_fmt(rho)}"]].reshape(T, n)[:, 0]
-        for rho in meta["rhos"]
-    }
+    body = data.reshape(T, n, len(header))
+    _check_rows(csv_path, header, body, d)
+    fields, pos = {}, len(_INDEX)
+    for name, _, per_agent, per_coordinate in _LAYOUT:
+        width = d if per_coordinate else 1
+        block = body[:, :, pos:pos + width] if per_agent else body[:, 0, pos:pos + width]
+        fields[name] = block if per_coordinate else block[..., 0]
+        pos += width
+    fields["final_eps_norm"] = np.asarray(meta["final_eps_norm"], dtype=float)
+    trace = Trace(meta["algorithm"], meta["seed"], meta.get("config", {}), **fields)
+    stored = dict(zip(meta["rhos"], body[:, 0, len(header) - len(meta["rhos"]):].T))
     return meta, trace, stored
 
 
 def _check_sidecar_fields(meta_path: Path, meta: dict, header: list[str]) -> None:
-    """Raise MalformedTrace naming a sidecar field of the wrong type or with columns the header lacks."""
-    for key in ("T", "n", "d"):
-        if not _is_count(meta[key]):
+    """Raise MalformedTrace naming a sidecar field of the wrong type or at odds with the header."""
+    for key, check in _SIDECAR_FIELDS.items():
+        if check and not check[0](meta[key]):
             raise MalformedTrace(
-                f"{meta_path}: sidecar field {key!r} must be a non-negative integer, "
-                f"got {meta[key]!r}"
-            )
-    for key in ("rhos", "final_eps_norm"):
-        value = meta[key]
-        if not isinstance(value, list) or not all(_is_number(v) for v in value):
-            raise MalformedTrace(
-                f"{meta_path}: sidecar field {key!r} must be a list of numbers, got {value!r}"
+                f"{meta_path}: sidecar field {key!r} must be {check[1]}, got {meta[key]!r}"
             )
     if len(meta["final_eps_norm"]) != meta["n"]:
         raise MalformedTrace(
             f"{meta_path}: sidecar field 'final_eps_norm' has "
             f"{len(meta['final_eps_norm'])} entries, n is {meta['n']}"
         )
-    least = 3 * meta["d"] + 8  # trace_columns(d, []) has this many names
-    if least > len(header):
-        raise MalformedTrace(
-            f"{meta_path}: sidecar field 'd' implies {least} or more columns, "
-            f"the header has {len(header)}"
-        )
-    implied = {
-        "d": trace_columns(meta["d"], []),
-        "rhos": [f"dffr_{_fmt(rho)}" for rho in meta["rhos"]],
-    }
-    for key, names in implied.items():
-        lacking = [name for name in names if name not in header]
-        if lacking:
-            raise MalformedTrace(
-                f"{meta_path}: sidecar field {key!r} implies columns the header "
-                f"lacks: {', '.join(lacking)}"
-            )
+    # The header must be trace_columns(d, rhos); a huge d fails on the width alone.
+    d, rhos = meta["d"], meta["rhos"]
+    width = len(trace_columns(0, rhos)) + d * sum(per_coordinate for *_, per_coordinate in _LAYOUT)
+    implied = f"{meta_path}: sidecar fields 'd' and 'rhos' imply"
+    if width != len(header):
+        raise MalformedTrace(f"{implied} {width} columns, the header has {len(header)}")
+    for want, got in zip(trace_columns(d, rhos), header):
+        if want != got:
+            raise MalformedTrace(f"{implied} the column {want}, the header has {got}")
+
+
+def _check_rows(csv_path: Path, header: list[str], body: np.ndarray, d: int) -> None:
+    """Raise MalformedTrace at the first row off the round-major (t, agent) grid,
+    or whose per-round values differ from its round's first row.
+    """
+    T, n, _ = body.shape
+    grid = np.stack(np.meshgrid(np.arange(1, T + 1), np.arange(n), indexing="ij"), axis=2)
+    off_grid = (body[:, :, :len(_INDEX)] != grid).any(axis=2)
+    shared = len(_INDEX) + sum(  # the first per-round column
+        d if per_coordinate else 1 for _, _, per_agent, per_coordinate in _LAYOUT if per_agent
+    )
+    bits = body[:, :, shared:].view(np.uint64)  # so -0.0 and 0.0 differ, as their text does
+    differs = bits != bits[:, :1]
+    bad = np.flatnonzero(off_grid | differs.any(axis=2))
+    if bad.size:
+        t, i = divmod(int(bad[0]), n)
+        if off_grid[t, i]:
+            why = f"expected round {t + 1}, agent {i}; rows run round-major over (t, agent)"
+        else:
+            column = header[shared + np.flatnonzero(differs[t, i])[0]]
+            why = f"{column} differs from line {t * n + 2}, the first row of round {t + 1}"
+        raise MalformedTrace(f"{csv_path}: line {t * n + i + 2}: {why}")
 
 
 def _malformed_row(csv_path: Path, header: list[str], exc: ValueError) -> MalformedTrace:

@@ -199,7 +199,6 @@ class BoundInputs:
         rho: float,
         delta: float = 0.0,
         path_set=None,
-        lam_override: float | None = None,
     ) -> "BoundInputs":
         """Average the measured sequences over traces (expectation estimate).
 
@@ -227,7 +226,7 @@ class BoundInputs:
             M=stream.box.R,
             r=stream.box.r,
             gamma=mixing.gamma,
-            lam=lam_override if lam_override is not None else mixing.lam,
+            lam=mixing.lam,
             rho=rho,
             delta=delta,
         )

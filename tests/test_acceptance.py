@@ -54,7 +54,7 @@ from dffr.metrics import (
     projection_free_regret_bound,
     tracking_error_series,
 )
-from dffr.network import mixing_bound_check
+from dffr.network import MixingConstants, mixing_bound_check
 from dffr.objectives import round_optimum, round_optimum_grid
 from dffr.trace import Trace
 
@@ -272,8 +272,9 @@ def test_criterion_07_regret_convergence_behavior(
     # gradient-free: stays below the constant-step asymptote
     shrunk = ShrunkSet(paper_stream.box, 0.01)
     inputs = BoundInputs.from_traces(
-        alg1_constant_step_traces, paper_stream, paper_mc, rho=rho,
-        delta=0.01, path_set=shrunk, lam_override=0.98625,
+        alg1_constant_step_traces, paper_stream,
+        MixingConstants(gamma=paper_mc.gamma, lam=0.98625), rho=rho,
+        delta=0.01, path_set=shrunk,
     )
     alpha_T = 2.0 / np.sqrt(1000.0)
     asymptote = constant_step_asymptote(inputs, alpha_T)
@@ -300,7 +301,8 @@ def test_criterion_08_bound_dominance(
     t0 = time.perf_counter()
 
     inputs2 = BoundInputs.from_traces(
-        [alg2_fixed_trace], paper_stream, paper_mc, rho=0.9875, lam_override=0.98625
+        [alg2_fixed_trace], paper_stream, MixingConstants(gamma=paper_mc.gamma, lam=0.98625),
+        rho=0.9875,
     )
     bound2 = projection_free_regret_bound(inputs2, 0.002)
     measured2 = dffr_series(alg2_fixed_trace, 0.9875)
@@ -308,8 +310,8 @@ def test_criterion_08_bound_dominance(
 
     shrunk = ShrunkSet(paper_stream.box, 0.01)
     inputs1 = BoundInputs.from_traces(
-        alg1_traces, paper_stream, paper_mc, rho=0.9875,
-        delta=0.01, path_set=shrunk, lam_override=0.98625,
+        alg1_traces, paper_stream, MixingConstants(gamma=paper_mc.gamma, lam=0.98625),
+        rho=0.9875, delta=0.01, path_set=shrunk,
     )
     schedule = lambda t: 2.0 / np.sqrt(t)
     bound1 = gradient_free_regret_bound(inputs1, schedule)

@@ -114,10 +114,18 @@ class TestConfigValidation:
             ("problem.horizon", True),
             ("rho", ["0.99"]),
             ("rho", 0.99),
+            ("problem.box", [[1.0, 2.0]]),
+            ("problem.box", [[-1.0]]),
+            ("problem.box", "x"),
+            ("topology.B", "1"),
+            ("topology.B", 1.5),
+            ("topology.B", 0),
+            ("topology.B", True),
         ],
         ids=["seeds-str", "seeds-int", "seed-float", "seed-negative", "seed-bool",
              "seed-str", "bounds-str", "bounds-int", "bounds-null", "horizon-str",
-             "horizon-float", "horizon-bool", "rho-str", "rho-number"],
+             "horizon-float", "horizon-bool", "rho-str", "rho-number", "box-off-origin",
+             "box-no-upper", "box-str", "B-str", "B-float", "B-zero", "B-bool"],
     )
     def test_bad_seeds_or_bounds_name_the_field(self, key, value):
         raw = harness.preset("paper-tracking-alg2").to_dict()
@@ -272,6 +280,25 @@ class TestRunExperiment:
         with pytest.raises(MalformedTrace, match=f"seed0.csv: line {line}: "):
             harness.recompute_metrics(tmp_path / "paper-tracking-alg2-seed0", [0.9875])
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda lines: lines[:5] + [lines[9]] + lines[6:9] + [lines[5]] + lines[10:],
+             "line 6: expected round 2, agent 0; rows run round-major over \\(t, agent\\)$"),
+            (lambda lines: lines[:10] + [_with_field(lines[10], 10, "1.5")] + lines[11:],
+             "line 11: gap differs from line 10, the first row of round 3$"),
+        ],
+        ids=["rows-swapped", "gap-differs"],
+    )
+    def test_rows_off_the_grid_or_at_odds_name_the_line(self, tmp_path, corrupt, message):
+        harness.run_experiment(small_alg2_config(), out_dir=tmp_path)
+        csv_path = tmp_path / "paper-tracking-alg2-seed0.csv"
+        lines = csv_path.read_text().splitlines()
+        assert lines[0].split(",")[10] == "gap"
+        csv_path.write_text("\n".join(corrupt(lines)) + "\n")
+        with pytest.raises(MalformedTrace, match=f"seed0.csv: {message}"):
+            harness.recompute_metrics(tmp_path / "paper-tracking-alg2-seed0", [0.9875])
+
     def test_schema_version_mismatch(self, tmp_path):
         cfg = small_alg2_config()
         harness.run_experiment(cfg, out_dir=tmp_path)
@@ -320,9 +347,10 @@ class TestRunExperiment:
             ("rhos", [True], "sidecar field 'rhos' must be a list of numbers, got \\[True\\]"),
             ("final_eps_norm", "abc", "sidecar field 'final_eps_norm' must be a list of numbers"),
             ("final_eps_norm", [0.1], "sidecar field 'final_eps_norm' has 1 entries, n is 4"),
-            ("d", 2, "sidecar field 'd' implies 14 or more columns, the header has 12$"),
-            ("d", 10**9, "sidecar field 'd' implies 3000000008 or more columns, the header has 12$"),
-            ("rhos", [0.5], "sidecar field 'rhos' implies columns the header lacks: dffr_0.5$"),
+            ("d", 2, "sidecar fields 'd' and 'rhos' imply 15 columns, the header has 12$"),
+            ("d", 10**9, "sidecar fields 'd' and 'rhos' imply 3000000009 columns, the header has 12$"),
+            ("rhos", [0.5], "sidecar fields 'd' and 'rhos' imply the column dffr_0.5, "
+             "the header has dffr_0.9875$"),
         ],
         ids=["T-str", "T-float", "T-bool", "n-null", "d-negative", "rhos-number",
              "rhos-bool", "eps-str", "eps-length", "d-columns", "d-huge", "rhos-columns"],

@@ -25,7 +25,7 @@ from dffr.metrics import (
     projection_free_regret_bound,
     tracking_time,
 )
-from dffr.network import mixing_constants, validate_weight_matrix
+from dffr.network import MixingConstants, mixing_constants, validate_weight_matrix
 from dffr.trace import Trace
 
 
@@ -238,7 +238,8 @@ class TestBoundEvaluators:
         )
         mc = mixing_constants(wm)
         inputs = BoundInputs.from_traces(
-            [alg2_fixed_trace], paper_stream, mc, rho=0.9875, lam_override=0.98625
+            [alg2_fixed_trace], paper_stream, MixingConstants(gamma=mc.gamma, lam=0.98625),
+            rho=0.9875,
         )
         assert inputs.T == alg2_fixed_trace.T
         assert inputs.F.shape == (1000, 4)
