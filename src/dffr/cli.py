@@ -88,22 +88,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run an experiment config or preset")
-    run_p.add_argument("--config", help="path to a JSON config file")
-    run_p.add_argument("--preset", help=f"preset name ({', '.join(harness.PRESET_NAMES)})")
-    run_p.add_argument("--seed", type=int, help="run a single seed")
-    run_p.add_argument("--seeds", help="seed list '0,1,2' or range '0..19'")
-    run_p.add_argument("--out", help="output directory for trace files")
+    # The options that pick the config and its seeds, shared by run and sweep.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="path to a JSON config file")
+    config.add_argument("--preset", help=f"preset name ({', '.join(harness.PRESET_NAMES)})")
+    config.add_argument("--seed", type=int, help="run a single seed")
+    config.add_argument("--seeds", help="seed list '0,1,2' or range '0..19'")
+    config.add_argument("--out", help="output directory for trace files")
+
+    run_p = sub.add_parser("run", parents=[config], help="run an experiment config or preset")
     run_p.set_defaults(fn=cmd_run)
 
-    sweep_p = sub.add_parser("sweep", help="re-run an experiment across parameter values")
-    sweep_p.add_argument("--config", help="path to a JSON config file")
-    sweep_p.add_argument("--preset", help="preset name")
-    sweep_p.add_argument("--seed", type=int)
-    sweep_p.add_argument("--seeds")
-    sweep_p.add_argument("--param", required=True, help=f"one of {harness.SWEEP_PARAMETERS}")
+    sweep_p = sub.add_parser("sweep", parents=[config], help="re-run over a parameter's values")
+    sweep_p.add_argument(
+        "--param", required=True, help=f"one of {', '.join(harness.SWEEP_PARAMETERS)}"
+    )
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
-    sweep_p.add_argument("--out", help="output directory for trace files")
     sweep_p.set_defaults(fn=cmd_sweep)
 
     metrics_p = sub.add_parser("metrics", help="recompute metrics from a stored trace")

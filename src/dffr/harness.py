@@ -15,9 +15,12 @@ import csv
 import json
 import math
 import re
+import sys
 import time
 import warnings
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +50,8 @@ CONSENSUS_THRESHOLD = 1e-3
 TRACKING_THRESHOLD = 1e-3
 REGRET_CROSS_THRESHOLD = 1e-2
 
-_TARGET_EXPR = re.compile(
-    r"^\s*([0-9.eE+-]+)\s*(?:/\s*t\s*\^\s*([0-9.eE+-]+)\s*)?$"
-)
+_NUMBER_EXPR = r"\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*"
+_TARGET_EXPR = re.compile(rf"^{_NUMBER_EXPR}(?:/\s*t\s*\^{_NUMBER_EXPR})?$")
 
 _CUSTOM_STREAMS: dict[str, callable] = {}
 
@@ -80,10 +82,10 @@ class TopologyConfig:
 
 @dataclass
 class ExperimentConfig:
-    name: str
     problem: ProblemConfig
-    topology: TopologyConfig | None
-    algorithm: dict | None
+    name: str = "experiment"
+    topology: TopologyConfig | None = None
+    algorithm: dict | None = None
     rho: list = field(default_factory=list)
     seeds: list = field(default_factory=lambda: [0])
     bounds: bool = False
@@ -105,51 +107,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        try:
-            problem = ProblemConfig(**raw["problem"])
-        except KeyError:
-            raise ParseError("config is missing the 'problem' section") from None
-        except TypeError as exc:
-            raise ParseError(f"bad 'problem' section: {exc}") from None
-        synthetic = problem.stream == "remark1"
-        topology_raw = raw.get("topology")
-        if topology_raw is None and not synthetic:
-            raise ParseError("config is missing the 'topology' section")
-        try:
-            topology = TopologyConfig(**topology_raw) if topology_raw else None
-        except TypeError as exc:
-            raise ParseError(f"bad 'topology' section: {exc}") from None
-        if topology is not None and not (_is_count(topology.B) and topology.B >= 1):
-            raise ParseError(f"field 'topology.B' must be a positive integer, got {topology.B!r}")
-        algorithm = raw.get("algorithm")
-        if algorithm is None and not synthetic:
-            raise ParseError("config is missing the 'algorithm' section")
-        seeds = raw.get("seeds", [0])
-        if not isinstance(seeds, list):
-            raise ParseError(f"field 'seeds' must be a list of seeds, got {seeds!r}")
-        for seed in seeds:
-            if not _is_count(seed):
-                raise ParseError(f"field 'seeds' holds {seed!r}; a seed is a non-negative integer")
-        bounds = raw.get("bounds", False)
-        if not isinstance(bounds, bool):
-            raise ParseError(f"field 'bounds' must be true or false, got {bounds!r}")
-        rhos = raw.get("rho", [])
-        if not isinstance(rhos, list) or not all(_is_number(rho) for rho in rhos):
-            raise ParseError(f"field 'rho' must be a list of numbers, got {rhos!r}")
-        if not _is_count(problem.horizon):
-            raise ParseError(
-                f"field 'problem.horizon' must be a positive integer, got {problem.horizon!r}"
-            )
-        cfg = cls(
-            name=raw.get("name", "experiment"),
-            problem=problem,
-            topology=topology,
-            algorithm=copy.deepcopy(algorithm),
-            rho=list(rhos),
-            seeds=list(seeds),
-            bounds=bounds,
-            out=raw.get("out"),
-        )
+        _check_fields(raw, _CONFIG_FIELDS, ParseError, "field")
+        fields = copy.deepcopy({k: v for k, v in raw.items() if k != "schema_version"})
+        fields["problem"] = ProblemConfig(**fields["problem"])
+        for section in ("topology", "algorithm"):
+            if fields.get(section) is None and fields["problem"].stream != "remark1":
+                raise ParseError(f"config is missing the {section!r} section")
+        if fields.get("topology") is not None:
+            fields["topology"] = TopologyConfig(**fields["topology"])
+        cfg = cls(**fields)
         cfg.validate()
         return cfg
 
@@ -157,12 +123,6 @@ class ExperimentConfig:
 
     def build_box(self) -> BoxSet:
         box = self.problem.box
-        if not (isinstance(box, list) and box and all(
-            isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair)) for pair in box
-        )):
-            raise ParseError(
-                f"field 'problem.box' must be a list of [lower, upper] number pairs, got {box!r}"
-            )
         bounds = np.asarray(box, dtype=float)
         try:
             return BoxSet(bounds[:, 0], bounds[:, 1])
@@ -176,19 +136,18 @@ class ExperimentConfig:
         if p.stream == "quadratic":
             if p.scales is None or p.target is None:
                 raise ParseError("quadratic stream needs 'scales' and 'target'")
-            return QuadraticTrackingFamily(
-                scales=p.scales,
-                target=_parse_target(p.target),
-                box=self.build_box(),
-                horizon=p.horizon,
-            )
+            target = _parse_target(p.target)
+            try:
+                return QuadraticTrackingFamily(p.scales, target, self.build_box(), p.horizon)
+            except ArithmeticError:  # t**p overflows, or underflows to 0
+                raise ConstraintViolation(
+                    f"problem.target {p.target!r} leaves the floats by round {p.horizon}"
+                ) from None
         if p.stream == "custom":
             if p.custom_name not in _CUSTOM_STREAMS:
                 raise ParseError(f"unknown custom stream {p.custom_name!r}")
             return _CUSTOM_STREAMS[p.custom_name](p)
-        if p.stream == "remark1":
-            return None
-        raise ParseError(f"unknown stream kind {p.stream!r}")
+        return None  # remark1: a hand-set gap sequence, no stream
 
     def build_weight_matrix(self) -> WeightMatrix:
         t = self.topology
@@ -196,23 +155,18 @@ class ExperimentConfig:
             return network.validate_weight_matrix(t.matrix, B=t.B)
         if t.generator is None:
             raise ParseError("topology needs either a generator or a matrix")
-        return network.validate_weight_matrix(
-            generator_matrix(t.generator, **t.params), B=t.B
-        )
+        try:
+            w = generator_matrix(t.generator, **t.params)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(
+                f"field 'topology' has params {t.params!r} that {t.generator!r} refuses: {exc}"
+            ) from None
+        return network.validate_weight_matrix(w, B=t.B)
 
     def build_algorithm(self, seed: int) -> AlgorithmConfig:
-        a = dict(self.algorithm)
-        step = a.get("step")
-        schedule = StepSchedule(c=float(step["c"]), p=float(step.get("p", 0.0))) if step else None
-        return AlgorithmConfig(
-            kind=a["kind"],
-            step=schedule,
-            delta=a.get("delta"),
-            line_search=a.get("line_search", "fixed_alpha0"),
-            alpha0=a.get("alpha0"),
-            clamp_to_feasible=bool(a.get("clamp_to_feasible", False)),
-            seed=seed,
-        )
+        section = dict(self.algorithm)
+        step = section.pop("step", None)
+        return AlgorithmConfig(**section, step=StepSchedule(**step) if step else None, seed=seed)
 
     def built(self) -> tuple[ObjectiveStream | None, WeightMatrix]:
         """The stream and weight matrix, built once and shared by every seed.
@@ -246,18 +200,13 @@ class ExperimentConfig:
         if p.stream == "remark1":
             return
         box = self.build_box()
-        if self.algorithm is None:
-            raise ParseError("config is missing the 'algorithm' section")
         try:
             algo = self.build_algorithm(seed=0)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise ConstraintViolation(str(exc)) from None
         stream, wm = self.built()
-        if not (
-            np.array_equal(box.lower, stream.box.lower)
-            and np.array_equal(box.upper, stream.box.upper)
-        ):
-            own = np.column_stack([stream.box.lower, stream.box.upper]).tolist()
+        own = np.column_stack([stream.box.lower, stream.box.upper]).tolist()
+        if own != np.column_stack([box.lower, box.upper]).tolist():
             raise ConstraintViolation(
                 f"problem.box {p.box} is not the box of the {p.stream!r} stream, {own}"
             )
@@ -272,13 +221,9 @@ class ExperimentConfig:
                 raise ConstraintViolation(f"smoothing {exc}") from None
         if self.bounds:
             if algo.kind == "projected_gd":
-                raise ConstraintViolation(
-                    "no bound evaluator exists for the projected_gd baseline"
-                )
+                raise ConstraintViolation("no bound evaluator exists for the projected_gd baseline")
             if algo.kind == "projection_free" and algo.alpha0 is None:
-                raise ConstraintViolation(
-                    "bound evaluation for projection_free needs alpha0"
-                )
+                raise ConstraintViolation("bound evaluation for projection_free needs alpha0")
             lam = self.effective_lambda()
             for rho in self.rho:
                 if rho <= lam:
@@ -287,26 +232,120 @@ class ExperimentConfig:
                     )
 
 
-def _is_count(value) -> bool:
-    """A non-negative integer; a bool is not one."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+# A field table's row: the value's test, what it asks for, an object's table, null?, required?
+_Field = namedtuple("_Field", "test what fields null required", defaults=(None, False, False))
+
+
+def _check_fields(raw: dict, table: dict, error: type, lead: str, path: str = "") -> None:
+    """Raise ``error``, naming the dotted path after ``lead``, at the first field of
+    ``raw`` that is missing, unknown to ``table`` or fails its row's test."""
+    for key, row in table.items():
+        if row.required and key not in raw:
+            raise error(f"{lead} '{path}{key}' is missing")
+    for key, value in raw.items():
+        row = table.get(key)
+        if row is None:
+            raise error(f"{lead} '{path}{key}' is not a known field")
+        if value is None and row.null:
+            continue
+        if not row.test(value):
+            what = f"{row.what} or null" if row.null else row.what
+            raise error(f"{lead} '{path}{key}' must be {what}, got {value!r}")
+        if row.fields:
+            _check_fields(value, row.fields, error, lead, f"{path}{key}.")
+
+
+def _is_int(value) -> bool:
+    """An int; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
-    """An int or a float; a bool is not one."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float; a bool is not one."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
-def _parse_target(spec) -> tuple[float, float]:
-    """Accept 'A/t^p' strings, bare constants, or (A, p) pairs."""
-    if isinstance(spec, (list, tuple)) and len(spec) == 2:
-        return float(spec[0]), float(spec[1])
-    if isinstance(spec, (int, float)):
-        return float(spec), 0.0
-    m = _TARGET_EXPR.match(str(spec))
-    if not m:
-        raise ParseError(f"cannot parse target path {spec!r}; expected 'A/t^p'")
-    return float(m.group(1)), float(m.group(2) or 0.0)
+def _list_of(test, least: int = 0):
+    """A test for a list of at least ``least`` values that each pass ``test``."""
+    return lambda value: isinstance(value, list) and len(value) >= least and all(map(test, value))
+
+
+def _parse_target(spec) -> tuple[float, float] | None:
+    """(A, p) from an 'A/t^p' string, a number A (p = 0) or an [A, p] pair; else None."""
+    if isinstance(spec, str) and (m := _TARGET_EXPR.match(spec)):
+        spec = [float(m.group(1)), float(m.group(2) or 0.0)]
+    elif _is_number(spec):
+        spec = [spec, 0.0]
+    return tuple(map(float, spec)) if _NUMBERS[0](spec) and len(spec) == 2 else None
+
+
+def _is_table(value, width: int | None = None) -> bool:
+    """A non-empty list of number lists, each ``width`` long, or as long as the list."""
+    rows = _list_of(_list_of(_is_number), 1)(value)
+    return rows and all(len(row) == (width or len(value)) for row in value)
+
+
+def _one_of(choices) -> tuple:
+    return (lambda value: value in choices), "one of " + ", ".join(map(repr, choices))
+
+
+# (test, what it asks for) of the kinds of value the field tables share.
+_ANY = (lambda value: True), "any value"
+_BOOL = (lambda value: isinstance(value, bool)), "true or false"
+_STRING = (lambda value: isinstance(value, str)), "a string"
+_OBJECT = (lambda value: isinstance(value, dict)), "an object"
+_COUNT = (lambda value: _is_int(value) and value >= 0), "a non-negative integer"
+_POSITIVE_INT = (lambda value: _is_int(value) and value >= 1), "a positive integer"
+_POSITIVE = (lambda value: _is_number(value) and value > 0), "a positive number"
+_FRACTION = (lambda value: _is_number(value) and 0 < value < 1), "a number in (0, 1)"
+_NUMBERS = _list_of(_is_number), "a list of numbers"
+_VERSION = (lambda value: _is_int(value) and value == SCHEMA_VERSION), str(SCHEMA_VERSION)
+
+# Every config field.  A field left out takes its default (from ProblemConfig,
+# TopologyConfig, AlgorithmConfig, StepSchedule or from_dict).  The checks that
+# join fields are ExperimentConfig.validate's.
+_CONFIG_FIELDS = {
+    "schema_version": _Field(*_VERSION),
+    "name": _Field(*_STRING),
+    "problem": _Field(*_OBJECT, {
+        "stream": _Field(*_one_of(("paper_tracking", "quadratic", "custom", "remark1"))),
+        "horizon": _Field(*_COUNT),
+        "box": _Field(lambda box: _is_table(box, 2), "a non-empty list of [lower, upper] pairs"),
+        "scales": _Field(
+            _list_of(_POSITIVE[0], 1), "a non-empty list of positive numbers", null=True
+        ),
+        "target": _Field(
+            lambda value: _parse_target(value) is not None,
+            "an 'A/t^p' string, a number or an [A, p] pair of numbers", null=True,
+        ),
+        "custom_name": _Field(*_STRING, null=True),
+    }, required=True),
+    "topology": _Field(*_OBJECT, {
+        "generator": _Field(*_one_of(tuple(network.GENERATORS)), null=True),
+        "params": _Field(*_OBJECT, {  # the generators' parameters
+            "n": _Field(*_POSITIVE_INT),
+            "weight": _Field(_is_number, "a number"),
+        }),
+        "matrix": _Field(_is_table, "a square list of number lists", null=True),
+        "B": _Field(*_POSITIVE_INT),
+        "lambda_override": _Field(*_FRACTION, null=True),
+    }, null=True),
+    "algorithm": _Field(*_OBJECT, {
+        "kind": _Field(*_one_of(algorithms.ALGORITHM_KINDS), required=True),
+        "step": _Field(*_OBJECT, {  # alpha_t = c / t^p
+            "c": _Field(*_POSITIVE, required=True),
+            "p": _Field(lambda value: _is_number(value) and value >= 0, "a non-negative number"),
+        }, null=True),
+        "delta": _Field(*_POSITIVE, null=True),
+        "line_search": _Field(*_one_of(algorithms.LINE_SEARCH_MODES)),
+        "alpha0": _Field(*_FRACTION, null=True),
+        "clamp_to_feasible": _Field(*_BOOL),
+    }, null=True),
+    "rho": _Field(*_NUMBERS),
+    "seeds": _Field(_list_of(_COUNT[0]), "a list of non-negative integers"),
+    "bounds": _Field(*_BOOL),
+    "out": _Field(*_STRING, null=True),
+}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -318,6 +357,8 @@ def parse_config(path) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: the config is not a JSON object")
     return ExperimentConfig.from_dict(raw)
 
 
@@ -340,53 +381,40 @@ def _tracking_base() -> dict:
         },
         "rho": [0.9875],
         "bounds": True,
+        "seeds": [0],
     }
 
 
 def _preset_alg1() -> dict:
-    cfg = _tracking_base()
-    cfg["name"] = "paper-tracking-alg1"
-    cfg["algorithm"] = {
-        "kind": "gradient_free",
-        "step": {"c": 2.0, "p": 0.5},
-        "delta": 0.01,
+    return _tracking_base() | {
+        "name": "paper-tracking-alg1",
+        "algorithm": {"kind": "gradient_free", "step": {"c": 2.0, "p": 0.5}, "delta": 0.01},
+        "seeds": list(range(20)),
     }
-    cfg["seeds"] = list(range(20))
-    return cfg
 
 
 def _preset_alg2() -> dict:
-    cfg = _tracking_base()
-    cfg["name"] = "paper-tracking-alg2"
-    cfg["algorithm"] = {
-        "kind": "projection_free",
-        "line_search": "fixed_alpha0",
-        "alpha0": 0.002,
+    return _tracking_base() | {
+        "name": "paper-tracking-alg2",
+        "algorithm": {"kind": "projection_free", "line_search": "fixed_alpha0", "alpha0": 0.002},
     }
-    cfg["seeds"] = [0]
-    return cfg
 
 
 def _preset_alg2_linesearch() -> dict:
-    cfg = _tracking_base()
-    cfg["name"] = "paper-tracking-alg2-linesearch"
-    cfg["algorithm"] = {
-        "kind": "projection_free",
-        "line_search": "exact_1d",
-        "alpha0": 0.002,  # used only by the bound evaluator
+    return _tracking_base() | {
+        "name": "paper-tracking-alg2-linesearch",
+        # alpha0 is used only by the bound evaluator
+        "algorithm": {"kind": "projection_free", "line_search": "exact_1d", "alpha0": 0.002},
     }
-    cfg["seeds"] = [0]
-    return cfg
 
 
 def _preset_dogd() -> dict:
-    cfg = _tracking_base()
-    cfg["name"] = "paper-tracking-dogd"
-    cfg["algorithm"] = {"kind": "projected_gd", "step": {"c": 2.0, "p": 1.0}}
-    cfg["rho"] = [0.96, 0.97, 0.98]
-    cfg["bounds"] = False
-    cfg["seeds"] = [0]
-    return cfg
+    return _tracking_base() | {
+        "name": "paper-tracking-dogd",
+        "algorithm": {"kind": "projected_gd", "step": {"c": 2.0, "p": 1.0}},
+        "rho": [0.96, 0.97, 0.98],
+        "bounds": False,
+    }
 
 
 def _preset_remark1() -> dict:
@@ -469,24 +497,16 @@ def _median(values) -> float | None:
 
 
 def _aggregate(per_seed: list[dict], rhos: list[float]) -> dict:
-    agg = {}
-    for key in (
-        "consensus_time",
-        "tracking_time",
-        "first_tracking_time",
-    ):
-        agg[f"median_{key}"] = _median([e[key] for e in per_seed])
+    agg = {
+        f"median_{key}": _median([e[key] for e in per_seed])
+        for key in ("consensus_time", "tracking_time", "first_tracking_time")
+    }
+    keys = [repr(float(rho)) for rho in rhos]
     agg["mean_final_dffr"] = {
-        repr(float(rho)): float(
-            np.mean([e["final_dffr"][repr(float(rho))] for e in per_seed])
-        )
-        for rho in rhos
+        k: float(np.mean([e["final_dffr"][k] for e in per_seed])) for k in keys
     }
     agg["median_regret_first_below"] = {
-        repr(float(rho)): _median(
-            [e["regret_first_below"][repr(float(rho))] for e in per_seed]
-        )
-        for rho in rhos
+        k: _median([e["regret_first_below"][k] for e in per_seed]) for k in keys
     }
     return agg
 
@@ -641,13 +661,14 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
     return [csv_path, meta_path]
 
 
-# Sidecar fields read_trace needs to rebuild a trace, each with its type test
-# and what the test asks for (None: any value).
-_COUNT = (_is_count, "a non-negative integer")
-_NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers")
+# Every sidecar field; read_trace checks the schema version before this table.
 _SIDECAR_FIELDS = {
-    "algorithm": None, "seed": None, "T": _COUNT, "n": _COUNT, "d": _COUNT,
-    "rhos": _NUMBERS, "columns": None, "final_eps_norm": _NUMBERS,
+    "schema_version": _Field(*_ANY), "artifact_version": _Field(*_ANY), "created": _Field(*_ANY),
+    "config": _Field(*_ANY), "algorithm": _Field(*_ANY, required=True),
+    "seed": _Field(*_ANY, required=True), "T": _Field(*_POSITIVE_INT, required=True),
+    "n": _Field(*_POSITIVE_INT, required=True), "d": _Field(*_COUNT, required=True),
+    "rhos": _Field(*_NUMBERS, required=True), "final_eps_norm": _Field(*_NUMBERS, required=True),
+    "columns": _Field(_list_of(_STRING[0]), "a list of strings", required=True),
 }
 
 
@@ -666,17 +687,10 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
         raise MalformedTrace(f"{meta_path}: line {exc.lineno}: {exc.msg}") from None
     if not isinstance(meta, dict):
         raise MalformedTrace(f"{meta_path}: the sidecar is not a JSON object")
-    if meta.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"trace schema {meta.get('schema_version')} != {SCHEMA_VERSION}"
-        )
-    missing = [key for key in _SIDECAR_FIELDS if key not in meta]
-    if missing:
-        raise MalformedTrace(f"{meta_path}: the sidecar lacks {', '.join(missing)}")
+    if (version := meta.get("schema_version")) != SCHEMA_VERSION:
+        raise SchemaVersionMismatch(f"trace schema {version} != {SCHEMA_VERSION}")
     with csv_path.open() as fh:
         header = next(csv.reader([fh.readline()]), [])
-        if header != meta["columns"]:
-            raise SchemaVersionMismatch("trace columns do not match the sidecar")
         _check_sidecar_fields(meta_path, meta, header)
         try:
             with warnings.catch_warnings():
@@ -710,26 +724,24 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
 
 
 def _check_sidecar_fields(meta_path: Path, meta: dict, header: list[str]) -> None:
-    """Raise MalformedTrace naming a sidecar field of the wrong type or at odds with the header."""
-    for key, check in _SIDECAR_FIELDS.items():
-        if check and not check[0](meta[key]):
-            raise MalformedTrace(
-                f"{meta_path}: sidecar field {key!r} must be {check[1]}, got {meta[key]!r}"
-            )
+    """Raise MalformedTrace naming a sidecar field that is missing, wrong or at odds."""
+    _check_fields(meta, _SIDECAR_FIELDS, MalformedTrace, f"{meta_path}: sidecar field")
     if len(meta["final_eps_norm"]) != meta["n"]:
         raise MalformedTrace(
             f"{meta_path}: sidecar field 'final_eps_norm' has "
             f"{len(meta['final_eps_norm'])} entries, n is {meta['n']}"
         )
-    # The header must be trace_columns(d, rhos); a huge d fails on the width alone.
+    # The header and the sidecar's columns must both be trace_columns(d, rhos); a
+    # huge d fails on the header's width alone.
     d, rhos = meta["d"], meta["rhos"]
     width = len(trace_columns(0, rhos)) + d * sum(per_coordinate for *_, per_coordinate in _LAYOUT)
     implied = f"{meta_path}: sidecar fields 'd' and 'rhos' imply"
     if width != len(header):
         raise MalformedTrace(f"{implied} {width} columns, the header has {len(header)}")
-    for want, got in zip(trace_columns(d, rhos), header):
-        if want != got:
-            raise MalformedTrace(f"{implied} the column {want}, the header has {got}")
+    for where, names in (("the header", header), ("sidecar field 'columns'", meta["columns"])):
+        for want, got in zip_longest(trace_columns(d, rhos), names, fillvalue="none"):
+            if want != got:
+                raise MalformedTrace(f"{implied} the column {want}, {where} has {got}")
 
 
 def _check_rows(csv_path: Path, header: list[str], body: np.ndarray, d: int) -> None:
@@ -794,38 +806,32 @@ def recompute_metrics(trace_path, rhos: list[float]) -> dict:
 
 # --- parameter sweeps ------------------------------------------------------------
 
-SWEEP_PARAMETERS = ("rho", "delta", "alpha0", "alpha_schedule_scale", "omega")
+# Each sweep parameter and the config field it sets.  The "[]" marks a list
+# field, which the sweep sets to the one-element list [value].
+SWEEP_PARAMETERS = {
+    "rho": "rho[]",
+    "delta": "algorithm.delta",
+    "alpha0": "algorithm.alpha0",
+    "alpha_schedule_scale": "algorithm.step.c",
+    "omega": "topology.params.weight",
+}
 
 
 def _with_value(cfg: ExperimentConfig, parameter: str, value: float) -> ExperimentConfig:
+    """``cfg`` with the field that ``parameter`` sets at ``value``; the config must set it."""
     raw = cfg.to_dict()
-    algo = raw.get("algorithm") or {}
-    if parameter == "rho":
-        raw["rho"] = [float(value)]
-    elif parameter == "delta":
-        if algo.get("kind") != "gradient_free":
-            raise ConstraintViolation("delta sweep applies to gradient_free only")
-        algo["delta"] = float(value)
-    elif parameter == "alpha0":
-        if algo.get("kind") != "projection_free":
-            raise ConstraintViolation("alpha0 sweep applies to projection_free only")
-        algo["alpha0"] = float(value)
-    elif parameter == "alpha_schedule_scale":
-        if "step" not in algo:
-            raise ConstraintViolation("schedule-scale sweep needs a step schedule")
-        algo["step"]["c"] = float(value)
-    elif parameter == "omega":
-        topo = raw["topology"]
-        if topo.get("generator") == "paper4":
-            topo["generator"] = "ring"
-            topo["params"] = {"n": 4, "weight": float(value)}
-        elif topo.get("generator") == "ring":
-            topo.setdefault("params", {})["weight"] = float(value)
-        else:
-            raise ConstraintViolation(
-                "omega sweep needs a 'paper4' or 'ring' generator topology"
-            )
-        topo["lambda_override"] = None
+    if parameter == "omega" and (topo := raw["topology"]) is not None:
+        topo["lambda_override"] = None  # it was calibrated for the matrix the sweep replaces
+        if topo["generator"] == "paper4":  # the 4-agent ring with edge weight 0.22
+            topo.update(generator="ring", params={"n": 4, "weight": 0.22})
+    field_path = SWEEP_PARAMETERS[parameter]
+    *sections, key = field_path.removesuffix("[]").split(".")
+    owner = raw
+    for name in sections:
+        owner = owner.get(name) or {}
+    if key not in owner:
+        raise ConstraintViolation(f"the {parameter} sweep sets {field_path}; this config lacks it")
+    owner[key] = [float(value)] if field_path.endswith("[]") else float(value)
     raw["name"] = f"{cfg.name}-{parameter}{value}"
     return ExperimentConfig.from_dict(raw)
 
@@ -834,7 +840,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, values, out_dir=None) -> list[d
     """One run batch per value; returns one summary row per value."""
     if parameter not in SWEEP_PARAMETERS:
         raise UnknownParameter(
-            f"unknown sweep parameter {parameter!r}; known: {SWEEP_PARAMETERS}"
+            f"unknown sweep parameter {parameter!r}; known: {', '.join(SWEEP_PARAMETERS)}"
         )
     values = list(values)
     if not values:
@@ -844,16 +850,10 @@ def sweep(cfg: ExperimentConfig, parameter: str, values, out_dir=None) -> list[d
     for value in values:
         sub = _with_value(cfg, parameter, value)
         summary = run_experiment(sub, out_dir=out_dir)
-        agg = summary["aggregate"]
         first_rho = repr(float(sub.rho[0])) if sub.rho else None
-        rows.append(
-            {
-                "value": float(value),
-                "median_consensus_time": agg["median_consensus_time"],
-                "median_tracking_time": agg["median_tracking_time"],
-                "median_first_tracking_time": agg["median_first_tracking_time"],
-                "mean_final_dffr": agg["mean_final_dffr"].get(first_rho),
-                "median_regret_first_below": agg["median_regret_first_below"].get(first_rho),
-            }
-        )
+        # the aggregate, with each per-rho entry taken at the first rho
+        rows.append({"value": float(value)} | {
+            key: entry.get(first_rho) if isinstance(entry, dict) else entry
+            for key, entry in summary["aggregate"].items()
+        })
     return rows

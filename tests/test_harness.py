@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -13,8 +14,10 @@ from dffr.errors import (
     UnknownParameter,
 )
 from dffr.harness import ExperimentConfig
+from dffr.network import MixingConstants, ring_matrix
 from dffr.objectives import ObjectiveStream
 from dffr.trace import Trace
+from test_golden_traces import GOLDEN
 
 
 def small_alg2_config(horizon=40, **overrides) -> ExperimentConfig:
@@ -26,10 +29,13 @@ def small_alg2_config(horizon=40, **overrides) -> ExperimentConfig:
 
 
 def _set_field(raw: dict, key: str, value) -> None:
-    """Set a config field given by its dotted path, e.g. 'problem.horizon'."""
+    """Set a config field given by its dotted path, e.g. 'problem.horizon'.
+
+    A section on the path that the config leaves out is added.
+    """
     *sections, name = key.split(".")
     for part in sections:
-        raw = raw[part]
+        raw = raw.setdefault(part, {})
     raw[name] = value
 
 
@@ -121,11 +127,34 @@ class TestConfigValidation:
             ("topology.B", 1.5),
             ("topology.B", 0),
             ("topology.B", True),
+            ("algorithm.step", "x"),
+            ("algorithm.alpha0", "0.002"),
+            ("algorithm.delta", "0.01"),
+            ("problem.scales", "x"),
+            ("topology", {"generator": "paper4", "params": {"n": 4}}),
+            ("topology", {"generator": "ring"}),
+            ("topology.params.n", "4"),
+            ("topology.params", [4, 0.22]),
+            ("topology.matrix", [[0.5, 0.5], [0.5]]),
+            ("topology.generator", "torus"),
+            ("problem.target", [1, "x"]),
+            ("algorithm.clamp_to_feasible", "no"),
+            ("algorithm.step.c", "2"),
+            ("topology.lambda_override", "0.9"),
+            ("topology.lambda_override", -1.0),
+            ("algorithm.alhpa0", 0.002),
+            ("colour", "red"),
+            ("name", 5),
+            ("out", 5),
         ],
         ids=["seeds-str", "seeds-int", "seed-float", "seed-negative", "seed-bool",
              "seed-str", "bounds-str", "bounds-int", "bounds-null", "horizon-str",
              "horizon-float", "horizon-bool", "rho-str", "rho-number", "box-off-origin",
-             "box-no-upper", "box-str", "B-str", "B-float", "B-zero", "B-bool"],
+             "box-no-upper", "box-str", "B-str", "B-float", "B-zero", "B-bool",
+             "step-str", "alpha0-str", "delta-str", "scales-str", "params-not-taken",
+             "ring-no-params", "params-n-str", "params-list", "matrix-ragged",
+             "generator-unknown", "target-pair-str", "clamp-str", "step-c-str", "lambda-str",
+             "lambda-negative", "key-misspelt", "key-unknown", "name-int", "out-int"],
     )
     def test_bad_seeds_or_bounds_name_the_field(self, key, value):
         raw = harness.preset("paper-tracking-alg2").to_dict()
@@ -174,6 +203,22 @@ class TestRunExperiment:
         rows = csv_path.read_text().strip().splitlines()
         assert len(rows) == 1 + 40 * 4  # header + T*n
         assert summary["per_seed"][0]["final_dffr"]["0.9875"] > 0
+
+    def test_projection_free_bound_curve(self, paper_stream, paper_mc):
+        summary = harness.run_experiment(harness.preset("paper-tracking-alg2"))
+        (trace,) = summary["traces"]
+        mc = MixingConstants(gamma=paper_mc.gamma, lam=0.98625)
+        inputs = metrics.BoundInputs.from_traces([trace], paper_stream, mc, 0.9875)
+        curve = summary["bounds"]["0.9875"]
+        assert curve["bound"] == list(metrics.projection_free_regret_bound(inputs, 0.002))
+        assert curve["mean_dffr"] == list(metrics.dffr_series(trace, 0.9875))
+
+    def test_matrix_topology_runs_as_its_generator(self, tmp_path):
+        raw = harness.preset("paper-tracking-alg2").to_dict()
+        raw["topology"].update(generator=None, matrix=ring_matrix(4, 0.22).tolist())
+        harness.run_experiment(ExperimentConfig.from_dict(raw), out_dir=tmp_path)
+        body = (tmp_path / "paper-tracking-alg2-seed0.csv").read_bytes()
+        assert hashlib.sha256(body).hexdigest() == GOLDEN["paper-tracking-alg2"][0]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_alg2_config()
@@ -332,16 +377,17 @@ class TestRunExperiment:
         meta = json.loads(meta_path.read_text())
         del meta[key]
         meta_path.write_text(json.dumps(meta))
-        with pytest.raises(MalformedTrace, match=f"seed0.meta.json: the sidecar lacks {key}$"):
+        message = f"seed0.meta.json: sidecar field '{key}' is missing$"
+        with pytest.raises(MalformedTrace, match=message):
             harness.recompute_metrics(tmp_path / "paper-tracking-alg2-seed0", [0.9875])
 
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("T", "20", "sidecar field 'T' must be a non-negative integer, got '20'"),
-            ("T", 20.5, "sidecar field 'T' must be a non-negative integer, got 20.5"),
-            ("T", True, "sidecar field 'T' must be a non-negative integer, got True"),
-            ("n", None, "sidecar field 'n' must be a non-negative integer, got None"),
+            ("T", "20", "sidecar field 'T' must be a positive integer, got '20'"),
+            ("T", 20.5, "sidecar field 'T' must be a positive integer, got 20.5"),
+            ("T", True, "sidecar field 'T' must be a positive integer, got True"),
+            ("n", None, "sidecar field 'n' must be a positive integer, got None"),
             ("d", -1, "sidecar field 'd' must be a non-negative integer, got -1"),
             ("rhos", 0.9875, "sidecar field 'rhos' must be a list of numbers, got 0.9875"),
             ("rhos", [True], "sidecar field 'rhos' must be a list of numbers, got \\[True\\]"),
@@ -351,9 +397,12 @@ class TestRunExperiment:
             ("d", 10**9, "sidecar fields 'd' and 'rhos' imply 3000000009 columns, the header has 12$"),
             ("rhos", [0.5], "sidecar fields 'd' and 'rhos' imply the column dffr_0.5, "
              "the header has dffr_0.9875$"),
+            ("columns", harness.trace_columns(1, [0.9875])[:-1], "sidecar fields 'd' and 'rhos' "
+             "imply the column dffr_0.9875, sidecar field 'columns' has none$"),
         ],
         ids=["T-str", "T-float", "T-bool", "n-null", "d-negative", "rhos-number",
-             "rhos-bool", "eps-str", "eps-length", "d-columns", "d-huge", "rhos-columns"],
+             "rhos-bool", "eps-str", "eps-length", "d-columns", "d-huge", "rhos-columns",
+             "columns-differ"],
     )
     def test_bad_sidecar_field_names_file_and_field(self, tmp_path, key, value, message):
         harness.run_experiment(small_alg2_config(), out_dir=tmp_path)
@@ -363,6 +412,19 @@ class TestRunExperiment:
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(MalformedTrace, match=f"seed0.meta.json: {message}"):
             harness.recompute_metrics(tmp_path / "paper-tracking-alg2-seed0", [0.9875])
+
+    @pytest.mark.parametrize("key", ["T", "n"], ids=["T-zero", "n-zero"])
+    def test_empty_trace_names_the_field(self, tmp_path, key):
+        # A sidecar of no rounds (or no agents) over a header-only body.
+        harness.write_trace(Trace.from_gap_sequence([1.0, 1.0]), [0.5], tmp_path / "hand")
+        meta_path, csv_path = tmp_path / "hand.meta.json", tmp_path / "hand.csv"
+        meta = json.loads(meta_path.read_text())
+        meta[key] = 0
+        meta_path.write_text(json.dumps(meta))
+        csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
+        message = f"hand.meta.json: sidecar field '{key}' must be a positive integer, got 0$"
+        with pytest.raises(MalformedTrace, match=message):
+            harness.recompute_metrics(tmp_path / "hand", [0.5])
 
     def test_remark1_synthetic_run(self):
         summary = harness.run_experiment(harness.preset("remark1-synthetic"))
@@ -409,6 +471,25 @@ class TestSweep:
         cfg = small_alg2_config()
         with pytest.raises(UnknownParameter):
             harness.sweep(cfg, "temperature", [1.0])
+
+    def test_unknown_parameter_lists_the_names(self):
+        known = "rho, delta, alpha0, alpha_schedule_scale, omega"
+        with pytest.raises(UnknownParameter, match=f"known: {known}$"):
+            harness.sweep(small_alg2_config(), "temperature", [1.0])
+
+    @pytest.mark.parametrize(
+        "name, parameter, field",
+        [
+            ("paper-tracking-dogd", "alpha0", "algorithm.alpha0"),
+            ("paper-tracking-alg1", "alpha0", "algorithm.alpha0"),
+            ("paper-tracking-alg2", "alpha_schedule_scale", "algorithm.step.c"),
+            ("remark1-synthetic", "delta", "algorithm.delta"),
+            ("remark1-synthetic", "omega", "topology.params.weight"),
+        ],
+    )
+    def test_sweep_of_a_field_the_config_leaves_out(self, name, parameter, field):
+        with pytest.raises(ConstraintViolation, match=f"sets {field}; this config lacks it$"):
+            harness.sweep(harness.preset(name), parameter, [0.5])
 
     def test_rho_sweep_rows(self):
         raw = harness.preset("paper-tracking-dogd").to_dict()
@@ -493,6 +574,16 @@ class TestCli:
         assert cli.main([command, "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and message in err
+
+    def test_run_and_sweep_share_the_config_options(self, capsys):
+        for command in ("run", "sweep"):
+            with pytest.raises(SystemExit):
+                cli.main([command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            for option in ("--config", "--preset", "--seed SEED", "--seeds", "--out"):
+                assert option in text, (command, option)
+            assert "--seeds SEEDS seed list" in text
+        assert "one of rho, delta, alpha0, alpha_schedule_scale, omega" in text
 
     def test_error_exit_code(self, capsys):
         assert cli.main(["run", "--preset", "nope"]) == 1
