@@ -23,8 +23,7 @@ def csv_digests(cfg: harness.ExperimentConfig) -> list[tuple[int, str]]:
     """(seed, SHA-256 of the CSV body) for every configured seed."""
     out = []
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in cfg.seeds:
-            trace = harness.run_single(cfg, seed)
+        for seed, trace in zip(cfg.seeds, harness.run_seeds(cfg)):
             csv_path, _ = harness.write_trace(trace, cfg.rho, Path(tmp) / f"seed{seed}")
             out.append((seed, hashlib.sha256(csv_path.read_bytes()).hexdigest()))
     return out

@@ -19,16 +19,29 @@ boundary is a hard barrier.  Each step therefore updates all agents with
 array operations (``network.gossip_average``, the stream's batched evaluators,
 the set's ``project``) and refuses a non-finite update or an out-of-box query
 by naming the round and the agent.
+
+Seeds only change the sphere draws, so the engine advances every seed of a
+config in one round loop over (S, n, d) state; the steps take such stacks as
+they take one (n, d) state.  The loop keeps only what the recurrence needs
+(the decisions, the gossip points and the own losses); the columns a trace
+merely records are computed from the history after the loop.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import network
-from .errors import DimensionMismatch, EvaluationOutsideBaseSet, NonFiniteInput, OutOfFeasibleSet
+from .errors import (
+    DffrError,
+    DimensionMismatch,
+    EvaluationOutsideBaseSet,
+    NonFiniteInput,
+    OutOfFeasibleSet,
+)
 from .geometry import BoxSet, ShrunkSet, ball_batch, lmo, sphere_batch
 from .objectives import ObjectiveStream
 from .trace import Trace
@@ -139,32 +152,52 @@ def smoothed_value(
     rng: np.random.Generator,
     mc_samples: int,
 ) -> SmoothedValue:
-    """Monte Carlo estimate of the delta-smoothed loss: mean of f(x + delta*v) over ball draws."""
+    """Monte Carlo estimate of the delta-smoothed loss: mean of f(x + delta*v) over ball draws.
+
+    Every draw is evaluated in one ``values`` call, as if every agent stood at
+    it; agent i's column is kept.  (A stream without a closed form therefore
+    evaluates all n agents at each draw.)
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     shrunk = ShrunkSet(stream.box, delta)
     if not shrunk.contains(x):
         raise OutOfFeasibleSet("smoothing point must lie in the shrunk set")
-    draws = ball_batch(rng, mc_samples, stream.d)
-    vals = np.array(
-        [stream.value(i, t, x + delta * v, check=False) for v in draws]
-    )
+    points = x + delta * ball_batch(rng, mc_samples, stream.d)
+    shared = np.broadcast_to(points[:, None, :], (mc_samples, stream.n, stream.d))
+    vals = stream.values(t, shared)[:, i]
     return SmoothedValue(
         value=float(vals.mean()),
         stderr=float(vals.std(ddof=1) / np.sqrt(mc_samples)) if mc_samples > 1 else np.inf,
     )
 
 
-def _first_failing_agent(ok: np.ndarray) -> int | None:
-    """First agent (row) with a False entry in an (n, d) mask, or None."""
+def _first_failing_row(ok: np.ndarray) -> tuple | None:
+    """Index (..., agent) of the first row with a False entry in a (..., n, d) mask, or None."""
     if ok.all():
         return None
-    return int(np.argmin(ok.all(axis=1)))
+    rows = ok.all(axis=-1)
+    return tuple(int(k) for k in np.unravel_index(np.argmin(rows), rows.shape))
+
+
+def _first_outside(set_, points: np.ndarray) -> tuple | None:
+    """Index (..., agent) of the first point more than 1e-9 outside the box, or None."""
+    return _first_failing_row((points >= set_.lower - 1e-9) & (points <= set_.upper + 1e-9))
+
+
+def _refusal(error: type, t: int, where: tuple, what: str) -> DffrError:
+    """``error`` naming the round and the agent of a (..., agent) index.
+
+    The leading index is kept as ``batch_index``; ``run`` names its seed.
+    """
+    exc = error(f"round {t}: agent {where[-1]} {what}")
+    exc.batch_index = where[:-1]
+    return exc
 
 
 def _require_finite(rows: np.ndarray, t: int, what: str) -> np.ndarray:
-    i = _first_failing_agent(np.isfinite(rows))
-    if i is not None:
-        raise NonFiniteInput(f"round {t}: agent {i} {what} {rows[i]} is not finite")
+    where = _first_failing_row(np.isfinite(rows))
+    if where is not None:
+        raise _refusal(NonFiniteInput, t, where, f"{what} {rows[where]} is not finite")
     return rows
 
 
@@ -183,17 +216,15 @@ def gradient_free_step(stream, shrunk: ShrunkSet, t: int, x, z, fx, alpha_t: flo
     ``fx`` holds the agents' own losses at their decisions ``x`` and ``u``
     their sphere draws of the round.  Per agent the estimate is
     ``gradient_estimate``: only zeroth-order queries.  Returns the new
-    decisions and the (n, d) gradient estimates.
+    decisions and the (..., n, d) gradient estimates.
     """
     delta = shrunk.delta
     probe = x + delta * u
-    box = stream.box
-    i = _first_failing_agent((probe >= box.lower - 1e-9) & (probe <= box.upper + 1e-9))
-    if i is not None:
-        raise EvaluationOutsideBaseSet(
-            f"round {t}: agent {i} perturbed query {probe[i]} outside the box"
-        )
-    g = ((stream.d / delta) * (stream.values(t, probe) - fx))[:, None] * u
+    where = _first_outside(stream.box, probe)
+    if where is not None:
+        what = f"perturbed query {probe[where]} outside the box"
+        raise _refusal(EvaluationOutsideBaseSet, t, where, what)
+    g = ((stream.d / delta) * (stream.values(t, probe) - fx))[..., None] * u
     return _projected(shrunk, z - alpha_t * g, t), g
 
 
@@ -207,10 +238,10 @@ def projection_free_step(stream, box: BoxSet, t: int, x, z, line_search, alpha0,
     if line_search == "fixed_alpha0":
         x_new = z + alpha0 * h
     else:
-        x_new = z + stream.line_search_coefficients(t, z, h)[:, None] * h
+        x_new = z + stream.line_search_coefficients(t, z, h)[..., None] * h
     if clamp_to_feasible:
         return _projected(box, x_new, t)
-    return _require_finite(x_new, t, "step")
+    return _require_finite(x_new, t, "update")
 
 
 def projected_gradient_step(stream, box: BoxSet, t: int, x, z, alpha_t: float):
@@ -218,45 +249,67 @@ def projected_gradient_step(stream, box: BoxSet, t: int, x, z, alpha_t: float):
     return _projected(box, z - alpha_t * stream.gradients(t, x), t)
 
 
+# Elements of the (seeds, rounds, agents, agents, d) residual that the
+# after-loop ``loss_global`` evaluates at once: 512 KiB of float64.  Smaller
+# chunks slowed the n = 32, d = 10 run; much larger ones did too.
+RESIDUAL_CHUNK = 1 << 16
+
+
 def run(
     stream: ObjectiveStream,
     wm,
     cfg: AlgorithmConfig,
     T: int,
+    seeds=None,
     x0: np.ndarray | None = None,
     config_snapshot: dict | None = None,
-) -> Trace:
-    """Advance all agents through rounds 1..T and record a complete trace.
+) -> list[Trace]:
+    """Advance all agents of every seed through rounds 1..T; one trace per seed.
 
-    The feasible set is the stream's box, shrunk by delta for the
-    gradient-free rule.  Each round records the state, gossips z = W x and
-    applies the rule's hook (t, x, z, own losses) -> (x_new, g or None).
-    Rounds are recorded before their update (decision-then-reveal order), so
-    the final update contributes only the epilogue consensus errors.
-    Identical (config, seed) pairs produce bit-identical traces.
+    ``seeds`` defaults to ``[cfg.seed]``.  Each seed draws from its own agent
+    generators, and all seeds advance in one round loop over (S, n, d) state,
+    so a seed's trace has the bits of its run alone.  ``x0`` is the n·d
+    start of every seed or an (S, n, d) stack; by default every agent starts
+    at the projection of the origin.  The feasible set is the stream's box,
+    shrunk by delta for the gradient-free rule.
+
+    Each round records the state, gossips z = W x and applies the rule's hook
+    (t, x, z, own losses) -> (x_new, g or None).  Rounds are recorded before
+    their update (decision-then-reveal order), so the final update
+    contributes only the epilogue consensus errors.  The consensus errors,
+    estimator norms and average losses are computed from the history after
+    the loop, in round chunks whose average-loss residual has at most
+    ``RESIDUAL_CHUNK`` elements.  A refusal names the seed, the round and
+    the agent.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
     if wm.n != stream.n:
         raise DimensionMismatch(f"network has {wm.n} agents, stream has {stream.n}")
-    n, d = stream.n, stream.d
+    seeds = [cfg.seed] if seeds is None else list(seeds)
+    S, n, d = len(seeds), stream.n, stream.d
     box = stream.box
     feasible = ShrunkSet(box, cfg.delta) if cfg.kind == "gradient_free" else box
 
     if x0 is None:
-        x = np.tile(feasible.project(np.zeros(d)), (n, 1))
+        x = np.tile(feasible.project(np.zeros(d)), (S, n, 1))
     else:
-        x = np.asarray(x0, dtype=float).reshape(n, d).copy()
-        for i in range(n):
-            if not feasible.contains(x[i]):
-                raise OutOfFeasibleSet(f"initial decision of agent {i} is infeasible")
+        x = np.broadcast_to(np.asarray(x0, dtype=float).reshape(-1, n, d), (S, n, d)).copy()
+        where = _first_outside(feasible, x)
+        if where is not None:
+            s, i = where
+            raise OutOfFeasibleSet(
+                f"seed {seeds[s]}, round 1: agent {i} initial decision {x[s, i]} is infeasible"
+            )
     # Before any gossip has happened, z := x so the consensus error starts at zero.
-    z, eps = x, np.zeros(n)
+    z = x
 
     # The hooks name the step functions, so a wrapper rebound over one later
     # (a profiler, a test) still sees every call.
     if cfg.kind == "gradient_free":
-        u = sphere_draws(agent_rngs(cfg.seed, n), T, d)
+        u = np.empty((T, S, n, d))
+        for k, seed in enumerate(seeds):
+            u[:, k] = sphere_draws(agent_rngs(seed, n), T, d)
 
         def step(t, x, z, fx):
             return gradient_free_step(stream, feasible, t, x, z, fx, cfg.step(t), u[t - 1])
@@ -268,47 +321,58 @@ def run(
         def step(t, x, z, fx):
             return projected_gradient_step(stream, box, t, x, z, cfg.step(t)), None
 
-    x_hist = np.empty((T, n, d))
-    z_hist = np.empty((T, n, d))
-    eps_hist = np.empty((T, n))
-    loss_self = np.empty((T, n))
-    loss_global = np.empty((T, n))
-    x_path, f_path = stream.optimum_path(T, box)
-    g_norm = np.zeros((T, n))
+    # Seed-major history: each seed's trace fields are contiguous views.
+    x_hist = np.empty((S, T, n, d))
+    z_hist = np.empty((S, T, n, d))
+    loss_self = np.empty((S, T, n))
+    g_hist = np.zeros((S, T, n, d)) if cfg.kind == "gradient_free" else None
 
     for t in range(1, T + 1):
         row = t - 1
-        x_hist[row] = x
-        z_hist[row] = z
-        eps_hist[row] = eps
-        loss_self[row] = stream.values(t, x)
-        loss_global[row] = stream.average_values(t, x)
+        x_hist[:, row] = x
+        z_hist[:, row] = z
+        loss_self[:, row] = stream.values(t, x)
         z = network.gossip_average(wm, x)
-        x, g = step(t, x, z, loss_self[row])
-        eps = np.linalg.norm(x - z, axis=1)
+        try:
+            x, g = step(t, x, z, loss_self[:, row])
+        except DffrError as exc:
+            if not getattr(exc, "batch_index", None):
+                raise
+            raise type(exc)(f"seed {seeds[exc.batch_index[0]]}, {exc}") from None
         if g is not None:
-            g_norm[row] = np.linalg.norm(g, axis=1)
+            g_hist[:, row] = g
 
-    snapshot = {
-        "algorithm": cfg.kind,
-        "seed": cfg.seed,
-        "n": n,
-        "d": d,
-        "T": T,
-    }
-    if config_snapshot:
-        snapshot.update(config_snapshot)
-    return Trace(
-        algorithm=cfg.kind,
-        seed=cfg.seed,
-        config=snapshot,
-        x=x_hist,
-        z=z_hist,
-        eps_norm=eps_hist,
-        loss_self=loss_self,
-        loss_global=loss_global,
-        x_star=x_path.copy(),
-        f_star=f_path.copy(),
-        g_norm=g_norm,
-        final_eps_norm=eps,
-    )
+    # The recorded-only columns, in round chunks that bound the temporaries.
+    # Row 0 of the consensus errors is x - x = 0.
+    eps_norm = np.empty((S, T, n))
+    loss_global = np.empty((S, T, n))
+    g_norm = np.zeros((S, T, n))
+    rounds = max(1, RESIDUAL_CHUNK // (S * n * n * d))
+    for first in range(0, T, rounds):
+        chunk = slice(first, first + rounds)
+        eps_norm[:, chunk] = np.linalg.norm(x_hist[:, chunk] - z_hist[:, chunk], axis=-1)
+        loss_global[:, chunk] = stream.average_values_over_rounds(first + 1, x_hist[:, chunk])
+        if g_hist is not None:
+            g_norm[:, chunk] = np.linalg.norm(g_hist[:, chunk], axis=-1)
+    final_eps_norm = np.linalg.norm(x - z, axis=-1)
+    x_path, f_path = stream.optimum_path(T, box)
+
+    traces = []
+    for k, seed in enumerate(seeds):
+        snapshot = {"algorithm": cfg.kind, "seed": seed, "n": n, "d": d, "T": T}
+        snapshot.update(copy.deepcopy(config_snapshot or {}))
+        traces.append(Trace(
+            algorithm=cfg.kind,
+            seed=seed,
+            config=snapshot,
+            x=x_hist[k],
+            z=z_hist[k],
+            eps_norm=eps_norm[k],
+            loss_self=loss_self[k],
+            loss_global=loss_global[k],
+            x_star=x_path.copy(),
+            f_star=f_path.copy(),
+            g_norm=g_norm[k],
+            final_eps_norm=final_eps_norm[k],
+        ))
+    return traces

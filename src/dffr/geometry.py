@@ -81,9 +81,9 @@ class BoxSet:
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
     def project(self, y) -> np.ndarray:
-        """Nearest point of the box to a vector, or to each row of an (m, d) array."""
+        """Nearest point of the box to a vector, or to each row of a (..., m, d) array."""
         y = np.asarray(y, dtype=float)
-        if not 1 <= y.ndim <= 2 or y.shape[-1] != self.d:
+        if y.ndim < 1 or y.shape[-1] != self.d:
             raise ValueError(f"points have shape {y.shape}, box has dimension {self.d}")
         if not np.isfinite(y).all():
             raise NonFiniteInput("input contains non-finite entries")
@@ -135,13 +135,13 @@ class ShrunkSet:
 def lmo(box: BoxSet, g) -> np.ndarray:
     """Vertex of the box minimizing the linear form <g, v>.
 
-    An (n, d) array of gradients gives one vertex per row.  Tie-break: a
+    A (..., n, d) array of gradients gives one vertex per row.  Tie-break: a
     zero gradient coordinate selects the lower bound, so the output is
     deterministic.
     """
     g = np.atleast_1d(np.asarray(g, dtype=float))
     _require_finite(g, "gradient")
-    if g.ndim > 2 or g.shape[-1] != box.d:
+    if g.shape[-1] != box.d:
         raise ValueError(f"gradient has shape {g.shape}, box has dimension {box.d}")
     return np.where(g < 0.0, box.upper, box.lower)
 

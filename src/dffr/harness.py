@@ -265,6 +265,11 @@ def _is_number(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
+def _is_seed(value) -> bool:
+    """An int in [0, 2**64); ``algorithms.agent_rngs`` masks a seed to 64 bits."""
+    return _is_int(value) and 0 <= value < 2**64
+
+
 def _list_of(test, least: int = 0):
     """A test for a list of at least ``least`` values that each pass ``test``."""
     return lambda value: isinstance(value, list) and len(value) >= least and all(map(test, value))
@@ -342,7 +347,10 @@ _CONFIG_FIELDS = {
         "clamp_to_feasible": _Field(*_BOOL),
     }, null=True),
     "rho": _Field(*_NUMBERS),
-    "seeds": _Field(_list_of(_COUNT[0]), "a list of non-negative integers"),
+    "seeds": _Field(
+        lambda value: _list_of(_is_seed)(value) and len(set(value)) == len(value),
+        "a list of distinct integers in [0, 2**64)",
+    ),
     "bounds": _Field(*_BOOL),
     "out": _Field(*_STRING, null=True),
 }
@@ -447,18 +455,25 @@ def preset(name: str) -> ExperimentConfig:
 
 # --- execution ----------------------------------------------------------------
 
-def run_single(cfg: ExperimentConfig, seed: int) -> Trace:
-    """One seeded run of the configured experiment."""
+def run_seeds(cfg: ExperimentConfig, seeds=None) -> list[Trace]:
+    """One trace per seed (default: the configured seeds), all seeds run as one batch."""
+    seeds = cfg.seeds if seeds is None else seeds
     if cfg.problem.stream == "remark1":
         gaps = metrics.power_spike_gaps(cfg.problem.horizon)
-        trace = Trace.from_gap_sequence(gaps, algorithm="remark1")
-        trace.config.update(cfg.to_dict())
-        return trace
+        traces = [Trace.from_gap_sequence(gaps, algorithm="remark1") for _ in seeds]
+        for trace in traces:
+            trace.config.update(cfg.to_dict())
+        return traces
     stream, wm = cfg.built()
-    algo = cfg.build_algorithm(seed=seed)
+    algo = cfg.build_algorithm(seed=seeds[0])
     return algorithms.run(
-        stream, wm, algo, T=cfg.problem.horizon, config_snapshot=cfg.to_dict()
+        stream, wm, algo, T=cfg.problem.horizon, seeds=seeds, config_snapshot=cfg.to_dict()
     )
+
+
+def run_single(cfg: ExperimentConfig, seed: int) -> Trace:
+    """One seeded run of the configured experiment: a batch of one."""
+    return run_seeds(cfg, [seed])[0]
 
 
 def _dffr_curves(trace: Trace, rhos: list[float]) -> dict[float, np.ndarray]:
@@ -542,15 +557,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """
     out = Path(out_dir) if out_dir else (Path(cfg.out) if cfg.out else None)
     written: list[Path] = []
-    traces: list[Trace] = []
     curves: list[dict] = []
     per_seed: list[dict] = []
     try:
         if out:
             out.mkdir(parents=True, exist_ok=True)
-        for seed in cfg.seeds:
-            trace = run_single(cfg, seed)
-            traces.append(trace)
+        traces = run_seeds(cfg)
+        for seed, trace in zip(cfg.seeds, traces):
             curves.append(_dffr_curves(trace, cfg.rho))
             per_seed.append(_seed_summary(trace, curves[-1]))
             if out:

@@ -158,14 +158,15 @@ def mixing_bound_check(
 def gossip_average(wm: WeightMatrix, states) -> np.ndarray:
     """One synchronous gossip round: z_i = sum_j w_ij x_j.
 
-    ``states`` is an (n, d) array, or a list of n equal-length vectors.
+    ``states`` is an (n, d) array, a list of n equal-length vectors, or a
+    (..., n, d) stack of such states, each gossiped on its own.
     """
     try:
         x = np.asarray(states, dtype=float)
     except ValueError as exc:
         raise DimensionMismatch("agent states must share one dimension") from exc
-    if x.ndim != 2 or x.shape[0] != wm.n:
-        raise DimensionMismatch(f"states must be ({wm.n}, d), got shape {x.shape}")
+    if x.ndim < 2 or x.shape[-2] != wm.n:
+        raise DimensionMismatch(f"states must be (..., {wm.n}, d), got shape {x.shape}")
     return wm.w @ x
 
 

@@ -14,10 +14,12 @@ lets optimum-path diagnostics look one round past the end of a run.
 
 The round engine reads a stream through its batched evaluators (``values``,
 ``gradients``, ``average_values``, ``line_search_coefficients``), which take
-every agent's point of a round at once.  The base class loops over the scalar
-evaluators, so a stream that only defines ``_value`` and ``_gradient`` works
-unchanged; the quadratic family overrides them with closed forms that give
-the same bits as the scalar loop.
+every agent's point of a round at once, for any number of leading axes
+(one per seed of a batched run), and ``average_values_over_rounds``, which
+adds a rounds axis.  The base class loops over the scalar evaluators, so a
+stream that only defines ``_value`` and ``_gradient`` works unchanged; the
+quadratic family overrides them with closed forms that give the same bits as
+the scalar loop.
 """
 
 from __future__ import annotations
@@ -54,6 +56,14 @@ def _agent_sum(v: np.ndarray, axis: int) -> np.ndarray:
     ``np.sum`` over a contiguous axis sums pairwise, which moves the last bit.
     """
     return np.take(np.cumsum(v, axis=axis), -1, axis=axis)
+
+
+def _per_slice(fn, *arrays) -> np.ndarray:
+    """``fn`` of each (rows, d) slice of equally shaped (..., rows, d) arrays,
+    stacked back on the leading axes."""
+    lead = arrays[0].shape[:-2]
+    out = np.array([fn(*(a[k] for a in arrays)) for k in np.ndindex(lead)], dtype=float)
+    return out.reshape(lead + out.shape[1:])
 
 
 class ObjectiveStream:
@@ -102,39 +112,50 @@ class ObjectiveStream:
         return sum(self.value(i, t, x, check=check) for i in range(self.n)) / self.n
 
     # --- batched evaluators: no membership checks --------------------------
+    # Each takes (..., rows, d) arrays; the base class loops over the leading axes.
 
-    def _points(self, t: int, X, rows: int | None = None) -> np.ndarray:
+    def _points(self, t: int, X, rows: int | None = None, lead: int = 0) -> np.ndarray:
+        """X as floats, checked to be (..., rows, d) with at least ``lead`` leading axes."""
         if t < 1:
             raise IndexOutOfRange(f"round {t} must be >= 1")
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.d or (rows is not None and X.shape[0] != rows):
-            expected = f"({'m' if rows is None else rows}, {self.d})"
+        if X.ndim < 2 + lead or X.shape[-1] != self.d or (rows is not None and X.shape[-2] != rows):
+            expected = f"(..., {'R, ' * lead}{'m' if rows is None else rows}, {self.d})"
             raise ValueError(f"points have shape {X.shape}, expected {expected}")
         return X
 
     def values(self, t: int, X) -> np.ndarray:
-        """Agent i's loss at X[i] for every agent, shape (n,)."""
+        """Agent i's loss at X[..., i, :] for every agent, shape (..., n)."""
         X = self._points(t, X, self.n)
-        return np.array([self.value(i, t, X[i], check=False) for i in range(self.n)])
+        return _per_slice(
+            lambda x: [self.value(i, t, x[i], check=False) for i in range(self.n)], X
+        )
 
     def gradients(self, t: int, X) -> np.ndarray:
-        """Agent i's gradient at X[i] for every agent, shape (n, d)."""
+        """Agent i's gradient at X[..., i, :] for every agent, shape (..., n, d)."""
         X = self._points(t, X, self.n)
-        return np.array(
-            [self.gradient(i, t, X[i], check=False) for i in range(self.n)]
-        ).reshape(self.n, self.d)
+        return _per_slice(
+            lambda x: [self.gradient(i, t, x[i], check=False) for i in range(self.n)], X
+        ).reshape(X.shape)
 
     def average_values(self, t: int, X) -> np.ndarray:
-        """The all-agent average loss at each row of an (m, d) array, shape (m,)."""
+        """The all-agent average loss at each row of an (..., m, d) array, shape (..., m)."""
         X = self._points(t, X)
-        return np.array([self.average_value(t, x, check=False) for x in X])
+        return _per_slice(lambda pts: [self.average_value(t, p, check=False) for p in pts], X)
+
+    def average_values_over_rounds(self, first: int, X) -> np.ndarray:
+        """``average_values`` of a (..., R, m, d) array whose k-th round row is
+        evaluated at round first + k, shape (..., R, m)."""
+        X = self._points(first, X, lead=1)
+        rounds = [self.average_values(first + k, X[..., k, :, :]) for k in range(X.shape[-3])]
+        return np.stack(rounds, axis=-2)
 
     def batch_average_value(self, t: int, points: np.ndarray) -> np.ndarray:
         """Same as ``average_values``."""
         return self.average_values(t, points)
 
     def line_search_coefficients(self, t: int, base, direction) -> np.ndarray:
-        """Exact line search for every agent, shape (n,).
+        """Exact line search for every agent, shape (..., n).
 
         Entry i minimizes alpha -> f_i^t(base[i] + alpha * direction[i]) over
         [0, 1]; it is 0 where direction[i] is the zero vector.  Golden-section
@@ -142,17 +163,21 @@ class ObjectiveStream:
         """
         base = self._points(t, base, self.n)
         direction = self._points(t, direction, self.n)
-        out = np.zeros(self.n)
-        for i in range(self.n):
-            h = direction[i]
-            if float(np.dot(h, h)) != 0.0:
-                out[i] = golden_section(
-                    lambda a: self.value(i, t, base[i] + a * h, check=False),
-                    0.0,
-                    1.0,
-                    tol=LINE_SEARCH_TOL,
-                )
-        return out
+
+        def search(base, direction):
+            out = np.zeros(self.n)
+            for i in range(self.n):
+                h = direction[i]
+                if float(np.dot(h, h)) != 0.0:
+                    out[i] = golden_section(
+                        lambda a: self.value(i, t, base[i] + a * h, check=False),
+                        0.0,
+                        1.0,
+                        tol=LINE_SEARCH_TOL,
+                    )
+            return out
+
+        return _per_slice(search, base, direction)
 
     def optimum_path(self, T: int, set_=None) -> tuple[np.ndarray, np.ndarray]:
         """x*_t, shape (T, d), and f*_t, shape (T,), for rounds 1..T over the set.
@@ -282,10 +307,18 @@ class QuadraticTrackingFamily(ObjectiveStream):
         a = self.scales[:, None]
         return 2.0 * a * (a * X - self.target(t))
 
+    def _average(self, X: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Mean over agents j of ||a_j x - c||^2 at each row x of X, shape X.shape[:-1]."""
+        residual = self.scales[:, None, None] * X[..., None, :, :] - c  # (..., n, m, d)
+        return _agent_sum(_row_dots(residual), axis=-2) / self.n
+
     def average_values(self, t: int, X) -> np.ndarray:
-        X = self._points(t, X)
-        residual = self.scales[:, None, None] * X[None, :, :] - self.target(t)  # (n, m, d)
-        return _agent_sum(_row_dots(residual), axis=0) / self.n
+        return self._average(self._points(t, X), self.target(t))
+
+    def average_values_over_rounds(self, first: int, X) -> np.ndarray:
+        X = self._points(first, X, lead=1)
+        c = self.targets(first + X.shape[-3] - 1)[first - 1:]  # (R, d)
+        return self._average(X, c[:, None, None, :])
 
     batch_average_value = ObjectiveStream.batch_average_value  # traced by name (perfbench/tracer.py)
 
@@ -312,10 +345,8 @@ class QuadraticTrackingFamily(ObjectiveStream):
         return float(np.dot(self.target(t) - a * base, direction)) / denom
 
     def _optimum_rounds(self, first: int, last: int, set_) -> tuple[np.ndarray, np.ndarray]:
-        c = self.targets(last)[first - 1:]
         x_star = set_.project([self.unconstrained_optimum(t) for t in range(first, last + 1)])
-        residual = self.scales[None, :, None] * x_star[:, None, :] - c[:, None, :]  # (rounds, n, d)
-        return x_star, _agent_sum(_row_dots(residual), axis=1) / self.n
+        return x_star, self.average_values_over_rounds(first, x_star[:, None, :])[:, 0]
 
 
 def paper_tracking_stream(horizon: int = 1000) -> QuadraticTrackingFamily:

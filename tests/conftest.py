@@ -32,7 +32,7 @@ def _preset_without_bounds(name: str, **algorithm) -> ExperimentConfig:
 def alg1_traces():
     """The 20-seed gradient-free benchmark runs (shared across acceptance tests)."""
     cfg = _preset_without_bounds("paper-tracking-alg1")
-    return [harness.run_single(cfg, seed) for seed in cfg.seeds]
+    return harness.run_seeds(cfg)
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +44,7 @@ def alg1_constant_step_traces():
     """
     step = {"c": 2.0 / np.sqrt(1000.0), "p": 0.0}
     cfg = _preset_without_bounds("paper-tracking-alg1", step=step)
-    return [harness.run_single(cfg, seed) for seed in cfg.seeds]
+    return harness.run_seeds(cfg)
 
 
 @pytest.fixture(scope="session")

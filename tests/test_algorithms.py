@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dffr import network
+from dffr import algorithms, harness, network
 from dffr.algorithms import (
     AlgorithmConfig,
     StepSchedule,
@@ -25,6 +29,7 @@ from dffr.geometry import BoxSet, ShrunkSet, lmo, sample_unit_sphere
 from dffr.linesearch import golden_section
 from dffr.network import generator_matrix, validate_weight_matrix
 from dffr.objectives import ObjectiveStream, QuadraticTrackingFamily, paper_tracking_stream
+from dffr.trace import Trace
 
 
 class ConstStream(ObjectiveStream):
@@ -242,7 +247,7 @@ class TestProjectionFreeStep:
         )
         wm = validate_weight_matrix([[1.0]])
         cfg = AlgorithmConfig(kind="projection_free", line_search="exact_1d")
-        trace = run(stream, wm, cfg, T=200)
+        [trace] = run(stream, wm, cfg, T=200)
         final_gap = stream.value(0, 200, trace.x[-1, 0], check=False) - 0.0
         assert final_gap <= 1e-6
 
@@ -262,7 +267,7 @@ class TestProjectedGradientStep:
         )
         wm = validate_weight_matrix([[1.0]])
         cfg = AlgorithmConfig(kind="projected_gd", step=StepSchedule(c=0.1), seed=0)
-        trace = run(stream, wm, cfg, T=20)
+        [trace] = run(stream, wm, cfg, T=20)
         x = 0.0
         for t in range(1, 20):
             grad = 2.0 * 2.0 * (2.0 * x - 8.0 / t)
@@ -273,7 +278,7 @@ class TestProjectedGradientStep:
 class TestRunEngine:
     def test_horizon_one_records_initial_state(self, paper_stream, wm4):
         cfg = AlgorithmConfig(kind="projected_gd", step=StepSchedule(c=0.1))
-        trace = run(paper_stream, wm4, cfg, T=1)
+        [trace] = run(paper_stream, wm4, cfg, T=1)
         assert trace.T == 1
         assert trace.x[0] == pytest.approx(np.zeros((4, 1)))
         assert trace.x_star[0] == pytest.approx([10.0])
@@ -282,34 +287,34 @@ class TestRunEngine:
         cfg = AlgorithmConfig(
             kind="gradient_free", step=StepSchedule(c=2.0, p=0.5), delta=0.01, seed=5
         )
-        a = run(paper_stream, wm4, cfg, T=40)
-        b = run(paper_stream, wm4, cfg, T=40)
+        [a] = run(paper_stream, wm4, cfg, T=40)
+        [b] = run(paper_stream, wm4, cfg, T=40)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.g_norm, b.g_norm)
         assert np.array_equal(a.final_eps_norm, b.final_eps_norm)
 
     def test_different_seeds_differ(self, paper_stream, wm4):
         base = dict(kind="gradient_free", step=StepSchedule(c=2.0, p=0.5), delta=0.01)
-        a = run(paper_stream, wm4, AlgorithmConfig(seed=1, **base), T=40)
-        b = run(paper_stream, wm4, AlgorithmConfig(seed=2, **base), T=40)
+        [a] = run(paper_stream, wm4, AlgorithmConfig(seed=1, **base), T=40)
+        [b] = run(paper_stream, wm4, AlgorithmConfig(seed=2, **base), T=40)
         assert not np.array_equal(a.x, b.x)
 
     def test_gradient_free_respects_shrunk_set(self, paper_stream, wm4):
         cfg = AlgorithmConfig(
             kind="gradient_free", step=StepSchedule(c=2.0, p=0.5), delta=0.01, seed=0
         )
-        trace = run(paper_stream, wm4, cfg, T=80)
+        [trace] = run(paper_stream, wm4, cfg, T=80)
         assert np.max(np.abs(trace.x)) <= 9.99 + 1e-12
 
     def test_eps_norm_consistent_with_states(self, paper_stream, wm4):
         cfg = AlgorithmConfig(kind="projected_gd", step=StepSchedule(c=0.05), seed=0)
-        trace = run(paper_stream, wm4, cfg, T=30)
+        [trace] = run(paper_stream, wm4, cfg, T=30)
         derived = np.linalg.norm(trace.x - trace.z, axis=2)
         assert trace.eps_norm == pytest.approx(derived, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["gradient_free", "exact_1d", "projected_gd"])
     def test_records_eps_and_g_norms(self, kind, paper_stream, wm4):
-        trace = run(paper_stream, wm4, RULES[kind], T=30)
+        [trace] = run(paper_stream, wm4, RULES[kind], T=30)
         derived = np.linalg.norm(trace.x[1:] - trace.z[1:], axis=2)
         assert np.array_equal(trace.eps_norm[1:], derived)
         assert np.all(trace.eps_norm[0] == 0.0)
@@ -341,8 +346,8 @@ class TestRunEngine:
             ("projected_gd", dict(step=StepSchedule(c=2.0, p=1.0))),
         ):
             cfg = AlgorithmConfig(kind=kind, seed=0, **extra)
-            a = run(paper_stream, wm4, cfg, T=50)
-            b = run(paper_stream, wm4, cfg, T=50)
+            [a] = run(paper_stream, wm4, cfg, T=50)
+            [b] = run(paper_stream, wm4, cfg, T=50)
             assert np.array_equal(a.x, b.x)
 
 
@@ -548,3 +553,161 @@ class TestSinglePaths:
     def test_unclamped_projection_free_never_projects(self, paper_stream, wm4, monkeypatch):
         monkeypatch.setattr(BoxSet, "project", bypassed)
         run(paper_stream, wm4, RULES["exact_1d"], T=3, x0=np.zeros((4, 1)))
+
+
+class FaultWherePositive(ObjectiveStream):
+    """x^2 losses on [-10, 10], 4 agents, except that agent 2 faults at round 1
+    where its decision is positive: its loss and gradient are NaN ("loss") or
+    its exact line-search coefficient is infinite ("search")."""
+
+    def __init__(self, fault="loss"):
+        super().__init__(4, 1, 10, BoxSet.symmetric(10.0), 20.0, 2.0, 100.0)
+        self.fault = fault
+
+    def _faults(self, i, t, x):
+        return self.fault == "loss" and (i, t) == (2, 1) and x[0] > 0.0
+
+    def _value(self, i, t, x):
+        return float("nan") if self._faults(i, t, x) else float(x[0] ** 2)
+
+    def _gradient(self, i, t, x):
+        return np.array([float("nan")]) if self._faults(i, t, x) else 2.0 * x
+
+    def line_search_coefficients(self, t, base, direction):
+        coeff = super().line_search_coefficients(t, base, direction)
+        if self.fault == "search" and t == 1:
+            coeff[..., 2] = np.where(base[..., 2, 0] > 0.0, np.inf, coeff[..., 2])
+        return coeff
+
+
+class Unshrunk(ShrunkSet):
+    """A broken shrunk set: the probe radius delta, but the base box's bounds."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "lower", self.base.lower)
+        object.__setattr__(self, "upper", self.base.upper)
+
+
+class TestSeedRefusals:
+    """In a batch, a refusal names the seed as well as the round and the agent.
+
+    The non-finite cases start seeds 3 and 5 at -9 and seed 9 at +9, so only
+    the third seed of the batch faults; the other cases move one agent of
+    seed 9 alone.
+    """
+
+    seeds = [3, 5, 9]
+    x0 = np.concatenate([np.full((2, 4, 1), -9.0), np.full((1, 4, 1), 9.0)])
+
+    @pytest.mark.parametrize("kind", ["gradient_free", "projected_gd"])
+    def test_nonfinite_step(self, kind):
+        with pytest.raises(NonFiniteInput, match="^seed 9, round 1: agent 2 step "):
+            run(FaultWherePositive(), network_of(4), RULES[kind], T=4, seeds=self.seeds, x0=self.x0)
+
+    @pytest.mark.parametrize("kind", ["exact_1d", "clamped"])
+    def test_nonfinite_gradient(self, kind):
+        with pytest.raises(NonFiniteInput, match="^seed 9, round 1: agent 2 gradient "):
+            run(FaultWherePositive(), network_of(4), RULES[kind], T=4, seeds=self.seeds, x0=self.x0)
+
+    def test_nonfinite_update(self):
+        stream = FaultWherePositive("search")
+        with pytest.raises(NonFiniteInput, match="^seed 9, round 1: agent 2 update "):
+            run(stream, network_of(4), RULES["exact_1d"], T=4, seeds=self.seeds, x0=self.x0)
+
+    def test_probe_outside_box(self, monkeypatch):
+        # Agent 2 of seed 9 sits on the box face its round-1 draw points out of.
+        u = sphere_draws(agent_rngs(9, 4), 1, 1)[0, 2, 0]
+        x0 = np.zeros((3, 4, 1))
+        x0[2, 2, 0] = 10.0 * np.sign(u)
+        monkeypatch.setattr(algorithms, "ShrunkSet", Unshrunk)
+        with pytest.raises(EvaluationOutsideBaseSet, match="^seed 9, round 1: agent 2 perturbed "):
+            run(FaultWherePositive(), network_of(4), RULES["gradient_free"], T=4,
+                seeds=self.seeds, x0=x0)
+
+    def test_infeasible_start(self):
+        x0 = np.zeros((3, 4, 1))
+        x0[2, 2, 0] = 9.995  # outside the shrunk box [-9.99, 9.99]
+        with pytest.raises(OutOfFeasibleSet, match="^seed 9, round 1: agent 2 initial "):
+            run(FaultWherePositive(), network_of(4), RULES["gradient_free"], T=4,
+                seeds=self.seeds, x0=x0)
+
+
+def network_of(n):
+    return validate_weight_matrix(generator_matrix("ring", n=n, weight=0.3))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_traces(batch, singles):
+    assert len(batch) == len(singles)
+    for got, want in zip(batch, singles):
+        for field in dataclasses.fields(Trace):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert same_bits(a, b), field.name
+            else:
+                assert a == b, field.name
+
+
+# The rules' config sections, for configs built by the batched-engine tests.
+RULE_SECTIONS = {
+    "gradient_free": {"kind": "gradient_free", "step": {"c": 0.05, "p": 0.5}, "delta": 0.01},
+    "exact_1d": {"kind": "projection_free", "line_search": "exact_1d"},
+    "fixed_alpha0": {"kind": "projection_free", "line_search": "fixed_alpha0", "alpha0": 0.05},
+    "clamped": {"kind": "projection_free", "line_search": "exact_1d", "clamp_to_feasible": True},
+    "projected_gd": {"kind": "projected_gd", "step": {"c": 0.02, "p": 0.5}},
+}
+SEED_LISTS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5, unique=True)
+
+
+class TestBatchedEngine:
+    """A batch of seeds gives each seed the bits of its run alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rule=st.sampled_from(sorted(RULE_SECTIONS)),
+        n=st.integers(1, 5),
+        d=st.integers(1, 3),
+        T=st.integers(1, 30),
+        topology=st.sampled_from(["ring", "complete"]),
+        scales=st.lists(st.floats(0.5, 6.0), min_size=5, max_size=5),
+        target=st.tuples(st.floats(-30.0, 30.0), st.sampled_from([0.0, 0.5, 2.0])),
+        seeds=SEED_LISTS,
+    )
+    def test_quadratic_batch_is_each_seed_alone(self, rule, n, d, T, topology, scales, target, seeds):
+        params = {"n": n, "weight": 0.3} if topology == "ring" else {"n": n}
+        cfg = harness.ExperimentConfig.from_dict({
+            "problem": {
+                "stream": "quadratic", "horizon": T, "box": [[-10.0, 10.0]] * d,
+                "scales": scales[:n], "target": list(target),
+            },
+            "topology": {"generator": topology, "params": params},
+            "algorithm": RULE_SECTIONS[rule],
+            "seeds": seeds,
+        })
+        stream, wm = cfg.built()
+        batch = run(stream, wm, cfg.build_algorithm(seed=0), T, seeds=seeds,
+                    config_snapshot=cfg.to_dict())
+        assert_same_traces(batch, [harness.run_single(cfg, seed) for seed in seeds])
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        rule=st.sampled_from(sorted(RULES)),
+        n=st.integers(1, 5),
+        T=st.integers(1, 20),
+        level=st.floats(-50.0, 50.0),
+        seeds=SEED_LISTS,
+    )
+    def test_base_class_batch_is_each_seed_alone(self, rule, n, T, level, seeds):
+        stream, wm = ConstStream(level, n=n), network_of(n)
+        x0 = np.linspace(-9.0, 9.0, n)[:, None]
+        batch = run(stream, wm, RULES[rule], T, seeds=seeds, x0=x0)
+        singles = [
+            run(stream, wm, dataclasses.replace(RULES[rule], seed=seed), T, x0=x0)[0]
+            for seed in seeds
+        ]
+        assert_same_traces(batch, singles)

@@ -104,7 +104,13 @@ class TestProjection:
             projected = set_.project(rows)
             assert np.array_equal(projected, [set_.project(row) for row in rows])
 
-    @pytest.mark.parametrize("y", [1.0, [1.0], [[1.0]], np.zeros((1, 1, 2))])
+    def test_stacks_are_projected_slice_by_slice(self, rng):
+        box = BoxSet(-rng.uniform(0.5, 3.0, 3), rng.uniform(0.5, 3.0, 3))
+        y = rng.uniform(-5.0, 5.0, size=(2, 4, 5, 3))
+        projected = box.project(y)
+        assert np.array_equal(projected, [[box.project(rows) for rows in s] for s in y])
+
+    @pytest.mark.parametrize("y", [1.0, [1.0], [[1.0]], np.zeros((1, 1, 3))])
     def test_wrong_shape_rejected(self, y):
         with pytest.raises(ValueError, match="box has dimension 2"):
             BoxSet.symmetric(1.0, d=2).project(y)
@@ -143,6 +149,8 @@ class TestLmo:
         box = BoxSet(-rng.uniform(0.5, 3.0, 3), rng.uniform(0.5, 3.0, 3))
         g = rng.standard_normal((5, 3))
         assert np.array_equal(lmo(box, g), np.stack([lmo(box, row) for row in g]))
+        stack = rng.standard_normal((2, 5, 3))
+        assert np.array_equal(lmo(box, stack), np.stack([lmo(box, rows) for rows in stack]))
         with pytest.raises(ValueError):
             lmo(box, np.zeros((5, 2)))
 

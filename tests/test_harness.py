@@ -112,6 +112,8 @@ class TestConfigValidation:
             ("seeds", [-1]),
             ("seeds", [True]),
             ("seeds", [0, "1"]),
+            ("seeds", [0, 0]),
+            ("seeds", [0, 2**64]),
             ("bounds", "no"),
             ("bounds", 1),
             ("bounds", None),
@@ -148,7 +150,8 @@ class TestConfigValidation:
             ("out", 5),
         ],
         ids=["seeds-str", "seeds-int", "seed-float", "seed-negative", "seed-bool",
-             "seed-str", "bounds-str", "bounds-int", "bounds-null", "horizon-str",
+             "seed-str", "seeds-repeated", "seed-past-64-bits", "bounds-str", "bounds-int",
+             "bounds-null", "horizon-str",
              "horizon-float", "horizon-bool", "rho-str", "rho-number", "box-off-origin",
              "box-no-upper", "box-str", "B-str", "B-float", "B-zero", "B-bool",
              "step-str", "alpha0-str", "delta-str", "scales-str", "params-not-taken",
@@ -258,14 +261,14 @@ class TestRunExperiment:
         raw = cfg.to_dict()
         raw["seeds"] = [0, 1]
         cfg = ExperimentConfig.from_dict(raw)
-        real = harness.run_single
+        real = harness.write_trace
 
-        def flaky(config, seed):
-            if seed == 1:
+        def flaky(trace, rhos, base):
+            if trace.seed == 1:  # seed 0's files are written by now
                 raise RuntimeError("injected failure")
-            return real(config, seed)
+            return real(trace, rhos, base)
 
-        monkeypatch.setattr(harness, "run_single", flaky)
+        monkeypatch.setattr(harness, "write_trace", flaky)
         with pytest.raises(RuntimeError):
             harness.run_experiment(cfg, out_dir=tmp_path)
         assert list(tmp_path.glob("*.csv")) == []

@@ -119,6 +119,11 @@ class TestGossip:
         )
         assert z == pytest.approx(oracle, abs=1e-15)
 
+    def test_stack_gossips_each_slice(self, paper_wm, rng):
+        stack = rng.uniform(-5.0, 5.0, size=(3, 4, 2))
+        z = gossip_average(paper_wm, stack)
+        assert np.array_equal(z, [gossip_average(paper_wm, states) for states in stack])
+
     def test_dimension_mismatch(self, paper_wm):
         with pytest.raises(DimensionMismatch):
             gossip_average(paper_wm, np.zeros((3, 1)))

@@ -265,6 +265,43 @@ class TestBatchedEvaluators:
         stream, rng = quadratic_case(*case)
         self.check_against_scalar(Opaque(stream), rng)
 
+    @staticmethod
+    def check_leading_axes(stream, rng):
+        """Each evaluator of a (2, 3, rows, d) stack gives the bits of a loop over its slices."""
+        n, d = stream.n, stream.d
+        t = int(rng.integers(1, 80))
+        X = rng.uniform(-25.0, 25.0, size=(2, 3, n, d))
+        H = rng.uniform(-25.0, 25.0, size=(2, 3, n, d))
+        H[1, 2, 0] = 0.0  # a zero direction
+        for got, per_slice in (
+            (stream.values(t, X), [stream.values(t, x) for x in X.reshape(-1, n, d)]),
+            (stream.gradients(t, X), [stream.gradients(t, x) for x in X.reshape(-1, n, d)]),
+            (stream.average_values(t, X), [stream.average_values(t, x) for x in X.reshape(-1, n, d)]),
+            (
+                stream.line_search_coefficients(t, X, H),
+                [stream.line_search_coefficients(t, x, h)
+                 for x, h in zip(X.reshape(-1, n, d), H.reshape(-1, n, d))],
+            ),
+        ):
+            assert got.shape == (2, 3) + per_slice[0].shape
+            assert np.array_equal(got.reshape((6,) + per_slice[0].shape), per_slice)
+        # the middle axis as rounds t, t + 1, t + 2
+        rounds = stream.average_values_over_rounds(t, X)
+        assert rounds.shape == (2, 3, n)
+        for k in range(3):
+            assert np.array_equal(rounds[:, k], stream.average_values(t + k, X[:, k]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(CASES)
+    def test_quadratic_leading_axes_are_slices(self, case):
+        self.check_leading_axes(*quadratic_case(*case))
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.sampled_from([1, 4]), st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
+    def test_base_class_leading_axes_are_slices(self, n, d, seed):
+        stream, rng = quadratic_case(n, d, seed)
+        self.check_leading_axes(Opaque(stream), rng)
+
     @pytest.mark.parametrize("n, d", [(1, 1), (4, 1), (4, 3), (32, 10)])
     def test_line_search_matches_scalar(self, n, d):
         stream, rng = quadratic_case(n, d, 7)
@@ -322,5 +359,7 @@ class TestBatchedEvaluators:
             paper_stream.values(1, np.zeros((3, 1)))
         with pytest.raises(ValueError):
             paper_stream.average_values(1, np.zeros(4))
+        with pytest.raises(ValueError):  # no rounds axis
+            paper_stream.average_values_over_rounds(1, np.zeros((4, 1)))
         with pytest.raises(IndexOutOfRange):
             paper_stream.gradients(0, np.zeros((4, 1)))
