@@ -23,8 +23,9 @@ by naming the round and the agent.
 Seeds only change the sphere draws, so the engine advances every seed of a
 config in one round loop over (S, n, d) state; the steps take such stacks as
 they take one (n, d) state.  The loop keeps only what the recurrence needs
-(the decisions, the gossip points and the own losses); the columns a trace
-merely records are computed from the history after the loop.
+(the decisions, the gossip points and the bandit estimates); the columns a
+trace merely records, the own losses among them, are computed from the
+history after the loop.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ class AlgorithmConfig:
     line_search: str = "fixed_alpha0"
     alpha0: float | None = None
     clamp_to_feasible: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ALGORITHM_KINDS:
@@ -181,7 +181,8 @@ def _first_failing_row(ok: np.ndarray) -> tuple | None:
 
 def _first_outside(set_, points: np.ndarray) -> tuple | None:
     """Index (..., agent) of the first point more than 1e-9 outside the box, or None."""
-    return _first_failing_row((points >= set_.lower - 1e-9) & (points <= set_.upper + 1e-9))
+    lower, upper = set_.padded_bounds
+    return _first_failing_row((points >= lower) & (points <= upper))
 
 
 def _refusal(error: type, t: int, where: tuple, what: str) -> DffrError:
@@ -201,22 +202,22 @@ def _require_finite(rows: np.ndarray, t: int, what: str) -> np.ndarray:
     return rows
 
 
-def _projected(set_, rows: np.ndarray, t: int) -> np.ndarray:
-    """Row-wise projection onto a box; a non-finite step is refused by naming its agent."""
+def _naming_agent(op, rows: np.ndarray, t: int, what: str) -> np.ndarray:
+    """``op(rows)``; when ``op`` refuses a non-finite input, the refusal names its agent."""
     try:
-        return set_.project(rows)
+        return op(rows)
     except NonFiniteInput:
-        _require_finite(rows, t, "step")
+        _require_finite(rows, t, what)
         raise
 
 
-def gradient_free_step(stream, shrunk: ShrunkSet, t: int, x, z, fx, alpha_t: float, u):
+def gradient_free_step(stream, shrunk: ShrunkSet, t: int, x, z, alpha_t: float, u):
     """One bandit-feedback update: estimate, step from z, project onto the shrunk box.
 
-    ``fx`` holds the agents' own losses at their decisions ``x`` and ``u``
-    their sphere draws of the round.  Per agent the estimate is
-    ``gradient_estimate``: only zeroth-order queries.  Returns the new
-    decisions and the (..., n, d) gradient estimates.
+    ``u`` holds the agents' sphere draws of the round.  Per agent the estimate
+    is ``gradient_estimate``: only zeroth-order queries, the own loss at the
+    decision and at its probe, both asked in one ``values`` call.  Returns the
+    new decisions and the (..., n, d) gradient estimates.
     """
     delta = shrunk.delta
     probe = x + delta * u
@@ -224,8 +225,9 @@ def gradient_free_step(stream, shrunk: ShrunkSet, t: int, x, z, fx, alpha_t: flo
     if where is not None:
         what = f"perturbed query {probe[where]} outside the box"
         raise _refusal(EvaluationOutsideBaseSet, t, where, what)
-    g = ((stream.d / delta) * (stream.values(t, probe) - fx))[..., None] * u
-    return _projected(shrunk, z - alpha_t * g, t), g
+    fx, f_probe = stream.values(t, np.stack((x, probe)))
+    g = ((stream.d / delta) * (f_probe - fx))[..., None] * u
+    return _naming_agent(shrunk.project, z - alpha_t * g, t, "step"), g
 
 
 def projection_free_step(stream, box: BoxSet, t: int, x, z, line_search, alpha0, clamp_to_feasible):
@@ -234,19 +236,19 @@ def projection_free_step(stream, box: BoxSet, t: int, x, z, line_search, alpha0,
     The update is applied verbatim; it is not guaranteed to stay in the box
     when z != x, so an optional clamp is available.
     """
-    h = lmo(box, _require_finite(stream.gradients(t, x), t, "gradient")) - x
+    h = _naming_agent(lambda g: lmo(box, g), stream.gradients(t, x), t, "gradient") - x
     if line_search == "fixed_alpha0":
         x_new = z + alpha0 * h
     else:
         x_new = z + stream.line_search_coefficients(t, z, h)[..., None] * h
     if clamp_to_feasible:
-        return _projected(box, x_new, t)
+        return _naming_agent(box.project, x_new, t, "step")
     return _require_finite(x_new, t, "update")
 
 
 def projected_gradient_step(stream, box: BoxSet, t: int, x, z, alpha_t: float):
     """One baseline update: exact-gradient step from z, projected onto the box."""
-    return _projected(box, z - alpha_t * stream.gradients(t, x), t)
+    return _naming_agent(box.project, z - alpha_t * stream.gradients(t, x), t, "step")
 
 
 # Elements of the (seeds, rounds, agents, agents, d) residual that the
@@ -260,25 +262,25 @@ def run(
     wm,
     cfg: AlgorithmConfig,
     T: int,
-    seeds=None,
+    seeds,
     x0: np.ndarray | None = None,
     config_snapshot: dict | None = None,
 ) -> list[Trace]:
     """Advance all agents of every seed through rounds 1..T; one trace per seed.
 
-    ``seeds`` defaults to ``[cfg.seed]``.  Each seed draws from its own agent
-    generators, and all seeds advance in one round loop over (S, n, d) state,
-    so a seed's trace has the bits of its run alone.  ``x0`` is the n·d
-    start of every seed or an (S, n, d) stack; by default every agent starts
-    at the projection of the origin.  The feasible set is the stream's box,
-    shrunk by delta for the gradient-free rule.
+    Each seed draws from its own agent generators, and all seeds advance in
+    one round loop over (S, n, d) state, so a seed's trace has the bits of
+    its run alone.  ``x0`` is the n·d start of every seed or an (S, n, d)
+    stack; by default every agent starts at the projection of the origin.
+    The feasible set is the stream's box, shrunk by delta for the
+    gradient-free rule.
 
     Each round records the state, gossips z = W x and applies the rule's hook
-    (t, x, z, own losses) -> (x_new, g or None).  Rounds are recorded before
-    their update (decision-then-reveal order), so the final update
-    contributes only the epilogue consensus errors.  The consensus errors,
-    estimator norms and average losses are computed from the history after
-    the loop, in round chunks whose average-loss residual has at most
+    (t, x, z) -> (x_new, g or None).  Rounds are recorded before their
+    update (decision-then-reveal order), so the final update contributes
+    only the epilogue consensus errors.  The own and average losses, the
+    consensus errors and the estimator norms are computed from the history
+    after the loop, in round chunks whose average-loss residual has at most
     ``RESIDUAL_CHUNK`` elements.  A refusal names the seed, the round and
     the agent.
     """
@@ -286,7 +288,9 @@ def run(
         raise ValueError("horizon must be >= 1")
     if wm.n != stream.n:
         raise DimensionMismatch(f"network has {wm.n} agents, stream has {stream.n}")
-    seeds = [cfg.seed] if seeds is None else list(seeds)
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     S, n, d = len(seeds), stream.n, stream.d
     box = stream.box
     feasible = ShrunkSet(box, cfg.delta) if cfg.kind == "gradient_free" else box
@@ -311,30 +315,29 @@ def run(
         for k, seed in enumerate(seeds):
             u[:, k] = sphere_draws(agent_rngs(seed, n), T, d)
 
-        def step(t, x, z, fx):
-            return gradient_free_step(stream, feasible, t, x, z, fx, cfg.step(t), u[t - 1])
+        def step(t, x, z):
+            return gradient_free_step(stream, feasible, t, x, z, cfg.step(t), u[t - 1])
     elif cfg.kind == "projection_free":
-        def step(t, x, z, fx):
-            args = cfg.line_search, cfg.alpha0, cfg.clamp_to_feasible
-            return projection_free_step(stream, box, t, x, z, *args), None
+        rule = cfg.line_search, cfg.alpha0, cfg.clamp_to_feasible
+
+        def step(t, x, z):
+            return projection_free_step(stream, box, t, x, z, *rule), None
     else:
-        def step(t, x, z, fx):
+        def step(t, x, z):
             return projected_gradient_step(stream, box, t, x, z, cfg.step(t)), None
 
     # Seed-major history: each seed's trace fields are contiguous views.
     x_hist = np.empty((S, T, n, d))
     z_hist = np.empty((S, T, n, d))
-    loss_self = np.empty((S, T, n))
     g_hist = np.zeros((S, T, n, d)) if cfg.kind == "gradient_free" else None
 
     for t in range(1, T + 1):
         row = t - 1
         x_hist[:, row] = x
         z_hist[:, row] = z
-        loss_self[:, row] = stream.values(t, x)
         z = network.gossip_average(wm, x)
         try:
-            x, g = step(t, x, z, loss_self[:, row])
+            x, g = step(t, x, z)
         except DffrError as exc:
             if not getattr(exc, "batch_index", None):
                 raise
@@ -345,13 +348,16 @@ def run(
     # The recorded-only columns, in round chunks that bound the temporaries.
     # Row 0 of the consensus errors is x - x = 0.
     eps_norm = np.empty((S, T, n))
+    loss_self = np.empty((S, T, n))
     loss_global = np.empty((S, T, n))
     g_norm = np.zeros((S, T, n))
     rounds = max(1, RESIDUAL_CHUNK // (S * n * n * d))
     for first in range(0, T, rounds):
         chunk = slice(first, first + rounds)
-        eps_norm[:, chunk] = np.linalg.norm(x_hist[:, chunk] - z_hist[:, chunk], axis=-1)
-        loss_global[:, chunk] = stream.average_values_over_rounds(first + 1, x_hist[:, chunk])
+        x_chunk = x_hist[:, chunk]
+        eps_norm[:, chunk] = np.linalg.norm(x_chunk - z_hist[:, chunk], axis=-1)
+        loss_self[:, chunk] = stream.values_over_rounds(first + 1, x_chunk)
+        loss_global[:, chunk] = stream.average_values_over_rounds(first + 1, x_chunk)
         if g_hist is not None:
             g_norm[:, chunk] = np.linalg.norm(g_hist[:, chunk], axis=-1)
     final_eps_norm = np.linalg.norm(x - z, axis=-1)

@@ -14,6 +14,7 @@ callers own their RNG streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,7 @@ def _vector(x, name: str = "input") -> np.ndarray:
 
 
 def _require_finite(x: np.ndarray, name: str = "input") -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteInput(f"{name} contains non-finite entries")
 
 
@@ -80,14 +81,20 @@ class BoxSet:
         x = _vector(x)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
+    @cached_property
+    def padded_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lower - 1e-9, upper + 1e-9): the bounds ``contains`` tests by
+        default, computed once for the round engine's per-round checks."""
+        return self.lower - 1e-9, self.upper + 1e-9
+
     def project(self, y) -> np.ndarray:
         """Nearest point of the box to a vector, or to each row of a (..., m, d) array."""
         y = np.asarray(y, dtype=float)
         if y.ndim < 1 or y.shape[-1] != self.d:
             raise ValueError(f"points have shape {y.shape}, box has dimension {self.d}")
-        if not np.isfinite(y).all():
-            raise NonFiniteInput("input contains non-finite entries")
-        return np.clip(y, self.lower, self.upper)
+        _require_finite(y)
+        # np.clip's bits on finite input, without its Python-level dispatch.
+        return np.minimum(np.maximum(y, self.lower), self.upper)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lower, self.upper)
@@ -128,6 +135,7 @@ class ShrunkSet:
     # The box operations read only lower and upper; bound here, they are
     # still traced by name (perfbench/tracer.py).
     contains = BoxSet.contains
+    padded_bounds = BoxSet.padded_bounds
     project = BoxSet.project
     sample = BoxSet.sample
 

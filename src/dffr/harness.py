@@ -163,10 +163,10 @@ class ExperimentConfig:
             ) from None
         return network.validate_weight_matrix(w, B=t.B)
 
-    def build_algorithm(self, seed: int) -> AlgorithmConfig:
+    def build_algorithm(self) -> AlgorithmConfig:
         section = dict(self.algorithm)
         step = section.pop("step", None)
-        return AlgorithmConfig(**section, step=StepSchedule(**step) if step else None, seed=seed)
+        return AlgorithmConfig(**section, step=StepSchedule(**step) if step else None)
 
     def built(self) -> tuple[ObjectiveStream | None, WeightMatrix]:
         """The stream and weight matrix, built once and shared by every seed.
@@ -201,7 +201,7 @@ class ExperimentConfig:
             return
         box = self.build_box()
         try:
-            algo = self.build_algorithm(seed=0)
+            algo = self.build_algorithm()
         except ValueError as exc:
             raise ConstraintViolation(str(exc)) from None
         stream, wm = self.built()
@@ -306,6 +306,10 @@ _FRACTION = (lambda value: _is_number(value) and 0 < value < 1), "a number in (0
 _NUMBERS = _list_of(_is_number), "a list of numbers"
 _VERSION = (lambda value: _is_int(value) and value == SCHEMA_VERSION), str(SCHEMA_VERSION)
 
+# Parsing tables the target path c(t) round by round, so the horizon is
+# bounded: 10**6 rounds parse in a few seconds.
+MAX_HORIZON = 10**6
+
 # Every config field.  A field left out takes its default (from ProblemConfig,
 # TopologyConfig, AlgorithmConfig, StepSchedule or from_dict).  The checks that
 # join fields are ExperimentConfig.validate's.
@@ -314,7 +318,10 @@ _CONFIG_FIELDS = {
     "name": _Field(*_STRING),
     "problem": _Field(*_OBJECT, {
         "stream": _Field(*_one_of(("paper_tracking", "quadratic", "custom", "remark1"))),
-        "horizon": _Field(*_COUNT),
+        "horizon": _Field(
+            lambda value: _COUNT[0](value) and value <= MAX_HORIZON,
+            f"a non-negative integer at most {MAX_HORIZON}",
+        ),
         "box": _Field(lambda box: _is_table(box, 2), "a non-empty list of [lower, upper] pairs"),
         "scales": _Field(
             _list_of(_POSITIVE[0], 1), "a non-empty list of positive numbers", null=True
@@ -465,7 +472,7 @@ def run_seeds(cfg: ExperimentConfig, seeds=None) -> list[Trace]:
             trace.config.update(cfg.to_dict())
         return traces
     stream, wm = cfg.built()
-    algo = cfg.build_algorithm(seed=seeds[0])
+    algo = cfg.build_algorithm()
     return algorithms.run(
         stream, wm, algo, T=cfg.problem.horizon, seeds=seeds, config_snapshot=cfg.to_dict()
     )
@@ -530,7 +537,7 @@ def _bound_curves(cfg: ExperimentConfig, traces: list[Trace], curves: list[dict]
     """Each rho's bound curve and the mean of the seeds' DFFR ``curves``."""
     stream, wm = cfg.built()
     mc = MixingConstants(gamma=mixing_constants(wm).gamma, lam=cfg.effective_lambda())
-    algo = cfg.build_algorithm(seed=0)
+    algo = cfg.build_algorithm()
     out = {}
     for rho in cfg.rho:
         if algo.kind == "gradient_free":

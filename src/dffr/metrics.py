@@ -36,14 +36,17 @@ def _check_rho(rho: float) -> float:
 
 
 def forgetting_weighted_series(values, rho: float) -> np.ndarray:
-    """Running discounted sums S_t = sum_{s<=t} rho^(t-s) * values_s, shape (T,)."""
-    values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
+    """Running discounted sums S_t = sum_{s<=t} rho^(t-s) * values_s, shape (T,).
+
+    The recurrence runs on Python floats, which round as float64 does.
+    """
+    rho = float(rho)
+    out = []
     acc = 0.0
-    for t in range(values.size):
-        acc = rho * acc + values[t]
-        out[t] = acc
-    return out
+    for value in np.asarray(values, dtype=float).tolist():
+        acc = rho * acc + value
+        out.append(acc)
+    return np.array(out)
 
 
 def forgetting_sum_limit(level: float, rho: float) -> float:

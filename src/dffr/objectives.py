@@ -15,11 +15,11 @@ lets optimum-path diagnostics look one round past the end of a run.
 The round engine reads a stream through its batched evaluators (``values``,
 ``gradients``, ``average_values``, ``line_search_coefficients``), which take
 every agent's point of a round at once, for any number of leading axes
-(one per seed of a batched run), and ``average_values_over_rounds``, which
-adds a rounds axis.  The base class loops over the scalar evaluators, so a
-stream that only defines ``_value`` and ``_gradient`` works unchanged; the
-quadratic family overrides them with closed forms that give the same bits as
-the scalar loop.
+(one per seed of a batched run), and ``values_over_rounds`` and
+``average_values_over_rounds``, which add a rounds axis.  The base class
+loops over the scalar evaluators, so a stream that only defines ``_value``
+and ``_gradient`` works unchanged; the quadratic family overrides them with
+closed forms that give the same bits as the scalar loop.
 """
 
 from __future__ import annotations
@@ -53,9 +53,14 @@ def _row_dots(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 def _agent_sum(v: np.ndarray, axis: int) -> np.ndarray:
     """Sum over the agent axis, left to right like Python's ``sum``.
 
-    ``np.sum`` over a contiguous axis sums pairwise, which moves the last bit.
+    ``np.sum`` over a contiguous axis sums pairwise, which moves the last bit;
+    adding the agents' rows one by one is the scalar order.
     """
-    return np.take(np.cumsum(v, axis=axis), -1, axis=axis)
+    rows = np.moveaxis(v, axis, 0)
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
 
 
 def _per_slice(fn, *arrays) -> np.ndarray:
@@ -142,6 +147,13 @@ class ObjectiveStream:
         """The all-agent average loss at each row of an (..., m, d) array, shape (..., m)."""
         X = self._points(t, X)
         return _per_slice(lambda pts: [self.average_value(t, p, check=False) for p in pts], X)
+
+    def values_over_rounds(self, first: int, X) -> np.ndarray:
+        """``values`` of a (..., R, n, d) array whose k-th round row is
+        evaluated at round first + k, shape (..., R, n)."""
+        X = self._points(first, X, self.n, lead=1)
+        rounds = [self.values(first + k, X[..., k, :, :]) for k in range(X.shape[-3])]
+        return np.stack(rounds, axis=-2)
 
     def average_values_over_rounds(self, first: int, X) -> np.ndarray:
         """``average_values`` of a (..., R, m, d) array whose k-th round row is
@@ -302,6 +314,11 @@ class QuadraticTrackingFamily(ObjectiveStream):
         X = self._points(t, X, self.n)
         return _row_dots(self.scales[:, None] * X - self.target(t))
 
+    def values_over_rounds(self, first: int, X) -> np.ndarray:
+        X = self._points(first, X, self.n, lead=1)
+        c = self.targets(first + X.shape[-3] - 1)[first - 1:]  # (R, d)
+        return _row_dots(self.scales[:, None] * X - c[:, None, :])
+
     def gradients(self, t: int, X) -> np.ndarray:
         X = self._points(t, X, self.n)
         a = self.scales[:, None]
@@ -327,12 +344,11 @@ class QuadraticTrackingFamily(ObjectiveStream):
         direction = self._points(t, direction, self.n)
         a = self.scales
         denom = a * _row_dots(direction)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = _row_dots(self.target(t) - a[:, None] * base, direction) / denom
+        numer = _row_dots(self.target(t) - a[:, None] * base, direction)
+        raw = np.divide(numer, denom, out=np.zeros(denom.shape), where=denom != 0.0)
         # The clamp keeps Python's min(1, max(0, raw)) semantics, NaN and -0.0 included.
         coeff = np.where(raw > 0.0, raw, 0.0)
-        coeff = np.where(coeff < 1.0, coeff, 1.0)
-        return np.where(denom == 0.0, 0.0, coeff)
+        return np.where(coeff < 1.0, coeff, 1.0)
 
     def line_minimum_coefficient(self, i: int, t: int, base, direction) -> float:
         """Unclamped minimizer of alpha -> f_i^t(base + alpha * direction)."""

@@ -121,8 +121,7 @@ class TestGradientEstimate:
         shrunk = ShrunkSet(paper_stream.box, 0.01)
         x = np.zeros((4, 1))
         u = sphere_draws(agent_rngs(0, 4), 1, 1)[0]
-        fx = paper_stream.values(1, x)
-        gradient_free_step(paper_stream, shrunk, 1, x, wm4.w @ x, fx, 0.5, u)
+        gradient_free_step(paper_stream, shrunk, 1, x, wm4.w @ x, 0.5, u)
 
 
 class TestGradientFreeStep:
@@ -132,7 +131,7 @@ class TestGradientFreeStep:
         x0 = np.array([[1.0], [2.0], [3.0], [4.0]])
         z = wm4.w @ x0
         u = sphere_draws(agent_rngs(3, 4), 1, 1)[0]
-        x, g = gradient_free_step(stream, shrunk, 1, x0, z, stream.values(1, x0), 0.7, u)
+        x, g = gradient_free_step(stream, shrunk, 1, x0, z, 0.7, u)
         assert g == pytest.approx(np.zeros((4, 1)), abs=1e-12)
         assert x == pytest.approx(wm4.w @ x0)
         assert z == pytest.approx(wm4.w @ x0)
@@ -143,8 +142,7 @@ class TestGradientFreeStep:
         u = sphere_draws(agent_rngs(11, 4), 59, 1)
         for t in range(1, 60):
             z = wm4.w @ x
-            fx = paper_stream.values(t, x)
-            x, _ = gradient_free_step(paper_stream, shrunk, t, x, z, fx, 2.0 / np.sqrt(t), u[t - 1])
+            x, _ = gradient_free_step(paper_stream, shrunk, t, x, z, 2.0 / np.sqrt(t), u[t - 1])
             assert np.all(np.abs(x) <= 9.99 + 1e-12)
 
 
@@ -247,7 +245,7 @@ class TestProjectionFreeStep:
         )
         wm = validate_weight_matrix([[1.0]])
         cfg = AlgorithmConfig(kind="projection_free", line_search="exact_1d")
-        [trace] = run(stream, wm, cfg, T=200)
+        [trace] = run(stream, wm, cfg, T=200, seeds=[0])
         final_gap = stream.value(0, 200, trace.x[-1, 0], check=False) - 0.0
         assert final_gap <= 1e-6
 
@@ -266,8 +264,8 @@ class TestProjectedGradientStep:
             scales=(2.0,), target=(8.0, 1.0), box=box, horizon=50
         )
         wm = validate_weight_matrix([[1.0]])
-        cfg = AlgorithmConfig(kind="projected_gd", step=StepSchedule(c=0.1), seed=0)
-        [trace] = run(stream, wm, cfg, T=20)
+        cfg = AlgorithmConfig(kind="projected_gd", step=StepSchedule(c=0.1))
+        [trace] = run(stream, wm, cfg, T=20, seeds=[0])
         x = 0.0
         for t in range(1, 20):
             grad = 2.0 * 2.0 * (2.0 * x - 8.0 / t)
@@ -278,43 +276,43 @@ class TestProjectedGradientStep:
 class TestRunEngine:
     def test_horizon_one_records_initial_state(self, paper_stream, wm4):
         cfg = AlgorithmConfig(kind="projected_gd", step=StepSchedule(c=0.1))
-        [trace] = run(paper_stream, wm4, cfg, T=1)
+        [trace] = run(paper_stream, wm4, cfg, T=1, seeds=[0])
         assert trace.T == 1
         assert trace.x[0] == pytest.approx(np.zeros((4, 1)))
         assert trace.x_star[0] == pytest.approx([10.0])
 
     def test_same_seed_bit_identical(self, paper_stream, wm4):
         cfg = AlgorithmConfig(
-            kind="gradient_free", step=StepSchedule(c=2.0, p=0.5), delta=0.01, seed=5
+            kind="gradient_free", step=StepSchedule(c=2.0, p=0.5), delta=0.01
         )
-        [a] = run(paper_stream, wm4, cfg, T=40)
-        [b] = run(paper_stream, wm4, cfg, T=40)
+        [a] = run(paper_stream, wm4, cfg, T=40, seeds=[5])
+        [b] = run(paper_stream, wm4, cfg, T=40, seeds=[5])
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.g_norm, b.g_norm)
         assert np.array_equal(a.final_eps_norm, b.final_eps_norm)
 
     def test_different_seeds_differ(self, paper_stream, wm4):
         base = dict(kind="gradient_free", step=StepSchedule(c=2.0, p=0.5), delta=0.01)
-        [a] = run(paper_stream, wm4, AlgorithmConfig(seed=1, **base), T=40)
-        [b] = run(paper_stream, wm4, AlgorithmConfig(seed=2, **base), T=40)
+        [a] = run(paper_stream, wm4, AlgorithmConfig(**base), T=40, seeds=[1])
+        [b] = run(paper_stream, wm4, AlgorithmConfig(**base), T=40, seeds=[2])
         assert not np.array_equal(a.x, b.x)
 
     def test_gradient_free_respects_shrunk_set(self, paper_stream, wm4):
         cfg = AlgorithmConfig(
-            kind="gradient_free", step=StepSchedule(c=2.0, p=0.5), delta=0.01, seed=0
+            kind="gradient_free", step=StepSchedule(c=2.0, p=0.5), delta=0.01
         )
-        [trace] = run(paper_stream, wm4, cfg, T=80)
+        [trace] = run(paper_stream, wm4, cfg, T=80, seeds=[0])
         assert np.max(np.abs(trace.x)) <= 9.99 + 1e-12
 
     def test_eps_norm_consistent_with_states(self, paper_stream, wm4):
-        cfg = AlgorithmConfig(kind="projected_gd", step=StepSchedule(c=0.05), seed=0)
-        [trace] = run(paper_stream, wm4, cfg, T=30)
+        cfg = AlgorithmConfig(kind="projected_gd", step=StepSchedule(c=0.05))
+        [trace] = run(paper_stream, wm4, cfg, T=30, seeds=[0])
         derived = np.linalg.norm(trace.x - trace.z, axis=2)
         assert trace.eps_norm == pytest.approx(derived, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["gradient_free", "exact_1d", "projected_gd"])
     def test_records_eps_and_g_norms(self, kind, paper_stream, wm4):
-        [trace] = run(paper_stream, wm4, RULES[kind], T=30)
+        [trace] = run(paper_stream, wm4, RULES[kind], T=30, seeds=[0])
         derived = np.linalg.norm(trace.x[1:] - trace.z[1:], axis=2)
         assert np.array_equal(trace.eps_norm[1:], derived)
         assert np.all(trace.eps_norm[0] == 0.0)
@@ -328,15 +326,19 @@ class TestRunEngine:
         wm3 = validate_weight_matrix(generator_matrix("ring", n=3, weight=0.3))
         cfg = AlgorithmConfig(kind="projected_gd", step=StepSchedule(c=0.1))
         with pytest.raises(DimensionMismatch, match="network has 3 agents, stream has 4"):
-            run(paper_stream, wm3, cfg, T=3)
+            run(paper_stream, wm3, cfg, T=3, seeds=[0])
+
+    def test_empty_seed_list_rejected(self, paper_stream, wm4):
+        with pytest.raises(ValueError, match="need at least one seed"):
+            run(paper_stream, wm4, RULES["projected_gd"], T=3, seeds=[])
 
     def test_infeasible_initialization_rejected(self, paper_stream, wm4):
         cfg = AlgorithmConfig(
-            kind="gradient_free", step=StepSchedule(c=1.0), delta=0.01, seed=0
+            kind="gradient_free", step=StepSchedule(c=1.0), delta=0.01
         )
         with pytest.raises(OutOfFeasibleSet):
             run(
-                paper_stream, wm4, cfg, T=5,
+                paper_stream, wm4, cfg, T=5, seeds=[0],
                 x0=np.full((4, 1), 9.995),
             )
 
@@ -345,9 +347,9 @@ class TestRunEngine:
             ("projection_free", dict(line_search="fixed_alpha0", alpha0=0.002)),
             ("projected_gd", dict(step=StepSchedule(c=2.0, p=1.0))),
         ):
-            cfg = AlgorithmConfig(kind=kind, seed=0, **extra)
-            [a] = run(paper_stream, wm4, cfg, T=50)
-            [b] = run(paper_stream, wm4, cfg, T=50)
+            cfg = AlgorithmConfig(kind=kind, **extra)
+            [a] = run(paper_stream, wm4, cfg, T=50, seeds=[0])
+            [b] = run(paper_stream, wm4, cfg, T=50, seeds=[0])
             assert np.array_equal(a.x, b.x)
 
 
@@ -434,9 +436,7 @@ class TestBatchedSteps:
                 x, stream, wm, shrunk, t, 0.02 / np.sqrt(t), u[t - 1]
             )
             z = network.gossip_average(wm, x)
-            x, g = gradient_free_step(
-                stream, shrunk, t, x, z, stream.values(t, x), 0.02 / np.sqrt(t), u[t - 1]
-            )
+            x, g = gradient_free_step(stream, shrunk, t, x, z, 0.02 / np.sqrt(t), u[t - 1])
             assert np.array_equal(g, g_ref)
             assert np.array_equal(x, x_ref) and np.array_equal(z, z_ref)
 
@@ -505,14 +505,13 @@ class TestRefusals:
     def test_nonfinite_loss_names_round_and_agent(self, cfg, wm4):
         stream = NaNAtOneAgent()
         with pytest.raises(NonFiniteInput, match="round 3: agent 2 "):
-            run(stream, wm4, cfg, T=6)
+            run(stream, wm4, cfg, T=6, seeds=[0])
 
     def test_probe_outside_box_names_round_and_agent(self, paper_stream, wm4):
         shrunk = ShrunkSet(paper_stream.box, 0.01)
         x = np.array([[0.0], [9.995], [0.0], [0.0]])
-        fx = paper_stream.values(7, x)
         with pytest.raises(EvaluationOutsideBaseSet, match="round 7: agent 1 "):
-            gradient_free_step(paper_stream, shrunk, 7, x, wm4.w @ x, fx, 0.1, np.ones((4, 1)))
+            gradient_free_step(paper_stream, shrunk, 7, x, wm4.w @ x, 0.1, np.ones((4, 1)))
 
 
 class Bypassed(Exception):
@@ -540,7 +539,7 @@ class TestSinglePaths:
     def test_gossip_goes_through_network(self, kind, paper_stream, wm4, monkeypatch):
         monkeypatch.setattr(network, "gossip_average", bypassed)
         with pytest.raises(Bypassed):
-            run(paper_stream, wm4, RULES[kind], T=3, x0=np.zeros((4, 1)))
+            run(paper_stream, wm4, RULES[kind], T=3, seeds=[0], x0=np.zeros((4, 1)))
 
     @pytest.mark.parametrize("kind", ["gradient_free", "clamped", "projected_gd"])
     def test_projection_goes_through_the_set(self, kind, paper_stream, wm4, monkeypatch):
@@ -548,11 +547,51 @@ class TestSinglePaths:
         monkeypatch.setattr(BoxSet, "project", bypassed)
         monkeypatch.setattr(ShrunkSet, "project", bypassed)
         with pytest.raises(Bypassed):
-            run(paper_stream, wm4, RULES[kind], T=3, x0=np.zeros((4, 1)))
+            run(paper_stream, wm4, RULES[kind], T=3, seeds=[0], x0=np.zeros((4, 1)))
 
     def test_unclamped_projection_free_never_projects(self, paper_stream, wm4, monkeypatch):
         monkeypatch.setattr(BoxSet, "project", bypassed)
-        run(paper_stream, wm4, RULES["exact_1d"], T=3, x0=np.zeros((4, 1)))
+        run(paper_stream, wm4, RULES["exact_1d"], T=3, seeds=[0], x0=np.zeros((4, 1)))
+
+
+class TestLoopContract:
+    """The round loop asks the stream only what the recurrence needs.
+
+    Projection-free and projected GD ask no losses in the loop; gradient-free
+    asks one stacked query (own loss and probe) per round.  The own losses
+    come after the loop, one ``values_over_rounds`` call per round chunk.
+    """
+
+    @pytest.mark.parametrize("kind", sorted(RULES))
+    def test_stream_queries_per_round_and_per_chunk(self, kind, monkeypatch):
+        T, seeds = 30, [3, 5, 9]
+        stream, wm = paper_tracking_stream(T), network_of(4)
+        events = []
+
+        def logged(name, fn):
+            def call(*args):
+                first = args[0] if isinstance(args[0], int) else None
+                events.append((name, first, np.shape(args[-1])))
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(network, "gossip_average", logged("gossip", network.gossip_average))
+        monkeypatch.setattr(stream, "values", logged("values", stream.values))
+        monkeypatch.setattr(
+            stream, "values_over_rounds", logged("values_over_rounds", stream.values_over_rounds)
+        )
+        monkeypatch.setattr(algorithms, "RESIDUAL_CHUNK", 7 * len(seeds) * 4 * 4)  # 7 rounds
+        run(stream, wm, RULES[kind], T, seeds=seeds)
+
+        state = (3, 4, 1)
+        expected = []
+        for t in range(1, T + 1):
+            expected.append(("gossip", None, state))
+            if kind == "gradient_free":
+                expected.append(("values", t, (2,) + state))
+        for first, rounds in ((1, 7), (8, 7), (15, 7), (22, 7), (29, 2)):
+            expected.append(("values_over_rounds", first, (3, rounds, 4, 1)))
+        assert events == expected
 
 
 class FaultWherePositive(ObjectiveStream):
@@ -690,7 +729,7 @@ class TestBatchedEngine:
             "seeds": seeds,
         })
         stream, wm = cfg.built()
-        batch = run(stream, wm, cfg.build_algorithm(seed=0), T, seeds=seeds,
+        batch = run(stream, wm, cfg.build_algorithm(), T, seeds=seeds,
                     config_snapshot=cfg.to_dict())
         assert_same_traces(batch, [harness.run_single(cfg, seed) for seed in seeds])
 
@@ -707,7 +746,7 @@ class TestBatchedEngine:
         x0 = np.linspace(-9.0, 9.0, n)[:, None]
         batch = run(stream, wm, RULES[rule], T, seeds=seeds, x0=x0)
         singles = [
-            run(stream, wm, dataclasses.replace(RULES[rule], seed=seed), T, x0=x0)[0]
+            run(stream, wm, RULES[rule], T, seeds=[seed], x0=x0)[0]
             for seed in seeds
         ]
         assert_same_traces(batch, singles)

@@ -120,6 +120,8 @@ class TestConfigValidation:
             ("problem.horizon", "100"),
             ("problem.horizon", 100.0),
             ("problem.horizon", True),
+            ("problem.horizon", 10**400),
+            ("problem.horizon", 10**9),
             ("rho", ["0.99"]),
             ("rho", 0.99),
             ("problem.box", [[1.0, 2.0]]),
@@ -151,9 +153,9 @@ class TestConfigValidation:
         ],
         ids=["seeds-str", "seeds-int", "seed-float", "seed-negative", "seed-bool",
              "seed-str", "seeds-repeated", "seed-past-64-bits", "bounds-str", "bounds-int",
-             "bounds-null", "horizon-str",
-             "horizon-float", "horizon-bool", "rho-str", "rho-number", "box-off-origin",
-             "box-no-upper", "box-str", "B-str", "B-float", "B-zero", "B-bool",
+             "bounds-null", "horizon-str", "horizon-float", "horizon-bool", "horizon-huge",
+             "horizon-past-limit", "rho-str", "rho-number", "box-off-origin", "box-no-upper",
+             "box-str", "B-str", "B-float", "B-zero", "B-bool",
              "step-str", "alpha0-str", "delta-str", "scales-str", "params-not-taken",
              "ring-no-params", "params-n-str", "params-list", "matrix-ragged",
              "generator-unknown", "target-pair-str", "clamp-str", "step-c-str", "lambda-str",
@@ -163,6 +165,12 @@ class TestConfigValidation:
         raw = harness.preset("paper-tracking-alg2").to_dict()
         _set_field(raw, key, value)
         with pytest.raises(ParseError, match=f"^field '{key}' "):
+            ExperimentConfig.from_dict(raw)
+
+    def test_horizon_limit_is_named(self):
+        raw = harness.preset("paper-tracking-alg2").to_dict()
+        raw["problem"]["horizon"] = harness.MAX_HORIZON + 1
+        with pytest.raises(ParseError, match="at most 1000000, got 1000001$"):
             ExperimentConfig.from_dict(raw)
 
     def test_presets_parse_to_the_same_dicts(self):

@@ -35,6 +35,25 @@ def direct_weighted_sum(values, rho):
     return sum(rho ** (T - t) * values[t - 1] for t in range(1, T + 1))
 
 
+def reference_forgetting_series(values, rho):
+    """The recurrence over NumPy scalars that the float loop replaced, kept as its reference."""
+    values = np.asarray(values, dtype=float)
+    out = np.empty_like(values)
+    acc = 0.0
+    with np.errstate(all="ignore"):
+        for t in range(values.size):
+            acc = rho * acc + values[t]
+            out[t] = acc
+    return out
+
+
+# Any finite float (subnormals included), and the edges drawn on purpose.
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+)
+
+
 class TestDffr:
     def test_geometric_sum_example(self):
         trace = Trace.from_gap_sequence([1.0, 1.0, 1.0])
@@ -64,6 +83,14 @@ class TestDffr:
     def test_recurrence_property(self, gaps, rho):
         series = forgetting_weighted_series(np.array(gaps), rho)
         assert series[-1] == pytest.approx(direct_weighted_sum(gaps, rho), rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(EDGE_FLOATS, max_size=40), st.floats(0.01, 0.99))
+    def test_float_recurrence_has_the_scalar_loops_bits(self, values, rho):
+        got = forgetting_weighted_series(values, rho)
+        want = reference_forgetting_series(values, rho)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_final_gap_never_exceeds_regret(self, rng):
         for _ in range(20):

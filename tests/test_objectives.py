@@ -287,9 +287,11 @@ class TestBatchedEvaluators:
             assert np.array_equal(got.reshape((6,) + per_slice[0].shape), per_slice)
         # the middle axis as rounds t, t + 1, t + 2
         rounds = stream.average_values_over_rounds(t, X)
-        assert rounds.shape == (2, 3, n)
+        own = stream.values_over_rounds(t, X)
+        assert rounds.shape == own.shape == (2, 3, n)
         for k in range(3):
             assert np.array_equal(rounds[:, k], stream.average_values(t + k, X[:, k]))
+            assert np.array_equal(own[:, k], stream.values(t + k, X[:, k]))
 
     @settings(max_examples=30, deadline=None)
     @given(CASES)
