@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of the CSV trace body of every seed of a config.
+"""Print the SHA-256 of the CSV trace body of every seed of a config, and of its summary.
 
     python scripts/trace_digest.py                            # every preset
     python scripts/trace_digest.py --preset paper-tracking-alg2
     python scripts/trace_digest.py --config my.json --seeds 0..3
 
-One line per run: config name, seed, digest.  The CSV body is a pure
-function of (config, seed), so two versions of the engine that print the
-same digests produce byte-identical trace files; tests/test_golden_traces.py
-pins the preset digests.
+One line per run (config name, seed, digest), then one line for the
+config's summary JSON (config name, "summary", digest).  The CSV body is a
+pure function of (config, seed), and the summary, bound curves included, a
+pure function of the config, so two versions of the engine that print the
+same digests produce byte-identical trace and summary files;
+tests/test_golden_traces.py pins the preset digests.
 """
 
 import argparse
@@ -19,14 +21,16 @@ from pathlib import Path
 from dffr import cli, harness
 
 
-def csv_digests(cfg: harness.ExperimentConfig) -> list[tuple[int, str]]:
-    """(seed, SHA-256 of the CSV body) for every configured seed."""
-    out = []
+def digests(cfg: harness.ExperimentConfig) -> list[tuple[str, str]]:
+    """(label, SHA-256) of each seed's CSV body ("seed <s>") and of the summary ("summary")."""
     with tempfile.TemporaryDirectory() as tmp:
-        for seed, trace in zip(cfg.seeds, harness.run_seeds(cfg)):
-            csv_path, _ = harness.write_trace(trace, cfg.rho, Path(tmp) / f"seed{seed}")
-            out.append((seed, hashlib.sha256(csv_path.read_bytes()).hexdigest()))
-    return out
+        harness.run_experiment(cfg, tmp)
+        files = [(f"seed {seed}", f"{cfg.name}-seed{seed}.csv") for seed in cfg.seeds]
+        files.append(("summary", f"{cfg.name}-summary.json"))
+        return [
+            (label, hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest())
+            for label, name in files
+        ]
 
 
 def main():
@@ -45,8 +49,8 @@ def main():
             for name in names
         ]
     for cfg in configs:
-        for seed, digest in csv_digests(cfg):
-            print(f"{cfg.name} seed {seed} {digest}", flush=True)
+        for label, digest in digests(cfg):
+            print(f"{cfg.name} {label} {digest}", flush=True)
 
 
 if __name__ == "__main__":

@@ -129,7 +129,7 @@ def gradient_estimate(
     leaves the base box, which would indicate a broken shrunk set.
     """
     probe = x + delta * u
-    if not stream.box.contains(probe, tol=1e-9):
+    if not stream.box.contains(probe):
         raise EvaluationOutsideBaseSet(
             f"agent {i} round {t}: perturbed query {probe} outside the box"
         )
@@ -180,7 +180,7 @@ def _first_failing_row(ok: np.ndarray) -> tuple | None:
 
 
 def _first_outside(set_, points: np.ndarray) -> tuple | None:
-    """Index (..., agent) of the first point more than 1e-9 outside the box, or None."""
+    """Index (..., agent) of the first point outside the set's ``padded_bounds``, or None."""
     lower, upper = set_.padded_bounds
     return _first_failing_row((points >= lower) & (points <= upper))
 
@@ -363,14 +363,14 @@ def run(
     final_eps_norm = np.linalg.norm(x - z, axis=-1)
     x_path, f_path = stream.optimum_path(T, box)
 
+    # One copy of the snapshot for the run; the traces share its values.
+    shared = copy.deepcopy(config_snapshot or {})
     traces = []
     for k, seed in enumerate(seeds):
-        snapshot = {"algorithm": cfg.kind, "seed": seed, "n": n, "d": d, "T": T}
-        snapshot.update(copy.deepcopy(config_snapshot or {}))
         traces.append(Trace(
             algorithm=cfg.kind,
             seed=seed,
-            config=snapshot,
+            config={"algorithm": cfg.kind, "seed": seed, "n": n, "d": d, "T": T, **shared},
             x=x_hist[k],
             z=z_hist[k],
             eps_norm=eps_norm[k],

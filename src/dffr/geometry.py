@@ -20,6 +20,9 @@ import numpy as np
 
 from .errors import NonFiniteInput, PointNotInSet
 
+# How far outside a box a point may lie and still count as inside it.
+CONTAINS_TOL = 1e-9
+
 
 def _vector(x, name: str = "input") -> np.ndarray:
     arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -77,15 +80,17 @@ class BoxSet:
         hw = float(half_width) * np.ones(d)
         return cls(-hw, hw)
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x) -> bool:
+        """Whether a vector lies in the box, up to ``CONTAINS_TOL``."""
         x = _vector(x)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        lower, upper = self.padded_bounds
+        return bool(np.all(x >= lower) and np.all(x <= upper))
 
     @cached_property
     def padded_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lower - 1e-9, upper + 1e-9): the bounds ``contains`` tests by
-        default, computed once for the round engine's per-round checks."""
-        return self.lower - 1e-9, self.upper + 1e-9
+        """The bounds that ``contains`` tests, widened by ``CONTAINS_TOL`` and
+        computed once, also for the round engine's per-round checks."""
+        return self.lower - CONTAINS_TOL, self.upper + CONTAINS_TOL
 
     def project(self, y) -> np.ndarray:
         """Nearest point of the box to a vector, or to each row of a (..., m, d) array."""

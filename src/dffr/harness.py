@@ -190,13 +190,6 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         p = self.problem
-        if p.horizon < 1:
-            raise ConstraintViolation("horizon must be a positive integer")
-        for rho in self.rho:
-            if not 0.0 < rho < 1.0:
-                raise ConstraintViolation(f"rho {rho} outside (0, 1)")
-        if not self.seeds:
-            raise ConstraintViolation("need at least one seed")
         if p.stream == "remark1":
             return
         box = self.build_box()
@@ -319,8 +312,8 @@ _CONFIG_FIELDS = {
     "problem": _Field(*_OBJECT, {
         "stream": _Field(*_one_of(("paper_tracking", "quadratic", "custom", "remark1"))),
         "horizon": _Field(
-            lambda value: _COUNT[0](value) and value <= MAX_HORIZON,
-            f"a non-negative integer at most {MAX_HORIZON}",
+            lambda value: _POSITIVE_INT[0](value) and value <= MAX_HORIZON,
+            f"a positive integer at most {MAX_HORIZON}",
         ),
         "box": _Field(lambda box: _is_table(box, 2), "a non-empty list of [lower, upper] pairs"),
         "scales": _Field(
@@ -353,10 +346,10 @@ _CONFIG_FIELDS = {
         "alpha0": _Field(*_FRACTION, null=True),
         "clamp_to_feasible": _Field(*_BOOL),
     }, null=True),
-    "rho": _Field(*_NUMBERS),
+    "rho": _Field(_list_of(_FRACTION[0]), "a list of numbers in (0, 1)"),
     "seeds": _Field(
-        lambda value: _list_of(_is_seed)(value) and len(set(value)) == len(value),
-        "a list of distinct integers in [0, 2**64)",
+        lambda value: _list_of(_is_seed, 1)(value) and len(set(value)) == len(value),
+        "a non-empty list of distinct integers in [0, 2**64)",
     ),
     "bounds": _Field(*_BOOL),
     "out": _Field(*_STRING, null=True),

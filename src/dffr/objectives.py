@@ -14,12 +14,17 @@ lets optimum-path diagnostics look one round past the end of a run.
 
 The round engine reads a stream through its batched evaluators (``values``,
 ``gradients``, ``average_values``, ``line_search_coefficients``), which take
-every agent's point of a round at once, for any number of leading axes
-(one per seed of a batched run), and ``values_over_rounds`` and
-``average_values_over_rounds``, which add a rounds axis.  The base class
-loops over the scalar evaluators, so a stream that only defines ``_value``
-and ``_gradient`` works unchanged; the quadratic family overrides them with
-closed forms that give the same bits as the scalar loop.
+every agent's point of a round at once, for any number of leading axes (one
+per seed of a batched run).  Each stream quantity has one closed form that
+every other evaluator reads.  The losses' are ``values_over_rounds`` and
+``average_values_over_rounds``, which add a rounds axis; ``values`` and
+``average_values`` are their one-round slices.  The base class loops them over
+the scalar evaluators per (round, slice), so a stream that only defines
+``_value`` and ``_gradient`` works unchanged; the quadratic family overrides
+them with closed forms that give the same bits as the scalar loop.  The
+optimum path's f*_t is ``average_values_over_rounds`` at x*_t for every
+stream, which supplies only x* (``_optimum_points``).  The quadratic family's
+c(t) is one table, ``targets``, grown on demand.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .errors import IndexOutOfRange, OracleDisagreement, OutOfFeasibleSet
 from .geometry import BoxSet
 from .linesearch import golden_section
 
-MEMBERSHIP_TOL = 1e-9
 ORACLE_TOL = 1e-5
 LINE_SEARCH_TOL = 1e-10
 
@@ -64,10 +68,10 @@ def _agent_sum(v: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _per_slice(fn, *arrays) -> np.ndarray:
-    """``fn`` of each (rows, d) slice of equally shaped (..., rows, d) arrays,
-    stacked back on the leading axes."""
+    """``fn(k, ...)`` of the (rows, d) slices at each leading index k of equally
+    shaped (..., rows, d) arrays, stacked back on the leading axes."""
     lead = arrays[0].shape[:-2]
-    out = np.array([fn(*(a[k] for a in arrays)) for k in np.ndindex(lead)], dtype=float)
+    out = np.array([fn(k, *(a[k] for a in arrays)) for k in np.ndindex(lead)], dtype=float)
     return out.reshape(lead + out.shape[1:])
 
 
@@ -100,7 +104,7 @@ class ObjectiveStream:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.d,):
             raise ValueError(f"point has shape {x.shape}, expected ({self.d},)")
-        if check and not self.box.contains(x, tol=MEMBERSHIP_TOL):
+        if check and not self.box.contains(x):
             raise OutOfFeasibleSet(f"point {x} outside the feasible box")
         return x
 
@@ -129,38 +133,39 @@ class ObjectiveStream:
             raise ValueError(f"points have shape {X.shape}, expected {expected}")
         return X
 
+    def values_over_rounds(self, first: int, X) -> np.ndarray:
+        """Agent i's loss at X[..., k, i, :] in round first + k, for every agent
+        and round row of a (..., R, n, d) array, shape (..., R, n)."""
+        X = self._points(first, X, self.n, lead=1)
+        def own(k, x):
+            return [self.value(i, first + k[-1], x[i], check=False) for i in range(self.n)]
+
+        return _per_slice(own, X)
+
+    def average_values_over_rounds(self, first: int, X) -> np.ndarray:
+        """The all-agent average loss in round first + k at each row of
+        X[..., k, :, :], for an (..., R, m, d) array, shape (..., R, m)."""
+        X = self._points(first, X, lead=1)
+        return _per_slice(
+            lambda k, pts: [self.average_value(first + k[-1], p, check=False) for p in pts], X
+        )
+
     def values(self, t: int, X) -> np.ndarray:
         """Agent i's loss at X[..., i, :] for every agent, shape (..., n)."""
         X = self._points(t, X, self.n)
-        return _per_slice(
-            lambda x: [self.value(i, t, x[i], check=False) for i in range(self.n)], X
-        )
+        return self.values_over_rounds(t, X[..., None, :, :])[..., 0, :]
+
+    def average_values(self, t: int, X) -> np.ndarray:
+        """The all-agent average loss at each row of an (..., m, d) array, shape (..., m)."""
+        X = self._points(t, X)
+        return self.average_values_over_rounds(t, X[..., None, :, :])[..., 0, :]
 
     def gradients(self, t: int, X) -> np.ndarray:
         """Agent i's gradient at X[..., i, :] for every agent, shape (..., n, d)."""
         X = self._points(t, X, self.n)
         return _per_slice(
-            lambda x: [self.gradient(i, t, x[i], check=False) for i in range(self.n)], X
+            lambda _, x: [self.gradient(i, t, x[i], check=False) for i in range(self.n)], X
         ).reshape(X.shape)
-
-    def average_values(self, t: int, X) -> np.ndarray:
-        """The all-agent average loss at each row of an (..., m, d) array, shape (..., m)."""
-        X = self._points(t, X)
-        return _per_slice(lambda pts: [self.average_value(t, p, check=False) for p in pts], X)
-
-    def values_over_rounds(self, first: int, X) -> np.ndarray:
-        """``values`` of a (..., R, n, d) array whose k-th round row is
-        evaluated at round first + k, shape (..., R, n)."""
-        X = self._points(first, X, self.n, lead=1)
-        rounds = [self.values(first + k, X[..., k, :, :]) for k in range(X.shape[-3])]
-        return np.stack(rounds, axis=-2)
-
-    def average_values_over_rounds(self, first: int, X) -> np.ndarray:
-        """``average_values`` of a (..., R, m, d) array whose k-th round row is
-        evaluated at round first + k, shape (..., R, m)."""
-        X = self._points(first, X, lead=1)
-        rounds = [self.average_values(first + k, X[..., k, :, :]) for k in range(X.shape[-3])]
-        return np.stack(rounds, axis=-2)
 
     def batch_average_value(self, t: int, points: np.ndarray) -> np.ndarray:
         """Same as ``average_values``."""
@@ -176,7 +181,7 @@ class ObjectiveStream:
         base = self._points(t, base, self.n)
         direction = self._points(t, direction, self.n)
 
-        def search(base, direction):
+        def search(_, base, direction):
             out = np.zeros(self.n)
             for i in range(self.n):
                 h = direction[i]
@@ -203,7 +208,8 @@ class ObjectiveStream:
         x_star, f_star = self._optima.get(key, (np.empty((0, self.d)), np.empty(0)))
         have = f_star.shape[0]
         if T > have:
-            x_new, f_new = self._optimum_rounds(have + 1, T, set_)
+            x_new = self._optimum_points(have + 1, T, set_)
+            f_new = self.average_values_over_rounds(have + 1, x_new[:, None, :])[:, 0]
             x_star = np.concatenate([x_star, x_new])
             f_star = np.concatenate([f_star, f_new])
             x_star.flags.writeable = False
@@ -211,12 +217,9 @@ class ObjectiveStream:
             self._optima[key] = (x_star, f_star)
         return x_star[:T], f_star[:T]
 
-    def _optimum_rounds(self, first: int, last: int, set_) -> tuple[np.ndarray, np.ndarray]:
-        """x*_t and f*_t for rounds first..last, by search."""
-        rounds = range(first, last + 1)
-        x_star = np.stack([_search_optimum(self, t, set_) for t in rounds])
-        f_star = [self.average_value(t, x, check=False) for t, x in zip(rounds, x_star)]
-        return x_star, np.array(f_star)
+    def _optimum_points(self, first: int, last: int, set_) -> np.ndarray:
+        """x*_t over the set for rounds first..last, shape (R, d), by search."""
+        return np.stack([_search_optimum(self, t, set_) for t in range(first, last + 1)])
 
     def _value(self, i, t, x):  # pragma: no cover - interface
         raise NotImplementedError
@@ -255,49 +258,36 @@ class QuadraticTrackingFamily(ObjectiveStream):
             self._target = power_path(float(amplitude), float(power))
         self.scales = scales
         self._optimum_factor = float(np.sum(scales)) / float(np.sum(scales**2))
-        super().__init__(
-            n=scales.size, d=box.d, horizon=horizon, box=box, L=0.0, L_s=0.0, L_1=0.0
-        )
-        self._targets = np.empty((0, self.d))
-        self.L, self.L_s, self.L_1 = self._constants()
-
-    def _target_row(self, t: int) -> np.ndarray:
-        c = np.asarray(self._target(t), dtype=float)
-        if c.ndim == 0:
-            return np.full(self.d, float(c))
-        if c.shape != (self.d,):
-            raise ValueError(f"target path has shape {c.shape} at round {t}, expected ({self.d},)")
-        return c
+        self._targets = np.empty((0, box.d))
+        # L, L_s and L_1: the worst case over box corners and rounds 1..horizon
+        # (at least round 1, so that the base class refuses horizon < 1); exact
+        # for a fixed round because each coordinate's deviation peaks at a corner.
+        c = self.targets(max(horizon, 1))
+        worst_sq = np.array([
+            np.max(np.sum(np.maximum(np.abs(a * box.lower - c), np.abs(a * box.upper - c))**2, axis=1))
+            for a in scales
+        ])
+        L, L_s, L_1 = np.max(2.0 * scales * np.sqrt(worst_sq)), np.max(2.0 * scales**2), np.max(worst_sq)
+        super().__init__(scales.size, box.d, horizon, box, L, L_s, L_1)
 
     def targets(self, T: int) -> np.ndarray:
-        """c(1..T) as read-only rows, shape (T, d)."""
-        have = self._targets.shape[0]
+        """c(1..T) as read-only rows, shape (T, d); the table grows to T rounds."""
+        have, d = self._targets.shape
         if T > have:
-            rows = [self._target_row(t) for t in range(have + 1, T + 1)]
-            table = np.concatenate([self._targets, np.array(rows).reshape(-1, self.d)])
+            table = np.empty((T, d))
+            table[:have] = self._targets
+            for t in range(have + 1, T + 1):
+                c = np.asarray(self._target(t), dtype=float)
+                if c.ndim and c.shape != (d,):
+                    raise ValueError(f"target path has shape {c.shape} at round {t}, expected ({d},)")
+                table[t - 1] = c
             table.flags.writeable = False
             self._targets = table
         return self._targets[:T]
 
     def target(self, t: int) -> np.ndarray:
-        """c(t), shape (d,): a read-only table row for the rounds tabled so far."""
-        if 1 <= t <= self._targets.shape[0]:
-            return self._targets[t - 1]
-        return self._target_row(t)
-
-    def _constants(self) -> tuple[float, float, float]:
-        # Worst case over box corners and rounds 1..horizon; exact for fixed t
-        # because the per-coordinate deviation maximum is attained at a corner.
-        c = self.targets(self.horizon)
-        lower, upper, scales = self.box.lower, self.box.upper, self.scales
-        worst_sq = np.empty(self.n)
-        for i, a in enumerate(scales):
-            dev = np.maximum(np.abs(a * lower - c), np.abs(a * upper - c))  # (horizon, d)
-            worst_sq[i] = np.max(np.sum(dev**2, axis=1))
-        L = float(np.max(2.0 * scales * np.sqrt(worst_sq)))
-        L_s = float(np.max(2.0 * scales**2))
-        L_1 = float(np.max(worst_sq))
-        return L, L_s, L_1
+        """c(t), shape (d,): a read-only row of the table."""
+        return self.targets(t)[t - 1]
 
     def _value(self, i, t, x):
         residual = self.scales[i] * x - self.target(t)
@@ -310,10 +300,6 @@ class QuadraticTrackingFamily(ObjectiveStream):
         """Stationary point of the average loss, before box clamping."""
         return self._optimum_factor * self.target(t)
 
-    def values(self, t: int, X) -> np.ndarray:
-        X = self._points(t, X, self.n)
-        return _row_dots(self.scales[:, None] * X - self.target(t))
-
     def values_over_rounds(self, first: int, X) -> np.ndarray:
         X = self._points(first, X, self.n, lead=1)
         c = self.targets(first + X.shape[-3] - 1)[first - 1:]  # (R, d)
@@ -324,18 +310,12 @@ class QuadraticTrackingFamily(ObjectiveStream):
         a = self.scales[:, None]
         return 2.0 * a * (a * X - self.target(t))
 
-    def _average(self, X: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Mean over agents j of ||a_j x - c||^2 at each row x of X, shape X.shape[:-1]."""
-        residual = self.scales[:, None, None] * X[..., None, :, :] - c  # (..., n, m, d)
-        return _agent_sum(_row_dots(residual), axis=-2) / self.n
-
-    def average_values(self, t: int, X) -> np.ndarray:
-        return self._average(self._points(t, X), self.target(t))
-
     def average_values_over_rounds(self, first: int, X) -> np.ndarray:
         X = self._points(first, X, lead=1)
-        c = self.targets(first + X.shape[-3] - 1)[first - 1:]  # (R, d)
-        return self._average(X, c[:, None, None, :])
+        c = self.targets(first + X.shape[-3] - 1)[first - 1:, None, None, :]  # (R, 1, 1, d)
+        # Mean over agents of ||a_j x - c||^2 per row x, from the (..., R, n, m, d) residual.
+        residual = self.scales[:, None, None] * X[..., None, :, :] - c
+        return _agent_sum(_row_dots(residual), axis=-2) / self.n
 
     batch_average_value = ObjectiveStream.batch_average_value  # traced by name (perfbench/tracer.py)
 
@@ -360,9 +340,8 @@ class QuadraticTrackingFamily(ObjectiveStream):
             return 0.0
         return float(np.dot(self.target(t) - a * base, direction)) / denom
 
-    def _optimum_rounds(self, first: int, last: int, set_) -> tuple[np.ndarray, np.ndarray]:
-        x_star = set_.project([self.unconstrained_optimum(t) for t in range(first, last + 1)])
-        return x_star, self.average_values_over_rounds(first, x_star[:, None, :])[:, 0]
+    def _optimum_points(self, first: int, last: int, set_) -> np.ndarray:
+        return set_.project(self._optimum_factor * self.targets(last)[first - 1:])
 
 
 def paper_tracking_stream(horizon: int = 1000) -> QuadraticTrackingFamily:

@@ -558,8 +558,9 @@ class TestLoopContract:
     """The round loop asks the stream only what the recurrence needs.
 
     Projection-free and projected GD ask no losses in the loop; gradient-free
-    asks one stacked query (own loss and probe) per round.  The own losses
-    come after the loop, one ``values_over_rounds`` call per round chunk.
+    asks one stacked query (own loss and probe) per round, which ``values``
+    answers as a one-round ``values_over_rounds`` slice.  The own losses come
+    after the loop, one ``values_over_rounds`` call per round chunk.
     """
 
     @pytest.mark.parametrize("kind", sorted(RULES))
@@ -589,6 +590,7 @@ class TestLoopContract:
             expected.append(("gossip", None, state))
             if kind == "gradient_free":
                 expected.append(("values", t, (2,) + state))
+                expected.append(("values_over_rounds", t, (2, 3, 1, 4, 1)))
         for first, rounds in ((1, 7), (8, 7), (15, 7), (22, 7), (29, 2)):
             expected.append(("values_over_rounds", first, (3, rounds, 4, 1)))
         assert events == expected

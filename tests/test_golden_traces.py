@@ -1,9 +1,12 @@
-"""Golden digests of the CSV trace body of every preset and seed at T = 1000.
+"""Golden digests of the CSV trace body of every preset and seed at T = 1000,
+and of every preset's summary JSON.
 
 The CSV body is a pure function of (config, seed).  These SHA-256 digests
 pin it, so an engine change has to keep every trace byte-identical or
 change a digest on purpose (with a note in CHANGES.md saying why).
-``python scripts/trace_digest.py`` prints the same digests.
+``SUMMARY_GOLDEN`` pins each preset's summary JSON, bound curves included:
+the gradient-free bound reads the optimum path over the shrunk box, which
+no CSV holds.  ``python scripts/trace_digest.py`` prints the same digests.
 
 The runs come from the session fixtures in conftest.py; those configs differ
 from the presets only in ``bounds``, which does not enter the CSV body.
@@ -59,6 +62,14 @@ GOLDEN = {
     },
 }
 
+SUMMARY_GOLDEN = {
+    "paper-tracking-alg1": "8591e72166721b3b4b5b90640524a7039c44d7ddad1526ace5369438b41f4769",
+    "paper-tracking-alg2": "beab39c97fd1d74831d28f33199498c5bc9756019d9e0007b6d0089bf194681c",
+    "paper-tracking-alg2-linesearch": "c626f041fc92a26674c63bd0647ec02fa09e99ef7e438ca72381308341633a54",
+    "paper-tracking-dogd": "76d83fa9720ef212a64e4dc364c139f931d311d47b0edc9ae15954affe5b30a8",
+    "remark1-synthetic": "48ed55246173eaeb34f248a46df69771894f90533ce9fbd404d9f0fffadcc6c9",
+}
+
 SCALE_GOLDEN = {
     "scale-gradient-free": {
         0: "a4eb972d9445a3411e34cba92f7fa08c3f2e5843500ecc28d16b1935e3298f67",
@@ -104,7 +115,7 @@ FIXTURES = {
 
 
 def test_every_preset_is_pinned():
-    assert sorted(GOLDEN) == sorted(harness.PRESET_NAMES)
+    assert sorted(GOLDEN) == sorted(SUMMARY_GOLDEN) == sorted(harness.PRESET_NAMES)
 
 
 @pytest.mark.parametrize("name", harness.PRESET_NAMES)
@@ -120,6 +131,13 @@ def test_csv_body_matches_golden_digest(name, request, tmp_path):
         csv_path, _ = harness.write_trace(trace, cfg.rho, tmp_path / f"seed{seed}")
         digests[seed] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
     assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", harness.PRESET_NAMES)
+def test_summary_matches_golden_digest(name, tmp_path):
+    harness.run_experiment(harness.preset(name), tmp_path)
+    summary = tmp_path / f"{name}-summary.json"
+    assert hashlib.sha256(summary.read_bytes()).hexdigest() == SUMMARY_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(SCALE_GOLDEN))

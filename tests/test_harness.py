@@ -87,7 +87,7 @@ class TestConfigValidation:
     def test_zero_horizon_rejected(self):
         raw = harness.preset("paper-tracking-alg2").to_dict()
         raw["problem"]["horizon"] = 0
-        with pytest.raises(ConstraintViolation):
+        with pytest.raises(ParseError, match="^field 'problem.horizon' must be a positive integer"):
             ExperimentConfig.from_dict(raw)
 
     def test_delta_must_stay_below_inradius(self):
@@ -114,6 +114,7 @@ class TestConfigValidation:
             ("seeds", [0, "1"]),
             ("seeds", [0, 0]),
             ("seeds", [0, 2**64]),
+            ("seeds", []),
             ("bounds", "no"),
             ("bounds", 1),
             ("bounds", None),
@@ -124,6 +125,8 @@ class TestConfigValidation:
             ("problem.horizon", 10**9),
             ("rho", ["0.99"]),
             ("rho", 0.99),
+            ("rho", [0.9, 1.0]),
+            ("rho", [0.0]),
             ("problem.box", [[1.0, 2.0]]),
             ("problem.box", [[-1.0]]),
             ("problem.box", "x"),
@@ -152,9 +155,9 @@ class TestConfigValidation:
             ("out", 5),
         ],
         ids=["seeds-str", "seeds-int", "seed-float", "seed-negative", "seed-bool",
-             "seed-str", "seeds-repeated", "seed-past-64-bits", "bounds-str", "bounds-int",
+             "seed-str", "seeds-repeated", "seed-past-64-bits", "seeds-empty", "bounds-str", "bounds-int",
              "bounds-null", "horizon-str", "horizon-float", "horizon-bool", "horizon-huge",
-             "horizon-past-limit", "rho-str", "rho-number", "box-off-origin", "box-no-upper",
+             "horizon-past-limit", "rho-str", "rho-number", "rho-one", "rho-zero", "box-off-origin", "box-no-upper",
              "box-str", "B-str", "B-float", "B-zero", "B-bool",
              "step-str", "alpha0-str", "delta-str", "scales-str", "params-not-taken",
              "ring-no-params", "params-n-str", "params-list", "matrix-ragged",

@@ -11,6 +11,7 @@ from dffr.objectives import (
     ObjectiveStream,
     QuadraticTrackingFamily,
     paper_tracking_stream,
+    power_path,
     round_optimum,
     round_optimum_grid,
     verify_assumptions,
@@ -131,8 +132,8 @@ class TestRoundOptimum:
 
     def test_disagreement_raises(self, paper_stream):
         class LyingFamily(QuadraticTrackingFamily):
-            def unconstrained_optimum(self, t):
-                return super().unconstrained_optimum(t) + 1.0
+            def _optimum_points(self, first, last, set_):
+                return super()._optimum_points(first, last, set_) + 1.0
 
         liar = LyingFamily(
             scales=(1.0, 2.0, 3.0, 6.0),
@@ -192,6 +193,18 @@ class TestQuadraticFamily:
         val = stream.value(1, 2, [0.1, 0.2])
         expected = (3 * 0.1 - 0.5) ** 2 + (3 * 0.2 + 0.5) ** 2
         assert val == pytest.approx(expected)
+
+    def test_target_past_the_table_is_the_scalar_path(self):
+        # At p = 1.3, NumPy's t**p differs from Python's in the last bit at
+        # t = 5, 56, 64, ...; every row, past the horizon too, is the scalar path's.
+        stream = QuadraticTrackingFamily(
+            scales=(1.0, 2.0), target=(7.0, 1.3), box=BoxSet.symmetric(5.0), horizon=10,
+        )
+        path = power_path(7.0, 1.3)
+        assert stream.targets(4).shape == (4, 1)  # shorter than the table
+        for t in (64, 5, 11, 300, 56):
+            assert stream.target(t)[0] == path(t)
+        assert stream.targets(300)[:, 0].tolist() == [path(t) for t in range(1, 301)]
 
     def test_batch_average_matches_scalar(self, paper_stream, rng):
         points = rng.uniform(-10, 10, size=(50, 1))
