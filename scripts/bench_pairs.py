@@ -70,13 +70,23 @@ def commit(checkout: Path) -> dict:
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One benchmark run of a checkout; its result line, parsed."""
+    """One benchmark run of a checkout; its result line, parsed.
+
+    A run that fails, or whose result line is not correct or counts a failed
+    operation, ends the script: it is no valid pair.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: {' '.join(cmd)} failed:\n{proc.stderr.strip()}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if result.get("correct") is not True or result.get("failed", 0) != 0:
+        raise SystemExit(
+            f"{checkout}: workload {workload}, seed {seed}: the run is not valid "
+            f"(correct {result.get('correct')!r}, failed {result.get('failed')!r})"
+        )
+    return result
 
 
 def spread(values: list[float]) -> dict:

@@ -251,10 +251,10 @@ def projected_gradient_step(stream, box: BoxSet, t: int, x, z, alpha_t: float):
     return _naming_agent(box.project, z - alpha_t * stream.gradients(t, x), t, "step")
 
 
-# Elements of the (seeds, rounds, agents, agents, d) residual that the
-# after-loop ``loss_global`` evaluates at once: 512 KiB of float64.  Smaller
-# chunks slowed the n = 32, d = 10 run; much larger ones did too.
-RESIDUAL_CHUNK = 1 << 16
+# Elements of the (seeds, rounds, agents, d) history that the after-loop columns
+# read at once, 128 KiB of float64 per temporary.  2^14 and 2^15 ran n = 32,
+# d = 10 equally fast; the smaller keeps the paper presets' peak lower.
+RESIDUAL_CHUNK = 1 << 14
 
 
 def run(
@@ -280,9 +280,9 @@ def run(
     update (decision-then-reveal order), so the final update contributes
     only the epilogue consensus errors.  The own and average losses, the
     consensus errors and the estimator norms are computed from the history
-    after the loop, in round chunks whose average-loss residual has at most
-    ``RESIDUAL_CHUNK`` elements.  A refusal names the seed, the round and
-    the agent.
+    after the loop, in round chunks of at most ``RESIDUAL_CHUNK`` history
+    elements (S·rounds·n·d, or one round when a round is larger).  A refusal
+    names the seed, the round and the agent.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
@@ -351,7 +351,7 @@ def run(
     loss_self = np.empty((S, T, n))
     loss_global = np.empty((S, T, n))
     g_norm = np.zeros((S, T, n))
-    rounds = max(1, RESIDUAL_CHUNK // (S * n * n * d))
+    rounds = max(1, RESIDUAL_CHUNK // (S * n * d))
     for first in range(0, T, rounds):
         chunk = slice(first, first + rounds)
         x_chunk = x_hist[:, chunk]

@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import re
+import reprlib
 import sys
 import time
 import warnings
@@ -243,7 +244,7 @@ def _check_fields(raw: dict, table: dict, error: type, lead: str, path: str = ""
             continue
         if not row.test(value):
             what = f"{row.what} or null" if row.null else row.what
-            raise error(f"{lead} '{path}{key}' must be {what}, got {value!r}")
+            raise error(f"{lead} '{path}{key}' must be {what}, got {reprlib.repr(value)}")
         if row.fields:
             _check_fields(value, row.fields, error, lead, f"{path}{key}.")
 
@@ -258,14 +259,10 @@ def _is_number(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
-def _is_seed(value) -> bool:
-    """An int in [0, 2**64); ``algorithms.agent_rngs`` masks a seed to 64 bits."""
-    return _is_int(value) and 0 <= value < 2**64
-
-
-def _list_of(test, least: int = 0):
-    """A test for a list of at least ``least`` values that each pass ``test``."""
-    return lambda value: isinstance(value, list) and len(value) >= least and all(map(test, value))
+def _list_of(test, least: int = 0, most: float = math.inf, distinct: bool = False):
+    """A test for a list of ``least`` to ``most`` values that each pass ``test``."""
+    return lambda value: isinstance(value, list) and least <= len(value) <= most and all(
+        map(test, value)) and not (distinct and len(set(value)) < len(value))
 
 
 def _parse_target(spec) -> tuple[float, float] | None:
@@ -277,14 +274,18 @@ def _parse_target(spec) -> tuple[float, float] | None:
     return tuple(map(float, spec)) if _NUMBERS[0](spec) and len(spec) == 2 else None
 
 
-def _is_table(value, width: int | None = None) -> bool:
-    """A non-empty list of number lists, each ``width`` long, or as long as the list."""
-    rows = _list_of(_list_of(_is_number), 1)(value)
+def _is_table(value, width: int | None = None, most: float = math.inf) -> bool:
+    """A list of 1 to ``most`` number lists, each ``width`` long, or as long as the list."""
+    rows = _list_of(_list_of(_is_number), 1, most)(value)
     return rows and all(len(row) == (width or len(value)) for row in value)
 
 
 def _one_of(choices) -> tuple:
     return (lambda value: value in choices), "one of " + ", ".join(map(repr, choices))
+
+
+def _at_most(kind: tuple, limit: int) -> tuple:
+    return (lambda value: kind[0](value) and value <= limit), f"{kind[1]} at most {limit}"
 
 
 # (test, what it asks for) of the kinds of value the field tables share.
@@ -300,8 +301,11 @@ _NUMBERS = _list_of(_is_number), "a list of numbers"
 _VERSION = (lambda value: _is_int(value) and value == SCHEMA_VERSION), str(SCHEMA_VERSION)
 
 # Parsing tables the target path c(t) round by round, so the horizon is
-# bounded: 10**6 rounds parse in a few seconds.
+# bounded: 10**6 rounds parse in a few seconds.  The agent count and d are
+# bounded so that a typo fails here, not in a 75 GiB matrix for 10**5 agents.
 MAX_HORIZON = 10**6
+MAX_AGENTS = 1000
+MAX_DIMENSION = 100
 
 # Every config field.  A field left out takes its default (from ProblemConfig,
 # TopologyConfig, AlgorithmConfig, StepSchedule or from_dict).  The checks that
@@ -311,13 +315,14 @@ _CONFIG_FIELDS = {
     "name": _Field(*_STRING),
     "problem": _Field(*_OBJECT, {
         "stream": _Field(*_one_of(("paper_tracking", "quadratic", "custom", "remark1"))),
-        "horizon": _Field(
-            lambda value: _POSITIVE_INT[0](value) and value <= MAX_HORIZON,
-            f"a positive integer at most {MAX_HORIZON}",
+        "horizon": _Field(*_at_most(_POSITIVE_INT, MAX_HORIZON)),
+        "box": _Field(
+            lambda box: _is_table(box, 2, MAX_DIMENSION),
+            f"a list of 1 to {MAX_DIMENSION} [lower, upper] pairs",
         ),
-        "box": _Field(lambda box: _is_table(box, 2), "a non-empty list of [lower, upper] pairs"),
         "scales": _Field(
-            _list_of(_POSITIVE[0], 1), "a non-empty list of positive numbers", null=True
+            _list_of(_POSITIVE[0], 1, MAX_AGENTS), f"a list of 1 to {MAX_AGENTS} positive numbers",
+            null=True,
         ),
         "target": _Field(
             lambda value: _parse_target(value) is not None,
@@ -328,7 +333,7 @@ _CONFIG_FIELDS = {
     "topology": _Field(*_OBJECT, {
         "generator": _Field(*_one_of(tuple(network.GENERATORS)), null=True),
         "params": _Field(*_OBJECT, {  # the generators' parameters
-            "n": _Field(*_POSITIVE_INT),
+            "n": _Field(*_at_most(_POSITIVE_INT, MAX_AGENTS)),
             "weight": _Field(_is_number, "a number"),
         }),
         "matrix": _Field(_is_table, "a square list of number lists", null=True),
@@ -346,9 +351,9 @@ _CONFIG_FIELDS = {
         "alpha0": _Field(*_FRACTION, null=True),
         "clamp_to_feasible": _Field(*_BOOL),
     }, null=True),
-    "rho": _Field(_list_of(_FRACTION[0]), "a list of numbers in (0, 1)"),
-    "seeds": _Field(
-        lambda value: _list_of(_is_seed, 1)(value) and len(set(value)) == len(value),
+    "rho": _Field(_list_of(_FRACTION[0], distinct=True), "a list of distinct numbers in (0, 1)"),
+    "seeds": _Field(  # ``algorithms.agent_rngs`` masks a seed to 64 bits
+        _list_of(_at_most(_COUNT, 2**64 - 1)[0], 1, distinct=True),
         "a non-empty list of distinct integers in [0, 2**64)",
     ),
     "bounds": _Field(*_BOOL),

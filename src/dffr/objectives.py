@@ -21,10 +21,11 @@ every other evaluator reads.  The losses' are ``values_over_rounds`` and
 ``average_values`` are their one-round slices.  The base class loops them over
 the scalar evaluators per (round, slice), so a stream that only defines
 ``_value`` and ``_gradient`` works unchanged; the quadratic family overrides
-them with closed forms that give the same bits as the scalar loop.  The
-optimum path's f*_t is ``average_values_over_rounds`` at x*_t for every
-stream, which supplies only x* (``_optimum_points``).  The quadratic family's
-c(t) is one table, ``targets``, grown on demand.
+them with closed forms that give the same bits as the scalar loop: its average
+loss adds the agents' contiguous (..., R, m) blocks one by one, in the loop's
+order.  The optimum path's f*_t is ``average_values_over_rounds`` at x*_t for
+every stream, which supplies only x* (``_optimum_points``).  The quadratic
+family's c(t) is one table, ``targets``, filled on demand (its capacity doubles).
 """
 
 from __future__ import annotations
@@ -52,19 +53,6 @@ def _row_dots(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """
     b = a if b is None else b
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _agent_sum(v: np.ndarray, axis: int) -> np.ndarray:
-    """Sum over the agent axis, left to right like Python's ``sum``.
-
-    ``np.sum`` over a contiguous axis sums pairwise, which moves the last bit;
-    adding the agents' rows one by one is the scalar order.
-    """
-    rows = np.moveaxis(v, axis, 0)
-    total = rows[0].copy()
-    for row in rows[1:]:
-        total += row
-    return total
 
 
 def _per_slice(fn, *arrays) -> np.ndarray:
@@ -258,7 +246,7 @@ class QuadraticTrackingFamily(ObjectiveStream):
             self._target = power_path(float(amplitude), float(power))
         self.scales = scales
         self._optimum_factor = float(np.sum(scales)) / float(np.sum(scales**2))
-        self._targets = np.empty((0, box.d))
+        self._table = self._rows = np.empty((0, box.d))
         # L, L_s and L_1: the worst case over box corners and rounds 1..horizon
         # (at least round 1, so that the base class refuses horizon < 1); exact
         # for a fixed round because each coordinate's deviation peaks at a corner.
@@ -271,19 +259,20 @@ class QuadraticTrackingFamily(ObjectiveStream):
         super().__init__(scales.size, box.d, horizon, box, L, L_s, L_1)
 
     def targets(self, T: int) -> np.ndarray:
-        """c(1..T) as read-only rows, shape (T, d); the table grows to T rounds."""
-        have, d = self._targets.shape
+        """c(1..T) as read-only rows, shape (T, d).  Rows are filled on demand into
+        a table whose capacity doubles when full, so each new round costs one row."""
+        have, d = self._rows.shape
         if T > have:
-            table = np.empty((T, d))
-            table[:have] = self._targets
+            if T > len(self._table):  # rows past ``have`` are filled below
+                self._table = np.resize(self._table, (max(T, 2 * len(self._table)), d))
             for t in range(have + 1, T + 1):
                 c = np.asarray(self._target(t), dtype=float)
                 if c.ndim and c.shape != (d,):
                     raise ValueError(f"target path has shape {c.shape} at round {t}, expected ({d},)")
-                table[t - 1] = c
-            table.flags.writeable = False
-            self._targets = table
-        return self._targets[:T]
+                self._table[t - 1] = c
+            self._rows = self._table[:T]
+            self._rows.flags.writeable = False
+        return self._rows[:T]
 
     def target(self, t: int) -> np.ndarray:
         """c(t), shape (d,): a read-only row of the table."""
@@ -312,10 +301,16 @@ class QuadraticTrackingFamily(ObjectiveStream):
 
     def average_values_over_rounds(self, first: int, X) -> np.ndarray:
         X = self._points(first, X, lead=1)
-        c = self.targets(first + X.shape[-3] - 1)[first - 1:, None, None, :]  # (R, 1, 1, d)
-        # Mean over agents of ||a_j x - c||^2 per row x, from the (..., R, n, m, d) residual.
-        residual = self.scales[:, None, None] * X[..., None, :, :] - c
-        return _agent_sum(_row_dots(residual), axis=-2) / self.n
+        c = self.targets(first + X.shape[-3] - 1)[first - 1:, None, :]  # (R, 1, d)
+        c = np.repeat(c, X.shape[-2], axis=1)  # (R, m, d), so each subtraction is contiguous
+        # Mean of ||a_j x - c||^2 over agents j, adding their blocks to 0.0 in the
+        # order of Python's ``sum``; ``np.sum`` can go pairwise and move the last bit.
+        total = 0.0
+        for a in self.scales:
+            residual = a * X
+            residual -= c
+            total += _row_dots(residual)
+        return total / self.n
 
     batch_average_value = ObjectiveStream.batch_average_value  # traced by name (perfbench/tracer.py)
 

@@ -581,7 +581,7 @@ class TestLoopContract:
         monkeypatch.setattr(
             stream, "values_over_rounds", logged("values_over_rounds", stream.values_over_rounds)
         )
-        monkeypatch.setattr(algorithms, "RESIDUAL_CHUNK", 7 * len(seeds) * 4 * 4)  # 7 rounds
+        monkeypatch.setattr(algorithms, "RESIDUAL_CHUNK", 7 * len(seeds) * 4)  # 7 rounds
         run(stream, wm, RULES[kind], T, seeds=seeds)
 
         state = (3, 4, 1)

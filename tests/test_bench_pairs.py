@@ -1,0 +1,42 @@
+"""scripts/bench_pairs.py keeps only valid runs as pairs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def checkout_printing(root: Path, result: dict) -> Path:
+    """A checkout whose perfbench/run.py prints ``result`` as its result line."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(f"print({json.dumps(json.dumps(result))})\n")
+    return root
+
+
+VALID = {"correct": True, "attempted": 3, "failed": 0, "metrics": {}}
+
+
+def test_valid_run_is_returned(bench_pairs, tmp_path):
+    checkout = checkout_printing(tmp_path / "good", VALID)
+    assert bench_pairs.run_once(checkout, "paper-presets", 7) == VALID
+
+
+@pytest.mark.parametrize("fault", [{"correct": False}, {"failed": 2}, {"correct": None}])
+def test_invalid_run_names_checkout_workload_and_seed(bench_pairs, tmp_path, fault):
+    checkout = checkout_printing(tmp_path / "bad", {**VALID, **fault})
+    with pytest.raises(SystemExit) as caught:
+        bench_pairs.run_once(checkout, "scale-ring-n32-d10", 205)
+    message = str(caught.value)
+    assert str(checkout) in message
+    assert "workload scale-ring-n32-d10, seed 205" in message

@@ -39,6 +39,16 @@ def _set_field(raw: dict, key: str, value) -> None:
     raw[name] = value
 
 
+def _quadratic_ring(n: int, d: int) -> dict:
+    """A short quadratic-stream config on a ring of n agents in d dimensions."""
+    return {
+        "problem": {"stream": "quadratic", "horizon": 5, "box": [[-10.0, 10.0]] * d,
+                    "scales": [1.0 + i / n for i in range(n)], "target": "8.0/t^0.5"},
+        "topology": {"generator": "ring", "params": {"n": n, "weight": 0.3}},
+        "algorithm": {"kind": "projection_free", "alpha0": 0.5},
+    }
+
+
 def _with_field(line: str, k: int, value: str) -> str:
     fields = line.split(",")
     fields[k] = value
@@ -127,6 +137,7 @@ class TestConfigValidation:
             ("rho", 0.99),
             ("rho", [0.9, 1.0]),
             ("rho", [0.0]),
+            ("rho", [0.9, 0.9]),
             ("problem.box", [[1.0, 2.0]]),
             ("problem.box", [[-1.0]]),
             ("problem.box", "x"),
@@ -138,6 +149,9 @@ class TestConfigValidation:
             ("algorithm.alpha0", "0.002"),
             ("algorithm.delta", "0.01"),
             ("problem.scales", "x"),
+            ("problem.scales", [1.0] * 1001),
+            ("problem.box", [[-1.0, 1.0]] * 101),
+            ("topology.params.n", 100000),
             ("topology", {"generator": "paper4", "params": {"n": 4}}),
             ("topology", {"generator": "ring"}),
             ("topology.params.n", "4"),
@@ -157,9 +171,10 @@ class TestConfigValidation:
         ids=["seeds-str", "seeds-int", "seed-float", "seed-negative", "seed-bool",
              "seed-str", "seeds-repeated", "seed-past-64-bits", "seeds-empty", "bounds-str", "bounds-int",
              "bounds-null", "horizon-str", "horizon-float", "horizon-bool", "horizon-huge",
-             "horizon-past-limit", "rho-str", "rho-number", "rho-one", "rho-zero", "box-off-origin", "box-no-upper",
+             "horizon-past-limit", "rho-str", "rho-number", "rho-one", "rho-zero", "rho-repeated", "box-off-origin", "box-no-upper",
              "box-str", "B-str", "B-float", "B-zero", "B-bool",
-             "step-str", "alpha0-str", "delta-str", "scales-str", "params-not-taken",
+             "step-str", "alpha0-str", "delta-str", "scales-str", "scales-past-limit", "box-past-limit",
+             "params-n-past-limit", "params-not-taken",
              "ring-no-params", "params-n-str", "params-list", "matrix-ragged",
              "generator-unknown", "target-pair-str", "clamp-str", "step-c-str", "lambda-str",
              "lambda-negative", "key-misspelt", "key-unknown", "name-int", "out-int"],
@@ -175,6 +190,29 @@ class TestConfigValidation:
         raw["problem"]["horizon"] = harness.MAX_HORIZON + 1
         with pytest.raises(ParseError, match="at most 1000000, got 1000001$"):
             ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("topology.params.n", 100000, "a positive integer at most 1000, got 100000"),
+        ("problem.scales", [2.0] * 1001,
+         "a list of 1 to 1000 positive numbers or null, got [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, ...]"),
+        ("problem.box", [[-1.0, 1.0]] * 101,
+         "a list of 1 to 100 [lower, upper] pairs, got [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], "
+         "[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], ...]"),
+    ])
+    def test_size_limits_are_named(self, key, value, message):
+        """A past-limit agent count or d names its field and the limit, and shows
+        the value abbreviated."""
+        raw = _quadratic_ring(n=4, d=1)
+        _set_field(raw, key, value)
+        with pytest.raises(ParseError) as caught:
+            ExperimentConfig.from_dict(raw)
+        assert str(caught.value) == f"field '{key}' must be {message}"
+
+    def test_size_limits_admit_their_maximum(self):
+        raw = _quadratic_ring(n=harness.MAX_AGENTS, d=harness.MAX_DIMENSION)
+        cfg = ExperimentConfig.from_dict(raw)
+        stream, wm = cfg.built()
+        assert (stream.n, stream.d, wm.n) == (1000, 100, 1000)
 
     def test_presets_parse_to_the_same_dicts(self):
         for name in harness.PRESET_NAMES:

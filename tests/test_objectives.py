@@ -206,6 +206,20 @@ class TestQuadraticFamily:
             assert stream.target(t)[0] == path(t)
         assert stream.targets(300)[:, 0].tolist() == [path(t) for t in range(1, 301)]
 
+    def test_targets_grown_round_by_round_stay_read_only(self):
+        stream = QuadraticTrackingFamily(
+            scales=(1.0, 2.0), target=(7.0, 1.3), box=BoxSet.symmetric(5.0), horizon=1,
+        )
+        path = power_path(7.0, 1.3)
+        early = stream.targets(1)
+        grown = [stream.targets(T) for T in range(2, 400)]
+        for rows in [early, stream.target(399), *grown]:
+            with pytest.raises(ValueError):
+                rows[..., 0] = 1.0
+        assert early[0, 0] == path(1)
+        for rows in grown:
+            assert rows[:, 0].tolist() == [path(t) for t in range(1, len(rows) + 1)]
+
     def test_batch_average_matches_scalar(self, paper_stream, rng):
         points = rng.uniform(-10, 10, size=(50, 1))
         batch = paper_stream.batch_average_value(3, points)
@@ -316,6 +330,28 @@ class TestBatchedEvaluators:
     def test_base_class_leading_axes_are_slices(self, n, d, seed):
         stream, rng = quadratic_case(n, d, seed)
         self.check_leading_axes(Opaque(stream), rng)
+
+    def test_average_loss_adds_agents_in_order(self):
+        """At n = 32, d = 10 the rounds-axis average loss has the bits of the scalar
+        loop, on an (S, R, m, d) stack with m != n and on the optimum path's
+        (R, 1, d) shape, for points where a pairwise agent sum (``np.sum``) differs."""
+        stream, rng = quadratic_case(32, 10, 11)
+        first = 4
+        for X in (
+            rng.uniform(-15.0, 15.0, size=(2, 3, 5, 10)),
+            rng.uniform(-15.0, 15.0, size=(6, 1, 10)),
+            rng.uniform(-15.0, 15.0, size=(1, 1, 10)),
+        ):
+            got = stream.average_values_over_rounds(first, X)
+            assert got.shape == X.shape[:-1]
+            pairwise = []
+            for index in np.ndindex(X.shape[:-1]):
+                t, x = first + index[-2], X[index]
+                assert got[index] == stream.average_value(t, x, check=False)
+                each = [stream.value(i, t, x, check=False) for i in range(32)]
+                pairwise.append(float(np.sum(each)) != sum(each))
+            # the points tell the sequential order from numpy's pairwise one
+            assert any(pairwise)
 
     @pytest.mark.parametrize("n, d", [(1, 1), (4, 1), (4, 3), (32, 10)])
     def test_line_search_matches_scalar(self, n, d):
