@@ -7,12 +7,13 @@
 Each seed is one pair: ``perfbench/run.py --trace 0`` of both checkouts
 (each its own copy, from its own directory, at its default run length), the
 parent first in odd pairs and the change first in even ones.  The output
-file records the machine (CPU model and count, Python and numpy versions),
-each checkout's commit (whether its tree was dirty, and the git tree of the
-``src/`` it ran), every run's result line, the seeds, and for each
-end-to-end metric the median and quartiles of each side and the number of
-pairs in which the change was lower.  An existing output file keeps its
-other workloads, so one file can hold several.
+file records the machine (CPU model and count, the CPUs this process may
+use, Python and numpy versions), each checkout's commit (whether its tree
+was dirty, and the git tree of the ``src/`` it ran), every run's result
+line, the seeds, and for each end-to-end metric the median and quartiles
+of each side and the number of pairs in which the change was lower.  An
+existing output file keeps its other workloads, so one file can hold
+several.
 """
 
 import argparse
@@ -43,6 +44,7 @@ def machine() -> dict:
     return {
         "cpu_model": cpu_model(),
         "cpu_count": os.cpu_count(),
+        "usable_cpus": harness._usable_cpus(),  # more than 1: write_trace can split the body
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),

@@ -72,7 +72,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    harness.parse_config(args.config)
+    for warning in harness.parse_config(args.config).stability_warnings():
+        print(f"warning: {warning}", file=sys.stderr)
     print("OK")
     return 0
 

@@ -247,10 +247,12 @@ class QuadraticTrackingFamily(ObjectiveStream):
         self.scales = scales
         self._optimum_factor = float(np.sum(scales)) / float(np.sum(scales**2))
         self._table = self._rows = np.empty((0, box.d))
+        self._first_fill = max(horizon, 1)  # rows that the first request fills, as one block
         # L, L_s and L_1: the worst case over box corners and rounds 1..horizon
         # (at least round 1, so that the base class refuses horizon < 1); exact
         # for a fixed round because each coordinate's deviation peaks at a corner.
-        c = self.targets(max(horizon, 1))
+        last = max(horizon, 1)
+        c = self.targets(last) if callable(target) else self._power_rows(box, last)
         worst_sq = np.array([
             np.max(np.sum(np.maximum(np.abs(a * box.lower - c), np.abs(a * box.upper - c))**2, axis=1))
             for a in scales
@@ -258,19 +260,41 @@ class QuadraticTrackingFamily(ObjectiveStream):
         L, L_s, L_1 = np.max(2.0 * scales * np.sqrt(worst_sq)), np.max(2.0 * scales**2), np.max(worst_sq)
         super().__init__(scales.size, box.d, horizon, box, L, L_s, L_1)
 
+    def _power_rows(self, box: BoxSet, last: int) -> np.ndarray:
+        """The rows of c(1..last) that hold the worst case of a power path.
+
+        A/t^p is monotone in t, and each agent's worst case is a sum over
+        coordinates of terms that fall until c reaches the coordinate's box
+        midpoint and rise after it.  If every term moves the same way over
+        [c(1), c(last)], or all coordinates share one box row, the worst case
+        sits at round 1 or ``last``, bit for bit, and two rows suffice.  Else
+        rounding can put it inside the range (a nearly constant path across
+        different midpoints), and the whole table is read.
+        """
+        ends = np.array([self._target(1), self._target(last)])
+        low, high = float(np.min(ends)), float(np.max(ends))
+        a_lower, a_upper = np.multiply.outer(self.scales, box.lower), np.multiply.outer(self.scales, box.upper)
+        # Strict float comparisons, so each holds in exact arithmetic too.
+        rising = np.all(low - a_lower > a_upper - low, axis=1)
+        falling = np.all(a_upper - high > high - a_lower, axis=1)
+        one_row = np.all(box.lower == box.lower[0]) and np.all(box.upper == box.upper[0])
+        return ends[:, None] if one_row or np.all(rising | falling) else self.targets(last)
+
     def targets(self, T: int) -> np.ndarray:
-        """c(1..T) as read-only rows, shape (T, d).  Rows are filled on demand into
-        a table whose capacity doubles when full, so each new round costs one row."""
+        """c(1..T) as read-only rows, shape (T, d).  Rows are filled on demand: the
+        first request fills every round up to the horizon (a run reads them one
+        round at a time), later ones extend a table whose capacity doubles when
+        full, so each new round past the horizon costs one row."""
         have, d = self._rows.shape
         if T > have:
-            if T > len(self._table):  # rows past ``have`` are filled below
-                self._table = np.resize(self._table, (max(T, 2 * len(self._table)), d))
-            for t in range(have + 1, T + 1):
-                c = np.asarray(self._target(t), dtype=float)
-                if c.ndim and c.shape != (d,):
-                    raise ValueError(f"target path has shape {c.shape} at round {t}, expected ({d},)")
-                self._table[t - 1] = c
-            self._rows = self._table[:T]
+            stop = T if have else max(T, self._first_fill)
+            if stop > len(self._table):  # rows past ``have`` are filled below
+                self._table = np.resize(self._table, (max(stop, 2 * len(self._table)), d))
+            rows = np.array([self._target(t) for t in range(have + 1, stop + 1)], dtype=float)
+            if rows.shape[1:] not in ((), (d,)):
+                raise ValueError(f"target path has shape {rows.shape[1:]} from round {have + 1}, expected ({d},)")
+            self._table[have:stop] = rows.reshape(stop - have, -1)
+            self._rows = self._table[:stop]
             self._rows.flags.writeable = False
         return self._rows[:T]
 

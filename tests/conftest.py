@@ -71,3 +71,21 @@ def dogd_trace():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def tabled_constants():
+    """L, L_s and L_1 of a quadratic stream over its whole c(t) table: the
+    construction that reads two rows of a power path must give these bits."""
+
+    def constants(stream):
+        c = stream.targets(stream.horizon)
+        lower, upper = stream.box.lower, stream.box.upper
+        worst_sq = np.array([
+            np.max(np.sum(np.maximum(np.abs(a * lower - c), np.abs(a * upper - c))**2, axis=1))
+            for a in stream.scales
+        ])
+        scales = stream.scales
+        return float(np.max(2.0 * scales * np.sqrt(worst_sq))), float(np.max(2.0 * scales**2)), float(np.max(worst_sq))
+
+    return constants

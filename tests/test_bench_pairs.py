@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,12 @@ def test_invalid_run_names_checkout_workload_and_seed(bench_pairs, tmp_path, fau
     message = str(caught.value)
     assert str(checkout) in message
     assert "workload scale-ring-n32-d10, seed 205" in message
+
+
+def test_machine_records_usable_cpus(bench_pairs, monkeypatch):
+    assert bench_pairs.machine()["usable_cpus"] == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert bench_pairs.machine()["usable_cpus"] == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert bench_pairs.machine()["usable_cpus"] == 5

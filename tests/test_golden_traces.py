@@ -149,3 +149,21 @@ def test_wide_csv_body_matches_golden_digest(name, tmp_path):
         csv_path, _ = harness.write_trace(trace, cfg.rho, tmp_path / f"seed{seed}")
         digests[seed] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
     assert digests == SCALE_GOLDEN[name]
+
+
+@pytest.mark.parametrize(
+    "name, horizon",
+    [(name, None) for name in harness.PRESET_NAMES if name != "remark1-synthetic"]
+    + [(name, horizon) for name in sorted(SCALE_GOLDEN) for horizon in (40, 400)],
+)
+def test_stream_constants_are_the_tabled_maximum(name, horizon, tabled_constants):
+    """L, L_s and L_1 from two rows of c(t), on every preset and on the scale
+    problem at the golden horizon and the benchmark's, have the table's bits."""
+    if horizon is None:
+        raw = harness.preset(name).to_dict()
+    else:
+        raw = scale_config(name)
+        raw["problem"]["horizon"] = horizon
+    stream, _ = ExperimentConfig.from_dict(raw).built()
+    assert len(stream._rows) == 0
+    assert (stream.L, stream.L_s, stream.L_1) == tabled_constants(stream)

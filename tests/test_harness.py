@@ -243,6 +243,13 @@ class TestConfigValidation:
         stream = cfg.build_stream()
         assert stream.value(0, 2, [0.0]) == pytest.approx(36.0)
 
+    @pytest.mark.parametrize("target", ["1/t^400", "1/t^-400"])  # t**p overflows; underflows to 0
+    def test_target_leaving_the_floats_by_the_horizon(self, target):
+        raw = small_alg2_config(horizon=30).to_dict()
+        raw["problem"].update(stream="quadratic", scales=[1.0, 2.0, 3.0, 6.0], target=target)
+        with pytest.raises(ConstraintViolation, match=rf"^problem.target '1/t\^-?400' leaves the floats by round 30$"):
+            ExperimentConfig.from_dict(raw)
+
 
 class TestRunExperiment:
     def test_writes_trace_and_summary(self, tmp_path):
@@ -594,6 +601,31 @@ class TestCli:
         harness.serialize_config(harness.preset("paper-tracking-alg2"), cfg_path)
         assert cli.main(["validate", "--config", str(cfg_path)]) == 0
         assert "OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "step, warning",
+        [
+            # alpha_t * L_s = 144 / sqrt(t) >= 4.55 up to the horizon
+            (None, "alpha_1*L_s = 144, and alpha_t*L_s >= 2 up to round t = 1000 of 1000"),
+            ({"c": 0.5, "p": 1.0}, "alpha_1*L_s = 36, and alpha_t*L_s >= 2 up to round t = 18 of 1000"),
+            ({"c": 0.02, "p": 0.5}, None),  # alpha_1 * L_s = 1.44
+        ],
+    )
+    def test_validate_warns_about_an_unstable_step(self, tmp_path, capsys, step, warning):
+        raw = harness.preset("paper-tracking-alg1").to_dict()
+        if step is not None:
+            raw["algorithm"]["step"] = step
+        cfg_path = tmp_path / "cfg.json"
+        harness.serialize_config(ExperimentConfig.from_dict(raw), cfg_path)
+        assert cli.main(["validate", "--config", str(cfg_path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "OK\n"
+        if warning is None:
+            assert err == ""
+        else:
+            assert err == (
+                f"warning: the step reaches the stability limit 2/L_s = 0.02778: {warning}\n"
+            )
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(

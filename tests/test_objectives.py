@@ -112,6 +112,60 @@ class TestConstants:
             assert np.linalg.norm(paper_stream.gradient(i, t, x)) <= paper_stream.L + 1e-9
 
 
+box_rows = st.tuples(st.integers(-10, -1), st.integers(1, 10)).map(lambda row: [float(v) for v in row])
+
+
+@st.composite
+def power_streams(draw):
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(box_rows, min_size=1, max_size=d))
+    rows = (rows * d)[:d]  # one shared row, or rows that differ
+    box = BoxSet(*np.array(rows).T)
+    scales = draw(st.lists(st.floats(0.25, 8.0), min_size=1, max_size=3))
+    # Targets near an agent's box midpoints, where the worst case is nearly flat in c.
+    midpoints = [[scale * (lower + upper) / 2 for lower, upper in rows] for scale in scales]
+    near = [(u + v) / 2 for agent in midpoints for u in agent for v in agent]
+    amplitude = draw(st.one_of(st.floats(-100.0, 100.0), st.sampled_from(near)))
+    power = draw(st.one_of(st.sampled_from([0.0, 1e-14, 1e-12, 0.5, 2.0, -0.5]), st.floats(-3.0, 3.0)))
+    horizon = draw(st.integers(1, 300))
+    return QuadraticTrackingFamily(scales, (amplitude, power), box, horizon)
+
+
+class TestTwoRowConstants:
+    """A power path's L, L_s and L_1 read c(1) and c(horizon) only, when that
+    gives the bits of the whole table; the table itself fills on demand."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(power_streams())
+    def test_constants_are_the_tabled_maximum(self, tabled_constants, stream):
+        assert (stream.L, stream.L_s, stream.L_1) == tabled_constants(stream)
+
+    @pytest.mark.parametrize("scales", [(1.0,), (0.1, 1.0)])
+    def test_a_path_across_different_midpoints_reads_the_table(self, tabled_constants, scales):
+        # Agent 1.0 has midpoints 1 and -2.5; c(t) = -0.75 / t**1e-14 moves by
+        # ulps between them, and its tabled worst case lies inside rounds 1..10.
+        # Agent 0.1's midpoints are both above c, so its worst case is at round 10.
+        box = BoxSet(np.array([-4.0, -8.0]), np.array([6.0, 3.0]))
+        stream = QuadraticTrackingFamily(scales, (-0.75, 1e-14), box, 10)
+        c = np.array([[-0.75 / t**1e-14] for t in range(1, 11)])
+        ends = np.sum(np.maximum(np.abs(box.lower - c), np.abs(box.upper - c))**2, axis=1)
+        assert np.max(ends) > max(ends[0], ends[-1])
+        assert (stream.L, stream.L_s, stream.L_1) == tabled_constants(stream)
+
+    def test_power_path_builds_no_table(self):
+        stream = QuadraticTrackingFamily((1.0, 2.0), (60.0, 2.0), BoxSet.symmetric(10.0), 1000)
+        assert (stream.L, stream.L_s, stream.L_1) == (320.0, 8.0, 6400.0)
+        assert stream._rows.shape == (0, 1)
+        # The first request fills every round up to the horizon as one block.
+        assert stream.targets(3)[:, 0].tolist() == [60.0, 15.0, 60.0 / 9]
+        assert stream._rows[:, 0].tolist() == [60.0 / t**2.0 for t in range(1, 1001)]
+        # One shared box row: the path crosses the midpoint 1, and still no table.
+        shared = BoxSet(np.array([-4.0, -4.0]), np.array([6.0, 6.0]))
+        stream = QuadraticTrackingFamily((1.0,), (60.0, 2.0), shared, 10**6)
+        assert stream.L_1 == 2 * 64.0**2  # c(1) = 60 against the corner -4
+        assert stream._rows.shape == (0, 2)
+
+
 class TestRoundOptimum:
     def test_round_one_clamps(self, paper_stream):
         # unconstrained (1+2+3+6)*60 / (1+4+9+36) = 14.4, clamped to 10

@@ -5,13 +5,18 @@
 ``repr(float(v))``.  It stays here as the reference, the way
 tests/test_algorithms.py keeps the per-agent loops of the batched engine.
 The reader is checked against the writer: a written trace reads back bit for
-bit.
+bit.  ``TestSplitWriter`` checks the two-process writer on a trace above
+``harness.SPLIT_MIN_VALUES``: the same bytes as ``reference_body`` and as one
+process, and no file or child process left after a failure on either side.
 """
 
 import csv
 import io
 import json
+import os
 import tempfile
+import threading
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -191,3 +196,146 @@ class TestFailedWrite:
         with pytest.raises(RuntimeError, match="injected sidecar failure"):
             harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
         assert list(tmp_path.iterdir()) == []
+
+
+# The split writer's hand trace: its per-agent block, WIDE_T * n * (2d + 4)
+# values, just reaches harness.SPLIT_MIN_VALUES.
+WIDE_N, WIDE_D = 4, 3
+WIDE_BLOCK = WIDE_N * (2 * WIDE_D + 4)
+WIDE_T = -(-harness.SPLIT_MIN_VALUES // WIDE_BLOCK) + 1
+SENTINEL = 0.123456789
+
+
+def _wide_trace(sentinel_row: int | None = None) -> Trace:
+    """``EDGE_VALUES`` in the last round of the first half and the first round
+    of the second, and ``SENTINEL`` at 0-based row ``sentinel_row`` if given."""
+    rng = np.random.default_rng(5)
+    T, n, d = WIDE_T, WIDE_N, WIDE_D
+    trace = Trace(
+        algorithm="hand",
+        seed=0,
+        config={},
+        x=rng.standard_normal((T, n, d)),
+        z=rng.standard_normal((T, n, d)) * 1e5,
+        eps_norm=rng.random((T, n)),
+        loss_self=rng.random((T, n)) * 1e-6,
+        loss_global=rng.random((T, n)) + 1.0,
+        x_star=rng.standard_normal((T, d)),
+        f_star=rng.random(T),
+        g_norm=rng.random((T, n)),
+    )
+    edge = np.array(EDGE_VALUES)
+    for row in (T // 2 - 1, T // 2):
+        trace.x[row] = np.resize(edge, (n, d))
+        trace.z[row] = np.resize(edge[::-1], (n, d))
+        trace.loss_global[row] = edge[:n]
+        trace.x_star[row] = edge[-d:]
+    if sentinel_row is not None:
+        trace.eps_norm[sentinel_row, 1] = SENTINEL
+    return trace
+
+
+def _failing_on_sentinel(error: type):
+    """A stand-in for ``repr`` that raises ``error`` on ``SENTINEL`` only."""
+
+    def failing_repr(v):
+        if v == SENTINEL:
+            raise error("injected formatting failure")
+        return repr(v)
+
+    return failing_repr
+
+
+class TestSplitWriter:
+    """The two-process writer: the same bytes, and no file or child left behind."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The writer's forks, counted."""
+        calls = []
+        real = os.fork
+
+        def counted():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(harness.os, "fork", counted)
+        return calls
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_split_body_is_the_reference_body(self, tmp_path, forks):
+        assert WIDE_T * WIDE_BLOCK >= harness.SPLIT_MIN_VALUES
+        trace = _wide_trace()
+        csv_path, _ = harness.write_trace(trace, [0.9, 1e-05], tmp_path / "hand")
+        assert forks == [1]
+        assert csv_path.read_bytes() == reference_body(trace, [0.9, 1e-05]).encode()
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("disable", ["threshold", "one_cpu", "another_thread"])
+    def test_one_process_writes_the_same_bytes(self, tmp_path, monkeypatch, forks, disable):
+        trace = _wide_trace()
+        split, _ = harness.write_trace(trace, [0.9], tmp_path / "split")
+        if disable == "threshold":
+            monkeypatch.setattr(harness, "SPLIT_MIN_VALUES", WIDE_T * WIDE_BLOCK + 1)
+        elif disable == "one_cpu":
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10.0,))
+        if disable == "another_thread":
+            other.start()
+        try:
+            serial, _ = harness.write_trace(trace, [0.9], tmp_path / "serial")
+        finally:
+            release.set()
+        if disable == "another_thread":
+            other.join(timeout=10.0)
+            assert not other.is_alive()
+        assert forks == [1]
+        assert serial.read_bytes() == split.read_bytes()
+
+    def test_failure_in_the_childs_half_is_raised_here(self, tmp_path, monkeypatch, forks):
+        trace = _wide_trace(sentinel_row=WIDE_T - 2)
+        monkeypatch.setattr(harness, "repr", _failing_on_sentinel(RuntimeError), raising=False)
+        with pytest.raises(RuntimeError, match="injected formatting failure"):
+            harness.write_trace(trace, [0.9], tmp_path / "hand")
+        assert forks == [1]
+        assert list(tmp_path.iterdir()) == []
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failure_in_this_half_kills_and_reaps_the_child(self, tmp_path, monkeypatch, forks, error):
+        trace = _wide_trace(sentinel_row=1)
+        monkeypatch.setattr(harness, "repr", _failing_on_sentinel(error), raising=False)
+        with pytest.raises(error, match="injected formatting failure"):
+            harness.write_trace(trace, [0.9], tmp_path / "hand")
+        assert forks == [1]
+        assert list(tmp_path.iterdir()) == []
+        self.assert_no_child()
+
+    def test_fork_warning_of_a_threaded_process_is_filtered(self, tmp_path, monkeypatch):
+        """Python 3.12+ warns on fork while another OS thread exists; this
+        stand-in fork gives that warning on any version."""
+        real = os.fork
+
+        def warning_fork():
+            warnings.warn(
+                "This process (pid=1) is multi-threaded, use of fork() may lead to deadlocks in the child.",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            return real()
+
+        monkeypatch.setattr(harness.os, "fork", warning_fork)
+        trace = _wide_trace()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            csv_path, _ = harness.write_trace(trace, [0.9], tmp_path / "hand")
+        assert csv_path.read_bytes() == reference_body(trace, [0.9]).encode()
