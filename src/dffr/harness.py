@@ -224,6 +224,20 @@ class ExperimentConfig:
             if algo.kind == "projection_free" and algo.alpha0 is None:
                 raise ConstraintViolation("bound evaluation for projection_free needs alpha0")
             lam = self.effective_lambda()
+            # The largest row sum of |W - 1/n| bounds that modulus from above, so
+            # an override at or above it (the presets') needs no eigen-solver,
+            # whose first call adds about 0.6 MB of LAPACK pages to a process.
+            if (
+                self.topology.lambda_override is not None
+                and wm.B == 1
+                and lam < np.max(np.sum(np.abs(wm.w - 1.0 / wm.n), axis=1))
+            ):
+                floor = network.second_eigenvalue_modulus(wm)
+                if lam < floor:
+                    raise ConstraintViolation(
+                        f"topology.lambda_override {lam!r} is below {floor:.6g}, the weight matrix's "
+                        "second-largest eigenvalue modulus, so its mixing bound cannot hold"
+                    )
             for rho in self.rho:
                 if rho <= lam:
                     raise ConstraintViolation(
@@ -669,13 +683,63 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _can_split(per_agent: np.ndarray) -> bool:
-    return (
-        hasattr(os, "fork")
-        and per_agent.size >= SPLIT_MIN_VALUES
-        and _usable_cpus() > 1
-        and threading.active_count() == 1
-    )
+def _can_split() -> bool:
+    """Whether work may be shared with a forked child: ``os.fork`` exists, more
+    than one CPU is usable and no other Python thread runs."""
+    return hasattr(os, "fork") and _usable_cpus() > 1 and threading.active_count() == 1
+
+
+def _this_cpu() -> int | None:
+    """The CPU this process last ran on (field 39 of /proc/self/stat), or None."""
+    try:
+        with open("/proc/self/stat") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _with_child(child, parent):
+    """Run ``child()`` in a forked process while this one runs ``parent()``.
+
+    Returns ``parent()``'s result and whether the child returned without
+    raising; a caller whose child failed redoes the child's work in this
+    process, so a real error surfaces here with its own type.  The child
+    always leaves through ``os._exit``.  If ``parent()`` raises, interrupts
+    included, the child is killed and reaped before the exception propagates.
+    The child keeps to the usable CPUs other than the one this process is
+    on; this process's own affinity is left alone.  Call it only when
+    ``_can_split`` holds.
+    """
+    # Placing the child matters: on a 2-vCPU VM, Linux left a forked child on
+    # its parent's CPU for up to 0.5 s while the other CPU idled, and a split
+    # read of 2**19 values then took 223 ms against 198 ms in one process
+    # (139 ms with the child placed on the other CPU).  Pinning this process
+    # as well left later subprocesses about 3 % slower to set up in the benchmark.
+    others = os.sched_getaffinity(0) - {_this_cpu()} if hasattr(os, "sched_setaffinity") else set()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on fork whenever another OS thread exists, such as
+        # a BLAS pool.  No other Python thread runs (``_can_split``), and a child
+        # only reads or writes its own files, parses or formats numbers and
+        # copies arrays, so it takes no lock another thread could hold.
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            if others:
+                os.sched_setaffinity(0, others)
+            child()
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        result = parent()
+        status = os.waitpid(pid, 0)[1]
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    return result, status == 0
 
 
 def _write_rounds(fh, per_agent: np.ndarray, per_round: np.ndarray, lo: int, hi: int) -> None:
@@ -692,29 +756,13 @@ def _write_halves(fh, per_agent: np.ndarray, per_round: np.ndarray) -> None:
     """``_write_rounds`` of every round, the second half formatted by a forked child."""
     half, T = len(per_agent) // 2, len(per_agent)
     with tempfile.TemporaryFile(dir=Path(fh.name).parent) as spill:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on fork whenever another OS thread exists, such
-            # as a BLAS pool.  No other Python thread runs (``_can_split``), and
-            # the child only converts arrays with ``tolist``, calls ``repr`` and
-            # writes its file, so it takes no lock another thread could hold.
-            warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                with open(spill.fileno(), "w", closefd=False) as out:
-                    _write_rounds(out, per_agent, per_round, half, T)
-                status = 0
-            finally:
-                os._exit(status)
-        try:
-            _write_rounds(fh, per_agent, per_round, 0, half)
-            status = os.waitpid(pid, 0)[1]
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-        if status == 0:
+
+        def child():
+            with open(spill.fileno(), "w", closefd=False) as out:
+                _write_rounds(out, per_agent, per_round, half, T)
+
+        _, child_ok = _with_child(child, lambda: _write_rounds(fh, per_agent, per_round, 0, half))
+        if child_ok:
             fh.flush()
             spill.seek(0)
             shutil.copyfileobj(spill, fh.buffer)
@@ -730,16 +778,16 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
     ``repr(float(v))``.  The body is formatted and written one round at a
     time, and each round's per-round values are formatted once.
 
-    Formatting is split between two processes when ``_can_split`` allows it:
-    ``os.fork`` exists, more than one CPU is usable, no other Python thread
-    runs and the per-agent block has at least ``SPLIT_MIN_VALUES`` values.
-    A forked child then formats rounds T//2 + 1..T into an anonymous
-    temporary file while this process writes the header and rounds 1..T//2;
-    the child's bytes are appended after it is reaped, so the file is the
-    same byte for byte.  If the child fails, this process formats its rounds
-    again, so a real error surfaces here with its own type.  A write that
-    fails, or is interrupted, kills and reaps the child and leaves neither
-    file behind.
+    Formatting is split between two processes when the per-agent block has
+    at least ``SPLIT_MIN_VALUES`` values and ``_can_split`` allows it
+    (``os.fork`` exists, more than one CPU is usable and no other Python
+    thread runs).  A child forked by ``_with_child`` then formats rounds
+    T//2 + 1..T into an anonymous temporary file while this process writes
+    the header and rounds 1..T//2; the child's bytes are appended after it
+    is reaped, so the file is the same byte for byte.  If the child fails,
+    this process formats its rounds again, so a real error surfaces here
+    with its own type.  A write that fails, or is interrupted, kills and
+    reaps the child and leaves neither file behind.
     """
     base = Path(base_path)
     csv_path = base.with_suffix(".csv")
@@ -770,7 +818,7 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
     try:
         with csv_path.open("w") as fh:
             fh.write(",".join(columns) + "\n")
-            if _can_split(per_agent):
+            if per_agent.size >= SPLIT_MIN_VALUES and _can_split():
                 _write_halves(fh, per_agent, per_round)
             else:
                 _write_rounds(fh, per_agent, per_round, 0, trace.T)
@@ -794,7 +842,21 @@ _SIDECAR_FIELDS = {
 
 
 def read_trace(base_path) -> tuple[dict, Trace, dict]:
-    """Re-ingest a trace file pair; returns (meta, trace, stored running-regret columns)."""
+    """Re-ingest a trace file pair; returns (meta, trace, stored running-regret columns).
+
+    The body is parsed by ``np.loadtxt``.  A large body is parsed by two
+    processes: when ``_can_split`` allows it, the body holds at least
+    ``READ_SPLIT_MIN_VALUES`` values (T*n rows by the header's width) and
+    spans at least two rounds, a forked child parses rows T//2*n + 1..T*n
+    into a shared buffer while this process parses the rows before them.
+    The sidecar alone does not size that buffer: the split runs only when
+    the CSV file has at least 2 bytes (a digit and a separator) for each
+    value the sidecar implies.  Any anomaly (the child fails, either half
+    has another shape, or this process's half does not parse) makes this
+    process parse the whole body again in one ``np.loadtxt`` call, so a
+    malformed file raises the same error as in one process.  Both paths give
+    the same arrays bit for bit.
+    """
     base = Path(base_path)
     if base.suffix == ".csv":
         base = base.with_suffix("")
@@ -813,13 +875,11 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
     with csv_path.open() as fh:
         header = next(csv.reader([fh.readline()]), [])
         _check_sidecar_fields(meta_path, meta, header)
+        T, n, d = meta["T"], meta["n"], meta["d"]
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # an empty body
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            data = _read_body(fh, csv_path, T * n, T // 2 * n, len(header))
         except ValueError as exc:
             raise _malformed_row(csv_path, header, exc) from None
-    T, n, d = meta["T"], meta["n"], meta["d"]
     rows = data.shape[0]
     if rows and data.shape[1] != len(header):
         raise MalformedTrace(
@@ -842,6 +902,71 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
     trace = Trace(meta["algorithm"], meta["seed"], meta.get("config", {}), **fields)
     stored = dict(zip(meta["rhos"], body[:, 0, len(header) - len(meta["rhos"]):].T))
     return meta, trace, stored
+
+
+# Body values (rows times columns) from which read_trace splits the parse
+# between two processes.  Medians of 21 reads of a written body (n = 4, d = 3,
+# 19 columns), three runs on a 2-vCPU Xeon VM at a 65 MB RSS, in ms:
+#     values        2**14      2**15      2**16      2**17      2**18    2**19
+#     one process   7.2-8.0    12.9-13.4  24.9-28.6  38.5-55.1  95-103   188-203
+#     split         10.1-14.3  16.0-19.2  22.7-26.0  34.4-42.1  65-66    128-137
+# The split lost at 2**15 and won from 2**16 on in every run.
+READ_SPLIT_MIN_VALUES = 2**16
+
+
+def _load_rows(fh, max_rows: int | None = None) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty body
+        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=max_rows)
+
+
+def _read_body(fh, csv_path: Path, rows: int, split: int, width: int) -> np.ndarray:
+    """The body after the header line read from ``fh``, as a 2-D array; the
+    expected ``rows`` are parsed by two processes at row ``split`` if they can."""
+    values = rows * width
+    if (
+        split
+        and values >= READ_SPLIT_MIN_VALUES
+        and os.fstat(fh.fileno()).st_size >= 2 * values
+        and _can_split()
+    ):
+        start = fh.tell()
+        body = _read_halves(fh, csv_path, rows, split, width)
+        if body is not None:
+            return body
+        fh.seek(start)
+    return _load_rows(fh)
+
+
+def _read_halves(fh, csv_path: Path, rows: int, split: int, width: int) -> np.ndarray | None:
+    """The body parsed by two processes, or None on any anomaly: a forked child
+    parses the rows from ``split`` on into a shared buffer while this process
+    parses the ``split`` rows before them from ``fh``."""
+    import mmap  # here, not at the top: the module adds 0.15 MB to a process that never splits
+
+    body = np.frombuffer(mmap.mmap(-1, rows * width * 8), dtype=float).reshape(rows, width)
+
+    def child():
+        with csv_path.open() as own:
+            for _ in range(split + 1):  # the header and this process's rows
+                own.readline()
+            rest = _load_rows(own)
+        if rest.shape != (rows - split, width):
+            raise ValueError(f"the child's rows have shape {rest.shape}")
+        body[split:] = rest
+
+    def parent():
+        head = _load_rows(fh, max_rows=split)
+        if head.shape != (split, width):
+            return False
+        body[:split] = head
+        return True
+
+    try:
+        head_ok, child_ok = _with_child(child, parent)
+    except ValueError:
+        return None
+    return body if head_ok and child_ok else None
 
 
 def _check_sidecar_fields(meta_path: Path, meta: dict, header: list[str]) -> None:

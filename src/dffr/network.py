@@ -118,6 +118,14 @@ def mixing_constants(wm: WeightMatrix) -> MixingConstants:
     return MixingConstants(gamma=base**-2, lam=base ** (1.0 / wm.B))
 
 
+def second_eigenvalue_modulus(wm: WeightMatrix) -> float:
+    """The largest |eigenvalue| of W other than its eigenvalue 1 (0 for one
+    agent): the rate at which W^k approaches 1/n, so no mixing bound with a
+    smaller lambda holds for every power k."""
+    eigenvalues = np.linalg.eigvalsh(wm.w)  # ascending; the largest is 1
+    return float(max(abs(eigenvalues[0]), abs(eigenvalues[-2]))) if wm.n > 1 else 0.0
+
+
 @dataclass(frozen=True)
 class MixingReport:
     horizon: int

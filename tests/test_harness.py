@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dffr import cli, harness, metrics
+from dffr import cli, harness, metrics, network
 from dffr.errors import (
     ConstraintViolation,
     MalformedTrace,
@@ -87,6 +87,30 @@ class TestConfigValidation:
         raw["bounds"] = True
         with pytest.raises(ConstraintViolation):
             ExperimentConfig.from_dict(raw)
+
+    def test_lambda_override_below_the_matrix_rate_is_refused(self):
+        raw = harness.preset("paper-tracking-alg2").to_dict()
+        raw["topology"]["lambda_override"] = 0.5
+        message = (
+            "^topology.lambda_override 0.5 is below 0.56, the weight matrix's "
+            "second-largest eigenvalue modulus, so its mixing bound cannot hold$"
+        )
+        with pytest.raises(ConstraintViolation, match=message):
+            ExperimentConfig.from_dict(raw)
+        # The premise the refusal guards: at 0.5 the mixing bound fails.
+        wm = harness.preset("paper-tracking-alg2").built()[1]
+        rate = network.MixingConstants(gamma=network.mixing_constants(wm).gamma, lam=0.5)
+        assert not network.mixing_bound_check(wm, rate, horizon=20).passed
+        raw["bounds"] = False  # no bound curves, nothing to refuse
+        ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("name", ["paper-tracking-alg1", "paper-tracking-alg2", "paper-tracking-alg2-linesearch"])
+    def test_preset_lambda_override_passes(self, name):
+        raw = harness.preset(name).to_dict()
+        assert raw["bounds"] and raw["topology"]["lambda_override"] == 0.98625
+        ExperimentConfig.from_dict(raw)
+        raw["topology"]["lambda_override"] = 0.6  # above the matrix's rate 0.56
+        ExperimentConfig.from_dict(raw)
 
     def test_missing_topology(self):
         raw = harness.preset("paper-tracking-alg2").to_dict()

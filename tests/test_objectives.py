@@ -131,9 +131,63 @@ def power_streams(draw):
     return QuadraticTrackingFamily(scales, (amplitude, power), box, horizon)
 
 
+@st.composite
+def mixed_power_streams(draw):
+    """Power paths over boxes whose rows differ, so that a path can run between
+    box midpoints; targets near the midpoints make the worst case nearly flat."""
+    d = draw(st.integers(2, 6))
+    tenths = st.tuples(st.integers(-100, -5), st.integers(5, 100)).map(lambda row: [v / 10 for v in row])
+    rows = draw(st.lists(tenths, min_size=2, max_size=d).filter(lambda rows: rows[0] != rows[1]))
+    box = BoxSet(*np.array((rows * d)[:d]).T)
+    scales = draw(st.lists(st.floats(0.25, 8.0), min_size=1, max_size=3))
+    midpoints = [scale * (lower + upper) / 2 for scale in scales for lower, upper in rows]
+    near = [(u + v) / 2 for u in midpoints for v in midpoints]
+    amplitude = draw(st.one_of(st.floats(-100.0, 100.0), st.sampled_from(near)))
+    power = draw(st.one_of(st.sampled_from([1e-14, 1e-12, 1e-9, 0.5, 2.0, -0.5]), st.floats(-3.0, 3.0)))
+    horizon = draw(st.integers(2, 2000))
+    return QuadraticTrackingFamily(scales, (amplitude, power), box, horizon)
+
+
+def worst_per_agent(stream, c) -> list[float]:
+    lower, upper = stream.box.lower, stream.box.upper
+    return [
+        float(np.max(np.sum(np.maximum(np.abs(a * lower - c), np.abs(a * upper - c))**2, axis=1)))
+        for a in stream.scales
+    ]
+
+
 class TestTwoRowConstants:
-    """A power path's L, L_s and L_1 read c(1) and c(horizon) only, when that
-    gives the bits of the whole table; the table itself fills on demand."""
+    """A power path's L, L_s and L_1 read the rows of c(t) that can hold the
+    worst case, two when that gives the bits of the whole table; the table
+    itself fills on demand."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_power_streams())
+    def test_rows_read_hold_each_agents_tabled_maximum(self, tabled_constants, stream):
+        rows = stream._power_rows(stream.box, stream.horizon)
+        assert worst_per_agent(stream, rows) == worst_per_agent(stream, stream.targets(stream.horizon))
+        assert (stream.L, stream.L_s, stream.L_1) == tabled_constants(stream)
+
+    def test_a_nearly_flat_path_reads_the_rows_next_to_its_ends(self):
+        # c(t) = -0.93 / t**1e-12 moves by ulps; agent 3.35's midpoints -0.5025
+        # and -5.1925 lie on either side of it, and both agents' tabled worst
+        # cases sit inside the range, at rounds 179 and 182.
+        box = BoxSet(np.array([-6.1, -9.2]), np.array([5.8, 6.1]))
+        stream = QuadraticTrackingFamily((0.6, 3.35), (-0.9299999999999998, 1e-12), box, 183)
+        table, rows = stream.targets(183), stream._power_rows(box, 183)
+        assert worst_per_agent(stream, table[[0, -1]]) != worst_per_agent(stream, table)
+        assert worst_per_agent(stream, rows) == worst_per_agent(stream, table)
+        assert 2 < len(rows) < 183
+
+    def test_a_path_between_midpoints_reads_two_rows(self, tabled_constants):
+        # Box midpoints 2.5*a and 0 alternate; c(t) = 8/sqrt(t) crosses every
+        # 2.5*a, so terms move both ways over rounds 5..1000, but the sum is far
+        # from flat and its worst case sits at round 1.
+        box = BoxSet(np.array([-5.0, -10.0] * 5), np.array([10.0, 10.0] * 5))
+        stream = QuadraticTrackingFamily(np.linspace(0.5, 1.5, 50), (8.0, 0.5), box, 1000)
+        assert stream._rows.shape == (0, 10)
+        assert stream._power_rows(box, 1000)[:, 0].tolist() == [8.0, 8.0 / 1000**0.5]
+        assert (stream.L, stream.L_s, stream.L_1) == tabled_constants(stream)
 
     @settings(max_examples=300, deadline=None)
     @given(power_streams())

@@ -5,15 +5,19 @@
 ``repr(float(v))``.  It stays here as the reference, the way
 tests/test_algorithms.py keeps the per-agent loops of the batched engine.
 The reader is checked against the writer: a written trace reads back bit for
-bit.  ``TestSplitWriter`` checks the two-process writer on a trace above
-``harness.SPLIT_MIN_VALUES``: the same bytes as ``reference_body`` and as one
-process, and no file or child process left after a failure on either side.
+bit, in one process and split between two.  ``TestSplitWriter`` checks the
+two-process writer on a trace above ``harness.SPLIT_MIN_VALUES``: the same
+bytes as ``reference_body`` and as one process, and no file or child process
+left after a failure on either side.  ``TestSplitReader`` checks the
+two-process reader on a trace above ``harness.READ_SPLIT_MIN_VALUES``: the
+same bits and the same errors as one process, and no child process left.
 """
 
 import csv
 import io
 import json
 import os
+import shutil
 import tempfile
 import threading
 import warnings
@@ -26,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dffr import harness, metrics
+from dffr.errors import DffrError, MalformedTrace, SchemaVersionMismatch
 from dffr.trace import Trace
 
 
@@ -122,6 +127,23 @@ def assert_same_bits(got, want):
 @settings(max_examples=150, deadline=None)
 @given(traces(), rho_lists)
 def test_read_gives_back_what_write_wrote(trace, rhos):
+    check_round_trip(trace, rhos)
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces(), rho_lists)
+def test_split_read_gives_back_what_write_wrote(trace, rhos):
+    """The same round trip with every body of two or more rounds read by two processes."""
+    real, forks = os.fork, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "READ_SPLIT_MIN_VALUES", 0)
+        patch.setattr(harness, "_usable_cpus", lambda: 2)
+        patch.setattr(harness.os, "fork", lambda: forks.append(1) or real())
+        check_round_trip(trace, rhos)
+    assert len(forks) == (trace.T >= 2)
+
+
+def check_round_trip(trace, rhos):
     with np.errstate(all="ignore"), tempfile.TemporaryDirectory() as tmp:
         harness.write_trace(trace, rhos, Path(tmp) / "hand")
         _, again, stored = harness.read_trace(Path(tmp) / "hand")
@@ -206,11 +228,11 @@ WIDE_T = -(-harness.SPLIT_MIN_VALUES // WIDE_BLOCK) + 1
 SENTINEL = 0.123456789
 
 
-def _wide_trace(sentinel_row: int | None = None) -> Trace:
+def _wide_trace(sentinel_row: int | None = None, T: int = WIDE_T, n: int = WIDE_N) -> Trace:
     """``EDGE_VALUES`` in the last round of the first half and the first round
     of the second, and ``SENTINEL`` at 0-based row ``sentinel_row`` if given."""
     rng = np.random.default_rng(5)
-    T, n, d = WIDE_T, WIDE_N, WIDE_D
+    d = WIDE_D
     trace = Trace(
         algorithm="hand",
         seed=0,
@@ -235,6 +257,34 @@ def _wide_trace(sentinel_row: int | None = None) -> Trace:
     return trace
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks of the code under test, counted."""
+    calls = []
+    real = os.fork
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(harness.os, "fork", counted)
+    return calls
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# The CPUs this process may use, taken before any test: the fork helper places
+# its child and must leave them as they were.
+CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+def assert_cpus_unchanged():
+    assert (os.sched_getaffinity(0) if CPUS is not None else None) == CPUS
+
+
 def _failing_on_sentinel(error: type):
     """A stand-in for ``repr`` that raises ``error`` on ``SENTINEL`` only."""
 
@@ -253,31 +303,13 @@ class TestSplitWriter:
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The writer's forks, counted."""
-        calls = []
-        real = os.fork
-
-        def counted():
-            calls.append(1)
-            return real()
-
-        monkeypatch.setattr(harness.os, "fork", counted)
-        return calls
-
-    @staticmethod
-    def assert_no_child():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     def test_split_body_is_the_reference_body(self, tmp_path, forks):
         assert WIDE_T * WIDE_BLOCK >= harness.SPLIT_MIN_VALUES
         trace = _wide_trace()
         csv_path, _ = harness.write_trace(trace, [0.9, 1e-05], tmp_path / "hand")
         assert forks == [1]
         assert csv_path.read_bytes() == reference_body(trace, [0.9, 1e-05]).encode()
-        self.assert_no_child()
+        assert_no_child()
 
     @pytest.mark.parametrize("disable", ["threshold", "one_cpu", "another_thread"])
     def test_one_process_writes_the_same_bytes(self, tmp_path, monkeypatch, forks, disable):
@@ -308,7 +340,7 @@ class TestSplitWriter:
             harness.write_trace(trace, [0.9], tmp_path / "hand")
         assert forks == [1]
         assert list(tmp_path.iterdir()) == []
-        self.assert_no_child()
+        assert_no_child()
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_failure_in_this_half_kills_and_reaps_the_child(self, tmp_path, monkeypatch, forks, error):
@@ -318,7 +350,8 @@ class TestSplitWriter:
             harness.write_trace(trace, [0.9], tmp_path / "hand")
         assert forks == [1]
         assert list(tmp_path.iterdir()) == []
-        self.assert_no_child()
+        assert_no_child()
+        assert_cpus_unchanged()
 
     def test_fork_warning_of_a_threaded_process_is_filtered(self, tmp_path, monkeypatch):
         """Python 3.12+ warns on fork while another OS thread exists; this
@@ -339,3 +372,158 @@ class TestSplitWriter:
             warnings.simplefilter("error")
             csv_path, _ = harness.write_trace(trace, [0.9], tmp_path / "hand")
         assert csv_path.read_bytes() == reference_body(trace, [0.9]).encode()
+
+
+# The split reader's hand trace: _wide_trace over READ_T rounds, whose body,
+# READ_T * n rows by READ_WIDTH columns, just reaches harness.READ_SPLIT_MIN_VALUES.
+READ_RHOS = [0.9, 1e-05]
+READ_WIDTH = len(harness.trace_columns(WIDE_D, READ_RHOS))
+READ_T = -(-harness.READ_SPLIT_MIN_VALUES // (WIDE_N * READ_WIDTH)) + 1
+READ_SPLIT_ROW = READ_T // 2 * WIDE_N  # the child's first body row
+
+
+def _read_arrays(base) -> list[np.ndarray]:
+    """Every array that read_trace gives back: the trace's, then the stored columns."""
+    _, trace, stored = harness.read_trace(base)
+    arrays = [getattr(trace, f.name) for f in fields(Trace)]
+    return [a for a in arrays if isinstance(a, np.ndarray)] + [stored[rho] for rho in READ_RHOS]
+
+
+def _read_error(base) -> tuple[type, str]:
+    with pytest.raises(DffrError) as info:
+        harness.read_trace(base)
+    return type(info.value), str(info.value)
+
+
+def _with_field(line: str, k: int, value: str) -> str:
+    fields_ = line.rstrip("\n").split(",")
+    fields_[k] = value
+    return ",".join(fields_) + "\n"
+
+
+class TestSplitReader:
+    """The two-process reader: the same arrays and errors, and no child left behind."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """The wide trace and its base path, written once; tests change copies."""
+        trace = _wide_trace(T=READ_T)
+        base = tmp_path_factory.mktemp("wide") / "hand"
+        harness.write_trace(trace, READ_RHOS, base)
+        return trace, base
+
+    @staticmethod
+    def copy_with(base: Path, tmp_path: Path, edit) -> Path:
+        """A copy of the trace pair whose CSV lines (header first) pass through ``edit``."""
+        lines = base.with_suffix(".csv").read_text().splitlines(keepends=True)
+        copy = tmp_path / "copy"
+        copy.with_suffix(".csv").write_text("".join(edit(lines)))
+        shutil.copyfile(base.with_suffix(".meta.json"), copy.with_suffix(".meta.json"))
+        return copy
+
+    @staticmethod
+    def one_process(monkeypatch):
+        monkeypatch.setattr(harness, "READ_SPLIT_MIN_VALUES", READ_T * WIDE_N * READ_WIDTH + 1)
+
+    @pytest.mark.parametrize("disable", ["threshold", "one_cpu"])
+    def test_split_read_is_the_one_process_read(self, written, monkeypatch, forks, disable):
+        trace, base = written
+        assert READ_T * WIDE_N * READ_WIDTH >= harness.READ_SPLIT_MIN_VALUES
+        real, parses = harness._load_rows, []
+        monkeypatch.setattr(harness, "_load_rows", lambda fh, max_rows=None: parses.append(max_rows) or real(fh, max_rows))
+        split = _read_arrays(base)
+        assert forks == [1]
+        assert parses == [READ_SPLIT_ROW]  # this process's half, and no second parse
+        assert_no_child()
+        if disable == "threshold":
+            self.one_process(monkeypatch)
+        else:
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        assert_cpus_unchanged()
+        serial = _read_arrays(base)
+        assert forks == [1]
+        for got, want in zip(split, serial, strict=True):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert_same_bits(split[0], trace.x)
+
+    @pytest.mark.parametrize(
+        "line", [READ_SPLIT_ROW + 3, 2], ids=["childs-half", "this-half"]
+    )
+    def test_non_number_gives_the_one_process_error(self, written, tmp_path, monkeypatch, forks, line):
+        copy = self.copy_with(
+            written[1], tmp_path, lambda lines: [*lines[:line - 1], _with_field(lines[line - 1], 4, "abc"), *lines[line:]]
+        )
+        split = _read_error(copy)
+        assert forks == [1]
+        assert_no_child()
+        self.one_process(monkeypatch)
+        assert _read_error(copy) == split
+        assert split == (MalformedTrace, f"{copy}.csv: line {line}: {harness.trace_columns(WIDE_D, READ_RHOS)[4]} "
+                         "is not a number: 'abc'")
+
+    @pytest.mark.parametrize(
+        "edit, rows",
+        [
+            (lambda lines: lines[:-1], READ_T * WIDE_N - 1),
+            (lambda lines: [*lines[:3], *lines[4:]], READ_T * WIDE_N - 1),
+            (lambda lines: [*lines, lines[-1]], READ_T * WIDE_N + 1),
+            (lambda lines: lines[:READ_SPLIT_ROW + 2], READ_SPLIT_ROW + 1),  # it would broadcast
+        ],
+        ids=["last-row-missing", "row-missing-in-this-half", "row-extra", "one-row-in-childs-half"],
+    )
+    def test_wrong_row_count_gives_the_one_process_error(self, written, tmp_path, monkeypatch, forks, edit, rows):
+        copy = self.copy_with(written[1], tmp_path, edit)
+        split = _read_error(copy)
+        assert forks == [1]
+        assert_no_child()
+        self.one_process(monkeypatch)
+        assert _read_error(copy) == split
+        expected = READ_T * WIDE_N
+        assert split == (
+            SchemaVersionMismatch,
+            f"{copy}.csv: line {min(rows, expected) + 2}: trace has {rows} rows, expected T*n = {expected}",
+        )
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failure_in_this_half_kills_and_reaps_the_child(self, written, monkeypatch, forks, error):
+        real = harness._load_rows
+
+        def failing(fh, max_rows=None):
+            if max_rows is not None:  # this process's half; the child parses to the end
+                raise error("injected parse failure")
+            return real(fh, max_rows)
+
+        monkeypatch.setattr(harness, "_load_rows", failing)
+        with pytest.raises(error, match="injected parse failure"):
+            harness.read_trace(written[1])
+        assert forks == [1]
+        assert_no_child()
+        assert_cpus_unchanged()
+
+    @pytest.mark.parametrize("n", [1, WIDE_N])
+    def test_one_round_is_read_in_one_process(self, tmp_path, monkeypatch, forks, n):
+        monkeypatch.setattr(harness, "READ_SPLIT_MIN_VALUES", 0)
+        trace = _wide_trace(T=1, n=n)
+        harness.write_trace(trace, READ_RHOS, tmp_path / "hand")
+        assert_same_bits(_read_arrays(tmp_path / "hand")[0], trace.x)
+        assert forks == []
+
+    def test_sidecar_cannot_size_the_buffer_alone(self, written, tmp_path, forks):
+        """A sidecar that claims 10**9 rows beside a small CSV gets the row-count
+        error, without a split that would map 10**9 rows of floats."""
+        copy = self.copy_with(written[1], tmp_path, lambda lines: lines)
+        meta_path = copy.with_suffix(".meta.json")
+        meta = json.loads(meta_path.read_text())
+        meta.update(T=10**6, n=1000, final_eps_norm=[0.0] * 1000)
+        meta_path.write_text(json.dumps(meta))
+        rows = READ_T * WIDE_N
+        assert _read_error(copy) == (
+            SchemaVersionMismatch,
+            f"{copy}.csv: line {rows + 2}: trace has {rows} rows, expected T*n = {10**9}",
+        )
+        assert forks == []
