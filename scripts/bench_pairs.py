@@ -6,8 +6,10 @@
 
 Each seed is one pair: ``perfbench/run.py --trace 0`` of both checkouts
 (each its own copy, from its own directory, at its default run length), the
-parent first in odd pairs and the change first in even ones.  The output
-file records the machine (CPU model and count, the CPUs this process may
+parent first in odd pairs and the change first in even ones.  It refuses to
+start when only one checkout's ``src/`` holds bytecode caches, since
+``setup_s`` would then time a compile on one side only.  The output file
+records the machine (CPU model and count, the CPUs this process may
 use, Python and numpy versions), each checkout's commit (whether its tree
 was dirty, and the git tree of the ``src/`` it ran), every run's result
 line, the seeds, and for each end-to-end metric the median and quartiles
@@ -71,6 +73,20 @@ def commit(checkout: Path) -> dict:
     }
 
 
+def check_bytecode_caches(sides: dict[str, Path]) -> None:
+    """End the script if exactly one checkout's ``src/`` holds ``__pycache__``.
+
+    ``setup_s`` times fresh interpreters, so the checkout without caches
+    would also time compiling its sources.
+    """
+    cached = [path for path in sides.values() if next((path / "src").rglob("__pycache__"), None)]
+    if len(cached) == 1:
+        raise SystemExit(
+            f"{cached[0]}: src/ holds __pycache__ and the other checkout's does not, so setup_s "
+            "would time a compile on one side only; remove the caches or create them on both sides"
+        )
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run of a checkout; its result line, parsed.
 
@@ -123,6 +139,7 @@ def main() -> int:
     if len(seeds) < 2:
         parser.error(f"need at least 2 pairs, one seed each; got {len(seeds)} seeds")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    check_bytecode_caches(sides)
 
     pairs = []
     for k, seed in enumerate(seeds):

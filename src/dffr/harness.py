@@ -2,10 +2,10 @@
 
 Configs are declarative JSON documents with nested sections (problem,
 topology, algorithm); every cross-field constraint is checked at parse time.
-A run writes, per seed, a CSV trace body plus a JSON metadata sidecar; the
-CSV bytes are a pure function of (config, seed), so identical runs are
-byte-identical and every summary number can be recomputed from the files
-alone.
+A run writes, per seed, a CSV trace body, a JSON metadata sidecar and a
+binary copy of the parsed body; the CSV bytes are a pure function of
+(config, seed), so identical runs are byte-identical and every summary
+number can be recomputed from the files alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 import os
 import re
 import reprlib
-import shutil
 import signal
 import sys
 import tempfile
@@ -711,16 +710,17 @@ def _with_child(child, parent):
     ``_can_split`` holds.
     """
     # Placing the child matters: on a 2-vCPU VM, Linux left a forked child on
-    # its parent's CPU for up to 0.5 s while the other CPU idled, and a split
-    # read of 2**19 values then took 223 ms against 198 ms in one process
-    # (139 ms with the child placed on the other CPU).  Pinning this process
-    # as well left later subprocesses about 3 % slower to set up in the benchmark.
+    # its parent's CPU for up to 0.5 s while the other CPU idled, and a
+    # two-process parse of 2**19 values then took 223 ms against 198 ms in one
+    # process (139 ms with the child placed on the other CPU).  Pinning this
+    # process as well left later subprocesses about 3 % slower to set up in the
+    # benchmark.
     others = os.sched_getaffinity(0) - {_this_cpu()} if hasattr(os, "sched_setaffinity") else set()
     with warnings.catch_warnings():
         # Python 3.12+ warns on fork whenever another OS thread exists, such as
         # a BLAS pool.  No other Python thread runs (``_can_split``), and a child
-        # only reads or writes its own files, parses or formats numbers and
-        # copies arrays, so it takes no lock another thread could hold.
+        # only formats numbers and writes its own file, so it takes no lock
+        # another thread could hold.
         warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
         pid = os.fork()
     if pid == 0:
@@ -742,56 +742,106 @@ def _with_child(child, parent):
     return result, status == 0
 
 
-def _write_rounds(fh, per_agent: np.ndarray, per_round: np.ndarray, lo: int, hi: int) -> None:
-    """Rows of rounds lo + 1..hi (0-based rows lo..hi - 1) of the body."""
+def _write_rounds(write, per_agent: np.ndarray, per_round: np.ndarray, lo: int, hi: int) -> None:
+    """Rows of rounds lo + 1..hi (0-based rows lo..hi - 1) of the body, passed
+    to ``write`` as ASCII bytes in blocks of whole rounds of about 64 KiB."""
+    block, size = [], 0
     for t, (agents, tail) in enumerate(zip(per_agent[lo:hi], per_round[lo:hi].tolist()), start=lo + 1):
         tail = ",".join(map(repr, tail))
-        fh.write("".join([
+        block.append("".join([
             f"{t},{i},{','.join(map(repr, row))},{tail}\n"
             for i, row in enumerate(agents.tolist())
         ]))
+        size += len(block[-1])
+        if size >= 2**16 or t == hi:
+            write("".join(block).encode())
+            block, size = [], 0
 
 
-def _write_halves(fh, per_agent: np.ndarray, per_round: np.ndarray) -> None:
-    """``_write_rounds`` of every round, the second half formatted by a forked child."""
+# Values per chunk of the binary copy's rows: 128 KiB of float64 at most.
+COPY_CHUNK_VALUES = 2**14
+DIGEST_BYTES = 32  # SHA-256
+
+
+def _write_copy(out, per_agent: np.ndarray, per_round: np.ndarray) -> None:
+    """The rows ``np.loadtxt`` parses from the body, as little-endian float64.
+
+    Row (t, i) is t + 1, i, then per_agent[t, i] and per_round[t], as the CSV
+    row; every NaN becomes ``np.nan``, the value the text ``nan`` parses to.
+    Chunks of whole rounds, ``COPY_CHUNK_VALUES`` values at most (one round
+    if a round alone is larger), go through one reused buffer.
+    """
+    T, n, width = per_agent.shape
+    columns = 2 + width + per_round.shape[1]
+    step = max(1, COPY_CHUNK_VALUES // (n * columns))
+    buffer = np.empty((min(step, T), n, columns), dtype="<f8")
+    buffer[:, :, 1] = np.arange(n)
+    for lo in range(0, T, step):
+        chunk = buffer[:min(step, T - lo)]
+        chunk[:, :, 0] = np.arange(lo + 1, lo + 1 + len(chunk))[:, None]
+        chunk[:, :, 2:2 + width] = per_agent[lo:lo + len(chunk)]
+        chunk[:, :, 2 + width:] = per_round[lo:lo + len(chunk), None]
+        np.copyto(chunk, np.nan, where=np.isnan(chunk))
+        out.write(chunk.data)
+
+
+def _write_halves(write, body, per_agent: np.ndarray, per_round: np.ndarray, spill_dir: Path) -> None:
+    """``_write_rounds`` of every round, the second half formatted by a forked
+    child into a temporary file; this process writes the first half and the
+    copy's rows (``_write_copy`` to ``body``) while the child works, then
+    passes the child's bytes to ``write`` in 64 KiB chunks."""
     half, T = len(per_agent) // 2, len(per_agent)
-    with tempfile.TemporaryFile(dir=Path(fh.name).parent) as spill:
+    with tempfile.TemporaryFile(dir=spill_dir) as spill:
 
         def child():
-            with open(spill.fileno(), "w", closefd=False) as out:
-                _write_rounds(out, per_agent, per_round, half, T)
+            with open(spill.fileno(), "wb", closefd=False) as out:
+                _write_rounds(out.write, per_agent, per_round, half, T)
 
-        _, child_ok = _with_child(child, lambda: _write_rounds(fh, per_agent, per_round, 0, half))
+        def parent():
+            _write_rounds(write, per_agent, per_round, 0, half)
+            _write_copy(body, per_agent, per_round)
+
+        _, child_ok = _with_child(child, parent)
         if child_ok:
-            fh.flush()
             spill.seek(0)
-            shutil.copyfileobj(spill, fh.buffer)
+            while data := spill.read(2**16):
+                write(data)
         else:
-            _write_rounds(fh, per_agent, per_round, half, T)
+            _write_rounds(write, per_agent, per_round, half, T)
 
 
 def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
-    """Write <base>.csv (deterministic body) and <base>.meta.json (sidecar).
+    """Write <base>.csv (deterministic body), <base>.meta.json (sidecar) and
+    <base>.body (a binary copy of the parsed body); returns the three paths.
 
     Rows are round-major then agent; per-round values (optimum, gap, running
     regret) repeat on each agent row of the round.  Every value is written as
     ``repr(float(v))``.  The body is formatted and written one round at a
     time, and each round's per-round values are formatted once.
 
+    <base>.body holds the array ``np.loadtxt`` gives for the CSV body, (T*n,
+    width) little-endian float64 rows with every NaN as ``np.nan``, followed
+    by the SHA-256 of the CSV file's bytes.  The digest is taken as the bytes
+    are written, so the CSV is not read again; ``read_trace`` uses the copy
+    only while that digest matches.
+
     Formatting is split between two processes when the per-agent block has
     at least ``SPLIT_MIN_VALUES`` values and ``_can_split`` allows it
     (``os.fork`` exists, more than one CPU is usable and no other Python
     thread runs).  A child forked by ``_with_child`` then formats rounds
     T//2 + 1..T into an anonymous temporary file while this process writes
-    the header and rounds 1..T//2; the child's bytes are appended after it
-    is reaped, so the file is the same byte for byte.  If the child fails,
-    this process formats its rounds again, so a real error surfaces here
-    with its own type.  A write that fails, or is interrupted, kills and
-    reaps the child and leaves neither file behind.
+    the header, rounds 1..T//2 and the copy's rows; the child's bytes are
+    appended after it is reaped, so the file is the same byte for byte.  If
+    the child fails, this process formats its rounds again, so a real error
+    surfaces here with its own type.  A write that fails, or is interrupted,
+    kills and reaps the child and leaves none of the three files behind.
     """
+    import hashlib  # here, not at the top: the module takes about 5 ms to import
+
     base = Path(base_path)
     csv_path = base.with_suffix(".csv")
     meta_path = base.with_suffix(".meta.json")
+    body_path = base.with_suffix(".body")
     columns = trace_columns(trace.d, rhos)
     blocks = {True: [], False: []}  # per agent (T, n, width), per round (T, width)
     for name, _, per_agent, per_coordinate in _LAYOUT:
@@ -815,19 +865,27 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
         "final_eps_norm": [float(v) for v in trace.final_eps_norm],
         "config": trace.config,
     }
+    digest = hashlib.sha256()
     try:
-        with csv_path.open("w") as fh:
-            fh.write(",".join(columns) + "\n")
+        with csv_path.open("wb") as fh, body_path.open("wb") as body:
+
+            def write(data: bytes) -> None:
+                fh.write(data)
+                digest.update(data)
+
+            write((",".join(columns) + "\n").encode())
             if per_agent.size >= SPLIT_MIN_VALUES and _can_split():
-                _write_halves(fh, per_agent, per_round)
+                _write_halves(write, body, per_agent, per_round, csv_path.parent)
             else:
-                _write_rounds(fh, per_agent, per_round, 0, trace.T)
+                _write_rounds(write, per_agent, per_round, 0, trace.T)
+                _write_copy(body, per_agent, per_round)
+            body.write(digest.digest())
         meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     except BaseException:
-        csv_path.unlink(missing_ok=True)
-        meta_path.unlink(missing_ok=True)
+        for path in (csv_path, meta_path, body_path):
+            path.unlink(missing_ok=True)
         raise
-    return [csv_path, meta_path]
+    return [csv_path, meta_path, body_path]
 
 
 # Every sidecar field; read_trace checks the schema version before this table.
@@ -842,20 +900,15 @@ _SIDECAR_FIELDS = {
 
 
 def read_trace(base_path) -> tuple[dict, Trace, dict]:
-    """Re-ingest a trace file pair; returns (meta, trace, stored running-regret columns).
+    """Re-ingest a trace; returns (meta, trace, stored running-regret columns).
 
-    The body is parsed by ``np.loadtxt``.  A large body is parsed by two
-    processes: when ``_can_split`` allows it, the body holds at least
-    ``READ_SPLIT_MIN_VALUES`` values (T*n rows by the header's width) and
-    spans at least two rounds, a forked child parses rows T//2*n + 1..T*n
-    into a shared buffer while this process parses the rows before them.
-    The sidecar alone does not size that buffer: the split runs only when
-    the CSV file has at least 2 bytes (a digit and a separator) for each
-    value the sidecar implies.  Any anomaly (the child fails, either half
-    has another shape, or this process's half does not parse) makes this
-    process parse the whole body again in one ``np.loadtxt`` call, so a
-    malformed file raises the same error as in one process.  Both paths give
-    the same arrays bit for bit.
+    The body comes from the binary copy <base>.body when it is the copy of
+    this CSV file: its size is exactly 8 bytes per value (T*n rows from the
+    sidecar, by the header's width) plus the 32-byte digest, and that digest
+    is the SHA-256 of the CSV file's bytes.  In every other case (no copy, a
+    truncated or stale one, an edited CSV) ``np.loadtxt`` parses the CSV
+    body.  Both give the same array bit for bit, and every check after them
+    runs on either, so a file reads back, or fails, the same way.
     """
     base = Path(base_path)
     if base.suffix == ".csv":
@@ -877,7 +930,7 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
         _check_sidecar_fields(meta_path, meta, header)
         T, n, d = meta["T"], meta["n"], meta["d"]
         try:
-            data = _read_body(fh, csv_path, T * n, T // 2 * n, len(header))
+            data = _read_body(fh, csv_path, T * n, len(header))
         except ValueError as exc:
             raise _malformed_row(csv_path, header, exc) from None
     rows = data.shape[0]
@@ -904,69 +957,41 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
     return meta, trace, stored
 
 
-# Body values (rows times columns) from which read_trace splits the parse
-# between two processes.  Medians of 21 reads of a written body (n = 4, d = 3,
-# 19 columns), three runs on a 2-vCPU Xeon VM at a 65 MB RSS, in ms:
-#     values        2**14      2**15      2**16      2**17      2**18    2**19
-#     one process   7.2-8.0    12.9-13.4  24.9-28.6  38.5-55.1  95-103   188-203
-#     split         10.1-14.3  16.0-19.2  22.7-26.0  34.4-42.1  65-66    128-137
-# The split lost at 2**15 and won from 2**16 on in every run.
-READ_SPLIT_MIN_VALUES = 2**16
-
-
-def _load_rows(fh, max_rows: int | None = None) -> np.ndarray:
+def _load_rows(fh) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # an empty body
-        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=max_rows)
+        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
 
 
-def _read_body(fh, csv_path: Path, rows: int, split: int, width: int) -> np.ndarray:
-    """The body after the header line read from ``fh``, as a 2-D array; the
-    expected ``rows`` are parsed by two processes at row ``split`` if they can."""
-    values = rows * width
-    if (
-        split
-        and values >= READ_SPLIT_MIN_VALUES
-        and os.fstat(fh.fileno()).st_size >= 2 * values
-        and _can_split()
-    ):
-        start = fh.tell()
-        body = _read_halves(fh, csv_path, rows, split, width)
-        if body is not None:
-            return body
-        fh.seek(start)
-    return _load_rows(fh)
+def _read_body(fh, csv_path: Path, rows: int, width: int) -> np.ndarray:
+    """The body after the header line read from ``fh``, as a 2-D array: the
+    binary copy if it belongs to this CSV file, else the parsed text."""
+    body = _read_copy(csv_path, rows, width)
+    return body if body is not None else _load_rows(fh)
 
 
-def _read_halves(fh, csv_path: Path, rows: int, split: int, width: int) -> np.ndarray | None:
-    """The body parsed by two processes, or None on any anomaly: a forked child
-    parses the rows from ``split`` on into a shared buffer while this process
-    parses the ``split`` rows before them from ``fh``."""
-    import mmap  # here, not at the top: the module adds 0.15 MB to a process that never splits
+def _read_copy(csv_path: Path, rows: int, width: int) -> np.ndarray | None:
+    """The (rows, width) array of <base>.body, or None unless the file is
+    exactly that many float64 values plus the CSV file's SHA-256."""
+    import hashlib  # here, not at the top: the module takes about 5 ms to import
 
-    body = np.frombuffer(mmap.mmap(-1, rows * width * 8), dtype=float).reshape(rows, width)
-
-    def child():
-        with csv_path.open() as own:
-            for _ in range(split + 1):  # the header and this process's rows
-                own.readline()
-            rest = _load_rows(own)
-        if rest.shape != (rows - split, width):
-            raise ValueError(f"the child's rows have shape {rest.shape}")
-        body[split:] = rest
-
-    def parent():
-        head = _load_rows(fh, max_rows=split)
-        if head.shape != (split, width):
-            return False
-        body[:split] = head
-        return True
-
+    size = 8 * rows * width + DIGEST_BYTES
     try:
-        head_ok, child_ok = _with_child(child, parent)
-    except ValueError:
+        with csv_path.with_suffix(".body").open("rb") as fh:
+            # The size comes first, so a sidecar cannot size the buffer alone.
+            if os.fstat(fh.fileno()).st_size != size:
+                return None
+            raw = bytearray(size)
+            got = fh.readinto(raw)
+    except OSError:
         return None
-    return body if head_ok and child_ok else None
+    digest = hashlib.sha256()
+    with csv_path.open("rb") as source:  # hashlib.file_digest's loop, which Python 3.10 lacks
+        while chunk := source.read(2**18):
+            digest.update(chunk)
+    if got != size or raw[-DIGEST_BYTES:] != digest.digest():
+        return None
+    return np.frombuffer(raw, dtype="<f8", count=rows * width).reshape(rows, width).astype(float, copy=False)
 
 
 def _check_sidecar_fields(meta_path: Path, meta: dict, header: list[str]) -> None:
@@ -1034,6 +1059,11 @@ def _malformed_row(csv_path: Path, header: list[str], exc: ValueError) -> Malfor
 
 def recompute_metrics(trace_path, rhos: list[float]) -> dict:
     """Recompute the per-seed summary entry from stored trace rows only (no re-simulation).
+
+    The rows come from ``read_trace``: from the binary copy <base>.body while
+    its digest matches the CSV, else parsed from the CSV; both give the same
+    bits, so the entry is the same either way.  The DFFR is recomputed from
+    the loss and optimum columns for any ``rhos``, stored or not.
 
     For every requested forgetting factor that was stored at write time, the
     recomputed running regret is compared against the stored column; the

@@ -86,15 +86,17 @@ def _check_connected(w: np.ndarray) -> None:
     n = w.shape[0]
     if n == 1:
         return
-    adj = (w > 0.0) & ~np.eye(n, dtype=bool)
+    rows, cols = np.nonzero((w > 0.0) & ~np.eye(n, dtype=bool))
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
     seen = {0}
     queue = deque([0])
     while queue:
         i = queue.popleft()
-        for j in np.flatnonzero(adj[i]):
+        for j in cols[starts[i]:starts[i + 1]]:
             if j not in seen:
-                seen.add(int(j))
-                queue.append(int(j))
+                seen.add(j)
+                queue.append(j)
     if len(seen) != n:
         raise Disconnected(
             f"graph of positive off-diagonal weights reaches {len(seen)} of {n} agents"

@@ -253,9 +253,12 @@ class QuadraticTrackingFamily(ObjectiveStream):
         # for a fixed round because each coordinate's deviation peaks at a corner.
         last = max(horizon, 1)
         c = self.targets(last) if callable(target) else self._power_rows(box, last)
-        worst_sq = np.array([
-            np.max(np.sum(np.maximum(np.abs(a * box.lower - c), np.abs(a * box.upper - c))**2, axis=1))
-            for a in scales
+        # Agents in chunks of about 2**16 values, each summed over its contiguous
+        # last axis as one agent's (rows, d) block is, so every bit is the same.
+        step = max(1, 2**16 // c.size) if c.size else scales.size
+        worst_sq = np.concatenate([
+            np.max(np.sum(np.maximum(np.abs(a * box.lower - c), np.abs(a * box.upper - c))**2, axis=2), axis=1)
+            for a in (scales[lo:lo + step, None, None] for lo in range(0, scales.size, step))
         ])
         L, L_s, L_1 = np.max(2.0 * scales * np.sqrt(worst_sq)), np.max(2.0 * scales**2), np.max(worst_sq)
         super().__init__(scales.size, box.d, horizon, box, L, L_s, L_1)

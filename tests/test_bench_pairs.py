@@ -50,3 +50,18 @@ def test_machine_records_usable_cpus(bench_pairs, monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     assert bench_pairs.machine()["usable_cpus"] == 5
+
+
+@pytest.mark.parametrize("cached", [["parent"], ["change"], [], ["parent", "change"]])
+def test_bytecode_caches_on_one_side_only_are_refused(bench_pairs, tmp_path, cached):
+    sides = {side: tmp_path / side for side in ("parent", "change")}
+    for side, path in sides.items():
+        (path / "src" / "dffr").mkdir(parents=True)
+        if side in cached:
+            (path / "src" / "dffr" / "__pycache__").mkdir()
+    if len(cached) == 1:
+        with pytest.raises(SystemExit, match="__pycache__") as caught:
+            bench_pairs.check_bytecode_caches(sides)
+        assert str(caught.value).startswith(f"{sides[cached[0]]}: ")
+    else:
+        bench_pairs.check_bytecode_caches(sides)

@@ -128,7 +128,7 @@ def test_csv_body_matches_golden_digest(name, request, tmp_path):
         traces = [harness.run_single(cfg, seed) for seed in cfg.seeds]
     digests = {}
     for seed, trace in zip(cfg.seeds, traces):
-        csv_path, _ = harness.write_trace(trace, cfg.rho, tmp_path / f"seed{seed}")
+        csv_path, *_ = harness.write_trace(trace, cfg.rho, tmp_path / f"seed{seed}")
         digests[seed] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
     assert digests == GOLDEN[name]
 
@@ -146,7 +146,7 @@ def test_wide_csv_body_matches_golden_digest(name, tmp_path):
     digests = {}
     for seed in cfg.seeds:
         trace = harness.run_single(cfg, seed)
-        csv_path, _ = harness.write_trace(trace, cfg.rho, tmp_path / f"seed{seed}")
+        csv_path, *_ = harness.write_trace(trace, cfg.rho, tmp_path / f"seed{seed}")
         digests[seed] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
     assert digests == SCALE_GOLDEN[name]
 

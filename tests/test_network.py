@@ -26,6 +26,12 @@ class TestValidation:
         with pytest.raises(Disconnected):
             validate_weight_matrix(np.eye(2))
 
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [0, 3, 1, 4, 2, 5]], ids=["blocks", "interleaved"])
+    def test_disconnected_names_the_agents_reached(self, order):
+        two_rings = np.kron(np.eye(2), ring_matrix(3, 0.3))  # agents 0-2 and 3-5, apart
+        with pytest.raises(Disconnected, match=r"^graph of positive off-diagonal weights reaches 3 of 6 agents$"):
+            validate_weight_matrix(two_rings[np.ix_(order, order)])
+
     def test_half_half_valid(self):
         wm = validate_weight_matrix([[0.5, 0.5], [0.5, 0.5]], B=1)
         assert wm.omega == 0.5

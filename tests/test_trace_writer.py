@@ -1,19 +1,21 @@
-"""The bulk trace writer against the per-field writer it replaced.
+"""The bulk trace writer against the per-field writer it replaced, and the
+binary copy of the body beside it.
 
 ``reference_body`` is the former ``harness.write_trace`` body: one
 ``csv.writer`` row per (round, agent), every value through
 ``repr(float(v))``.  It stays here as the reference, the way
 tests/test_algorithms.py keeps the per-agent loops of the batched engine.
 The reader is checked against the writer: a written trace reads back bit for
-bit, in one process and split between two.  ``TestSplitWriter`` checks the
-two-process writer on a trace above ``harness.SPLIT_MIN_VALUES``: the same
-bytes as ``reference_body`` and as one process, and no file or child process
-left after a failure on either side.  ``TestSplitReader`` checks the
-two-process reader on a trace above ``harness.READ_SPLIT_MIN_VALUES``: the
-same bits and the same errors as one process, and no child process left.
+bit, from the binary copy and from the parsed text alike.  ``TestSplitWriter``
+checks the two-process writer on a trace above ``harness.SPLIT_MIN_VALUES``:
+the same bytes as ``reference_body`` and as one process, and no file or child
+process left after a failure on either side.  ``TestCopyFallback`` and
+``TestSplitReader`` check that a copy which is not the CSV's own is never
+used: the read parses the text, with the same arrays and the same errors.
 """
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -108,9 +110,13 @@ rho_lists = st.lists(st.sampled_from([0.5, 0.9, 0.95, 0.99, 0.9875, 1e-05]), max
 @given(traces(), rho_lists)
 def test_body_matches_per_field_writer(trace, rhos):
     with np.errstate(all="ignore"), tempfile.TemporaryDirectory() as tmp:
-        csv_path, meta_path = harness.write_trace(trace, rhos, Path(tmp) / "hand")
-        assert csv_path.read_bytes() == reference_body(trace, rhos).encode()
+        csv_path, meta_path, body_path = harness.write_trace(trace, rhos, Path(tmp) / "hand")
+        text = reference_body(trace, rhos)
+        assert csv_path.read_bytes() == text.encode()
         meta = json.loads(meta_path.read_text())
+        # The copy: the parsed body as little-endian float64, then the CSV's SHA-256.
+        parsed = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+        assert body_path.read_bytes() == parsed.astype("<f8").tobytes() + hashlib.sha256(text.encode()).digest()
     assert meta["columns"] == harness.trace_columns(trace.d, rhos)
     assert (meta["T"], meta["n"], meta["d"]) == (trace.T, trace.n, trace.d)
 
@@ -130,19 +136,6 @@ def test_read_gives_back_what_write_wrote(trace, rhos):
     check_round_trip(trace, rhos)
 
 
-@settings(max_examples=150, deadline=None)
-@given(traces(), rho_lists)
-def test_split_read_gives_back_what_write_wrote(trace, rhos):
-    """The same round trip with every body of two or more rounds read by two processes."""
-    real, forks = os.fork, []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "READ_SPLIT_MIN_VALUES", 0)
-        patch.setattr(harness, "_usable_cpus", lambda: 2)
-        patch.setattr(harness.os, "fork", lambda: forks.append(1) or real())
-        check_round_trip(trace, rhos)
-    assert len(forks) == (trace.T >= 2)
-
-
 def check_round_trip(trace, rhos):
     with np.errstate(all="ignore"), tempfile.TemporaryDirectory() as tmp:
         harness.write_trace(trace, rhos, Path(tmp) / "hand")
@@ -157,6 +150,92 @@ def check_round_trip(trace, rhos):
     assert sorted(stored) == sorted(set(rhos))
     for rho in rhos:
         assert_same_bits(stored[rho], series[rho])
+
+
+def _nan(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(float)[0])
+
+
+# Every NaN form (quiet, negative, with a payload, signalling), both
+# infinities, signed zeros and subnormals: the copy must hold for each what
+# the text parses to.
+WILD_VALUES = [
+    np.nan, _nan(0xFFF8000000000000), _nan(0x7FF8000000000123), _nan(0x7FF0000000000001),
+    np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310, -1.5,
+]
+
+
+@st.composite
+def wild_traces(draw):
+    """Traces of one to four rounds, d = 0 included, whose values are drawn
+    from ``WILD_VALUES`` or any float."""
+    T = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 3]))
+    d = draw(st.sampled_from([0, 1, 3]))
+    wild = st.one_of(st.sampled_from(WILD_VALUES), st.floats())
+
+    def arr(*shape, elements=wild):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+    return Trace(
+        algorithm="hand",
+        seed=0,
+        config={},
+        x=arr(T, n, d),
+        z=arr(T, n, d),
+        eps_norm=arr(T, n),
+        loss_self=arr(T, n),
+        loss_global=arr(T, n),
+        x_star=arr(T, d),
+        f_star=arr(T),
+        g_norm=arr(T, n),
+        final_eps_norm=arr(n, elements=values),  # the sidecar holds finite numbers only
+    )
+
+
+def _every_array(base, rhos) -> tuple[dict, list[np.ndarray]]:
+    """The sidecar and every array that read_trace gives back: the trace's,
+    then the stored columns."""
+    meta, trace, stored = harness.read_trace(base)
+    arrays = [getattr(trace, f.name) for f in fields(Trace)]
+    return meta, [a for a in arrays if isinstance(a, np.ndarray)] + [stored[float(rho)] for rho in rhos]
+
+
+def assert_identical(got: list[np.ndarray], want: list[np.ndarray]):
+    """The same shapes and the same bits, NaNs included."""
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The text parses of the code under test, counted."""
+    calls = []
+    real = harness._load_rows
+    monkeypatch.setattr(harness, "_load_rows", lambda fh: calls.append(1) or real(fh))
+    return calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(wild_traces(), rho_lists)
+def test_copy_reads_as_the_parsed_text(trace, rhos):
+    """A read from the binary copy gives every array, stored columns included,
+    bit for bit as the parse of the CSV does once the copy is deleted."""
+    calls = []
+    real = harness._load_rows
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"), tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(harness, "_load_rows", lambda fh: calls.append(1) or real(fh))
+        base = Path(tmp) / "hand"
+        *_, body_path = harness.write_trace(trace, rhos, base)
+        meta, copy = _every_array(base, rhos)
+        assert calls == []
+        body_path.unlink()
+        again, parsed = _every_array(base, rhos)
+        assert calls == [1]
+    assert meta == again
+    assert_identical(copy, parsed)
 
 
 def _small_trace() -> Trace:
@@ -218,6 +297,23 @@ class TestFailedWrite:
         with pytest.raises(RuntimeError, match="injected sidecar failure"):
             harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failure_while_writing_the_copy(self, tmp_path, monkeypatch, error):
+        monkeypatch.setattr(harness, "_write_copy", _copy_failing(error))
+        with pytest.raises(error, match="injected copy failure"):
+            harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
+        assert list(tmp_path.iterdir()) == []
+
+
+def _copy_failing(error: type):
+    """A stand-in for ``harness._write_copy`` that writes one value, then raises."""
+
+    def failing(out, per_agent, per_round):
+        out.write(np.zeros(1).tobytes())
+        raise error("injected copy failure")
+
+    return failing
 
 
 # The split writer's hand trace: its per-agent block, WIDE_T * n * (2d + 4)
@@ -306,7 +402,7 @@ class TestSplitWriter:
     def test_split_body_is_the_reference_body(self, tmp_path, forks):
         assert WIDE_T * WIDE_BLOCK >= harness.SPLIT_MIN_VALUES
         trace = _wide_trace()
-        csv_path, _ = harness.write_trace(trace, [0.9, 1e-05], tmp_path / "hand")
+        csv_path, *_ = harness.write_trace(trace, [0.9, 1e-05], tmp_path / "hand")
         assert forks == [1]
         assert csv_path.read_bytes() == reference_body(trace, [0.9, 1e-05]).encode()
         assert_no_child()
@@ -314,7 +410,7 @@ class TestSplitWriter:
     @pytest.mark.parametrize("disable", ["threshold", "one_cpu", "another_thread"])
     def test_one_process_writes_the_same_bytes(self, tmp_path, monkeypatch, forks, disable):
         trace = _wide_trace()
-        split, _ = harness.write_trace(trace, [0.9], tmp_path / "split")
+        split, _, split_copy = harness.write_trace(trace, [0.9], tmp_path / "split")
         if disable == "threshold":
             monkeypatch.setattr(harness, "SPLIT_MIN_VALUES", WIDE_T * WIDE_BLOCK + 1)
         elif disable == "one_cpu":
@@ -324,7 +420,7 @@ class TestSplitWriter:
         if disable == "another_thread":
             other.start()
         try:
-            serial, _ = harness.write_trace(trace, [0.9], tmp_path / "serial")
+            serial, _, serial_copy = harness.write_trace(trace, [0.9], tmp_path / "serial")
         finally:
             release.set()
         if disable == "another_thread":
@@ -332,6 +428,7 @@ class TestSplitWriter:
             assert not other.is_alive()
         assert forks == [1]
         assert serial.read_bytes() == split.read_bytes()
+        assert serial_copy.read_bytes() == split_copy.read_bytes()  # written during the wait, or after
 
     def test_failure_in_the_childs_half_is_raised_here(self, tmp_path, monkeypatch, forks):
         trace = _wide_trace(sentinel_row=WIDE_T - 2)
@@ -341,6 +438,16 @@ class TestSplitWriter:
         assert forks == [1]
         assert list(tmp_path.iterdir()) == []
         assert_no_child()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failure_while_writing_the_copy_kills_and_reaps_the_child(self, tmp_path, monkeypatch, forks, error):
+        monkeypatch.setattr(harness, "_write_copy", _copy_failing(error))
+        with pytest.raises(error, match="injected copy failure"):
+            harness.write_trace(_wide_trace(), [0.9], tmp_path / "hand")
+        assert forks == [1]
+        assert list(tmp_path.iterdir()) == []
+        assert_no_child()
+        assert_cpus_unchanged()
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_failure_in_this_half_kills_and_reaps_the_child(self, tmp_path, monkeypatch, forks, error):
@@ -370,29 +477,13 @@ class TestSplitWriter:
         trace = _wide_trace()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            csv_path, _ = harness.write_trace(trace, [0.9], tmp_path / "hand")
+            csv_path, *_ = harness.write_trace(trace, [0.9], tmp_path / "hand")
         assert csv_path.read_bytes() == reference_body(trace, [0.9]).encode()
 
 
-# The split reader's hand trace: _wide_trace over READ_T rounds, whose body,
-# READ_T * n rows by READ_WIDTH columns, just reaches harness.READ_SPLIT_MIN_VALUES.
 READ_RHOS = [0.9, 1e-05]
-READ_WIDTH = len(harness.trace_columns(WIDE_D, READ_RHOS))
-READ_T = -(-harness.READ_SPLIT_MIN_VALUES // (WIDE_N * READ_WIDTH)) + 1
-READ_SPLIT_ROW = READ_T // 2 * WIDE_N  # the child's first body row
-
-
-def _read_arrays(base) -> list[np.ndarray]:
-    """Every array that read_trace gives back: the trace's, then the stored columns."""
-    _, trace, stored = harness.read_trace(base)
-    arrays = [getattr(trace, f.name) for f in fields(Trace)]
-    return [a for a in arrays if isinstance(a, np.ndarray)] + [stored[rho] for rho in READ_RHOS]
-
-
-def _read_error(base) -> tuple[type, str]:
-    with pytest.raises(DffrError) as info:
-        harness.read_trace(base)
-    return type(info.value), str(info.value)
+READ_ROWS = WIDE_T * WIDE_N
+MID_ROW = WIDE_T // 2 * WIDE_N  # the first body row of the second half of the rounds
 
 
 def _with_field(line: str, k: int, value: str) -> str:
@@ -401,129 +492,161 @@ def _with_field(line: str, k: int, value: str) -> str:
     return ",".join(fields_) + "\n"
 
 
-class TestSplitReader:
-    """The two-process reader: the same arrays and errors, and no child left behind."""
+def _read_error(base) -> tuple[type, str]:
+    with pytest.raises(DffrError) as info:
+        harness.read_trace(base)
+    return type(info.value), str(info.value)
 
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
 
-    @pytest.fixture(scope="class")
-    def written(self, tmp_path_factory):
-        """The wide trace and its base path, written once; tests change copies."""
-        trace = _wide_trace(T=READ_T)
-        base = tmp_path_factory.mktemp("wide") / "hand"
-        harness.write_trace(trace, READ_RHOS, base)
-        return trace, base
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """The wide trace and its base path, written once (split, where this
+    machine allows it); tests change copies."""
+    trace = _wide_trace()
+    base = tmp_path_factory.mktemp("wide") / "hand"
+    harness.write_trace(trace, READ_RHOS, base)
+    return trace, base
 
-    @staticmethod
-    def copy_with(base: Path, tmp_path: Path, edit) -> Path:
-        """A copy of the trace pair whose CSV lines (header first) pass through ``edit``."""
+
+def copy_with(base: Path, tmp_path: Path, edit=None) -> Path:
+    """A copy of the three files, the binary copy unchanged; the CSV lines
+    (header first) pass through ``edit`` if it is given."""
+    copy = tmp_path / "copy"
+    for suffix in (".csv", ".meta.json", ".body"):
+        shutil.copyfile(base.with_suffix(suffix), copy.with_suffix(suffix))
+    if edit is not None:
         lines = base.with_suffix(".csv").read_text().splitlines(keepends=True)
-        copy = tmp_path / "copy"
         copy.with_suffix(".csv").write_text("".join(edit(lines)))
-        shutil.copyfile(base.with_suffix(".meta.json"), copy.with_suffix(".meta.json"))
-        return copy
+    return copy
+
+
+class TestCopyFallback:
+    """The binary copy is read only while it is this CSV's copy; in every
+    other case the text is parsed, and the arrays are the parse's."""
+
+    def test_copy_is_read_without_a_parse(self, written, tmp_path, parses):
+        trace, base = written
+        copy = copy_with(base, tmp_path)
+        _, arrays = _every_array(copy, READ_RHOS)
+        assert parses == []
+        copy.with_suffix(".body").unlink()
+        assert_identical(arrays, _every_array(copy, READ_RHOS)[1])
+        assert parses == [1]
+        assert_same_bits(arrays[0], trace.x)
 
     @staticmethod
-    def one_process(monkeypatch):
-        monkeypatch.setattr(harness, "READ_SPLIT_MIN_VALUES", READ_T * WIDE_N * READ_WIDTH + 1)
+    def edit_a_digit(copy: Path) -> None:
+        """One digit of x_0 on line 5 changed, at the same length."""
+        data = bytearray(copy.with_suffix(".csv").read_bytes())
+        line_start = [i + 1 for i, b in enumerate(data) if b == ord("\n")][3]
+        k = line_start
+        for _ in range(3):  # past t and agent, to the comma after x_0
+            k = data.index(b",", k) + 1
+        k -= 2  # the last character of x_0
+        assert chr(data[k]).isdigit()
+        data[k] = ord("1") if data[k] != ord("1") else ord("2")
+        copy.with_suffix(".csv").write_bytes(bytes(data))
 
-    @pytest.mark.parametrize("disable", ["threshold", "one_cpu"])
-    def test_split_read_is_the_one_process_read(self, written, monkeypatch, forks, disable):
-        trace, base = written
-        assert READ_T * WIDE_N * READ_WIDTH >= harness.READ_SPLIT_MIN_VALUES
-        real, parses = harness._load_rows, []
-        monkeypatch.setattr(harness, "_load_rows", lambda fh, max_rows=None: parses.append(max_rows) or real(fh, max_rows))
-        split = _read_arrays(base)
-        assert forks == [1]
-        assert parses == [READ_SPLIT_ROW]  # this process's half, and no second parse
-        assert_no_child()
-        if disable == "threshold":
-            self.one_process(monkeypatch)
-        else:
-            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-        assert_cpus_unchanged()
-        serial = _read_arrays(base)
-        assert forks == [1]
-        for got, want in zip(split, serial, strict=True):
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert_same_bits(split[0], trace.x)
+    @staticmethod
+    def rewrite_the_csv(copy: Path) -> None:
+        """Another trace of the same shape written over the files, with the
+        old binary copy put back."""
+        old = copy.with_suffix(".body").read_bytes()
+        other = _wide_trace()
+        other.x *= 2.0
+        harness.write_trace(other, READ_RHOS, copy)
+        assert copy.with_suffix(".body").stat().st_size == len(old)
+        copy.with_suffix(".body").write_bytes(old)
+
+    @staticmethod
+    def change_the_copy(how):
+        def edit(copy: Path) -> None:
+            body = copy.with_suffix(".body")
+            body.write_bytes(how(body.read_bytes()))
+
+        return edit
 
     @pytest.mark.parametrize(
-        "line", [READ_SPLIT_ROW + 3, 2], ids=["childs-half", "this-half"]
+        "stale",
+        [
+            edit_a_digit,
+            change_the_copy(lambda data: data[:-1]),
+            change_the_copy(lambda data: data + b"\0"),
+            change_the_copy(lambda data: data[:-1] + bytes([data[-1] ^ 1])),
+            lambda copy: copy.with_suffix(".body").unlink(),
+            rewrite_the_csv,
+        ],
+        ids=["digit-edited", "copy-truncated", "copy-one-byte-longer", "digest-flipped", "copy-missing", "csv-rewritten"],
     )
-    def test_non_number_gives_the_one_process_error(self, written, tmp_path, monkeypatch, forks, line):
-        copy = self.copy_with(
+    def test_a_copy_that_is_not_the_csvs_is_not_read(self, written, tmp_path, parses, stale):
+        copy = copy_with(written[1], tmp_path)
+        stale(copy)
+        _, got = _every_array(copy, READ_RHOS)
+        assert parses == [1]
+        copy.with_suffix(".body").unlink(missing_ok=True)
+        assert_identical(got, _every_array(copy, READ_RHOS)[1])
+
+
+class TestSplitReader:
+    """Malformed CSV files beside the binary copy they were written with
+    (their edits lie in either half of the rounds, once read by two processes):
+    the read parses the text and raises its exact error, as without the copy."""
+
+    @staticmethod
+    def assert_the_parses_error(copy: Path, parses: list) -> tuple[type, str]:
+        error = _read_error(copy)
+        assert parses == [1]
+        copy.with_suffix(".body").unlink()
+        assert _read_error(copy) == error
+        return error
+
+    @pytest.mark.parametrize("line", [MID_ROW + 3, 2], ids=["childs-half", "this-half"])
+    def test_non_number_gives_the_one_process_error(self, written, tmp_path, parses, line):
+        copy = copy_with(
             written[1], tmp_path, lambda lines: [*lines[:line - 1], _with_field(lines[line - 1], 4, "abc"), *lines[line:]]
         )
-        split = _read_error(copy)
-        assert forks == [1]
-        assert_no_child()
-        self.one_process(monkeypatch)
-        assert _read_error(copy) == split
-        assert split == (MalformedTrace, f"{copy}.csv: line {line}: {harness.trace_columns(WIDE_D, READ_RHOS)[4]} "
-                         "is not a number: 'abc'")
+        assert self.assert_the_parses_error(copy, parses) == (
+            MalformedTrace,
+            f"{copy}.csv: line {line}: {harness.trace_columns(WIDE_D, READ_RHOS)[4]} is not a number: 'abc'",
+        )
 
     @pytest.mark.parametrize(
         "edit, rows",
         [
-            (lambda lines: lines[:-1], READ_T * WIDE_N - 1),
-            (lambda lines: [*lines[:3], *lines[4:]], READ_T * WIDE_N - 1),
-            (lambda lines: [*lines, lines[-1]], READ_T * WIDE_N + 1),
-            (lambda lines: lines[:READ_SPLIT_ROW + 2], READ_SPLIT_ROW + 1),  # it would broadcast
+            (lambda lines: lines[:-1], READ_ROWS - 1),
+            (lambda lines: [*lines[:3], *lines[4:]], READ_ROWS - 1),
+            (lambda lines: [*lines, lines[-1]], READ_ROWS + 1),
+            (lambda lines: lines[:MID_ROW + 2], MID_ROW + 1),
         ],
         ids=["last-row-missing", "row-missing-in-this-half", "row-extra", "one-row-in-childs-half"],
     )
-    def test_wrong_row_count_gives_the_one_process_error(self, written, tmp_path, monkeypatch, forks, edit, rows):
-        copy = self.copy_with(written[1], tmp_path, edit)
-        split = _read_error(copy)
-        assert forks == [1]
-        assert_no_child()
-        self.one_process(monkeypatch)
-        assert _read_error(copy) == split
-        expected = READ_T * WIDE_N
-        assert split == (
+    def test_wrong_row_count_gives_the_one_process_error(self, written, tmp_path, parses, edit, rows):
+        copy = copy_with(written[1], tmp_path, edit)
+        assert self.assert_the_parses_error(copy, parses) == (
             SchemaVersionMismatch,
-            f"{copy}.csv: line {min(rows, expected) + 2}: trace has {rows} rows, expected T*n = {expected}",
+            f"{copy}.csv: line {min(rows, READ_ROWS) + 2}: trace has {rows} rows, expected T*n = {READ_ROWS}",
         )
 
-    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    def test_failure_in_this_half_kills_and_reaps_the_child(self, written, monkeypatch, forks, error):
-        real = harness._load_rows
-
-        def failing(fh, max_rows=None):
-            if max_rows is not None:  # this process's half; the child parses to the end
-                raise error("injected parse failure")
-            return real(fh, max_rows)
-
-        monkeypatch.setattr(harness, "_load_rows", failing)
-        with pytest.raises(error, match="injected parse failure"):
-            harness.read_trace(written[1])
-        assert forks == [1]
-        assert_no_child()
-        assert_cpus_unchanged()
-
     @pytest.mark.parametrize("n", [1, WIDE_N])
-    def test_one_round_is_read_in_one_process(self, tmp_path, monkeypatch, forks, n):
-        monkeypatch.setattr(harness, "READ_SPLIT_MIN_VALUES", 0)
+    def test_one_round_is_read_in_one_process(self, tmp_path, forks, parses, n):
         trace = _wide_trace(T=1, n=n)
         harness.write_trace(trace, READ_RHOS, tmp_path / "hand")
-        assert_same_bits(_read_arrays(tmp_path / "hand")[0], trace.x)
-        assert forks == []
+        _, arrays = _every_array(tmp_path / "hand", READ_RHOS)
+        assert parses == [] and forks == []
+        assert_same_bits(arrays[0], trace.x)
+        (tmp_path / "hand.body").unlink()
+        assert_identical(arrays, _every_array(tmp_path / "hand", READ_RHOS)[1])
 
-    def test_sidecar_cannot_size_the_buffer_alone(self, written, tmp_path, forks):
-        """A sidecar that claims 10**9 rows beside a small CSV gets the row-count
-        error, without a split that would map 10**9 rows of floats."""
-        copy = self.copy_with(written[1], tmp_path, lambda lines: lines)
+    def test_sidecar_cannot_size_the_buffer_alone(self, written, tmp_path, parses):
+        """A sidecar that claims 10**9 rows beside a small CSV and its copy gets
+        the row-count error: the copy's size does not match, so nothing is read
+        from it and no buffer of 10**9 rows of floats is made."""
+        copy = copy_with(written[1], tmp_path)
         meta_path = copy.with_suffix(".meta.json")
         meta = json.loads(meta_path.read_text())
         meta.update(T=10**6, n=1000, final_eps_norm=[0.0] * 1000)
         meta_path.write_text(json.dumps(meta))
-        rows = READ_T * WIDE_N
-        assert _read_error(copy) == (
+        assert self.assert_the_parses_error(copy, parses) == (
             SchemaVersionMismatch,
-            f"{copy}.csv: line {rows + 2}: trace has {rows} rows, expected T*n = {10**9}",
+            f"{copy}.csv: line {READ_ROWS + 2}: trace has {READ_ROWS} rows, expected T*n = {10**9}",
         )
-        assert forks == []
