@@ -13,7 +13,8 @@ records the machine (CPU model and count, the CPUs this process may
 use, Python and numpy versions), each checkout's commit (whether its tree
 was dirty, and the git tree of the ``src/`` it ran), every run's result
 line, the seeds, and for each end-to-end metric the median and quartiles
-of each side and the number of pairs in which the change was lower.  An
+of each side, the number of pairs in which the change was lower, and
+whether the medians differ by more than the parent's q3 - q1.  An
 existing output file keeps its other workloads, so one file can hold
 several.
 """
@@ -116,10 +117,12 @@ def summarize(pairs: list[dict]) -> dict:
     summary = {}
     for name in pairs[0]["parent"]["metrics"]:
         value = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in ("parent", "change")}
+        parent, change = spread(value["parent"]), spread(value["change"])
         summary[name] = {
-            "parent": spread(value["parent"]),
-            "change": spread(value["change"]),
+            "parent": parent,
+            "change": change,
             "change_lower_in": sum(c < p for p, c in zip(value["parent"], value["change"])),
+            "outside_parent_spread": abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"],
         }
     return summary
 

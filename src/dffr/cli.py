@@ -42,6 +42,13 @@ def _parse_seeds(args) -> list[int] | None:
         ) from None
 
 
+def _parse_numbers(option: str, spec: str) -> list[float]:
+    try:
+        return [float(v) for v in spec.split(",") if v]
+    except ValueError:
+        raise harness.ParseError(f"bad {option} {spec!r}: expected comma-separated numbers") from None
+
+
 def _strip_traces(summary: dict) -> dict:
     return {k: v for k, v in summary.items() if k != "traces"}
 
@@ -56,7 +63,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    values = [float(v) for v in args.values.split(",") if v]
+    values = _parse_numbers("--values", args.values)
     rows = harness.sweep(cfg, args.param, values, out_dir=args.out)
     json.dump(rows, sys.stdout, sort_keys=True, indent=2)
     print()
@@ -64,7 +71,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    rhos = [float(v) for v in args.rho.split(",") if v]
+    rhos = _parse_numbers("--rho", args.rho)
     result = harness.recompute_metrics(args.trace, rhos)
     json.dump(result, sys.stdout, sort_keys=True, indent=2)
     print()

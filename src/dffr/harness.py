@@ -668,7 +668,7 @@ def trace_columns(d: int, rhos: list[float]) -> list[str]:
     return cols + ["gap"] + [f"dffr_{_fmt(rho)}" for rho in rhos]
 
 
-# Per-agent values from which write_trace splits the body between two processes.
+# Per-agent values from which _write_body splits the body between two processes.
 # Fork, exit and wait took 2.2-3.9 ms at a 70-90 MB RSS on a 2-vCPU Xeon VM,
 # against about 1.1 us of ``repr`` per value, so a child that formats half of
 # a block pays for itself from about 4,000-8,000 values.  At 16,800 values
@@ -683,63 +683,9 @@ def _usable_cpus() -> int:
 
 
 def _can_split() -> bool:
-    """Whether work may be shared with a forked child: ``os.fork`` exists, more
-    than one CPU is usable and no other Python thread runs."""
+    """Whether work may be shared with a forked child: this platform can fork,
+    more than one CPU is usable and no other Python thread runs."""
     return hasattr(os, "fork") and _usable_cpus() > 1 and threading.active_count() == 1
-
-
-def _this_cpu() -> int | None:
-    """The CPU this process last ran on (field 39 of /proc/self/stat), or None."""
-    try:
-        with open("/proc/self/stat") as fh:
-            return int(fh.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, IndexError, ValueError):
-        return None
-
-
-def _with_child(child, parent):
-    """Run ``child()`` in a forked process while this one runs ``parent()``.
-
-    Returns ``parent()``'s result and whether the child returned without
-    raising; a caller whose child failed redoes the child's work in this
-    process, so a real error surfaces here with its own type.  The child
-    always leaves through ``os._exit``.  If ``parent()`` raises, interrupts
-    included, the child is killed and reaped before the exception propagates.
-    The child keeps to the usable CPUs other than the one this process is
-    on; this process's own affinity is left alone.  Call it only when
-    ``_can_split`` holds.
-    """
-    # Placing the child matters: on a 2-vCPU VM, Linux left a forked child on
-    # its parent's CPU for up to 0.5 s while the other CPU idled, and a
-    # two-process parse of 2**19 values then took 223 ms against 198 ms in one
-    # process (139 ms with the child placed on the other CPU).  Pinning this
-    # process as well left later subprocesses about 3 % slower to set up in the
-    # benchmark.
-    others = os.sched_getaffinity(0) - {_this_cpu()} if hasattr(os, "sched_setaffinity") else set()
-    with warnings.catch_warnings():
-        # Python 3.12+ warns on fork whenever another OS thread exists, such as
-        # a BLAS pool.  No other Python thread runs (``_can_split``), and a child
-        # only formats numbers and writes its own file, so it takes no lock
-        # another thread could hold.
-        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            if others:
-                os.sched_setaffinity(0, others)
-            child()
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        result = parent()
-        status = os.waitpid(pid, 0)[1]
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-    return result, status == 0
 
 
 def _write_rounds(write, per_agent: np.ndarray, per_round: np.ndarray, lo: int, hi: int) -> None:
@@ -785,23 +731,50 @@ def _write_copy(out, per_agent: np.ndarray, per_round: np.ndarray) -> None:
         out.write(chunk.data)
 
 
-def _write_halves(write, body, per_agent: np.ndarray, per_round: np.ndarray, spill_dir: Path) -> None:
-    """``_write_rounds`` of every round, the second half formatted by a forked
-    child into a temporary file; this process writes the first half and the
-    copy's rows (``_write_copy`` to ``body``) while the child works, then
-    passes the child's bytes to ``write`` in 64 KiB chunks."""
-    half, T = len(per_agent) // 2, len(per_agent)
+def _write_body(write, body, per_agent: np.ndarray, per_round: np.ndarray, spill_dir: Path) -> None:
+    """Every round of the body through ``_write_rounds`` to ``write``, and the
+    copy's rows (``_write_copy``) to ``body``.
+
+    Below ``SPLIT_MIN_VALUES`` per-agent values, or unless ``_can_split``
+    holds, this process writes all of it.  Otherwise a forked child formats
+    rounds T//2 + 1..T into an anonymous temporary file in ``spill_dir``
+    while this process writes rounds 1..T//2 and the copy's rows; the
+    child's bytes are then passed to ``write`` in 64 KiB chunks, so the
+    bytes are the same either way.  The child always leaves through
+    ``os._exit``; if it fails, this process formats its rounds again, so a
+    real error surfaces here with its own type.  If this process raises,
+    interrupts included, the child is killed and reaped first.
+    """
+    T = len(per_agent)
+    if per_agent.size < SPLIT_MIN_VALUES or not _can_split():
+        _write_rounds(write, per_agent, per_round, 0, T)
+        _write_copy(body, per_agent, per_round)
+        return
+    half = T // 2
     with tempfile.TemporaryFile(dir=spill_dir) as spill:
-
-        def child():
-            with open(spill.fileno(), "wb", closefd=False) as out:
-                _write_rounds(out.write, per_agent, per_round, half, T)
-
-        def parent():
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on fork whenever another OS thread exists, such as
+            # a BLAS pool.  No other Python thread runs (``_can_split``), and the
+            # child only formats numbers and writes its own file, so it takes no
+            # lock another thread could hold.
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                with open(spill.fileno(), "wb", closefd=False) as out:
+                    _write_rounds(out.write, per_agent, per_round, half, T)
+                status = 0
+            finally:
+                os._exit(status)
+        try:
             _write_rounds(write, per_agent, per_round, 0, half)
             _write_copy(body, per_agent, per_round)
-
-        _, child_ok = _with_child(child, parent)
+            child_ok = os.waitpid(pid, 0)[1] == 0
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
         if child_ok:
             spill.seek(0)
             while data := spill.read(2**16):
@@ -825,16 +798,9 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
     are written, so the CSV is not read again; ``read_trace`` uses the copy
     only while that digest matches.
 
-    Formatting is split between two processes when the per-agent block has
-    at least ``SPLIT_MIN_VALUES`` values and ``_can_split`` allows it
-    (``os.fork`` exists, more than one CPU is usable and no other Python
-    thread runs).  A child forked by ``_with_child`` then formats rounds
-    T//2 + 1..T into an anonymous temporary file while this process writes
-    the header, rounds 1..T//2 and the copy's rows; the child's bytes are
-    appended after it is reaped, so the file is the same byte for byte.  If
-    the child fails, this process formats its rounds again, so a real error
-    surfaces here with its own type.  A write that fails, or is interrupted,
-    kills and reaps the child and leaves none of the three files behind.
+    ``_write_body`` writes the rows and the copy's rows, in two processes for a
+    large body; either way the bytes are the same.  A write that fails, or is
+    interrupted, leaves none of the three files behind.
     """
     import hashlib  # here, not at the top: the module takes about 5 ms to import
 
@@ -874,11 +840,7 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
                 digest.update(data)
 
             write((",".join(columns) + "\n").encode())
-            if per_agent.size >= SPLIT_MIN_VALUES and _can_split():
-                _write_halves(write, body, per_agent, per_round, csv_path.parent)
-            else:
-                _write_rounds(write, per_agent, per_round, 0, trace.T)
-                _write_copy(body, per_agent, per_round)
+            _write_body(write, body, per_agent, per_round, csv_path.parent)
             body.write(digest.digest())
         meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     except BaseException:
@@ -930,7 +892,8 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
         _check_sidecar_fields(meta_path, meta, header)
         T, n, d = meta["T"], meta["n"], meta["d"]
         try:
-            data = _read_body(fh, csv_path, T * n, len(header))
+            if (data := _read_copy(csv_path, T * n, len(header))) is None:
+                data = _load_rows(fh)
         except ValueError as exc:
             raise _malformed_row(csv_path, header, exc) from None
     rows = data.shape[0]
@@ -961,13 +924,6 @@ def _load_rows(fh) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # an empty body
         return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-
-
-def _read_body(fh, csv_path: Path, rows: int, width: int) -> np.ndarray:
-    """The body after the header line read from ``fh``, as a 2-D array: the
-    binary copy if it belongs to this CSV file, else the parsed text."""
-    body = _read_copy(csv_path, rows, width)
-    return body if body is not None else _load_rows(fh)
 
 
 def _read_copy(csv_path: Path, rows: int, width: int) -> np.ndarray | None:

@@ -65,3 +65,30 @@ def test_bytecode_caches_on_one_side_only_are_refused(bench_pairs, tmp_path, cac
         assert str(caught.value).startswith(f"{sides[cached[0]]}: ")
     else:
         bench_pairs.check_bytecode_caches(sides)
+
+
+def _pairs(parent: list[float], change: list[float]) -> list[dict]:
+    return [
+        {side: {"metrics": {"save_s": {"value": v}}} for side, v in (("parent", p), ("change", c))}
+        for p, c in zip(parent, change)
+    ]
+
+
+@pytest.mark.parametrize(
+    "change, lower_in, outside",
+    [
+        ([0.5, 0.9, 1.9, 2.9, 3.9], 4, False),  # the median 0.1 lower, inside the parent's q3 - q1 of 2
+        ([-1.0, -1.0, -0.5, 2.5, 3.5], 5, True),  # 2.5 lower
+        ([4.5, 4.5, 4.5, 4.5, 4.5], 0, True),  # 2.5 higher
+        ([2.0, 2.0, 4.0, 4.0, 4.0], 0, False),  # 2 higher: on the edge of the spread, not past it
+    ],
+    ids=["lower-inside", "lower-outside", "higher-outside", "higher-on-the-edge"],
+)
+def test_summary_says_whether_the_medians_differ_by_more_than_the_parents_spread(
+    bench_pairs, change, lower_in, outside
+):
+    """The parent's runs 0..4 have median 2 and quartiles 1 and 3."""
+    summary = bench_pairs.summarize(_pairs([0.0, 1.0, 2.0, 3.0, 4.0], change))["save_s"]
+    assert summary["parent"] == {"median": 2.0, "q1": 1.0, "q3": 3.0}
+    assert summary["change_lower_in"] == lower_in
+    assert summary["outside_parent_spread"] is outside

@@ -112,6 +112,23 @@ class TestConfigValidation:
         raw["topology"]["lambda_override"] = 0.6  # above the matrix's rate 0.56
         ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("paper-tracking-dogd", lambda raw: raw.update(bounds=True),
+             "no bound evaluator exists for the projected_gd baseline"),
+            ("paper-tracking-alg2-linesearch", lambda raw: raw["algorithm"].pop("alpha0"),
+             "bound evaluation for projection_free needs alpha0"),
+        ],
+        ids=["projected-gd", "projection-free-without-alpha0"],
+    )
+    def test_bounds_without_an_evaluator_are_refused(self, name, edit, message):
+        raw = harness.preset(name).to_dict()
+        edit(raw)
+        with pytest.raises(ConstraintViolation) as caught:
+            ExperimentConfig.from_dict(raw)
+        assert str(caught.value) == message
+
     def test_missing_topology(self):
         raw = harness.preset("paper-tracking-alg2").to_dict()
         raw["topology"] = None
@@ -705,6 +722,19 @@ class TestCli:
     def test_bad_seed_spec_is_an_error(self, spec, capsys):
         assert cli.main(["run", "--preset", "remark1-synthetic", "--seeds", spec]) == 1
         assert f"error: bad --seeds {spec!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["abc", "1,x", "0.5,,z"])
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["sweep", "--preset", "remark1-synthetic", "--param", "rho", "--values"], "--values"),
+            (["metrics", "--trace", "no-such-trace", "--rho"], "--rho"),
+        ],
+        ids=["sweep", "metrics"],
+    )
+    def test_bad_number_list_is_an_error(self, argv, option, spec, capsys):
+        assert cli.main([*argv, spec]) == 1
+        assert capsys.readouterr().err == f"error: bad {option} {spec!r}: expected comma-separated numbers\n"
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg = small_alg2_config(horizon=20)

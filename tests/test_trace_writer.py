@@ -22,6 +22,7 @@ import os
 import shutil
 import tempfile
 import threading
+import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -322,6 +323,7 @@ WIDE_N, WIDE_D = 4, 3
 WIDE_BLOCK = WIDE_N * (2 * WIDE_D + 4)
 WIDE_T = -(-harness.SPLIT_MIN_VALUES // WIDE_BLOCK) + 1
 SENTINEL = 0.123456789
+STALL, STALL_SECONDS = 0.987654321, 20.0
 
 
 def _wide_trace(sentinel_row: int | None = None, T: int = WIDE_T, n: int = WIDE_N) -> Trace:
@@ -372,8 +374,8 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-# The CPUs this process may use, taken before any test: the fork helper places
-# its child and must leave them as they were.
+# The CPUs this process may use, taken before any test: the writer forks a
+# child and must leave the caller's CPUs as they were.
 CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
 
 
@@ -451,10 +453,22 @@ class TestSplitWriter:
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_failure_in_this_half_kills_and_reaps_the_child(self, tmp_path, monkeypatch, forks, error):
+        """The child stalls in its half, so a child that is waited for, not
+        killed, holds the failed write for ``STALL_SECONDS``."""
         trace = _wide_trace(sentinel_row=1)
-        monkeypatch.setattr(harness, "repr", _failing_on_sentinel(error), raising=False)
+        trace.eps_norm[WIDE_T - 2, 1] = STALL
+        failing = _failing_on_sentinel(error)
+
+        def stalling_repr(v):
+            if v == STALL:
+                time.sleep(STALL_SECONDS)
+            return failing(v)
+
+        monkeypatch.setattr(harness, "repr", stalling_repr, raising=False)
+        start = time.monotonic()
         with pytest.raises(error, match="injected formatting failure"):
             harness.write_trace(trace, [0.9], tmp_path / "hand")
+        assert time.monotonic() - start < STALL_SECONDS
         assert forks == [1]
         assert list(tmp_path.iterdir()) == []
         assert_no_child()
