@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(fn=cmd_sweep)
 
     metrics_p = sub.add_parser("metrics", help="recompute metrics from a stored trace")
-    metrics_p.add_argument("--trace", required=True, help="trace base path or .csv path")
+    metrics_p.add_argument("--trace", required=True, help="trace base path, or its .csv, .meta.json or .body file")
     metrics_p.add_argument("--rho", required=True, help="comma-separated forgetting factors")
     metrics_p.set_defaults(fn=cmd_metrics)
 

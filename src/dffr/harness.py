@@ -4,8 +4,9 @@ Configs are declarative JSON documents with nested sections (problem,
 topology, algorithm); every cross-field constraint is checked at parse time.
 A run writes, per seed, a CSV trace body, a JSON metadata sidecar and a
 binary copy of the parsed body; the CSV bytes are a pure function of
-(config, seed), so identical runs are byte-identical and every summary
-number can be recomputed from the files alone.
+(config, seed), so identical runs are byte-identical, and each seed's
+summary entry can be recomputed from its files alone (``recompute_metrics``).
+The aggregate over seeds and the bound curves are not rebuilt from files.
 """
 
 from __future__ import annotations
@@ -222,6 +223,11 @@ class ExperimentConfig:
                 raise ConstraintViolation("no bound evaluator exists for the projected_gd baseline")
             if algo.kind == "projection_free" and algo.alpha0 is None:
                 raise ConstraintViolation("bound evaluation for projection_free needs alpha0")
+            constants = {"L": stream.L, "L_s": stream.L_s, "L_1": stream.L_1}
+            if bad := [f"{name} = {value!r}" for name, value in constants.items() if not math.isfinite(value)]:
+                raise ConstraintViolation(
+                    f"bound evaluation needs finite stream constants; the {p.stream!r} stream has {', '.join(bad)}"
+                )
             lam = self.effective_lambda()
             # The largest row sum of |W - 1/n| bounds that modulus from above, so
             # an override at or above it (the presets') needs no eigen-solver,
@@ -783,6 +789,21 @@ def _write_body(write, body, per_agent: np.ndarray, per_round: np.ndarray, spill
             _write_rounds(write, per_agent, per_round, half, T)
 
 
+_TRACE_SUFFIXES = (".csv", ".meta.json", ".body")
+
+
+def _trace_paths(base_path) -> tuple[Path, Path, Path]:
+    """<base>.csv, <base>.meta.json and <base>.body, for a base path or any of
+    those three files.  The suffixes are appended to the base's name, so a base
+    such as ``run-rho0.96-seed0`` keeps its dots."""
+    base = Path(base_path)
+    for suffix in _TRACE_SUFFIXES:
+        if base.name.endswith(suffix) and base.name != suffix:
+            base = base.with_name(base.name.removesuffix(suffix))
+            break
+    return tuple(base.with_name(base.name + suffix) for suffix in _TRACE_SUFFIXES)
+
+
 def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
     """Write <base>.csv (deterministic body), <base>.meta.json (sidecar) and
     <base>.body (a binary copy of the parsed body); returns the three paths.
@@ -804,10 +825,7 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
     """
     import hashlib  # here, not at the top: the module takes about 5 ms to import
 
-    base = Path(base_path)
-    csv_path = base.with_suffix(".csv")
-    meta_path = base.with_suffix(".meta.json")
-    body_path = base.with_suffix(".body")
+    csv_path, meta_path, body_path = _trace_paths(base_path)
     columns = trace_columns(trace.d, rhos)
     blocks = {True: [], False: []}  # per agent (T, n, width), per round (T, width)
     for name, _, per_agent, per_coordinate in _LAYOUT:
@@ -872,13 +890,9 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
     body.  Both give the same array bit for bit, and every check after them
     runs on either, so a file reads back, or fails, the same way.
     """
-    base = Path(base_path)
-    if base.suffix == ".csv":
-        base = base.with_suffix("")
-    csv_path = base.with_suffix(".csv")
-    meta_path = base.with_suffix(".meta.json")
+    csv_path, meta_path, body_path = _trace_paths(base_path)
     if not csv_path.exists() or not meta_path.exists():
-        raise SchemaVersionMismatch(f"missing trace files at {base}")
+        raise SchemaVersionMismatch(f"missing trace files at {csv_path.with_name(csv_path.stem)}")
     try:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
@@ -892,7 +906,7 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
         _check_sidecar_fields(meta_path, meta, header)
         T, n, d = meta["T"], meta["n"], meta["d"]
         try:
-            if (data := _read_copy(csv_path, T * n, len(header))) is None:
+            if (data := _read_copy(csv_path, body_path, T * n, len(header))) is None:
                 data = _load_rows(fh)
         except ValueError as exc:
             raise _malformed_row(csv_path, header, exc) from None
@@ -926,14 +940,14 @@ def _load_rows(fh) -> np.ndarray:
         return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
 
 
-def _read_copy(csv_path: Path, rows: int, width: int) -> np.ndarray | None:
+def _read_copy(csv_path: Path, body_path: Path, rows: int, width: int) -> np.ndarray | None:
     """The (rows, width) array of <base>.body, or None unless the file is
     exactly that many float64 values plus the CSV file's SHA-256."""
     import hashlib  # here, not at the top: the module takes about 5 ms to import
 
     size = 8 * rows * width + DIGEST_BYTES
     try:
-        with csv_path.with_suffix(".body").open("rb") as fh:
+        with body_path.open("rb") as fh:
             # The size comes first, so a sidecar cannot size the buffer alone.
             if os.fstat(fh.fileno()).st_size != size:
                 return None

@@ -248,11 +248,14 @@ class QuadraticTrackingFamily(ObjectiveStream):
         self._optimum_factor = float(np.sum(scales)) / float(np.sum(scales**2))
         self._table = self._rows = np.empty((0, box.d))
         self._first_fill = max(horizon, 1)  # rows that the first request fills, as one block
-        # L, L_s and L_1: the worst case over box corners and rounds 1..horizon
-        # (at least round 1, so that the base class refuses horizon < 1); exact
-        # for a fixed round because each coordinate's deviation peaks at a corner.
+        # L, L_s and L_1: the worst case over box corners (exact for a fixed round,
+        # as each coordinate's deviation peaks at a corner) and rounds 1..horizon,
+        # at least round 1 so that the base class refuses horizon < 1.  It is convex
+        # in c, so a power path, monotone in t, peaks at round 1 or ``last``.  These
+        # two rows give the table's bits with one box row, and at most a relative
+        # (d + 4) * 2**-50 less where mixed rows make the sum nearly flat.
         last = max(horizon, 1)
-        c = self.targets(last) if callable(target) else self._power_rows(box, last)
+        c = self.targets(last) if callable(target) else np.array([self._target(1), self._target(last)])[:, None]
         # Agents in chunks of about 2**16 values, each summed over its contiguous
         # last axis as one agent's (rows, d) block is, so every bit is the same.
         step = max(1, 2**16 // c.size) if c.size else scales.size
@@ -262,59 +265,6 @@ class QuadraticTrackingFamily(ObjectiveStream):
         ])
         L, L_s, L_1 = np.max(2.0 * scales * np.sqrt(worst_sq)), np.max(2.0 * scales**2), np.max(worst_sq)
         super().__init__(scales.size, box.d, horizon, box, L, L_s, L_1)
-
-    def _power_rows(self, box: BoxSet, last: int) -> np.ndarray:
-        """The rows of c(1..last) that can hold the worst case of a power path.
-
-        A/t^p is monotone in t, and each agent's worst case is a sum over
-        coordinates of terms that fall until c reaches the coordinate's box
-        midpoint and rise after it.  If every term moves the same way over
-        [c(1), c(last)], or all coordinates share one box row, the worst case
-        sits at round 1 or ``last``, bit for bit, and two rows suffice.
-
-        Else the exact sum is still convex in c, so it lies under the chord
-        between its values at the two ends, and rounding moves a computed sum
-        by a relative (d + 3) * 2**-53 at most.  A round can then beat the
-        larger end only where the chord comes within that margin of it, which
-        is a run of rounds next to that end unless the sum is nearly flat (a
-        nearly constant path).  Those runs are found by bisection on c and
-        their rows returned; a nearly flat sum reads the whole table.
-        """
-        ends = np.array([self._target(1), self._target(last)])
-        low, high = float(np.min(ends)), float(np.max(ends))
-        a_lower, a_upper = np.multiply.outer(self.scales, box.lower), np.multiply.outer(self.scales, box.upper)
-        # Strict float comparisons, so each holds in exact arithmetic too.
-        rising = np.all(low - a_lower > a_upper - low, axis=1)
-        falling = np.all(a_upper - high > high - a_lower, axis=1)
-        one_row = np.all(box.lower == box.lower[0]) and np.all(box.upper == box.upper[0])
-        if one_row or np.all(rising | falling):
-            return ends[:, None]
-        c = ends[:, None]  # against (n, 1, d) corners
-        at_ends = np.sum(np.maximum(np.abs(a_lower[:, None] - c), np.abs(a_upper[:, None] - c))**2, axis=2)
-        big, small = np.max(at_ends, axis=1), np.min(at_ends, axis=1)
-        if not (2.0**-900 < np.min(big) and np.max(big) < 2.0**900):  # keep the margin relative
-            return self.targets(last)
-        margin = (box.d + 4) * 2.0**-50  # four times the rounding bound, and more
-        with np.errstate(divide="ignore"):
-            reach = 2.0 * margin * big / (big - small)  # a fraction of the path, from the larger end
-        from_first = at_ends[:, 0] >= at_ends[:, 1]
-        near = [np.max(reach[side], initial=0.0) for side in (from_first, ~from_first)]
-        if sum(near) >= 0.5:
-            return self.targets(last)
-        span = high - low
-        head = self._rounds_near(1, 1, last, 2.0 * near[0] * span)
-        tail = last + 1 - self._rounds_near(last, -1, last, 2.0 * near[1] * span)
-        rounds = [*range(1, head + 1), *range(max(head + 1, tail), last + 1)]
-        return np.array([self._target(t) for t in rounds], dtype=float)[:, None]
-
-    def _rounds_near(self, end: int, step: int, count: int, width: float) -> int:
-        """How many of the ``count`` rounds end, end + step, ... have c within
-        ``width`` of c(end), found by bisection since c is monotone in t."""
-        origin, k, above = self._target(end), 1, count  # k rounds are near, at most ``above``
-        while k < above:
-            mid = (k + above + 1) // 2
-            k, above = (mid, above) if abs(self._target(end + step * (mid - 1)) - origin) <= width else (k, mid - 1)
-        return k
 
     def targets(self, T: int) -> np.ndarray:
         """c(1..T) as read-only rows, shape (T, d).  Rows are filled on demand: the

@@ -75,11 +75,13 @@ def rng():
 
 @pytest.fixture(scope="session")
 def tabled_constants():
-    """L, L_s and L_1 of a quadratic stream over its whole c(t) table: the
-    construction that reads two rows of a power path must give these bits."""
+    """L, L_s and L_1 of a quadratic stream over its whole c(t) table, or over
+    its first and last rows only (``ends``).  On a power path whose box has one
+    row, the construction that reads those two rows must give the table's bits."""
 
-    def constants(stream):
+    def constants(stream, ends: bool = False):
         c = stream.targets(stream.horizon)
+        c = c[[0, -1]] if ends else c
         lower, upper = stream.box.lower, stream.box.upper
         worst_sq = np.array([
             np.max(np.sum(np.maximum(np.abs(a * lower - c), np.abs(a * upper - c))**2, axis=1))

@@ -598,6 +598,26 @@ class TestSweep:
         assert [r["value"] for r in rows] == [0.9, 0.95]
         assert all("median_regret_first_below" in r for r in rows)
 
+    def test_rho_sweep_writes_one_trace_per_value_and_seed(self, tmp_path):
+        # Each value's name has a dot ("paper-tracking-dogd-rho0.96"), which
+        # must stay in the trace files' names so that no run overwrites another.
+        raw = harness.preset("paper-tracking-dogd").to_dict()
+        raw["problem"]["horizon"] = 30
+        raw["seeds"] = [0, 1]
+        harness.sweep(ExperimentConfig.from_dict(raw), "rho", [0.96, 0.97], out_dir=tmp_path)
+        names = {f"paper-tracking-dogd-rho{value}" for value in (0.96, 0.97)}
+        bases = {f"{name}-seed{seed}" for name in names for seed in (0, 1)}
+        assert {p.name for p in tmp_path.iterdir()} == {
+            base + suffix for base in bases for suffix in (".csv", ".meta.json", ".body")
+        } | {f"{name}-summary.json" for name in names}
+        for name in names:
+            summary = json.loads((tmp_path / f"{name}-summary.json").read_text())
+            rho = summary["config"]["rho"]
+            for entry in summary["per_seed"]:
+                result = harness.recompute_metrics(tmp_path / f"{name}-seed{entry['seed']}", rho)
+                assert result.pop("stored_dffr_max_delta") == {repr(rho[0]): 0.0}
+                assert result == entry
+
     def test_omega_sweep_rebuilds_topology(self):
         cfg = small_alg2_config(horizon=20)
         rows = harness.sweep(cfg, "omega", [0.2, 0.25])
@@ -635,6 +655,39 @@ class TestCli:
         assert cli.main(["metrics", "--trace", str(trace), "--rho", "0.9875"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["stored_dffr_max_delta"]["0.9875"] <= 1e-9
+
+    @pytest.mark.parametrize("suffix", ["", ".csv", ".meta.json", ".body"])
+    def test_metrics_reads_a_trace_by_its_base_or_any_of_its_files(self, tmp_path, capsys, suffix):
+        raw = small_alg2_config(horizon=20).to_dict()
+        raw["name"] = "exp.v2"  # a dot in the name is not a suffix
+        harness.run_experiment(ExperimentConfig.from_dict(raw), out_dir=tmp_path)
+        summary = json.loads((tmp_path / "exp.v2-summary.json").read_text())
+        assert cli.main(["metrics", "--trace", str(tmp_path / f"exp.v2-seed0{suffix}"), "--rho", "0.9875"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out.pop("stored_dffr_max_delta") == {"0.9875": 0.0}
+        assert out == summary["per_seed"][0]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_finite_stream_constants_are_refused_with_bounds(self, tmp_path, capsys, command):
+        raw = {
+            "problem": {"stream": "quadratic", "horizon": 20, "box": [[-1e300, 1e300]],
+                        "scales": [1, 2], "target": "0.5"},
+            "topology": {"generator": "ring", "params": {"n": 2, "weight": 0.3}, "lambda_override": 0.5},
+            "algorithm": {"kind": "projection_free", "alpha0": 0.1},
+            "rho": [0.9],
+            "bounds": True,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        with np.errstate(over="ignore"):
+            assert cli.main([command, "--config", str(cfg_path)]) == 1
+            assert capsys.readouterr().err == (
+                "error: bound evaluation needs finite stream constants; "
+                "the 'quadratic' stream has L = inf, L_1 = inf\n"
+            )
+            raw["bounds"] = False  # no bound curves, nothing to refuse
+            cfg_path.write_text(json.dumps(raw))
+            assert cli.main([command, "--config", str(cfg_path)]) == 0
 
     def test_validate(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -394,6 +394,18 @@ def _failing_on_sentinel(error: type):
     return failing_repr
 
 
+def _stalling_repr(inner):
+    """A stand-in for ``repr`` that sleeps ``STALL_SECONDS`` on ``STALL``, then
+    formats every value with ``inner``."""
+
+    def stalling_repr(v):
+        if v == STALL:
+            time.sleep(STALL_SECONDS)
+        return inner(v)
+
+    return stalling_repr
+
+
 class TestSplitWriter:
     """The two-process writer: the same bytes, and no file or child left behind."""
 
@@ -443,9 +455,16 @@ class TestSplitWriter:
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_failure_while_writing_the_copy_kills_and_reaps_the_child(self, tmp_path, monkeypatch, forks, error):
+        """The child stalls in its half, as in the test below, so the failed
+        write returns before the stall ends only if the child is killed."""
+        trace = _wide_trace()
+        trace.eps_norm[WIDE_T - 2, 1] = STALL
+        monkeypatch.setattr(harness, "repr", _stalling_repr(repr), raising=False)
         monkeypatch.setattr(harness, "_write_copy", _copy_failing(error))
+        start = time.monotonic()
         with pytest.raises(error, match="injected copy failure"):
-            harness.write_trace(_wide_trace(), [0.9], tmp_path / "hand")
+            harness.write_trace(trace, [0.9], tmp_path / "hand")
+        assert time.monotonic() - start < STALL_SECONDS
         assert forks == [1]
         assert list(tmp_path.iterdir()) == []
         assert_no_child()
@@ -457,14 +476,7 @@ class TestSplitWriter:
         killed, holds the failed write for ``STALL_SECONDS``."""
         trace = _wide_trace(sentinel_row=1)
         trace.eps_norm[WIDE_T - 2, 1] = STALL
-        failing = _failing_on_sentinel(error)
-
-        def stalling_repr(v):
-            if v == STALL:
-                time.sleep(STALL_SECONDS)
-            return failing(v)
-
-        monkeypatch.setattr(harness, "repr", stalling_repr, raising=False)
+        monkeypatch.setattr(harness, "repr", _stalling_repr(_failing_on_sentinel(error)), raising=False)
         start = time.monotonic()
         with pytest.raises(error, match="injected formatting failure"):
             harness.write_trace(trace, [0.9], tmp_path / "hand")
