@@ -281,8 +281,9 @@ def run(
     only the epilogue consensus errors.  The own and average losses, the
     consensus errors and the estimator norms are computed from the history
     after the loop, in round chunks of at most ``RESIDUAL_CHUNK`` history
-    elements (S·rounds·n·d, or one round when a round is larger).  A refusal
-    names the seed, the round and the agent.
+    elements (S·rounds·n·d, or one round when a round is larger); then the
+    first non-finite own or global loss, in seed, round and agent order, is
+    refused.  A refusal names the seed, the round and the agent.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
@@ -360,6 +361,13 @@ def run(
         loss_global[:, chunk] = stream.average_values_over_rounds(first + 1, x_chunk)
         if g_hist is not None:
             g_norm[:, chunk] = np.linalg.norm(g_hist[:, chunk], axis=-1)
+    finite = np.isfinite(loss_self) & np.isfinite(loss_global)
+    if not finite.all():
+        s, row, i = np.unravel_index(np.argmin(finite), finite.shape)
+        name, losses = ("own", loss_self) if not np.isfinite(loss_self[s, row, i]) else ("global", loss_global)
+        raise NonFiniteInput(
+            f"seed {seeds[s]}, round {row + 1}: agent {i} {name} loss {float(losses[s, row, i])} is not finite"
+        )
     final_eps_norm = np.linalg.norm(x - z, axis=-1)
     x_path, f_path = stream.optimum_path(T, box)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import harness
@@ -56,8 +55,7 @@ def _strip_traces(summary: dict) -> dict:
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     summary = harness.run_experiment(cfg, out_dir=args.out)
-    json.dump(_strip_traces(summary), sys.stdout, sort_keys=True, indent=2)
-    print()
+    sys.stdout.write(harness.strict_json(_strip_traces(summary), f"the summary of {cfg.name}"))
     return 0
 
 
@@ -65,16 +63,14 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     values = _parse_numbers("--values", args.values)
     rows = harness.sweep(cfg, args.param, values, out_dir=args.out)
-    json.dump(rows, sys.stdout, sort_keys=True, indent=2)
-    print()
+    sys.stdout.write(harness.strict_json(rows, f"the {args.param} sweep of {cfg.name}"))
     return 0
 
 
 def cmd_metrics(args) -> int:
     rhos = _parse_numbers("--rho", args.rho)
     result = harness.recompute_metrics(args.trace, rhos)
-    json.dump(result, sys.stdout, sort_keys=True, indent=2)
-    print()
+    sys.stdout.write(harness.strict_json(result, f"the metrics of {args.trace}"))
     return 0
 
 

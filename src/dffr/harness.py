@@ -4,9 +4,9 @@ Configs are declarative JSON documents with nested sections (problem,
 topology, algorithm); every cross-field constraint is checked at parse time.
 A run writes, per seed, a CSV trace body, a JSON metadata sidecar and a
 binary copy of the parsed body; the CSV bytes are a pure function of
-(config, seed), so identical runs are byte-identical, and each seed's
-summary entry can be recomputed from its files alone (``recompute_metrics``).
-The aggregate over seeds and the bound curves are not rebuilt from files.
+(config, seed), so identical runs are byte-identical.  ``score`` builds a
+run's whole summary from its traces, so the traces ``read_trace`` gives back
+and the config in a sidecar rebuild the written summary byte for byte.
 """
 
 from __future__ import annotations
@@ -422,8 +422,20 @@ def parse_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+def strict_json(value, what: str) -> str:
+    """``value`` as JSON text with sorted keys, an indent of 2 and a final newline.
+
+    Strict JSON has no NaN or infinity, so a non-finite number raises a
+    DffrError that names ``what`` was being written.
+    """
+    try:
+        return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DffrError(f"cannot write {what} as strict JSON: {exc}") from None
+
+
 def serialize_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(strict_json(cfg.to_dict(), f"the config {path}"))
 
 
 # --- presets -----------------------------------------------------------------
@@ -528,31 +540,24 @@ def run_single(cfg: ExperimentConfig, seed: int) -> Trace:
     return run_seeds(cfg, [seed])[0]
 
 
-def _dffr_curves(trace: Trace, rhos: list[float]) -> dict[float, np.ndarray]:
-    return {rho: metrics.dffr_series(trace, rho) for rho in rhos}
-
-
-def _seed_summary(trace: Trace, curves: dict[float, np.ndarray]) -> dict:
-    """The per-seed summary entry; ``curves`` maps each rho to its DFFR series."""
+def _seed_summary(trace: Trace, rhos: list[float]) -> tuple[dict, dict[float, np.ndarray]]:
+    """The per-seed summary entry, and each rho's DFFR series."""
+    curves = {rho: metrics.dffr_series(trace, rho) for rho in rhos}
     consensus = metrics.consensus_diameter_series(trace)
     tracking = metrics.tracking_error_series(trace)
-    entry = {
+    return {
         "seed": trace.seed,
         "consensus_time": metrics.persistent_time_below(consensus, CONSENSUS_THRESHOLD),
         "tracking_time": metrics.persistent_time_below(tracking, TRACKING_THRESHOLD),
         "first_tracking_time": metrics.first_time_below(tracking, TRACKING_THRESHOLD),
         "final_gap": metrics.final_round_gap(trace),
         "final_cumulative_regret": float(metrics.cumulative_regret(trace)[-1]),
-        "final_dffr": {},
-        "regret_first_below": {},
-    }
-    for rho, series in curves.items():
-        key = repr(float(rho))
-        entry["final_dffr"][key] = float(series[-1])
-        entry["regret_first_below"][key] = metrics.first_time_below(
-            series, REGRET_CROSS_THRESHOLD
-        )
-    return entry
+        "final_dffr": {repr(float(rho)): float(series[-1]) for rho, series in curves.items()},
+        "regret_first_below": {
+            repr(float(rho)): metrics.first_time_below(series, REGRET_CROSS_THRESHOLD)
+            for rho, series in curves.items()
+        },
+    }, curves
 
 
 def _median(values) -> float | None:
@@ -602,38 +607,45 @@ def _bound_curves(cfg: ExperimentConfig, traces: list[Trace], curves: list[dict]
     return out
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
-    """Run every configured seed; write traces and a summary when an output directory is given.
+def score(cfg: ExperimentConfig, traces: list[Trace]) -> dict:
+    """The summary of one trace per configured seed, in order: the per-seed entries,
+    their aggregate and, with bounds on, the bound curves.  Traces from ``run_seeds``
+    or ``read_trace`` give the same summary, for any ``cfg.rho``, stored or not.
+    """
+    if len(traces) != len(cfg.seeds):
+        raise ConstraintViolation(f"{cfg.name}: score needs one trace per seed, got {len(traces)} for {len(cfg.seeds)}")
+    per_seed, curves = map(list, zip(*(_seed_summary(trace, cfg.rho) for trace in traces)))
+    summary = {
+        "schema_version": SCHEMA_VERSION,
+        "artifact_version": ARTIFACT_VERSION,
+        "name": cfg.name,
+        "config": cfg.to_dict(),
+        "per_seed": per_seed,
+        "aggregate": _aggregate(per_seed, cfg.rho),
+    }
+    if cfg.bounds and cfg.problem.stream != "remark1":
+        summary["bounds"] = _bound_curves(cfg, traces, curves)
+    return summary
 
-    Partial outputs are removed if any seed fails.
+
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
+    """Run every configured seed and ``score`` its traces; with an output directory,
+    write each seed's trace files, then the summary.  Partial outputs are removed
+    if any seed fails.
     """
     out = Path(out_dir) if out_dir else (Path(cfg.out) if cfg.out else None)
     written: list[Path] = []
-    curves: list[dict] = []
-    per_seed: list[dict] = []
     try:
         if out:
             out.mkdir(parents=True, exist_ok=True)
         traces = run_seeds(cfg)
         for seed, trace in zip(cfg.seeds, traces):
-            curves.append(_dffr_curves(trace, cfg.rho))
-            per_seed.append(_seed_summary(trace, curves[-1]))
             if out:
-                base = out / f"{cfg.name}-seed{seed}"
-                written.extend(write_trace(trace, cfg.rho, base))
-        summary = {
-            "schema_version": SCHEMA_VERSION,
-            "artifact_version": ARTIFACT_VERSION,
-            "name": cfg.name,
-            "config": cfg.to_dict(),
-            "per_seed": per_seed,
-            "aggregate": _aggregate(per_seed, cfg.rho),
-        }
-        if cfg.bounds and cfg.problem.stream != "remark1":
-            summary["bounds"] = _bound_curves(cfg, traces, curves)
+                written.extend(write_trace(trace, cfg.rho, out / f"{cfg.name}-seed{seed}"))
+        summary = score(cfg, traces)
         if out:
             summary_path = out / f"{cfg.name}-summary.json"
-            summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+            summary_path.write_text(strict_json(summary, f"the summary {summary_path}"))
             written.append(summary_path)
         summary["traces"] = traces
         return summary
@@ -860,7 +872,7 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
             write((",".join(columns) + "\n").encode())
             _write_body(write, body, per_agent, per_round, csv_path.parent)
             body.write(digest.digest())
-        meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+        meta_path.write_text(strict_json(meta, f"the sidecar {meta_path}"))
     except BaseException:
         for path in (csv_path, meta_path, body_path):
             path.unlink(missing_ok=True)
@@ -1028,20 +1040,19 @@ def _malformed_row(csv_path: Path, header: list[str], exc: ValueError) -> Malfor
 
 
 def recompute_metrics(trace_path, rhos: list[float]) -> dict:
-    """Recompute the per-seed summary entry from stored trace rows only (no re-simulation).
+    """One seed's summary entry, as ``score`` builds it, from its stored trace
+    rows only (no re-simulation), for any ``rhos``, stored or not.
 
     The rows come from ``read_trace``: from the binary copy <base>.body while
     its digest matches the CSV, else parsed from the CSV; both give the same
-    bits, so the entry is the same either way.  The DFFR is recomputed from
-    the loss and optimum columns for any ``rhos``, stored or not.
+    bits, so the entry is the same either way.
 
     For every requested forgetting factor that was stored at write time, the
     recomputed running regret is compared against the stored column; the
     worst absolute deviation is reported as ``stored_dffr_max_delta``.
     """
     meta, trace, stored = read_trace(trace_path)
-    curves = _dffr_curves(trace, rhos)
-    result = _seed_summary(trace, curves)
+    result, curves = _seed_summary(trace, rhos)
     result["stored_dffr_max_delta"] = {
         repr(float(rho)): float(np.max(np.abs(series - stored[float(rho)])))
         for rho, series in curves.items()

@@ -139,20 +139,26 @@ class MixingReport:
 def mixing_bound_check(
     wm: WeightMatrix, mc: MixingConstants, horizon: int
 ) -> MixingReport:
-    """Check |[W^k]_ij - 1/n| <= gamma * lambda^k for all powers k = 0..horizon.
+    """Check |[W^k]_ij - 1/n| <= gamma * lambda^k + k*n*eps for all powers k = 0..horizon.
 
-    A failing check is reported, not raised; ``max_excess`` is the largest
-    amount by which any entry exceeded its bound (negative when all pass).
+    W^k is computed as k float products, and each entry of a product is a
+    sum of n terms no larger than 1, so the computed power is off the exact
+    one by about k*n*eps at most (eps the float64 machine epsilon).  That
+    much is allowed, so round-off alone does not fail the check once
+    gamma * lambda^k has fallen below it.  A failing check is reported, not
+    raised; ``max_excess`` is the largest amount by which any entry exceeded
+    that allowed bound (negative when all pass).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     n = wm.n
+    eps = float(np.finfo(float).eps)
     power = np.eye(n)
     max_excess = -np.inf
     worst_power = 0
     for k in range(horizon + 1):
         deviation = float(np.max(np.abs(power - 1.0 / n)))
-        excess = deviation - mc.gamma * mc.lam**k
+        excess = deviation - (mc.gamma * mc.lam**k + k * n * eps)
         if excess > max_excess:
             max_excess = excess
             worst_power = k

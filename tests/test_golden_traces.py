@@ -16,13 +16,20 @@ runs of both paper rules at n = 32, d = 10 with two forgetting factors (the
 problem of the benchmark's ``scale-ring-n32-d10`` workload at T = 40).
 ``python scripts/trace_digest.py --config <file> --seeds 0,1`` prints them
 for ``scale_config(<rule>)`` saved as JSON.
+
+A run's written files alone (a sidecar's config and each seed's trace)
+rebuild its summary through ``harness.score`` byte for byte, so the
+rescored summary of every preset hashes to its ``SUMMARY_GOLDEN`` digest.
 """
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from dffr import harness
+from dffr.errors import ConstraintViolation
 from dffr.harness import ExperimentConfig
 
 GOLDEN = {
@@ -133,11 +140,68 @@ def test_csv_body_matches_golden_digest(name, request, tmp_path):
     assert digests == GOLDEN[name]
 
 
+@pytest.fixture(scope="module")
+def trace_digest():
+    spec = importlib.util.spec_from_file_location(
+        "trace_digest", Path(__file__).resolve().parents[1] / "scripts" / "trace_digest.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def preset_run(tmp_path_factory):
+    """The directory of a preset's written run, each preset run once per module."""
+    runs = {}
+
+    def run(name: str) -> Path:
+        if name not in runs:
+            runs[name] = tmp_path_factory.mktemp(name)
+            harness.run_experiment(harness.preset(name), runs[name])
+        return runs[name]
+
+    return run
+
+
 @pytest.mark.parametrize("name", harness.PRESET_NAMES)
-def test_summary_matches_golden_digest(name, tmp_path):
-    harness.run_experiment(harness.preset(name), tmp_path)
-    summary = tmp_path / f"{name}-summary.json"
+def test_summary_matches_golden_digest(name, preset_run):
+    summary = preset_run(name) / f"{name}-summary.json"
     assert hashlib.sha256(summary.read_bytes()).hexdigest() == SUMMARY_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", harness.PRESET_NAMES)
+def test_summary_rescored_from_the_files_matches_golden_digest(name, preset_run, trace_digest):
+    seed = harness.preset(name).seeds[0]
+    rescored = trace_digest.rescore(preset_run(name) / f"{name}-seed{seed}")
+    text = harness.strict_json(rescored, "the rescored summary")
+    assert hashlib.sha256(text.encode()).hexdigest() == SUMMARY_GOLDEN[name]
+
+
+def test_a_saved_run_scored_at_an_unstored_rho_is_that_rhos_run(preset_run):
+    name, rho = "paper-tracking-dogd", 0.95
+    raw = harness.preset(name).to_dict()
+    assert rho not in raw["rho"]
+    raw["rho"] = [rho]
+    cfg = ExperimentConfig.from_dict(raw)
+    traces = [harness.read_trace(preset_run(name) / f"{name}-seed{seed}")[1] for seed in cfg.seeds]
+    expected = harness.run_experiment(cfg)
+    del expected["traces"]
+    rescored = harness.score(cfg, traces)
+    assert harness.strict_json(rescored, "the rescored summary") == harness.strict_json(expected, "the summary")
+
+
+@pytest.mark.parametrize("raw", [harness.PRESETS["remark1-synthetic"](), scale_config("scale-gradient-free")])
+def test_trace_digest_prints_the_rescored_digest_of_the_summary(raw, trace_digest):
+    found = dict(trace_digest.digests(ExperimentConfig.from_dict(raw)))
+    assert found["rescored"] == found["summary"]
+
+
+def test_score_needs_one_trace_per_seed(preset_run):
+    cfg = harness.preset("paper-tracking-dogd")
+    trace = harness.read_trace(preset_run(cfg.name) / f"{cfg.name}-seed0")[1]
+    with pytest.raises(ConstraintViolation, match="^paper-tracking-dogd: score needs one trace per seed, got 2 for 1$"):
+        harness.score(cfg, [trace, trace])
 
 
 @pytest.mark.parametrize("name", sorted(SCALE_GOLDEN))

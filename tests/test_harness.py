@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from dffr import cli, harness, metrics, network
 from dffr.errors import (
     ConstraintViolation,
+    DffrError,
     MalformedTrace,
     ParseError,
     SchemaVersionMismatch,
@@ -639,6 +641,24 @@ class TestSweep:
             harness.sweep(cfg, "alpha_schedule_scale", [1.0])
 
 
+class TestStrictJson:
+    def test_finite_data_keeps_its_bytes(self):
+        value = {"b": [1.5, None, "x", 2**64], "a": {"0.9": 5e-324, "0.5": -0.0}}
+        assert harness.strict_json(value, "a value") == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_value_is_refused_naming_what_was_written(self, bad):
+        with pytest.raises(DffrError, match="^cannot write the summary x.json as strict JSON: "):
+            harness.strict_json({"mean_final_dffr": {"0.9": bad}}, "the summary x.json")
+
+    def test_a_non_finite_sidecar_leaves_no_trace_files(self, tmp_path):
+        trace = Trace.from_gap_sequence([1.0, 0.5])
+        trace.config["scale"] = math.inf
+        with pytest.raises(DffrError, match=r"^cannot write the sidecar .*hand\.meta\.json as strict JSON"):
+            harness.write_trace(trace, [0.9], tmp_path / "hand")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCli:
     def test_run_preset(self, capsys):
         assert cli.main(["run", "--preset", "remark1-synthetic"]) == 0
@@ -685,9 +705,16 @@ class TestCli:
                 "error: bound evaluation needs finite stream constants; "
                 "the 'quadratic' stream has L = inf, L_1 = inf\n"
             )
-            raw["bounds"] = False  # no bound curves, nothing to refuse
+            raw["bounds"] = False  # no bound curves, nothing to refuse before the run
             cfg_path.write_text(json.dumps(raw))
-            assert cli.main([command, "--config", str(cfg_path)]) == 0
+            if command == "validate":
+                assert cli.main([command, "--config", str(cfg_path)]) == 0
+                return
+            # The run overflows the own loss at the box corner the first step reaches.
+            out = tmp_path / "out"
+            assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: seed 0, round 2: agent 0 own loss inf is not finite\n"
+            assert list(out.iterdir()) == []
 
     def test_validate(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -10,6 +10,7 @@ from dffr.errors import (
     NotSymmetric,
 )
 from dffr.network import (
+    MixingConstants,
     complete_matrix,
     generator_matrix,
     gossip_average,
@@ -102,6 +103,16 @@ class TestMixingBound:
         for wm in corpus:
             report = mixing_bound_check(wm, mixing_constants(wm), horizon=200)
             assert report.passed, (wm.n, report)
+
+    @pytest.mark.parametrize("lam, passed", [(0.9, True), (0.6, True), (0.55, False), (0.5, False)])
+    def test_round_off_passes_and_a_rate_below_the_modulus_fails(self, paper_wm, paper_mc, lam, passed):
+        """paper4's second-largest eigenvalue modulus is 0.56.  Without the k*n*eps
+        allowance for the float error of W^k, 0.9 failed by 8.3e-16 at k = 685
+        and 0.6 by as much at k = 142.  At 0.55 an entry exceeds gamma * lambda^k
+        by 9.0e-13 at k = 41, against an allowance of 3.6e-14, and at 0.5 by
+        9.0e-4 at k = 8."""
+        report = mixing_bound_check(paper_wm, MixingConstants(gamma=paper_mc.gamma, lam=lam), horizon=1000)
+        assert report.passed is passed
 
     def test_powers_stay_doubly_stochastic(self, paper_wm):
         power = np.eye(4)
