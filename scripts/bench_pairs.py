@@ -13,10 +13,13 @@ records the machine (CPU model and count, the CPUs this process may
 use, Python and numpy versions), each checkout's commit (whether its tree
 was dirty, and the git tree of the ``src/`` it ran), every run's result
 line, the seeds, and for each end-to-end metric the median and quartiles
-of each side, the number of pairs in which the change was lower, and
-whether the medians differ by more than the parent's q3 - q1.  An
-existing output file keeps its other workloads, so one file can hold
-several.
+of each side, the number of pairs in which the change was lower,
+whether the medians differ by more than the parent's q3 - q1, whether the
+change's median is worse than the parent's by more than the metric's bound
+in ``BENCHMARK.json`` (relative to the parent's median), and whether the
+change is a gain: lower in at least 9 of every 10 pairs, with a lower
+median outside the parent's spread.  An existing output file keeps its
+other workloads, so one file can hold several.
 """
 
 import argparse
@@ -31,6 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from dffr import cli, harness
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def cpu_model() -> str:
@@ -113,16 +118,30 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict]) -> dict:
+def end_to_end_bounds(path: Path = BENCHMARK) -> dict[str, float]:
+    """Each end-to-end metric's bound in a BENCHMARK.json: how much worse than
+    the parent's median, relative to it, the change's median may be."""
+    return {metric["name"]: metric["bound"] for metric in json.loads(path.read_text())["end_to_end"]}
+
+
+def summarize(pairs: list[dict], bounds: dict[str, float]) -> dict:
+    """Each metric's spread on both sides and how the change compares; every
+    metric is better lower.  ``worse_beyond_bound`` is None for a metric
+    without a bound."""
     summary = {}
     for name in pairs[0]["parent"]["metrics"]:
         value = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in ("parent", "change")}
         parent, change = spread(value["parent"]), spread(value["change"])
+        lower_in = sum(c < p for p, c in zip(value["parent"], value["change"]))
+        outside = abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
+        bound = bounds.get(name)
         summary[name] = {
             "parent": parent,
             "change": change,
-            "change_lower_in": sum(c < p for p, c in zip(value["parent"], value["change"])),
-            "outside_parent_spread": abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"],
+            "change_lower_in": lower_in,
+            "outside_parent_spread": outside,
+            "worse_beyond_bound": None if bound is None else change["median"] > parent["median"] * (1 + bound),
+            "gain": 10 * lower_in >= 9 * len(pairs) and outside and change["median"] < parent["median"],
         }
     return summary
 
@@ -143,6 +162,7 @@ def main() -> int:
         parser.error(f"need at least 2 pairs, one seed each; got {len(seeds)} seeds")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     check_bytecode_caches(sides)
+    bounds = end_to_end_bounds()
 
     pairs = []
     for k, seed in enumerate(seeds):
@@ -167,7 +187,7 @@ def main() -> int:
         "command": f"perfbench/run.py --workload {args.workload} --seed SEED --trace 0",
         "seeds": seeds,
         "pairs": pairs,
-        "summary": summarize(pairs),
+        "summary": summarize(pairs, bounds),
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {args.out}")

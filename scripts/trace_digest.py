@@ -31,9 +31,7 @@ def rescore(base: Path) -> dict:
     sidecar of ``base`` (one seed's trace base path), and the trace of each
     of its seeds from ``read_trace`` in the same directory."""
     config = json.loads(base.with_name(base.name + ".meta.json").read_text())["config"]
-    cfg = harness.ExperimentConfig.from_dict(
-        {key: value for key, value in config.items() if key in harness._CONFIG_FIELDS}
-    )
+    cfg = harness.ExperimentConfig.from_dict(config)
     traces = [harness.read_trace(base.with_name(f"{cfg.name}-seed{seed}"))[1] for seed in cfg.seeds]
     return harness.score(cfg, traces)
 

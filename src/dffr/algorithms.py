@@ -371,14 +371,14 @@ def run(
     final_eps_norm = np.linalg.norm(x - z, axis=-1)
     x_path, f_path = stream.optimum_path(T, box)
 
-    # One copy of the snapshot for the run; the traces share its values.
+    # Each trace's config is the run's snapshot: one deep copy, whose values the traces share.
     shared = copy.deepcopy(config_snapshot or {})
     traces = []
     for k, seed in enumerate(seeds):
         traces.append(Trace(
             algorithm=cfg.kind,
             seed=seed,
-            config={"algorithm": cfg.kind, "seed": seed, "n": n, "d": d, "T": T, **shared},
+            config=dict(shared),
             x=x_hist[k],
             z=z_hist[k],
             eps_norm=eps_norm[k],

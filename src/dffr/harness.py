@@ -197,6 +197,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         p = self.problem
         if p.stream == "remark1":
+            self._check_run_bytes("remark1", 1, 1)
             return
         box = self.build_box()
         try:
@@ -213,6 +214,7 @@ class ExperimentConfig:
             raise ConstraintViolation(
                 f"the topology has {wm.n} agents, the {p.stream!r} stream has {stream.n}"
             )
+        self._check_run_bytes(algo.kind, stream.n, stream.d)
         if algo.kind == "gradient_free":
             try:
                 ShrunkSet(box, algo.delta)
@@ -248,6 +250,14 @@ class ExperimentConfig:
                     raise ConstraintViolation(
                         f"bound evaluation needs rho > lambda, got rho={rho}, lambda={lam}"
                     )
+
+    def _check_run_bytes(self, kind: str, n: int, d: int) -> None:
+        T, S = self.problem.horizon, len(self.seeds)
+        if (need := run_bytes(kind, T, S, n, d)) > MAX_RUN_BYTES:
+            raise ConstraintViolation(
+                f"the run's arrays would take about {need:.3g} bytes for T = {T}, S = {S} seeds, "
+                f"n = {n} agents and d = {d}, above the budget of {MAX_RUN_BYTES} bytes"
+            )
 
     def stability_warnings(self) -> list[str]:
         """Known failure causes that a valid config can still have, with numbers.
@@ -353,6 +363,20 @@ _VERSION = (lambda value: _is_int(value) and value == SCHEMA_VERSION), str(SCHEM
 MAX_HORIZON = 10**6
 MAX_AGENTS = 1000
 MAX_DIMENSION = 100
+# The run keeps every round of every seed in memory (``run_bytes``), so a
+# config whose arrays would pass this many bytes (4 GiB) is refused.
+MAX_RUN_BYTES = 2**32
+
+
+def run_bytes(kind: str, T: int, S: int, n: int, d: int) -> int:
+    """Bytes of the float64 arrays a run of rule ``kind`` keeps for T rounds of
+    S seeds, n agents and d dimensions: per seed, round and agent the decision
+    and the consensus intermediate (d values each), the consensus error, both
+    losses and the estimator norm, and for the gradient-free rule its estimate
+    and sphere draw (d each); per seed and round the optimum and its value.
+    """
+    per_agent = 2 * d + 4 + (2 * d if kind == "gradient_free" else 0)
+    return 8 * S * T * (n * per_agent + d + 1)
 
 # Every config field.  A field left out takes its default (from ProblemConfig,
 # TopologyConfig, AlgorithmConfig, StepSchedule or from_dict).  The checks that
@@ -526,7 +550,7 @@ def run_seeds(cfg: ExperimentConfig, seeds=None) -> list[Trace]:
         gaps = metrics.power_spike_gaps(cfg.problem.horizon)
         traces = [Trace.from_gap_sequence(gaps, algorithm="remark1") for _ in seeds]
         for trace in traces:
-            trace.config.update(cfg.to_dict())
+            trace.config = cfg.to_dict()
         return traces
     stream, wm = cfg.built()
     algo = cfg.build_algorithm()
@@ -897,10 +921,24 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
     The body comes from the binary copy <base>.body when it is the copy of
     this CSV file: its size is exactly 8 bytes per value (T*n rows from the
     sidecar, by the header's width) plus the 32-byte digest, and that digest
-    is the SHA-256 of the CSV file's bytes.  In every other case (no copy, a
-    truncated or stale one, an edited CSV) ``np.loadtxt`` parses the CSV
-    body.  Both give the same array bit for bit, and every check after them
-    runs on either, so a file reads back, or fails, the same way.
+    is the SHA-256 of the CSV file's bytes.  The CSV is hashed while the
+    copy's rows are checked (``_read``), and nothing taken from the copy is
+    returned or raised unless the digest matches.  In every other case (no
+    copy, a truncated or stale one, an edited CSV) ``np.loadtxt`` parses the
+    CSV body.  Both give the same array bit for bit, and every check after
+    them runs on either, so a file reads back, or fails, the same way.
+    """
+    return _read(base_path, lambda *read: read)
+
+
+def _read(base_path, then):
+    """``then(meta, trace, stored)`` of the trace at ``base_path``, as
+    ``read_trace`` reads it.
+
+    With a copy of the expected size, ``then`` runs on the copy's rows while
+    ``_hash_csv`` takes the CSV's digest; if the digest differs, what that
+    gave (its result, exception or warnings) is dropped and ``then`` runs
+    again on the rows ``np.loadtxt`` parses from the CSV.
     """
     csv_path, meta_path, body_path = _trace_paths(base_path)
     if not csv_path.exists() or not meta_path.exists():
@@ -916,12 +954,22 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
     with csv_path.open() as fh:
         header = next(csv.reader([fh.readline()]), [])
         _check_sidecar_fields(meta_path, meta, header)
-        T, n, d = meta["T"], meta["n"], meta["d"]
+
+        def finish(data: np.ndarray):
+            return then(meta, *_trace_of(csv_path, header, meta, data))
+
+        if (verified := _from_copy(csv_path, body_path, meta["T"] * meta["n"], len(header), finish)) is not None:
+            return verified()
         try:
-            if (data := _read_copy(csv_path, body_path, T * n, len(header))) is None:
-                data = _load_rows(fh)
+            data = _load_rows(fh)
         except ValueError as exc:
             raise _malformed_row(csv_path, header, exc) from None
+    return finish(data)
+
+
+def _trace_of(csv_path: Path, header: list[str], meta: dict, data: np.ndarray) -> tuple[Trace, dict]:
+    """The trace and the stored running-regret columns in the parsed body ``data``."""
+    T, n, d = meta["T"], meta["n"], meta["d"]
     rows = data.shape[0]
     if rows and data.shape[1] != len(header):
         raise MalformedTrace(
@@ -943,7 +991,7 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
     fields["final_eps_norm"] = np.asarray(meta["final_eps_norm"], dtype=float)
     trace = Trace(meta["algorithm"], meta["seed"], meta.get("config", {}), **fields)
     stored = dict(zip(meta["rhos"], body[:, 0, len(header) - len(meta["rhos"]):].T))
-    return meta, trace, stored
+    return trace, stored
 
 
 def _load_rows(fh) -> np.ndarray:
@@ -952,28 +1000,92 @@ def _load_rows(fh) -> np.ndarray:
         return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
 
 
-def _read_copy(csv_path: Path, body_path: Path, rows: int, width: int) -> np.ndarray | None:
-    """The (rows, width) array of <base>.body, or None unless the file is
-    exactly that many float64 values plus the CSV file's SHA-256."""
+# The CSV is hashed through one buffer of at most this many bytes.
+HASH_CHUNK = 2**18
+# CSV bytes from which _from_copy hashes on a helper thread rather than inline.
+# The helper needs the GIL between chunks, and this thread holds it through the
+# small array calls of a narrow trace, so there the helper mostly waits.  On a
+# 2-vCPU Xeon VM, in alternated re-scores of one trace, the thread lost on a
+# 0.8 MB CSV of 4 agents and d = 1 (faster in 7 of 200) and paid on 1.6 MB of
+# that shape (59 of 60) and on 0.56 MB of 32 agents and d = 10 (93 of 100).
+HASH_THREAD_MIN_BYTES = 2**20
+
+
+def _hash_csv(digest, source, buffer: bytearray, failed: list) -> None:
+    """Update ``digest`` with the rest of the unbuffered binary file ``source``,
+    read into ``buffer``; an exception goes to ``failed``.  Both calls release
+    the GIL."""
+    view = memoryview(buffer)
+    try:
+        while got := source.readinto(view):
+            digest.update(view[:got])
+    except BaseException as exc:  # raised again by the thread that joins this one
+        failed.append(exc)
+
+
+def _held(fn, *args):
+    """``fn(*args)``, held: a callable that issues again the warnings ``fn``
+    issued, then raises what it raised or returns what it returned."""
+    with warnings.catch_warnings(record=True) as issued:
+        try:
+            result, error = fn(*args), None
+        except Exception as exc:
+            result, error = None, exc
+
+    def replay():
+        for w in issued:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+        if error is not None:
+            raise error
+        return result
+
+    return replay
+
+
+def _from_copy(csv_path: Path, body_path: Path, rows: int, width: int, finish):
+    """``finish`` of the (rows, width) array of <base>.body, held (``_held``),
+    or None unless the file is exactly that many float64 values plus the CSV
+    file's SHA-256.
+
+    From ``HASH_THREAD_MIN_BYTES`` of CSV, a helper thread hashes the CSV
+    while this one reads the copy and runs ``finish``; below, this thread
+    hashes first.  Either way the helper has ended before this returns or
+    raises.
+    """
     import hashlib  # here, not at the top: the module takes about 5 ms to import
 
     size = 8 * rows * width + DIGEST_BYTES
     try:
-        with body_path.open("rb") as fh:
-            # The size comes first, so a sidecar cannot size the buffer alone.
-            if os.fstat(fh.fileno()).st_size != size:
-                return None
-            raw = bytearray(size)
-            got = fh.readinto(raw)
+        body = body_path.open("rb")
     except OSError:
         return None
-    digest = hashlib.sha256()
-    with csv_path.open("rb") as source:  # hashlib.file_digest's loop, which Python 3.10 lacks
-        while chunk := source.read(2**18):
-            digest.update(chunk)
+    with body, csv_path.open("rb", buffering=0) as source:
+        # The size comes first, so a sidecar cannot size the buffer alone.
+        if os.fstat(body.fileno()).st_size != size:
+            return None
+        csv_bytes = os.fstat(source.fileno()).st_size
+        digest, failed = hashlib.sha256(), []
+        buffer = bytearray(min(HASH_CHUNK, csv_bytes))
+        hasher = threading.Thread(target=_hash_csv, args=(digest, source, buffer, failed))
+        threaded = csv_bytes >= HASH_THREAD_MIN_BYTES
+        (hasher.start if threaded else hasher.run)()
+        try:
+            raw = bytearray(size)
+            try:
+                got = body.readinto(raw)
+            except OSError:
+                got = None
+            if got == size:
+                data = np.frombuffer(raw, dtype="<f8", count=rows * width).reshape(rows, width)
+                outcome = _held(finish, data.astype(float, copy=False))
+        finally:
+            if threaded:
+                hasher.join()
+    if failed:
+        raise failed[0]
     if got != size or raw[-DIGEST_BYTES:] != digest.digest():
         return None
-    return np.frombuffer(raw, dtype="<f8", count=rows * width).reshape(rows, width).astype(float, copy=False)
+    return outcome
 
 
 def _check_sidecar_fields(meta_path: Path, meta: dict, header: list[str]) -> None:
@@ -1002,8 +1114,7 @@ def _check_rows(csv_path: Path, header: list[str], body: np.ndarray, d: int) -> 
     or whose per-round values differ from its round's first row.
     """
     T, n, _ = body.shape
-    grid = np.stack(np.meshgrid(np.arange(1, T + 1), np.arange(n), indexing="ij"), axis=2)
-    off_grid = (body[:, :, :len(_INDEX)] != grid).any(axis=2)
+    off_grid = (body[:, :, 0] != np.arange(1, T + 1)[:, None]) | (body[:, :, 1] != np.arange(n))
     shared = len(_INDEX) + sum(  # the first per-round column
         d if per_coordinate else 1 for _, _, per_agent, per_coordinate in _LAYOUT if per_agent
     )
@@ -1043,22 +1154,26 @@ def recompute_metrics(trace_path, rhos: list[float]) -> dict:
     """One seed's summary entry, as ``score`` builds it, from its stored trace
     rows only (no re-simulation), for any ``rhos``, stored or not.
 
-    The rows come from ``read_trace``: from the binary copy <base>.body while
-    its digest matches the CSV, else parsed from the CSV; both give the same
-    bits, so the entry is the same either way.
+    The rows come from ``read_trace``'s reader: from the binary copy
+    <base>.body while its digest matches the CSV, else parsed from the CSV;
+    both give the same bits, so the entry is the same either way.  The entry
+    is built from the copy while the CSV is hashed, and dropped, with any
+    error or warning it gave, if the digest differs.
 
     For every requested forgetting factor that was stored at write time, the
     recomputed running regret is compared against the stored column; the
     worst absolute deviation is reported as ``stored_dffr_max_delta``.
     """
-    meta, trace, stored = read_trace(trace_path)
-    result, curves = _seed_summary(trace, rhos)
-    result["stored_dffr_max_delta"] = {
-        repr(float(rho)): float(np.max(np.abs(series - stored[float(rho)])))
-        for rho, series in curves.items()
-        if float(rho) in stored
-    }
-    return result
+    def entry(meta: dict, trace: Trace, stored: dict) -> dict:
+        result, curves = _seed_summary(trace, rhos)
+        result["stored_dffr_max_delta"] = {
+            repr(float(rho)): float(np.max(np.abs(series - stored[float(rho)])))
+            for rho, series in curves.items()
+            if float(rho) in stored
+        }
+        return result
+
+    return _read(trace_path, entry)
 
 
 # --- parameter sweeps ------------------------------------------------------------

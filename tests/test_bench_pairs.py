@@ -88,7 +88,39 @@ def test_summary_says_whether_the_medians_differ_by_more_than_the_parents_spread
     bench_pairs, change, lower_in, outside
 ):
     """The parent's runs 0..4 have median 2 and quartiles 1 and 3."""
-    summary = bench_pairs.summarize(_pairs([0.0, 1.0, 2.0, 3.0, 4.0], change))["save_s"]
+    summary = bench_pairs.summarize(_pairs([0.0, 1.0, 2.0, 3.0, 4.0], change), {})["save_s"]
     assert summary["parent"] == {"median": 2.0, "q1": 1.0, "q3": 3.0}
     assert summary["change_lower_in"] == lower_in
     assert summary["outside_parent_spread"] is outside
+
+
+@pytest.mark.parametrize(
+    "change, worse, gain",
+    [
+        ([2.4] * 10, False, False),  # 20 % above the parent's median 2: inside the bound 0.25
+        ([2.6] * 10, True, False),  # 30 % above
+        ([1.0] * 9 + [3.0], False, True),  # lower in 9 of 10 pairs, 1 below the median, past q3 - q1 = 0.5
+        ([1.0] * 8 + [3.0] * 2, False, False),  # lower in only 8 of 10
+        ([1.8] * 10, False, False),  # lower in 9 of 10 pairs, but 0.2 below: inside the spread
+    ],
+    ids=["worse-inside-bound", "worse-past-bound", "gain", "lower-in-8-of-10", "lower-inside-spread"],
+)
+def test_summary_says_whether_the_change_is_worse_past_its_bound_or_a_gain(bench_pairs, change, worse, gain):
+    """The parent's ten runs have median 2 and quartiles 1.8125 and 2.1875."""
+    parent = [1.5, 1.75, 1.75, 2.0, 2.0, 2.0, 2.0, 2.25, 2.25, 2.5]
+    summary = bench_pairs.summarize(_pairs(parent, change), {"save_s": 0.25})["save_s"]
+    assert summary["parent"] == {"median": 2.0, "q1": 1.8125, "q3": 2.1875}
+    assert summary["worse_beyond_bound"] is worse
+    assert summary["gain"] is gain
+
+
+def test_a_metric_without_a_bound_is_not_judged_against_one(bench_pairs):
+    summary = bench_pairs.summarize(_pairs([1.0, 2.0, 3.0], [9.0, 9.0, 9.0]), {"run_s": 0.25})["save_s"]
+    assert summary["worse_beyond_bound"] is None
+
+
+def test_bounds_are_read_from_the_benchmark_file(bench_pairs):
+    benchmark = json.loads(bench_pairs.BENCHMARK.read_text())
+    bounds = bench_pairs.end_to_end_bounds()
+    assert bounds == {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
+    assert "rescore_s" in bounds

@@ -24,6 +24,7 @@ rescored summary of every preset hashes to its ``SUMMARY_GOLDEN`` digest.
 
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,15 @@ def test_summary_rescored_from_the_files_matches_golden_digest(name, preset_run,
     rescored = trace_digest.rescore(preset_run(name) / f"{name}-seed{seed}")
     text = harness.strict_json(rescored, "the rescored summary")
     assert hashlib.sha256(text.encode()).hexdigest() == SUMMARY_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", harness.PRESET_NAMES)
+def test_every_sidecar_config_loads_as_the_runs_config(name, preset_run):
+    cfg = harness.preset(name)
+    for seed in cfg.seeds:
+        config = json.loads((preset_run(name) / f"{name}-seed{seed}.meta.json").read_text())["config"]
+        assert config == cfg.to_dict()
+        assert ExperimentConfig.from_dict(config).to_dict() == cfg.to_dict()
 
 
 def test_a_saved_run_scored_at_an_unstored_rho_is_that_rhos_run(preset_run):

@@ -1,12 +1,14 @@
 import hashlib
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dffr import cli, harness, metrics, network
+from dffr import algorithms, cli, harness, metrics, network
 from dffr.errors import (
     ConstraintViolation,
     DffrError,
@@ -20,6 +22,8 @@ from dffr.network import MixingConstants, ring_matrix
 from dffr.objectives import ObjectiveStream
 from dffr.trace import Trace
 from test_golden_traces import GOLDEN
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_alg2_config(horizon=40, **overrides) -> ExperimentConfig:
@@ -721,6 +725,40 @@ class TestCli:
         harness.serialize_config(harness.preset("paper-tracking-alg2"), cfg_path)
         assert cli.main(["validate", "--config", str(cfg_path)]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_validate_refuses_a_run_past_the_byte_budget(self, tmp_path, capsys, monkeypatch):
+        """T = 10**6, 1,000 agents, d = 100 and two seeds: the gradient-free run's
+        arrays would take 8 * 2 * 10**6 * (1000 * 404 + 101) bytes."""
+        raw = _quadratic_ring(n=harness.MAX_AGENTS, d=harness.MAX_DIMENSION)
+        raw["problem"]["horizon"] = harness.MAX_HORIZON
+        raw["algorithm"] = {"kind": "gradient_free", "step": {"c": 0.02, "p": 0.5}, "delta": 0.01}
+        raw["seeds"] = [0, 1]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        monkeypatch.setattr(algorithms, "run", None)  # validate runs nothing
+        assert cli.main(["validate", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the run's arrays would take about 6.47e+12 bytes for T = 1000000, S = 2 seeds, "
+            "n = 1000 agents and d = 100, above the budget of 4294967296 bytes\n"
+        )
+
+    @pytest.mark.parametrize("kind, T, S, n, d, expected", [
+        ("gradient_free", 1000, 20, 4, 1, 8 * 20 * 1000 * (4 * 8 + 2)),
+        ("projection_free", 400, 1, 32, 10, 8 * 400 * (32 * 24 + 11)),
+        ("remark1", 729, 1, 1, 1, 8 * 729 * 8),
+    ])
+    def test_run_bytes_counts_the_rules_arrays(self, kind, T, S, n, d, expected):
+        assert harness.run_bytes(kind, T, S, n, d) == expected
+
+    def test_every_preset_and_benchmark_config_is_within_the_byte_budget(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        raws = [case.raw for name in workloads.WORKLOADS for case in workloads.cases(name, 0, harness.PRESETS)]
+        assert len(raws) == 7
+        for raw in raws + [harness.PRESETS[name]() for name in harness.PRESET_NAMES]:
+            ExperimentConfig.from_dict(raw)  # validate refuses a run past the budget
 
     @pytest.mark.parametrize(
         "step, warning",

@@ -676,3 +676,127 @@ class TestSplitReader:
             SchemaVersionMismatch,
             f"{copy}.csv: line {READ_ROWS + 2}: trace has {READ_ROWS} rows, expected T*n = {10**9}",
         )
+
+
+@pytest.fixture(params=["threaded", "inline"])
+def hashing(request, monkeypatch):
+    """The reader's two ways of hashing the CSV: on a helper thread (from 0 CSV
+    bytes) or in the calling thread; the threads each hash ran on, listed."""
+    monkeypatch.setattr(harness, "HASH_THREAD_MIN_BYTES", 0 if request.param == "threaded" else 2**62)
+    ran_on = []
+    real = harness._hash_csv
+    monkeypatch.setattr(harness, "_hash_csv", lambda *args: ran_on.append(threading.current_thread()) or real(*args))
+    return request.param, ran_on
+
+
+def _own_copy(base: Path) -> None:
+    """Rewrite <base>.body as the copy of the CSV as it stands: its parsed rows
+    and its SHA-256."""
+    csv_bytes = base.with_suffix(".csv").read_bytes()
+    rows = np.loadtxt(io.BytesIO(csv_bytes), delimiter=",", skiprows=1, ndmin=2)
+    base.with_suffix(".body").write_bytes(rows.astype("<f8").tobytes() + hashlib.sha256(csv_bytes).digest())
+
+
+def _parsed_entry(base: Path, tmp_path: Path) -> dict:
+    """recompute_metrics of a copy of the files at ``base`` with no binary copy."""
+    (tmp_path / "parsed").mkdir(exist_ok=True)
+    parsed = copy_with(base, tmp_path / "parsed")
+    parsed.with_suffix(".body").unlink()
+    return harness.recompute_metrics(parsed, READ_RHOS)
+
+
+def _plain_trace() -> Trace:
+    """The wide trace's shape with values that score without a warning."""
+    rng = np.random.default_rng(7)
+    T, n, d = WIDE_T, WIDE_N, WIDE_D
+    return Trace(
+        algorithm="hand",
+        seed=0,
+        config={},
+        x=rng.standard_normal((T, n, d)),
+        z=rng.standard_normal((T, n, d)),
+        eps_norm=rng.random((T, n)),
+        loss_self=rng.random((T, n)),
+        loss_global=rng.random((T, n)) + 1.0,
+        x_star=rng.standard_normal((T, d)),
+        f_star=rng.random(T),
+        g_norm=rng.random((T, n)),
+    )
+
+
+@pytest.fixture(scope="module")
+def plain(tmp_path_factory) -> Path:
+    """The base path of ``_plain_trace``, written once; tests change copies."""
+    base = tmp_path_factory.mktemp("plain") / "hand"
+    harness.write_trace(_plain_trace(), READ_RHOS, base)
+    return base
+
+
+class TestVerifiedWhileScored:
+    """The CSV is hashed while the copy's rows are checked and scored; what the
+    copy gave is returned, raised or warned only once the digest matches."""
+
+    def test_a_stale_copy_that_overflows_gives_the_parsed_entry(self, plain, tmp_path, parses, hashing):
+        mode, ran_on = hashing
+        over = _plain_trace()
+        over.loss_global[:] = 1e308  # the mean over agents overflows
+        with np.errstate(all="ignore"):
+            harness.write_trace(over, READ_RHOS, tmp_path / "over")
+        with warnings.catch_warnings(record=True) as issued:  # scored from its own copy, it warns
+            warnings.simplefilter("always")
+            harness.recompute_metrics(tmp_path / "over", READ_RHOS)
+        assert "overflow encountered in reduce" in [str(w.message) for w in issued]
+        assert parses == []
+        stale = copy_with(plain, tmp_path)
+        shutil.copyfile(tmp_path / "over.body", stale.with_suffix(".body"))
+        expected = _parsed_entry(plain, tmp_path)
+        parses.clear()
+        with warnings.catch_warnings(record=True) as issued:
+            warnings.simplefilter("always")
+            assert harness.recompute_metrics(stale, READ_RHOS) == expected
+        assert issued == []
+        assert parses == [1]
+        assert [thread is threading.main_thread() for thread in ran_on] == [mode == "inline"] * 2
+
+    def test_an_error_from_a_stale_copy_is_dropped(self, plain, tmp_path, parses, hashing):
+        copy = copy_with(plain, tmp_path)
+        body = bytearray(copy.with_suffix(".body").read_bytes())
+        body[:8] = np.array([7.0], dtype="<f8").tobytes()  # the first row's round, off the grid
+        copy.with_suffix(".body").write_bytes(bytes(body))
+        TestCopyFallback.edit_a_digit(copy)
+        assert harness.recompute_metrics(copy, READ_RHOS) == _parsed_entry(copy, tmp_path)
+        assert parses == [1, 1]
+
+    def test_an_error_from_the_csvs_own_copy_is_raised(self, plain, tmp_path, parses, hashing):
+        copy = copy_with(
+            plain, tmp_path, lambda lines: [*lines[:3], _with_field(lines[3], 1, "0"), *lines[4:]]
+        )
+        _own_copy(copy)
+        message = f"{copy}.csv: line 4: expected round 1, agent 2; rows run round-major over (t, agent)"
+        for read in (harness.read_trace, lambda base: harness.recompute_metrics(base, READ_RHOS)):
+            with pytest.raises(MalformedTrace) as caught:
+                read(copy)
+            assert str(caught.value) == message
+            assert threading.active_count() == 1
+        assert parses == []
+
+    def test_no_thread_outlives_a_call(self, plain, tmp_path, hashing, monkeypatch):
+        mode, ran_on = hashing
+        copy = copy_with(plain, tmp_path)
+        entry = harness.recompute_metrics(copy, READ_RHOS)
+        assert threading.active_count() == 1
+        assert _parsed_entry(copy, tmp_path) == entry
+
+        def failing(trace, rhos):
+            raise ZeroDivisionError("in the seed entry")
+
+        monkeypatch.setattr(harness, "_seed_summary", failing)
+        with pytest.raises(ZeroDivisionError, match="^in the seed entry$"):
+            harness.recompute_metrics(copy, READ_RHOS)
+        assert threading.active_count() == 1
+        assert [thread is threading.main_thread() for thread in ran_on] == [mode == "inline"] * 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or harness._usable_cpus() < 2, reason="the writer cannot split here")
+    def test_the_writer_can_split_right_after_a_rescore(self, plain, tmp_path, hashing):
+        harness.recompute_metrics(copy_with(plain, tmp_path), READ_RHOS)
+        assert harness._can_split()
