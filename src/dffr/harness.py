@@ -994,8 +994,13 @@ def _trace_of(csv_path: Path, header: list[str], meta: dict, data: np.ndarray) -
     return trace, stored
 
 
+# ``warnings.catch_warnings`` swaps process-wide state and puts back what it
+# found, so readers in several threads take turns inside it.
+_WARNINGS_LOCK = threading.Lock()
+
+
 def _load_rows(fh) -> np.ndarray:
-    with warnings.catch_warnings():
+    with _WARNINGS_LOCK, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # an empty body
         return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
 
@@ -1013,20 +1018,20 @@ HASH_THREAD_MIN_BYTES = 2**20
 
 def _hash_csv(digest, source, buffer: bytearray, failed: list) -> None:
     """Update ``digest`` with the rest of the unbuffered binary file ``source``,
-    read into ``buffer``; an exception goes to ``failed``.  Both calls release
+    read into ``buffer``; a read error goes to ``failed``.  Both calls release
     the GIL."""
     view = memoryview(buffer)
     try:
         while got := source.readinto(view):
             digest.update(view[:got])
-    except BaseException as exc:  # raised again by the thread that joins this one
+    except OSError as exc:  # raised again by the thread that started this one
         failed.append(exc)
 
 
 def _held(fn, *args):
     """``fn(*args)``, held: a callable that issues again the warnings ``fn``
     issued, then raises what it raised or returns what it returned."""
-    with warnings.catch_warnings(record=True) as issued:
+    with _WARNINGS_LOCK, warnings.catch_warnings(record=True) as issued:
         try:
             result, error = fn(*args), None
         except Exception as exc:

@@ -20,6 +20,7 @@ import io
 import json
 import os
 import shutil
+import sys
 import tempfile
 import threading
 import time
@@ -699,7 +700,7 @@ def _own_copy(base: Path) -> None:
 
 def _parsed_entry(base: Path, tmp_path: Path) -> dict:
     """recompute_metrics of a copy of the files at ``base`` with no binary copy."""
-    (tmp_path / "parsed").mkdir(exist_ok=True)
+    (tmp_path / "parsed").mkdir(parents=True, exist_ok=True)
     parsed = copy_with(base, tmp_path / "parsed")
     parsed.with_suffix(".body").unlink()
     return harness.recompute_metrics(parsed, READ_RHOS)
@@ -795,6 +796,56 @@ class TestVerifiedWhileScored:
             harness.recompute_metrics(copy, READ_RHOS)
         assert threading.active_count() == 1
         assert [thread is threading.main_thread() for thread in ran_on] == [mode == "inline"] * 2
+
+    def test_reads_under_a_short_switch_interval_agree(self, plain, tmp_path, hashing):
+        """The helper hands the digest over only through its join: with the
+        interpreter switching threads every microsecond, every read of the copy
+        and of a stale copy gives the entry of the parsed text."""
+        copy = copy_with(plain, tmp_path)
+        expected = _parsed_entry(copy, tmp_path)
+        stale = tmp_path / "stale"
+        for suffix in (".csv", ".meta.json", ".body"):
+            shutil.copyfile(copy.with_suffix(suffix), stale.with_suffix(suffix))
+        TestCopyFallback.edit_a_digit(stale)
+        stale_expected = _parsed_entry(stale, tmp_path / "stale-parsed")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert harness.recompute_metrics(copy, READ_RHOS) == expected
+                assert harness.recompute_metrics(stale, READ_RHOS) == stale_expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == 1
+
+    def test_reads_in_several_threads_leave_the_warnings_state_as_it_was(self, plain, tmp_path, hashing):
+        """Each read swaps the process-wide warnings state in and out; reads in
+        three threads at once, from a copy and from a stale one (parsed), put
+        back what they found."""
+        copy = copy_with(plain, tmp_path)
+        stale = tmp_path / "stale"
+        for suffix in (".csv", ".meta.json", ".body"):
+            shutil.copyfile(copy.with_suffix(suffix), stale.with_suffix(suffix))
+        TestCopyFallback.edit_a_digit(stale)
+        before = warnings._showwarnmsg_impl, list(warnings.filters)  # what catch_warnings swaps
+
+        def reads():
+            for _ in range(15):
+                harness.recompute_metrics(copy, READ_RHOS)
+                harness.recompute_metrics(stale, READ_RHOS)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=reads) for _ in range(3)]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert (warnings._showwarnmsg_impl, list(warnings.filters)) == before
 
     @pytest.mark.skipif(not hasattr(os, "fork") or harness._usable_cpus() < 2, reason="the writer cannot split here")
     def test_the_writer_can_split_right_after_a_rescore(self, plain, tmp_path, hashing):
