@@ -12,6 +12,9 @@ the same bytes as ``reference_body`` and as one process, and no file or child
 process left after a failure on either side.  ``TestCopyFallback`` and
 ``TestSplitReader`` check that a copy which is not the CSV's own is never
 used: the read parses the text, with the same arrays and the same errors.
+``TestVerifiedWhileScored`` checks the reader that hashes the CSV while the
+copy is scored, threaded and inline: what a stale copy gave (entry, error or
+warning) never escapes, and no thread outlives a call.
 """
 
 import csv
@@ -706,6 +709,15 @@ def _parsed_entry(base: Path, tmp_path: Path) -> dict:
     return harness.recompute_metrics(parsed, READ_RHOS)
 
 
+def _digit_edited(base: Path, tmp_path: Path) -> Path:
+    """A copy of the files at ``base`` whose CSV has one digit edited, beside
+    the old binary copy."""
+    tmp_path.mkdir()
+    stale = copy_with(base, tmp_path)
+    TestCopyFallback.edit_a_digit(stale)
+    return stale
+
+
 def _plain_trace() -> Trace:
     """The wide trace's shape with values that score without a warning."""
     rng = np.random.default_rng(7)
@@ -803,10 +815,7 @@ class TestVerifiedWhileScored:
         and of a stale copy gives the entry of the parsed text."""
         copy = copy_with(plain, tmp_path)
         expected = _parsed_entry(copy, tmp_path)
-        stale = tmp_path / "stale"
-        for suffix in (".csv", ".meta.json", ".body"):
-            shutil.copyfile(copy.with_suffix(suffix), stale.with_suffix(suffix))
-        TestCopyFallback.edit_a_digit(stale)
+        stale = _digit_edited(plain, tmp_path / "stale")
         stale_expected = _parsed_entry(stale, tmp_path / "stale-parsed")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -823,10 +832,7 @@ class TestVerifiedWhileScored:
         three threads at once, from a copy and from a stale one (parsed), put
         back what they found."""
         copy = copy_with(plain, tmp_path)
-        stale = tmp_path / "stale"
-        for suffix in (".csv", ".meta.json", ".body"):
-            shutil.copyfile(copy.with_suffix(suffix), stale.with_suffix(suffix))
-        TestCopyFallback.edit_a_digit(stale)
+        stale = _digit_edited(plain, tmp_path / "stale")
         before = warnings._showwarnmsg_impl, list(warnings.filters)  # what catch_warnings swaps
 
         def reads():
