@@ -12,7 +12,10 @@ start when only one checkout's ``src/`` holds bytecode caches, since
 records the machine (CPU model and count, the CPUs this process may
 use, Python and numpy versions), each checkout's commit (whether its tree
 was dirty, and the git tree of the ``src/`` it ran), every run's result
-line, the seeds, and for each end-to-end metric the median and quartiles
+line with the machine's load during the run (``machine_load``: the
+CPU-seconds stolen by the hypervisor, and those the machine spent busy
+outside the run, from ``/proc/stat``; null without it) and each side's
+median of both, the seeds, and for each end-to-end metric the median and quartiles
 of each side, the number of pairs in which the change was lower,
 whether the medians differ by more than the parent's q3 - q1, whether the
 change's median is worse than the parent's by more than the metric's bound
@@ -26,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -36,6 +40,7 @@ import numpy as np
 from dffr import cli, harness
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+PROC_STAT = Path("/proc/stat")
 
 
 def cpu_model() -> str:
@@ -93,14 +98,46 @@ def check_bytecode_caches(sides: dict[str, Path]) -> None:
         )
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One benchmark run of a checkout; its result line, parsed.
+def machine_cpu(stat: Path = PROC_STAT) -> tuple[float, float] | None:
+    """The machine's busy and stolen CPU-seconds since boot, summed over its
+    CPUs, from the ``cpu`` line of ``stat``; None if it cannot be read.
+
+    Busy is user, nice, system, irq and softirq time (guest time is inside
+    user); idle, iowait and steal are not busy.
+    """
+    try:  # the first line: "cpu", then user, nice, system, idle, iowait, irq, softirq, steal ticks
+        user, nice, system, _idle, _iowait, irq, softirq, steal = map(int, stat.read_text().split()[1:9])
+    except (OSError, ValueError):
+        return None
+    hz = os.sysconf("SC_CLK_TCK")
+    return (user + nice + system + irq + softirq) / hz, steal / hz
+
+
+def machine_load(before, after, own_cpu_s: float) -> dict:
+    """``steal_s`` and ``other_cpu_s`` between two ``machine_cpu`` readings:
+    the stolen CPU-seconds, and the busy ones minus ``own_cpu_s``, the run's
+    own.  Both are None without a reading."""
+    if before is None or after is None:
+        return {"steal_s": None, "other_cpu_s": None}
+    return {"steal_s": after[1] - before[1], "other_cpu_s": after[0] - before[0] - own_cpu_s}
+
+
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run_once(checkout: Path, workload: str, seed: int, stat: Path = PROC_STAT) -> dict:
+    """One benchmark run of a checkout; its result line, parsed, with the
+    machine's load during the run (``machine_load``) added.
 
     A run that fails, or whose result line is not correct or counts a failed
     operation, ends the script: it is no valid pair.
     """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    before, own = machine_cpu(stat), _children_cpu_s()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    load = machine_load(before, machine_cpu(stat), _children_cpu_s() - own)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: {' '.join(cmd)} failed:\n{proc.stderr.strip()}")
@@ -110,7 +147,20 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
             f"{checkout}: workload {workload}, seed {seed}: the run is not valid "
             f"(correct {result.get('correct')!r}, failed {result.get('failed')!r})"
         )
-    return result
+    return result | {"machine_load": load}
+
+
+def load_medians(pairs: list[dict]) -> dict:
+    """Each side's median ``steal_s`` and ``other_cpu_s`` over the pairs; None
+    if a run has none."""
+    return {
+        side: {
+            key: None if None in (values := [p[side]["machine_load"][key] for p in pairs])
+            else statistics.median(values)
+            for key in ("steal_s", "other_cpu_s")
+        }
+        for side in ("parent", "change")
+    }
 
 
 def spread(values: list[float]) -> dict:
@@ -188,6 +238,7 @@ def main() -> int:
         "seeds": seeds,
         "pairs": pairs,
         "summary": summarize(pairs, bounds),
+        "machine_load": load_medians(pairs),
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {args.out}")

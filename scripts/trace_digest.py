@@ -18,7 +18,6 @@ when a rescored digest differs from its summary's.
 
 import argparse
 import hashlib
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -28,10 +27,10 @@ from dffr import cli, harness
 
 def rescore(base: Path) -> dict:
     """The summary of a run rebuilt from its files alone: the config from the
-    sidecar of ``base`` (one seed's trace base path), and the trace of each
-    of its seeds from ``read_trace`` in the same directory."""
-    config = json.loads(base.with_name(base.name + ".meta.json").read_text())["config"]
-    cfg = harness.ExperimentConfig.from_dict(config)
+    sidecar of ``base`` (one seed's trace base path), as ``read_trace`` reads
+    it, and the trace of each of its seeds from ``read_trace`` in the same
+    directory."""
+    cfg = harness.ExperimentConfig.from_dict(harness.read_trace(base)[0]["config"])
     traces = [harness.read_trace(base.with_name(f"{cfg.name}-seed{seed}"))[1] for seed in cfg.seeds]
     return harness.score(cfg, traces)
 

@@ -18,9 +18,7 @@ def _load_config(args) -> harness.ExperimentConfig:
         raise harness.ParseError("need --config PATH or --preset NAME")
     seeds = _parse_seeds(args)
     if seeds is not None:
-        raw = cfg.to_dict()
-        raw["seeds"] = seeds
-        cfg = harness.ExperimentConfig.from_dict(raw)
+        cfg = harness.ExperimentConfig.from_dict(cfg.to_dict() | {"seeds": seeds})
     return cfg
 
 
@@ -48,14 +46,11 @@ def _parse_numbers(option: str, spec: str) -> list[float]:
         raise harness.ParseError(f"bad {option} {spec!r}: expected comma-separated numbers") from None
 
 
-def _strip_traces(summary: dict) -> dict:
-    return {k: v for k, v in summary.items() if k != "traces"}
-
-
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     summary = harness.run_experiment(cfg, out_dir=args.out)
-    sys.stdout.write(harness.strict_json(_strip_traces(summary), f"the summary of {cfg.name}"))
+    del summary["traces"]
+    sys.stdout.write(harness.strict_json(summary, f"the summary of {cfg.name}"))
     return 0
 
 

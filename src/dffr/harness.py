@@ -355,6 +355,7 @@ _POSITIVE_INT = (lambda value: _is_int(value) and value >= 1), "a positive integ
 _POSITIVE = (lambda value: _is_number(value) and value > 0), "a positive number"
 _FRACTION = (lambda value: _is_number(value) and 0 < value < 1), "a number in (0, 1)"
 _NUMBERS = _list_of(_is_number), "a list of numbers"
+_SEED = (lambda value: _is_int(value) and 0 <= value < 2**64), "an integer in [0, 2**64)"
 _VERSION = (lambda value: _is_int(value) and value == SCHEMA_VERSION), str(SCHEMA_VERSION)
 
 # Parsing tables the target path c(t) round by round, so the horizon is
@@ -424,7 +425,7 @@ _CONFIG_FIELDS = {
     }, null=True),
     "rho": _Field(_list_of(_FRACTION[0], distinct=True), "a list of distinct numbers in (0, 1)"),
     "seeds": _Field(  # ``algorithms.agent_rngs`` masks a seed to 64 bits
-        _list_of(_at_most(_COUNT, 2**64 - 1)[0], 1, distinct=True),
+        _list_of(_SEED[0], 1, distinct=True),
         "a non-empty list of distinct integers in [0, 2**64)",
     ),
     "bounds": _Field(*_BOOL),
@@ -437,13 +438,26 @@ def parse_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"config file {path} does not exist")
+    return ExperimentConfig.from_dict(_json_object(path, ParseError, "config"))
+
+
+def _unreadable(path: Path, exc: OSError | UnicodeDecodeError) -> str:
+    """Why the text file at ``path`` could not be read, after its name."""
+    return f"{path}: {getattr(exc, 'strerror', None) or exc}"
+
+
+def _json_object(path: Path, error: type, what: str) -> dict:
+    """The JSON object in the file at ``path``; ``error`` names the file if it
+    cannot be read, is not JSON (with the line) or is not an object (the ``what``)."""
     try:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        raise error(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(_unreadable(path, exc)) from None
     if not isinstance(raw, dict):
-        raise ParseError(f"{path}: the config is not a JSON object")
-    return ExperimentConfig.from_dict(raw)
+        raise error(f"{path}: the {what} is not a JSON object")
+    return raw
 
 
 def strict_json(value, what: str) -> str:
@@ -907,8 +921,8 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
 # Every sidecar field; read_trace checks the schema version before this table.
 _SIDECAR_FIELDS = {
     "schema_version": _Field(*_ANY), "artifact_version": _Field(*_ANY), "created": _Field(*_ANY),
-    "config": _Field(*_ANY), "algorithm": _Field(*_ANY, required=True),
-    "seed": _Field(*_ANY, required=True), "T": _Field(*_POSITIVE_INT, required=True),
+    "config": _Field(*_ANY), "algorithm": _Field(*_STRING, required=True),
+    "seed": _Field(*_SEED, null=True, required=True), "T": _Field(*_POSITIVE_INT, required=True),
     "n": _Field(*_POSITIVE_INT, required=True), "d": _Field(*_COUNT, required=True),
     "rhos": _Field(*_NUMBERS, required=True), "final_eps_norm": _Field(*_NUMBERS, required=True),
     "columns": _Field(_list_of(_STRING[0]), "a list of strings", required=True),
@@ -921,12 +935,12 @@ def read_trace(base_path) -> tuple[dict, Trace, dict]:
     The body comes from the binary copy <base>.body when it is the copy of
     this CSV file: its size is exactly 8 bytes per value (T*n rows from the
     sidecar, by the header's width) plus the 32-byte digest, and that digest
-    is the SHA-256 of the CSV file's bytes.  The CSV is hashed while the
-    copy's rows are checked (``_read``), and nothing taken from the copy is
-    returned or raised unless the digest matches.  In every other case (no
-    copy, a truncated or stale one, an edited CSV) ``np.loadtxt`` parses the
-    CSV body.  Both give the same array bit for bit, and every check after
-    them runs on either, so a file reads back, or fails, the same way.
+    is the SHA-256 of the CSV file's bytes.  A helper thread hashes the CSV
+    while the copy's rows are checked (``_read``), and nothing taken from the
+    copy is returned or raised unless the digest matches.  Otherwise
+    ``np.loadtxt`` parses the CSV body.  Both give the same array bit for
+    bit, so a file reads back, or fails, the same way.  A file that cannot
+    be read as text raises MalformedTrace naming it.
     """
     return _read(base_path, lambda *read: read)
 
@@ -936,30 +950,30 @@ def _read(base_path, then):
     ``read_trace`` reads it.
 
     With a copy of the expected size, ``then`` runs on the copy's rows while
-    ``_hash_csv`` takes the CSV's digest; if the digest differs, what that
-    gave (its result, exception or warnings) is dropped and ``then`` runs
-    again on the rows ``np.loadtxt`` parses from the CSV.
+    a helper thread hashes the CSV (``_from_copy``); if the digest differs,
+    what that gave (its result, exception or warnings) is dropped and
+    ``then`` runs again on the rows ``np.loadtxt`` parses from the CSV.
     """
     csv_path, meta_path, body_path = _trace_paths(base_path)
     if not csv_path.exists() or not meta_path.exists():
         raise SchemaVersionMismatch(f"missing trace files at {csv_path.with_name(csv_path.stem)}")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise MalformedTrace(f"{meta_path}: line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(meta, dict):
-        raise MalformedTrace(f"{meta_path}: the sidecar is not a JSON object")
+    meta = _json_object(meta_path, MalformedTrace, "sidecar")
     if (version := meta.get("schema_version")) != SCHEMA_VERSION:
         raise SchemaVersionMismatch(f"trace schema {version} != {SCHEMA_VERSION}")
+    try:
+        with csv_path.open() as fh:
+            header = next(csv.reader([fh.readline()]), [])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedTrace(_unreadable(csv_path, exc)) from None
+    _check_sidecar_fields(meta_path, meta, header)
+
+    def finish(data: np.ndarray):
+        return then(meta, *_trace_of(csv_path, header, meta, data))
+
+    if (verified := _from_copy(csv_path, body_path, meta["T"] * meta["n"], len(header), finish)) is not None:
+        return verified()
     with csv_path.open() as fh:
-        header = next(csv.reader([fh.readline()]), [])
-        _check_sidecar_fields(meta_path, meta, header)
-
-        def finish(data: np.ndarray):
-            return then(meta, *_trace_of(csv_path, header, meta, data))
-
-        if (verified := _from_copy(csv_path, body_path, meta["T"] * meta["n"], len(header), finish)) is not None:
-            return verified()
+        fh.readline()  # the header
         try:
             data = _load_rows(fh)
         except ValueError as exc:
@@ -1007,13 +1021,6 @@ def _load_rows(fh) -> np.ndarray:
 
 # The CSV is hashed through one buffer of at most this many bytes.
 HASH_CHUNK = 2**18
-# CSV bytes from which _from_copy hashes on a helper thread rather than inline.
-# The helper needs the GIL between chunks, and this thread holds it through the
-# small array calls of a narrow trace, so there the helper mostly waits.  On a
-# 2-vCPU Xeon VM, in alternated re-scores of one trace, the thread lost on a
-# 0.8 MB CSV of 4 agents and d = 1 (faster in 7 of 200) and paid on 1.6 MB of
-# that shape (59 of 60) and on 0.56 MB of 32 agents and d = 10 (93 of 100).
-HASH_THREAD_MIN_BYTES = 2**20
 
 
 def _hash_csv(digest, source, buffer: bytearray, failed: list) -> None:
@@ -1052,10 +1059,9 @@ def _from_copy(csv_path: Path, body_path: Path, rows: int, width: int, finish):
     or None unless the file is exactly that many float64 values plus the CSV
     file's SHA-256.
 
-    From ``HASH_THREAD_MIN_BYTES`` of CSV, a helper thread hashes the CSV
-    while this one reads the copy and runs ``finish``; below, this thread
-    hashes first.  Either way the helper has ended before this returns or
-    raises.
+    Once the size matches, a helper thread hashes the CSV while this one
+    reads the copy and runs ``finish``; the helper has ended before this
+    returns or raises.
     """
     import hashlib  # here, not at the top: the module takes about 5 ms to import
 
@@ -1068,12 +1074,10 @@ def _from_copy(csv_path: Path, body_path: Path, rows: int, width: int, finish):
         # The size comes first, so a sidecar cannot size the buffer alone.
         if os.fstat(body.fileno()).st_size != size:
             return None
-        csv_bytes = os.fstat(source.fileno()).st_size
         digest, failed = hashlib.sha256(), []
-        buffer = bytearray(min(HASH_CHUNK, csv_bytes))
+        buffer = bytearray(min(HASH_CHUNK, os.fstat(source.fileno()).st_size))
         hasher = threading.Thread(target=_hash_csv, args=(digest, source, buffer, failed))
-        threaded = csv_bytes >= HASH_THREAD_MIN_BYTES
-        (hasher.start if threaded else hasher.run)()
+        hasher.start()
         try:
             raw = bytearray(size)
             try:
@@ -1084,8 +1088,7 @@ def _from_copy(csv_path: Path, body_path: Path, rows: int, width: int, finish):
                 data = np.frombuffer(raw, dtype="<f8", count=rows * width).reshape(rows, width)
                 outcome = _held(finish, data.astype(float, copy=False))
         finally:
-            if threaded:
-                hasher.join()
+            hasher.join()
     if failed:
         raise failed[0]
     if got != size or raw[-DIGEST_BYTES:] != digest.digest():
@@ -1137,8 +1140,11 @@ def _check_rows(csv_path: Path, header: list[str], body: np.ndarray, d: int) -> 
 
 
 def _malformed_row(csv_path: Path, header: list[str], exc: ValueError) -> MalformedTrace:
-    """Name the first body line that is not one number per header column."""
-    with csv_path.open() as fh:
+    """Name the first body line that is not one number per header column.
+
+    A byte that is not UTF-8 is read as U+FFFD, so its field is not a number.
+    """
+    with csv_path.open(errors="replace") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for row in reader:
@@ -1159,11 +1165,8 @@ def recompute_metrics(trace_path, rhos: list[float]) -> dict:
     """One seed's summary entry, as ``score`` builds it, from its stored trace
     rows only (no re-simulation), for any ``rhos``, stored or not.
 
-    The rows come from ``read_trace``'s reader: from the binary copy
-    <base>.body while its digest matches the CSV, else parsed from the CSV;
-    both give the same bits, so the entry is the same either way.  The entry
-    is built from the copy while the CSV is hashed, and dropped, with any
-    error or warning it gave, if the digest differs.
+    The rows come from ``read_trace``'s reader, and the entry is built while
+    the CSV is hashed; it is the same with or without the binary copy.
 
     For every requested forgetting factor that was stored at write time, the
     recomputed running regret is compared against the stored column; the

@@ -30,7 +30,63 @@ VALID = {"correct": True, "attempted": 3, "failed": 0, "metrics": {}}
 
 def test_valid_run_is_returned(bench_pairs, tmp_path):
     checkout = checkout_printing(tmp_path / "good", VALID)
-    assert bench_pairs.run_once(checkout, "paper-presets", 7) == VALID
+    result = bench_pairs.run_once(checkout, "paper-presets", 7)
+    assert set(result.pop("machine_load")) == {"steal_s", "other_cpu_s"}
+    assert result == VALID
+
+
+def fake_stat(user: int, steal: int) -> str:
+    """A /proc/stat text whose cpu line has these user and steal ticks."""
+    return f"cpu  {user} 20 30 4000 50 6 7 {steal} 9 0\ncpu0 50 10 15 2000 25 3 3 4 0 0\nintr 5 1\n"
+
+
+def test_machine_cpu_reads_busy_and_stolen_seconds(bench_pairs, tmp_path):
+    """Busy is user, nice, system, irq and softirq; idle, iowait, steal and
+    guest are not."""
+    hz = os.sysconf("SC_CLK_TCK")
+    stat = tmp_path / "stat"
+    stat.write_text(fake_stat(user=100, steal=8))
+    assert bench_pairs.machine_cpu(stat) == ((100 + 20 + 30 + 6 + 7) / hz, 8 / hz)
+    assert bench_pairs.machine_cpu(tmp_path / "missing") is None
+    stat.write_text("cpu  1 2 3\n")  # too few fields
+    assert bench_pairs.machine_cpu(stat) is None
+
+
+def test_machine_load_is_the_busy_time_outside_the_run(bench_pairs):
+    assert bench_pairs.machine_load((10.0, 1.0), (13.5, 1.25), 2.0) == {"steal_s": 0.25, "other_cpu_s": 1.5}
+    for readings in [(None, (13.5, 1.25)), ((10.0, 1.0), None)]:
+        assert bench_pairs.machine_load(*readings, 2.0) == {"steal_s": None, "other_cpu_s": None}
+
+
+def test_a_run_records_the_machines_load_during_it(bench_pairs, tmp_path):
+    """The fake run adds 5 s of busy time and 2 s of steal to the stat file; its
+    own CPU time, under a second, is taken off the busy time."""
+    hz = os.sysconf("SC_CLK_TCK")
+    stat = tmp_path / "stat"
+    stat.write_text(fake_stat(user=100, steal=8))
+    checkout = checkout_printing(tmp_path / "busy", VALID)
+    run = checkout / "perfbench" / "run.py"
+    after = fake_stat(user=100 + 5 * hz, steal=8 + 2 * hz)
+    run.write_text(f"open({str(stat)!r}, 'w').write({after!r})\n" + run.read_text())
+    load = bench_pairs.run_once(checkout, "paper-presets", 7, stat)["machine_load"]
+    assert load["steal_s"] == 2.0
+    assert 4.0 < load["other_cpu_s"] < 5.0
+    no_stat = bench_pairs.run_once(checkout, "paper-presets", 7, tmp_path / "missing")["machine_load"]
+    assert no_stat == {"steal_s": None, "other_cpu_s": None}
+
+
+def test_each_sides_median_load_is_summarized(bench_pairs):
+    loads = {"parent": [(0.0, 1.0), (0.5, 3.0), (0.25, 2.0)], "change": [(0.0, 0.5), (0.0, 0.25), (0.0, 0.0)]}
+    pairs = [
+        {side: {"machine_load": {"steal_s": loads[side][k][0], "other_cpu_s": loads[side][k][1]}} for side in loads}
+        for k in range(3)
+    ]
+    assert bench_pairs.load_medians(pairs) == {
+        "parent": {"steal_s": 0.25, "other_cpu_s": 2.0},
+        "change": {"steal_s": 0.0, "other_cpu_s": 0.25},
+    }
+    pairs[1]["change"]["machine_load"]["other_cpu_s"] = None
+    assert bench_pairs.load_medians(pairs)["change"] == {"steal_s": 0.0, "other_cpu_s": None}
 
 
 @pytest.mark.parametrize("fault", [{"correct": False}, {"failed": 2}, {"correct": None}])

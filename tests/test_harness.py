@@ -55,6 +55,18 @@ def _quadratic_ring(n: int, d: int) -> dict:
     }
 
 
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position"
+
+
+def _non_utf8_field(data: bytes, line: int, k: int) -> bytes:
+    """``data`` with field ``k`` of its (1-based) line ``line`` replaced by the byte 0xff."""
+    lines = data.split(b"\n")
+    fields = lines[line - 1].split(b",")
+    fields[k] = b"\xff"
+    lines[line - 1] = b",".join(fields)
+    return b"\n".join(lines)
+
+
 def _with_field(line: str, k: int, value: str) -> str:
     fields = line.split(",")
     fields[k] = value
@@ -125,10 +137,19 @@ class TestConfigValidation:
              "no bound evaluator exists for the projected_gd baseline"),
             ("paper-tracking-alg2-linesearch", lambda raw: raw["algorithm"].pop("alpha0"),
              "bound evaluation for projection_free needs alpha0"),
+            ("paper-tracking-alg1", lambda raw: raw["algorithm"].pop("step"),
+             "gradient_free requires a step schedule"),
+            ("paper-tracking-alg1", lambda raw: raw["algorithm"].update(delta=None),
+             "gradient_free requires a positive smoothing delta"),
+            ("paper-tracking-dogd", lambda raw: raw["algorithm"].pop("step"),
+             "projected_gd requires a step schedule"),
+            ("paper-tracking-alg2", lambda raw: raw["algorithm"].update(alpha0=None),
+             "fixed_alpha0 mode requires alpha0 in (0, 1)"),
         ],
-        ids=["projected-gd", "projection-free-without-alpha0"],
+        ids=["projected-gd", "projection-free-without-alpha0", "gradient-free-without-step",
+             "gradient-free-without-delta", "projected-gd-without-step", "fixed-alpha0-without-alpha0"],
     )
-    def test_bounds_without_an_evaluator_are_refused(self, name, edit, message):
+    def test_refused_config_gives_its_message(self, name, edit, message):
         raw = harness.preset(name).to_dict()
         edit(raw)
         with pytest.raises(ConstraintViolation) as caught:
@@ -418,8 +439,9 @@ class TestRunExperiment:
             (lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]], 161),
             (lambda lines: lines[:9] + [_with_field(lines[9], 4, "abc")] + lines[10:], 10),
             (lambda lines: lines[:4] + [lines[4] + ",0.5"] + lines[5:], 5),
+            (lambda lines: lines[:1] + [line + ",0.5" for line in lines[1:]], 2),
         ],
-        ids=["truncated-row", "non-numeric", "wrong-width"],
+        ids=["truncated-row", "non-numeric", "wrong-width", "every-row-wider"],
     )
     def test_malformed_body_names_file_and_line(self, tmp_path, corrupt, line):
         cfg = small_alg2_config()
@@ -504,10 +526,18 @@ class TestRunExperiment:
              "the header has dffr_0.9875$"),
             ("columns", harness.trace_columns(1, [0.9875])[:-1], "sidecar fields 'd' and 'rhos' "
              "imply the column dffr_0.9875, sidecar field 'columns' has none$"),
+            ("seed", [1, 2], r"sidecar field 'seed' must be an integer in \[0, 2\*\*64\) or null, got \[1, 2\]$"),
+            ("seed", -1, r"sidecar field 'seed' must be an integer in \[0, 2\*\*64\) or null, got -1$"),
+            ("seed", 2**64, r"sidecar field 'seed' must be an integer in \[0, 2\*\*64\) or null, got 18446744073709551616$"),
+            ("seed", 0.5, r"sidecar field 'seed' must be an integer in \[0, 2\*\*64\) or null, got 0.5$"),
+            ("seed", True, r"sidecar field 'seed' must be an integer in \[0, 2\*\*64\) or null, got True$"),
+            ("algorithm", 5, "sidecar field 'algorithm' must be a string, got 5$"),
+            ("algorithm", None, "sidecar field 'algorithm' must be a string, got None$"),
         ],
         ids=["T-str", "T-float", "T-bool", "n-null", "d-negative", "rhos-number",
              "rhos-bool", "eps-str", "eps-length", "d-columns", "d-huge", "rhos-columns",
-             "columns-differ"],
+             "columns-differ", "seed-list", "seed-negative", "seed-past-64-bits", "seed-float",
+             "seed-bool", "algorithm-int", "algorithm-null"],
     )
     def test_bad_sidecar_field_names_file_and_field(self, tmp_path, key, value, message):
         harness.run_experiment(small_alg2_config(), out_dir=tmp_path)
@@ -720,6 +750,37 @@ class TestCli:
             assert capsys.readouterr().err == "error: seed 0, round 2: agent 0 own loss inf is not finite\n"
             assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command, name, spoil, why",
+        [
+            ("validate", "cfg.json", "directory", "Is a directory"),
+            ("validate", "cfg.json", lambda data: b"\xff\xfe{}", f"{NOT_UTF8} 0: invalid start byte"),
+            ("run", "cfg.json", lambda data: b"\xff\xfe{}", f"{NOT_UTF8} 0: invalid start byte"),
+            ("metrics", "run-seed0.meta.json", "directory", "Is a directory"),
+            ("metrics", "run-seed0.meta.json", lambda data: b"\xff" + data, f"{NOT_UTF8} 0: invalid start byte"),
+            ("metrics", "run-seed0.csv", "directory", "Is a directory"),
+            ("metrics", "run-seed0.csv", lambda data: _non_utf8_field(data, 1, 2), f"{NOT_UTF8} 8: invalid start byte"),
+            # past the reader's first 8 KiB: the parse fails, and the line is named
+            ("metrics", "run-seed0.csv", lambda data: _non_utf8_field(data, 161, 4),
+             "line 161: eps_norm is not a number: '\ufffd'"),
+        ],
+        ids=["config-directory", "config-not-utf8", "run-config-not-utf8", "sidecar-directory",
+             "sidecar-not-utf8", "csv-directory", "csv-header-not-utf8", "csv-body-not-utf8"],
+    )
+    def test_an_unreadable_input_file_is_an_error_naming_it(self, tmp_path, capsys, command, name, spoil, why):
+        cfg = small_alg2_config(horizon=40, name="run")
+        harness.serialize_config(cfg, tmp_path / "cfg.json")
+        harness.run_experiment(cfg, out_dir=tmp_path)
+        path = tmp_path / name
+        if spoil == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            path.write_bytes(spoil(path.read_bytes()))
+        where = ["--trace", str(tmp_path / "run-seed0"), "--rho", "0.9"] if command == "metrics" else ["--config", str(path)]
+        assert cli.main([command, *where]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {why}\n"
+
     def test_validate(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         harness.serialize_config(harness.preset("paper-tracking-alg2"), cfg_path)
@@ -827,14 +888,26 @@ class TestCli:
             assert "--seeds SEEDS seed list" in text
         assert "one of rho, delta, alpha0, alpha_schedule_scale, omega" in text
 
-    def test_error_exit_code(self, capsys):
-        assert cli.main(["run", "--preset", "nope"]) == 1
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--preset", "nope"], "error: unknown preset 'nope'; known: "),
+            (["run"], "error: need --config PATH or --preset NAME\n"),
+        ],
+        ids=["unknown-preset", "no-config"],
+    )
+    def test_error_exit_code(self, capsys, argv, message):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(message)
 
-    def test_seed_range_override(self, capsys):
-        assert cli.main(["run", "--preset", "remark1-synthetic", "--seeds", "0..2"]) == 0
+    @pytest.mark.parametrize(
+        "option, seeds", [(["--seeds", "0..2"], [0, 1, 2]), (["--seed", "5"], [5])], ids=["seeds", "seed"]
+    )
+    def test_seed_range_override(self, capsys, option, seeds):
+        assert cli.main(["run", "--preset", "remark1-synthetic", *option]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert len(out["per_seed"]) == 3
+        assert out["config"]["seeds"] == seeds
+        assert len(out["per_seed"]) == len(seeds)
 
     @pytest.mark.parametrize("spec", ["abc", "1..x", "0,1,z"])
     def test_bad_seed_spec_is_an_error(self, spec, capsys):

@@ -682,15 +682,13 @@ class TestSplitReader:
         )
 
 
-@pytest.fixture(params=["threaded", "inline"])
-def hashing(request, monkeypatch):
-    """The reader's two ways of hashing the CSV: on a helper thread (from 0 CSV
-    bytes) or in the calling thread; the threads each hash ran on, listed."""
-    monkeypatch.setattr(harness, "HASH_THREAD_MIN_BYTES", 0 if request.param == "threaded" else 2**62)
+@pytest.fixture
+def hashed_on(monkeypatch):
+    """The threads the reader hashed the CSV on, listed as it hashes."""
     ran_on = []
     real = harness._hash_csv
     monkeypatch.setattr(harness, "_hash_csv", lambda *args: ran_on.append(threading.current_thread()) or real(*args))
-    return request.param, ran_on
+    return ran_on
 
 
 def _own_copy(base: Path) -> None:
@@ -749,8 +747,7 @@ class TestVerifiedWhileScored:
     """The CSV is hashed while the copy's rows are checked and scored; what the
     copy gave is returned, raised or warned only once the digest matches."""
 
-    def test_a_stale_copy_that_overflows_gives_the_parsed_entry(self, plain, tmp_path, parses, hashing):
-        mode, ran_on = hashing
+    def test_a_stale_copy_that_overflows_gives_the_parsed_entry(self, plain, tmp_path, parses, hashed_on):
         over = _plain_trace()
         over.loss_global[:] = 1e308  # the mean over agents overflows
         with np.errstate(all="ignore"):
@@ -769,9 +766,9 @@ class TestVerifiedWhileScored:
             assert harness.recompute_metrics(stale, READ_RHOS) == expected
         assert issued == []
         assert parses == [1]
-        assert [thread is threading.main_thread() for thread in ran_on] == [mode == "inline"] * 2
+        assert [thread is threading.main_thread() for thread in hashed_on] == [False] * 2
 
-    def test_an_error_from_a_stale_copy_is_dropped(self, plain, tmp_path, parses, hashing):
+    def test_an_error_from_a_stale_copy_is_dropped(self, plain, tmp_path, parses):
         copy = copy_with(plain, tmp_path)
         body = bytearray(copy.with_suffix(".body").read_bytes())
         body[:8] = np.array([7.0], dtype="<f8").tobytes()  # the first row's round, off the grid
@@ -780,7 +777,7 @@ class TestVerifiedWhileScored:
         assert harness.recompute_metrics(copy, READ_RHOS) == _parsed_entry(copy, tmp_path)
         assert parses == [1, 1]
 
-    def test_an_error_from_the_csvs_own_copy_is_raised(self, plain, tmp_path, parses, hashing):
+    def test_an_error_from_the_csvs_own_copy_is_raised(self, plain, tmp_path, parses):
         copy = copy_with(
             plain, tmp_path, lambda lines: [*lines[:3], _with_field(lines[3], 1, "0"), *lines[4:]]
         )
@@ -793,8 +790,7 @@ class TestVerifiedWhileScored:
             assert threading.active_count() == 1
         assert parses == []
 
-    def test_no_thread_outlives_a_call(self, plain, tmp_path, hashing, monkeypatch):
-        mode, ran_on = hashing
+    def test_no_thread_outlives_a_call(self, plain, tmp_path, hashed_on, monkeypatch):
         copy = copy_with(plain, tmp_path)
         entry = harness.recompute_metrics(copy, READ_RHOS)
         assert threading.active_count() == 1
@@ -807,9 +803,9 @@ class TestVerifiedWhileScored:
         with pytest.raises(ZeroDivisionError, match="^in the seed entry$"):
             harness.recompute_metrics(copy, READ_RHOS)
         assert threading.active_count() == 1
-        assert [thread is threading.main_thread() for thread in ran_on] == [mode == "inline"] * 2
+        assert [thread is threading.main_thread() for thread in hashed_on] == [False] * 2
 
-    def test_reads_under_a_short_switch_interval_agree(self, plain, tmp_path, hashing):
+    def test_reads_under_a_short_switch_interval_agree(self, plain, tmp_path):
         """The helper hands the digest over only through its join: with the
         interpreter switching threads every microsecond, every read of the copy
         and of a stale copy gives the entry of the parsed text."""
@@ -827,7 +823,7 @@ class TestVerifiedWhileScored:
             sys.setswitchinterval(interval)
         assert threading.active_count() == 1
 
-    def test_reads_in_several_threads_leave_the_warnings_state_as_it_was(self, plain, tmp_path, hashing):
+    def test_reads_in_several_threads_leave_the_warnings_state_as_it_was(self, plain, tmp_path):
         """Each read swaps the process-wide warnings state in and out; reads in
         three threads at once, from a copy and from a stale one (parsed), put
         back what they found."""
@@ -854,6 +850,6 @@ class TestVerifiedWhileScored:
         assert (warnings._showwarnmsg_impl, list(warnings.filters)) == before
 
     @pytest.mark.skipif(not hasattr(os, "fork") or harness._usable_cpus() < 2, reason="the writer cannot split here")
-    def test_the_writer_can_split_right_after_a_rescore(self, plain, tmp_path, hashing):
+    def test_the_writer_can_split_right_after_a_rescore(self, plain, tmp_path):
         harness.recompute_metrics(copy_with(plain, tmp_path), READ_RHOS)
         assert harness._can_split()
