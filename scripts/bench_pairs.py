@@ -14,9 +14,9 @@ use, Python and numpy versions), each checkout's commit (whether its tree
 was dirty, and the git tree of the ``src/`` it ran), every run's result
 line with the machine's load during the run (``machine_load``: the
 CPU-seconds stolen by the hypervisor, and those the machine spent busy
-outside the run, from ``/proc/stat``; null without it) and each side's
-median of both, the seeds, and for each end-to-end metric the median and quartiles
-of each side, the number of pairs in which the change was lower,
+outside the run, from ``/proc/stat``; null without it), each side's
+median load, the seeds, and for each end-to-end metric the median and
+quartiles of each side, the number of pairs in which the change was lower,
 whether the medians differ by more than the parent's q3 - q1, whether the
 change's median is worse than the parent's by more than the metric's bound
 in ``BENCHMARK.json`` (relative to the parent's median), and whether the
