@@ -7,8 +7,10 @@ cumulative regret (which never decays).
 """
 
 import argparse
+import sys
 
 from dffr import harness, metrics
+from dffr.errors import DffrError
 
 
 def main():
@@ -36,4 +38,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except DffrError as exc:
+        sys.exit(f"error: {exc}")

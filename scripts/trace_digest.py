@@ -13,7 +13,8 @@ summary that ``harness.score`` rebuilds from the written files alone
 the config, so two versions of the engine that print the same digests
 produce byte-identical trace and summary files;
 tests/test_golden_traces.py pins the preset digests.  The script exits 1
-when a rescored digest differs from its summary's.
+when a rescored digest differs from its summary's, and with one
+``error: <message>`` line when ``dffr`` refuses the config.
 """
 
 import argparse
@@ -23,6 +24,7 @@ import tempfile
 from pathlib import Path
 
 from dffr import cli, harness
+from dffr.errors import DffrError
 
 
 def rescore(base: Path) -> dict:
@@ -78,4 +80,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except DffrError as exc:
+        sys.exit(f"error: {exc}")

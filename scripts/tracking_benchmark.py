@@ -10,8 +10,10 @@ baseline.  Pass --out DIR to keep the trace files.
 """
 
 import argparse
+import sys
 
 from dffr import harness
+from dffr.errors import DffrError
 from dffr.harness import ExperimentConfig
 
 
@@ -43,4 +45,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except DffrError as exc:
+        sys.exit(f"error: {exc}")

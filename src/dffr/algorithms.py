@@ -30,7 +30,6 @@ history after the loop.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,7 +263,6 @@ def run(
     T: int,
     seeds,
     x0: np.ndarray | None = None,
-    config_snapshot: dict | None = None,
 ) -> list[Trace]:
     """Advance all agents of every seed through rounds 1..T; one trace per seed.
 
@@ -283,7 +281,8 @@ def run(
     after the loop, in round chunks of at most ``RESIDUAL_CHUNK`` history
     elements (S·rounds·n·d, or one round when a round is larger); then the
     first non-finite own or global loss, in seed, round and agent order, is
-    refused.  A refusal names the seed, the round and the agent.
+    refused.  A refusal names the seed, the round and the agent.  Each trace
+    holds its seed and an empty config, which ``harness.run_seeds`` fills in.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
@@ -371,14 +370,12 @@ def run(
     final_eps_norm = np.linalg.norm(x - z, axis=-1)
     x_path, f_path = stream.optimum_path(T, box)
 
-    # Each trace's config is the run's snapshot: one deep copy, whose values the traces share.
-    shared = copy.deepcopy(config_snapshot or {})
     traces = []
     for k, seed in enumerate(seeds):
         traces.append(Trace(
             algorithm=cfg.kind,
             seed=seed,
-            config=dict(shared),
+            config={},
             x=x_hist[k],
             z=z_hist[k],
             eps_norm=eps_norm[k],

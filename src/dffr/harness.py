@@ -220,16 +220,16 @@ class ExperimentConfig:
                 ShrunkSet(box, algo.delta)
             except ValueError as exc:
                 raise ConstraintViolation(f"smoothing {exc}") from None
+        constants = {"L": stream.L, "L_s": stream.L_s, "L_1": stream.L_1}
+        if bad := [f"{name} = {value!r}" for name, value in constants.items() if not math.isfinite(value)]:
+            raise ConstraintViolation(
+                f"the run needs finite stream constants; the {p.stream!r} stream has {', '.join(bad)}"
+            )
         if self.bounds:
             if algo.kind == "projected_gd":
                 raise ConstraintViolation("no bound evaluator exists for the projected_gd baseline")
             if algo.kind == "projection_free" and algo.alpha0 is None:
                 raise ConstraintViolation("bound evaluation for projection_free needs alpha0")
-            constants = {"L": stream.L, "L_s": stream.L_s, "L_1": stream.L_1}
-            if bad := [f"{name} = {value!r}" for name, value in constants.items() if not math.isfinite(value)]:
-                raise ConstraintViolation(
-                    f"bound evaluation needs finite stream constants; the {p.stream!r} stream has {', '.join(bad)}"
-                )
             lam = self.effective_lambda()
             # The largest row sum of |W - 1/n| bounds that modulus from above, so
             # an override at or above it (the presets') needs no eigen-solver,
@@ -558,19 +558,18 @@ def preset(name: str) -> ExperimentConfig:
 # --- execution ----------------------------------------------------------------
 
 def run_seeds(cfg: ExperimentConfig, seeds=None) -> list[Trace]:
-    """One trace per seed (default: the configured seeds), all seeds run as one batch."""
-    seeds = cfg.seeds if seeds is None else seeds
+    """One batch, a trace per seed (default ``cfg.seeds``), each labelled with its seed and ``cfg.to_dict()``."""
+    seeds = list(cfg.seeds if seeds is None else seeds)
     if cfg.problem.stream == "remark1":
         gaps = metrics.power_spike_gaps(cfg.problem.horizon)
         traces = [Trace.from_gap_sequence(gaps, algorithm="remark1") for _ in seeds]
-        for trace in traces:
-            trace.config = cfg.to_dict()
-        return traces
-    stream, wm = cfg.built()
-    algo = cfg.build_algorithm()
-    return algorithms.run(
-        stream, wm, algo, T=cfg.problem.horizon, seeds=seeds, config_snapshot=cfg.to_dict()
-    )
+    else:
+        stream, wm = cfg.built()
+        traces = algorithms.run(stream, wm, cfg.build_algorithm(), T=cfg.problem.horizon, seeds=seeds)
+    config = cfg.to_dict()
+    for seed, trace in zip(seeds, traces):
+        trace.seed, trace.config = seed, dict(config)
+    return traces
 
 
 def run_single(cfg: ExperimentConfig, seed: int) -> Trace:
@@ -650,8 +649,11 @@ def score(cfg: ExperimentConfig, traces: list[Trace]) -> dict:
     their aggregate and, with bounds on, the bound curves.  Traces from ``run_seeds``
     or ``read_trace`` give the same summary, for any ``cfg.rho``, stored or not.
     """
-    if len(traces) != len(cfg.seeds):
-        raise ConstraintViolation(f"{cfg.name}: score needs one trace per seed, got {len(traces)} for {len(cfg.seeds)}")
+    if (seeds := [trace.seed for trace in traces]) != cfg.seeds:
+        raise ConstraintViolation(
+            f"{cfg.name}: score needs one trace per configured seed, in order: "
+            f"the config has seeds {cfg.seeds}, the traces have seeds {seeds}"
+        )
     per_seed, curves = map(list, zip(*(_seed_summary(trace, cfg.rho) for trace in traces)))
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -677,9 +679,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         if out:
             out.mkdir(parents=True, exist_ok=True)
         traces = run_seeds(cfg)
-        for seed, trace in zip(cfg.seeds, traces):
+        for trace in traces:
             if out:
-                written.extend(write_trace(trace, cfg.rho, out / f"{cfg.name}-seed{seed}"))
+                written.extend(write_trace(trace, cfg.rho, out / f"{cfg.name}-seed{trace.seed}"))
         summary = score(cfg, traces)
         if out:
             summary_path = out / f"{cfg.name}-summary.json"

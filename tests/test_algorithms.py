@@ -621,6 +621,18 @@ class FaultWherePositive(ObjectiveStream):
         return coeff
 
 
+class InfiniteLossWherePositive(FaultWherePositive):
+    """x^2 losses with finite gradients, except that agent ``faulty``'s loss is
+    infinite where the decision is positive."""
+
+    def __init__(self, faulty):
+        super().__init__(fault=None)
+        self.faulty = faulty
+
+    def _value(self, i, t, x):
+        return float("inf") if i == self.faulty and x[0] > 0.0 else float(x[0] ** 2)
+
+
 class Unshrunk(ShrunkSet):
     """A broken shrunk set: the probe radius delta, but the base box's bounds."""
 
@@ -655,6 +667,17 @@ class TestSeedRefusals:
         stream = FaultWherePositive("search")
         with pytest.raises(NonFiniteInput, match="^seed 9, round 1: agent 2 update "):
             run(stream, network_of(4), RULES["exact_1d"], T=4, seeds=self.seeds, x0=self.x0)
+
+    @pytest.mark.parametrize("faulty, which", [(2, "own"), (0, "global")], ids=["own", "global"])
+    def test_nonfinite_loss_is_refused_after_the_loop(self, faulty, which):
+        """projected_gd asks no loss in its loop, so the after-loop check refuses
+        the first infinite loss: agent 2 of seed 9 starts at +9, all others at -9,
+        and either its own loss or one term of its average loss is infinite there."""
+        x0 = np.full((3, 4, 1), -9.0)
+        x0[2, 2, 0] = 9.0
+        with pytest.raises(NonFiniteInput, match=f"^seed 9, round 1: agent 2 {which} loss inf is not finite$"):
+            run(InfiniteLossWherePositive(faulty), network_of(4), RULES["projected_gd"], T=4,
+                seeds=self.seeds, x0=x0)
 
     def test_probe_outside_box(self, monkeypatch):
         # Agent 2 of seed 9 sits on the box face its round-1 draw points out of.
@@ -730,9 +753,7 @@ class TestBatchedEngine:
             "algorithm": RULE_SECTIONS[rule],
             "seeds": seeds,
         })
-        stream, wm = cfg.built()
-        batch = run(stream, wm, cfg.build_algorithm(), T, seeds=seeds,
-                    config_snapshot=cfg.to_dict())
+        batch = harness.run_seeds(cfg, seeds)
         assert_same_traces(batch, [harness.run_single(cfg, seed) for seed in seeds])
 
     @settings(max_examples=10, deadline=None)

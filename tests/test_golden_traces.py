@@ -22,6 +22,7 @@ rebuild its summary through ``harness.score`` byte for byte, so the
 rescored summary of every preset hashes to its ``SUMMARY_GOLDEN`` digest.
 """
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -75,7 +76,7 @@ SUMMARY_GOLDEN = {
     "paper-tracking-alg2": "beab39c97fd1d74831d28f33199498c5bc9756019d9e0007b6d0089bf194681c",
     "paper-tracking-alg2-linesearch": "c626f041fc92a26674c63bd0647ec02fa09e99ef7e438ca72381308341633a54",
     "paper-tracking-dogd": "76d83fa9720ef212a64e4dc364c139f931d311d47b0edc9ae15954affe5b30a8",
-    "remark1-synthetic": "48ed55246173eaeb34f248a46df69771894f90533ce9fbd404d9f0fffadcc6c9",
+    "remark1-synthetic": "c8951762055f71886b9b4ff2c9a602dd82a18e0bb1c936c27cadb981a951160a",
 }
 
 SCALE_GOLDEN = {
@@ -188,6 +189,15 @@ def test_every_sidecar_config_loads_as_the_runs_config(name, preset_run):
         assert ExperimentConfig.from_dict(config).to_dict() == cfg.to_dict()
 
 
+@pytest.mark.parametrize("name", harness.PRESET_NAMES)
+def test_every_per_seed_entry_and_sidecar_holds_its_seed(name, preset_run):
+    cfg = harness.preset(name)
+    summary = json.loads((preset_run(name) / f"{name}-summary.json").read_text())
+    assert [entry["seed"] for entry in summary["per_seed"]] == cfg.seeds
+    for seed in cfg.seeds:
+        assert json.loads((preset_run(name) / f"{name}-seed{seed}.meta.json").read_text())["seed"] == seed
+
+
 def test_a_saved_run_scored_at_an_unstored_rho_is_that_rhos_run(preset_run):
     name, rho = "paper-tracking-dogd", 0.95
     raw = harness.preset(name).to_dict()
@@ -207,11 +217,22 @@ def test_trace_digest_prints_the_rescored_digest_of_the_summary(raw, trace_diges
     assert found["rescored"] == found["summary"]
 
 
-def test_score_needs_one_trace_per_seed(preset_run):
+@pytest.mark.parametrize(
+    "seeds, got",
+    [([0], [0, 0]), ([0, 1], [1, 0]), ([0], [1]), ([0], [None])],
+    ids=["one-seed-twice", "other-order", "wrong-seed", "no-seed"],
+)
+def test_score_needs_one_trace_per_seed(preset_run, seeds, got):
     cfg = harness.preset("paper-tracking-dogd")
+    cfg.seeds = seeds
     trace = harness.read_trace(preset_run(cfg.name) / f"{cfg.name}-seed0")[1]
-    with pytest.raises(ConstraintViolation, match="^paper-tracking-dogd: score needs one trace per seed, got 2 for 1$"):
-        harness.score(cfg, [trace, trace])
+    traces = [dataclasses.replace(trace, seed=seed) for seed in got]
+    with pytest.raises(ConstraintViolation) as refused:
+        harness.score(cfg, traces)
+    assert str(refused.value) == (
+        "paper-tracking-dogd: score needs one trace per configured seed, in order: "
+        f"the config has seeds {seeds}, the traces have seeds {got}"
+    )
 
 
 @pytest.mark.parametrize("name", sorted(SCALE_GOLDEN))

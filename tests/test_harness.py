@@ -561,6 +561,16 @@ class TestRunExperiment:
         with pytest.raises(MalformedTrace, match=message):
             harness.recompute_metrics(tmp_path / "hand", [0.5])
 
+    def test_a_sidecar_without_a_seed_still_reads(self, tmp_path):
+        """Remark-1 traces written before each trace was labelled with its seed
+        hold "seed": null in their sidecar."""
+        written = harness.run_experiment(harness.preset("remark1-synthetic"), out_dir=tmp_path)["traces"][0]
+        meta_path = tmp_path / "remark1-synthetic-seed0.meta.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "seed": None}))
+        meta, trace, _ = harness.read_trace(tmp_path / "remark1-synthetic-seed0")
+        assert meta["seed"] is None and trace.seed is None
+        assert np.array_equal(trace.loss_global, written.loss_global)
+
     def test_remark1_synthetic_run(self):
         summary = harness.run_experiment(harness.preset("remark1-synthetic"))
         trace = summary["traces"][0]
@@ -722,33 +732,26 @@ class TestCli:
         assert out == summary["per_seed"][0]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_non_finite_stream_constants_are_refused_with_bounds(self, tmp_path, capsys, command):
+    def test_non_finite_stream_constants_are_refused(self, tmp_path, capsys, command):
         raw = {
             "problem": {"stream": "quadratic", "horizon": 20, "box": [[-1e300, 1e300]],
                         "scales": [1, 2], "target": "0.5"},
             "topology": {"generator": "ring", "params": {"n": 2, "weight": 0.3}, "lambda_override": 0.5},
             "algorithm": {"kind": "projection_free", "alpha0": 0.1},
             "rho": [0.9],
-            "bounds": True,
         }
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg_path)] + (["--out", str(out)] if command == "run" else [])
         with np.errstate(over="ignore"):
-            assert cli.main([command, "--config", str(cfg_path)]) == 1
-            assert capsys.readouterr().err == (
-                "error: bound evaluation needs finite stream constants; "
-                "the 'quadratic' stream has L = inf, L_1 = inf\n"
-            )
-            raw["bounds"] = False  # no bound curves, nothing to refuse before the run
-            cfg_path.write_text(json.dumps(raw))
-            if command == "validate":
-                assert cli.main([command, "--config", str(cfg_path)]) == 0
-                return
-            # The run overflows the own loss at the box corner the first step reaches.
-            out = tmp_path / "out"
-            assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
-            assert capsys.readouterr().err == "error: seed 0, round 2: agent 0 own loss inf is not finite\n"
-            assert list(out.iterdir()) == []
+            for bounds in (True, False):
+                cfg_path.write_text(json.dumps({**raw, "bounds": bounds}))
+                assert cli.main(argv) == 1
+                assert capsys.readouterr().err == (
+                    "error: the run needs finite stream constants; "
+                    "the 'quadratic' stream has L = inf, L_1 = inf\n"
+                )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, name, spoil, why",
@@ -908,6 +911,15 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["config"]["seeds"] == seeds
         assert len(out["per_seed"]) == len(seeds)
+
+    def test_remark1_run_labels_its_entry_and_files_with_the_seed(self, tmp_path, capsys):
+        assert cli.main(["run", "--preset", "remark1-synthetic", "--seeds", "3", "--out", str(tmp_path)]) == 0
+        assert [entry["seed"] for entry in json.loads(capsys.readouterr().out)["per_seed"]] == [3]
+        assert json.loads((tmp_path / "remark1-synthetic-seed3.meta.json").read_text())["seed"] == 3
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "remark1-synthetic-seed3.body", "remark1-synthetic-seed3.csv",
+            "remark1-synthetic-seed3.meta.json", "remark1-synthetic-summary.json",
+        ]
 
     @pytest.mark.parametrize("spec", ["abc", "1..x", "0,1,z"])
     def test_bad_seed_spec_is_an_error(self, spec, capsys):

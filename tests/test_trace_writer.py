@@ -10,11 +10,11 @@ bit, from the binary copy and from the parsed text alike.  ``TestSplitWriter``
 checks the two-process writer on a trace above ``harness.SPLIT_MIN_VALUES``:
 the same bytes as ``reference_body`` and as one process, and no file or child
 process left after a failure on either side.  ``TestCopyFallback`` and
-``TestSplitReader`` check that a copy which is not the CSV's own is never
-used: the read parses the text, with the same arrays and the same errors.
-``TestVerifiedWhileScored`` checks the reader that hashes the CSV while the
-copy is scored, threaded and inline: what a stale copy gave (entry, error or
-warning) never escapes, and no thread outlives a call.
+``TestParseBesideAStaleCopy`` check that a copy which is not the CSV's own is
+never used: the read parses the text, with the same arrays and the same
+errors.  ``TestVerifiedWhileScored`` checks the reader that hashes the CSV on
+a helper thread while the copy is scored: what a stale copy gave (entry, error
+or warning) never escapes, and no thread outlives a call.
 """
 
 import csv
@@ -617,10 +617,11 @@ class TestCopyFallback:
         assert_identical(got, _every_array(copy, READ_RHOS)[1])
 
 
-class TestSplitReader:
-    """Malformed CSV files beside the binary copy they were written with
-    (their edits lie in either half of the rounds, once read by two processes):
-    the read parses the text and raises its exact error, as without the copy."""
+class TestParseBesideAStaleCopy:
+    """Malformed CSV files beside the binary copy they were written with (their
+    edits lie in either half of the rounds): the copy's digest no longer
+    matches, so the read parses the text and raises its exact error, as
+    without the copy."""
 
     @staticmethod
     def assert_the_parses_error(copy: Path, parses: list) -> tuple[type, str]:
@@ -630,8 +631,8 @@ class TestSplitReader:
         assert _read_error(copy) == error
         return error
 
-    @pytest.mark.parametrize("line", [MID_ROW + 3, 2], ids=["childs-half", "this-half"])
-    def test_non_number_gives_the_one_process_error(self, written, tmp_path, parses, line):
+    @pytest.mark.parametrize("line", [MID_ROW + 3, 2], ids=["second-half", "first-half"])
+    def test_non_number_gives_the_parse_error(self, written, tmp_path, parses, line):
         copy = copy_with(
             written[1], tmp_path, lambda lines: [*lines[:line - 1], _with_field(lines[line - 1], 4, "abc"), *lines[line:]]
         )
@@ -648,9 +649,9 @@ class TestSplitReader:
             (lambda lines: [*lines, lines[-1]], READ_ROWS + 1),
             (lambda lines: lines[:MID_ROW + 2], MID_ROW + 1),
         ],
-        ids=["last-row-missing", "row-missing-in-this-half", "row-extra", "one-row-in-childs-half"],
+        ids=["last-row-missing", "row-missing-in-first-half", "row-extra", "one-row-in-second-half"],
     )
-    def test_wrong_row_count_gives_the_one_process_error(self, written, tmp_path, parses, edit, rows):
+    def test_wrong_row_count_gives_the_parse_error(self, written, tmp_path, parses, edit, rows):
         copy = copy_with(written[1], tmp_path, edit)
         assert self.assert_the_parses_error(copy, parses) == (
             SchemaVersionMismatch,
@@ -658,7 +659,7 @@ class TestSplitReader:
         )
 
     @pytest.mark.parametrize("n", [1, WIDE_N])
-    def test_one_round_is_read_in_one_process(self, tmp_path, forks, parses, n):
+    def test_one_round_is_read_from_its_copy(self, tmp_path, forks, parses, n):
         trace = _wide_trace(T=1, n=n)
         harness.write_trace(trace, READ_RHOS, tmp_path / "hand")
         _, arrays = _every_array(tmp_path / "hand", READ_RHOS)
