@@ -19,10 +19,13 @@ median load, the seeds, and for each end-to-end metric the median and
 quartiles of each side, the number of pairs in which the change was lower,
 whether the medians differ by more than the parent's q3 - q1, whether the
 change's median is worse than the parent's by more than the metric's bound
-in ``BENCHMARK.json`` (relative to the parent's median), and whether the
+in ``BENCHMARK.json`` (relative to the parent's median), whether the
 change is a gain: lower in at least 9 of every 10 pairs, with a lower
-median outside the parent's spread.  An existing output file keeps its
-other workloads, so one file can hold several.
+median outside the parent's spread, and whether the metric is unresolved:
+the parent's q3 - q1 is wider than the bound times its median, so a change
+inside the bound cannot be told from noise, unless every change run is lower
+than every parent run.  An existing output file keeps its other workloads,
+so one file can hold several.
 """
 
 import argparse
@@ -176,8 +179,8 @@ def end_to_end_bounds(path: Path = BENCHMARK) -> dict[str, float]:
 
 def summarize(pairs: list[dict], bounds: dict[str, float]) -> dict:
     """Each metric's spread on both sides and how the change compares; every
-    metric is better lower.  ``worse_beyond_bound`` is None for a metric
-    without a bound."""
+    metric is better lower.  ``worse_beyond_bound`` and ``unresolved`` are
+    None for a metric without a bound."""
     summary = {}
     for name in pairs[0]["parent"]["metrics"]:
         value = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in ("parent", "change")}
@@ -192,6 +195,10 @@ def summarize(pairs: list[dict], bounds: dict[str, float]) -> dict:
             "outside_parent_spread": outside,
             "worse_beyond_bound": None if bound is None else change["median"] > parent["median"] * (1 + bound),
             "gain": 10 * lower_in >= 9 * len(pairs) and outside and change["median"] < parent["median"],
+            "unresolved": None if bound is None else (
+                parent["q3"] - parent["q1"] > bound * parent["median"]
+                and not max(value["change"]) < min(value["parent"])
+            ),
         }
     return summary
 

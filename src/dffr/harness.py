@@ -158,7 +158,7 @@ class ExperimentConfig:
     def build_weight_matrix(self) -> WeightMatrix:
         t = self.topology
         if t.matrix is not None:
-            return network.validate_weight_matrix(t.matrix, B=t.B)
+            return network.validate_weight_matrix(t.matrix)
         if t.generator is None:
             raise ParseError("topology needs either a generator or a matrix")
         try:
@@ -167,7 +167,7 @@ class ExperimentConfig:
             raise ParseError(
                 f"field 'topology' has params {t.params!r} that {t.generator!r} refuses: {exc}"
             ) from None
-        return network.validate_weight_matrix(w, B=t.B)
+        return network.validate_weight_matrix(w)
 
     def build_algorithm(self) -> AlgorithmConfig:
         section = dict(self.algorithm)
@@ -236,7 +236,6 @@ class ExperimentConfig:
             # whose first call adds about 0.6 MB of LAPACK pages to a process.
             if (
                 self.topology.lambda_override is not None
-                and wm.B == 1
                 and lam < np.max(np.sum(np.abs(wm.w - 1.0 / wm.n), axis=1))
             ):
                 floor = network.second_eigenvalue_modulus(wm)
@@ -409,7 +408,8 @@ _CONFIG_FIELDS = {
             "weight": _Field(_is_number, "a number"),
         }),
         "matrix": _Field(_is_table, "a square list of number lists", null=True),
-        "B": _Field(*_POSITIVE_INT),
+        "B": _Field(lambda value: _is_int(value) and value == 1,  # no time-varying W_t
+                    "1, since the engine gossips with one fixed weight matrix"),
         "lambda_override": _Field(*_FRACTION, null=True),
     }, null=True),
     "algorithm": _Field(*_OBJECT, {
@@ -464,12 +464,28 @@ def strict_json(value, what: str) -> str:
     """``value`` as JSON text with sorted keys, an indent of 2 and a final newline.
 
     Strict JSON has no NaN or infinity, so a non-finite number raises a
-    DffrError that names ``what`` was being written.
+    DffrError that names ``what`` was being written and where the number is.
     """
     try:
         return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise DffrError(f"cannot write {what} as strict JSON: {exc}") from None
+        found = _non_finite(value)
+        why = f"{found[0].removeprefix('.') or 'the value'} is {found[1]!r}" if found else exc
+        raise DffrError(f"cannot write {what} as strict JSON: {why}") from None
+
+
+def _non_finite(value, path: str = "") -> tuple[str, float] | None:
+    """The path and value of the first NaN or infinity in ``value``, keys in
+    sorted order, e.g. ``.per_seed[0].final_dffr['0.9']``; None if it has none."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (path, value)
+    if isinstance(value, dict):
+        steps = ((f".{k}" if str(k).isidentifier() else f"[{k!r}]", value[k]) for k in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        steps = ((f"[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite(item, path + step) for step, item in steps)), None)
 
 
 def serialize_config(cfg: ExperimentConfig, path) -> None:
@@ -483,7 +499,6 @@ def _tracking_base() -> dict:
         "problem": {"stream": "paper_tracking", "horizon": 1000},
         "topology": {
             "generator": "paper4",
-            "B": 1,
             # Mixing rate the benchmark's forgetting factor was calibrated
             # against; the closed-form rate for omega=0.22, n=4 is 0.9965625,
             # which would reject rho=0.9875.
@@ -677,7 +692,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     written: list[Path] = []
     try:
         if out:
-            out.mkdir(parents=True, exist_ok=True)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise DffrError(f"cannot make the output directory {out}: {exc.strerror or exc}") from None
         traces = run_seeds(cfg)
         for trace in traces:
             if out:

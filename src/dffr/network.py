@@ -6,7 +6,9 @@ positive weights.  Powers of such a matrix approach the uniform averaging
 matrix geometrically; the constants (gamma, lambda) quantify that rate:
 
     |[W^k]_ij - 1/n| <= gamma * lambda^k,
-    gamma = (1 - omega/(4 n^2))^(-2),   lambda = (1 - omega/(4 n^2))^(1/B).
+    gamma = (1 - omega/(4 n^2))^(-2),   lambda = 1 - omega/(4 n^2),
+
+the rate of one fixed matrix; the engine has no time-varying W_t schedule.
 
 All types are immutable after construction; ``gossip_average`` is pure.
 """
@@ -34,13 +36,10 @@ SYMMETRY_TOL = 1e-12
 class WeightMatrix:
     """Validated n x n gossip weight matrix.
 
-    ``omega`` is the minimum over strictly positive entries; ``B`` is the
-    connectivity window used in the mixing-rate exponent (1 for a fixed
-    connected topology).
+    ``omega`` is the minimum over strictly positive entries.
     """
 
     w: np.ndarray
-    B: int = 1
     n: int = field(init=False)
     omega: float = field(init=False)
 
@@ -53,8 +52,6 @@ class WeightMatrix:
             raise ValueError("need at least one agent")
         if not np.all(np.isfinite(w)):
             raise ValueError("weight matrix entries must be finite")
-        if int(self.B) < 1:
-            raise ValueError("connectivity window B must be a positive integer")
         if np.max(np.abs(w - w.T)) > SYMMETRY_TOL:
             raise NotSymmetric("weight matrix is not symmetric")
         if np.min(w) < -STOCHASTICITY_TOL:
@@ -76,7 +73,6 @@ class WeightMatrix:
         _check_connected(w)
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "B", int(self.B))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "omega", omega)
 
@@ -103,9 +99,9 @@ def _check_connected(w: np.ndarray) -> None:
         )
 
 
-def validate_weight_matrix(w, B: int = 1) -> WeightMatrix:
+def validate_weight_matrix(w) -> WeightMatrix:
     """Validate a raw matrix and wrap it (see WeightMatrix for the checks)."""
-    return WeightMatrix(w=np.asarray(w, dtype=float), B=B)
+    return WeightMatrix(w=np.asarray(w, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -116,8 +112,8 @@ class MixingConstants:
 
 def mixing_constants(wm: WeightMatrix) -> MixingConstants:
     """Geometric mixing constants of the validated matrix."""
-    base = 1.0 - wm.omega / (4.0 * wm.n**2)
-    return MixingConstants(gamma=base**-2, lam=base ** (1.0 / wm.B))
+    lam = 1.0 - wm.omega / (4.0 * wm.n**2)
+    return MixingConstants(gamma=lam**-2, lam=lam)
 
 
 def second_eigenvalue_modulus(wm: WeightMatrix) -> float:

@@ -13,7 +13,7 @@ def paper_stream():
 
 @pytest.fixture(scope="session")
 def paper_wm():
-    return network.validate_weight_matrix(network.paper4_matrix(), B=1)
+    return network.validate_weight_matrix(network.paper4_matrix())
 
 
 @pytest.fixture(scope="session")

@@ -170,9 +170,25 @@ def test_summary_says_whether_the_change_is_worse_past_its_bound_or_a_gain(bench
     assert summary["gain"] is gain
 
 
+@pytest.mark.parametrize(
+    "parent, change, unresolved",
+    [
+        ([1.5, 1.75, 1.75, 2.0, 2.0, 2.0, 2.0, 2.25, 2.25, 2.5], [2.0] * 10, False),  # 0.375 < 0.25 * 2
+        ([1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0, 4.0, 4.0, 5.0], [3.0] * 10, True),  # 1 > 0.25 * 3
+        ([1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0, 4.0, 4.0, 5.0], [0.5] * 10, False),  # every change run lower
+        ([1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0, 4.0, 4.0, 5.0], [0.5] * 9 + [1.0], True),  # one ties the lowest
+    ],
+    ids=["narrow-parent", "wide-parent", "wide-parent-all-lower", "wide-parent-one-not-lower"],
+)
+def test_summary_says_whether_the_parents_spread_is_wider_than_the_bound(bench_pairs, parent, change, unresolved):
+    summary = bench_pairs.summarize(_pairs(parent, change), {"save_s": 0.25})["save_s"]
+    assert summary["unresolved"] is unresolved
+
+
 def test_a_metric_without_a_bound_is_not_judged_against_one(bench_pairs):
     summary = bench_pairs.summarize(_pairs([1.0, 2.0, 3.0], [9.0, 9.0, 9.0]), {"run_s": 0.25})["save_s"]
     assert summary["worse_beyond_bound"] is None
+    assert summary["unresolved"] is None
 
 
 def test_bounds_are_read_from_the_benchmark_file(bench_pairs):

@@ -92,6 +92,15 @@ class TestPresets:
             cfg = harness.preset(name)
             assert cfg.name == name
 
+    @pytest.mark.parametrize("name", harness.PRESET_NAMES)
+    def test_every_preset_passes_validate_and_keeps_B_1(self, tmp_path, capsys, name):
+        cfg_path = tmp_path / "cfg.json"
+        harness.serialize_config(harness.preset(name), cfg_path)
+        topology = json.loads(cfg_path.read_text())["topology"]
+        assert topology is None or topology["B"] == 1  # remark1 has no network
+        assert cli.main(["validate", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out == "OK\n"
+
     def test_unknown_preset(self):
         with pytest.raises(ParseError):
             harness.preset("nonexistent")
@@ -129,6 +138,31 @@ class TestConfigValidation:
         ExperimentConfig.from_dict(raw)
         raw["topology"]["lambda_override"] = 0.6  # above the matrix's rate 0.56
         ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "B, override", [(3, None), (0, None), (3, 0.1)], ids=["B3", "B0", "B3-override-below-the-rate"]
+    )
+    def test_a_connectivity_window_is_refused(self, tmp_path, capsys, B, override):
+        """W is one fixed matrix, so B = 3 with an override of 0.1 cannot
+        skip the check of that override against W's rate 0.56."""
+        raw = harness.preset("paper-tracking-alg2").to_dict()
+        raw["topology"].update(B=B, lambda_override=override)
+        assert raw["bounds"]
+        message = f"field 'topology.B' must be 1, since the engine gossips with one fixed weight matrix, got {B}"
+        with pytest.raises(ParseError) as refused:
+            ExperimentConfig.from_dict(raw)
+        assert str(refused.value) == message
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main(["validate", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_an_override_below_the_matrix_rate_is_refused_at_B_1(self):
+        raw = harness.preset("paper-tracking-alg2").to_dict()
+        assert raw["bounds"] and raw["topology"]["B"] == 1
+        raw["topology"]["lambda_override"] = 0.1
+        with pytest.raises(ConstraintViolation, match="^topology.lambda_override 0.1 is below 0.56, "):
+            ExperimentConfig.from_dict(raw)
 
     @pytest.mark.parametrize(
         "name, edit, message",
@@ -690,10 +724,20 @@ class TestStrictJson:
         value = {"b": [1.5, None, "x", 2**64], "a": {"0.9": 5e-324, "0.5": -0.0}}
         assert harness.strict_json(value, "a value") == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    def test_a_non_finite_value_is_refused_naming_what_was_written(self, bad):
-        with pytest.raises(DffrError, match="^cannot write the summary x.json as strict JSON: "):
-            harness.strict_json({"mean_final_dffr": {"0.9": bad}}, "the summary x.json")
+    @pytest.mark.parametrize(
+        "value, where",
+        [
+            *[({"per_seed": [{"final_dffr": {"0.5": 1.0, "0.9": bad}, "final_gap": -bad}]},
+               f"per_seed[0].final_dffr['0.9'] is {bad!r}") for bad in (math.inf, -math.inf, math.nan)],
+            ({"z": math.inf, "b": {"gaps": [1.0, 0.5, math.nan]}, "a": [1.0]}, "b.gaps[2] is nan"),
+        ],
+        ids=["inf", "-inf", "nan", "nan-in-a-list"],
+    )
+    def test_a_non_finite_value_is_refused_naming_what_was_written(self, value, where):
+        """The first non-finite number in sorted-key order is named by its path."""
+        with pytest.raises(DffrError) as refused:
+            harness.strict_json(value, "the summary x.json")
+        assert str(refused.value) == f"cannot write the summary x.json as strict JSON: {where}"
 
     def test_a_non_finite_sidecar_leaves_no_trace_files(self, tmp_path):
         trace = Trace.from_gap_sequence([1.0, 0.5])
@@ -783,6 +827,21 @@ class TestCli:
         where = ["--trace", str(tmp_path / "run-seed0"), "--rho", "0.9"] if command == "metrics" else ["--config", str(path)]
         assert cli.main([command, *where]) == 1
         assert capsys.readouterr().err == f"error: {path}: {why}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--preset", "remark1-synthetic"],
+         ["sweep", "--preset", "remark1-synthetic", "--param", "rho", "--values", "0.9"]],
+        ids=["run", "sweep"],
+    )
+    @pytest.mark.parametrize("below, why", [("", "File exists"), ("sub", "Not a directory")], ids=["file", "under-a-file"])
+    def test_an_output_path_through_a_file_is_an_error_naming_it(self, tmp_path, capsys, argv, below, why):
+        (tmp_path / "F").write_text("kept")
+        out = tmp_path / "F" / below if below else tmp_path / "F"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot make the output directory {out}: {why}\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["F"]
+        assert (tmp_path / "F").read_text() == "kept"
 
     def test_validate(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -34,7 +34,7 @@ class TestValidation:
             validate_weight_matrix(two_rings[np.ix_(order, order)])
 
     def test_half_half_valid(self):
-        wm = validate_weight_matrix([[0.5, 0.5], [0.5, 0.5]], B=1)
+        wm = validate_weight_matrix([[0.5, 0.5], [0.5, 0.5]])
         assert wm.omega == 0.5
         assert wm.n == 2
 
@@ -58,28 +58,19 @@ class TestValidation:
         with pytest.raises(NotDoublyStochastic):
             validate_weight_matrix(w)
 
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            validate_weight_matrix([[0.5, 0.5], [0.5, 0.5]], B=0)
-
 
 class TestMixingConstants:
     def test_paper4_formulas(self, paper_wm, paper_mc):
         base = 1.0 - 0.22 / 64.0
         assert paper_mc.lam == pytest.approx(0.9965625, abs=1e-12)
-        assert paper_mc.lam == pytest.approx(base, abs=1e-12)
-        assert paper_mc.gamma == pytest.approx(base**-2, abs=1e-12)
+        assert paper_mc.lam == base
+        assert paper_mc.gamma == base**-2
 
     def test_single_agent_boundary(self):
         wm = validate_weight_matrix([[1.0]])
         mc = mixing_constants(wm)
         assert mc.lam == pytest.approx(0.75)
         assert mc.gamma == pytest.approx(16.0 / 9.0)
-
-    def test_window_exponent(self):
-        wm = validate_weight_matrix([[0.5, 0.5], [0.5, 0.5]], B=2)
-        mc = mixing_constants(wm)
-        assert mc.lam == pytest.approx(np.sqrt(0.96875), abs=1e-12)
 
 
 class TestMixingBound:
@@ -96,7 +87,7 @@ class TestMixingBound:
     def test_corpus_matrices_satisfy_bound(self):
         corpus = [
             validate_weight_matrix(ring_matrix(4, 0.22)),
-            validate_weight_matrix(ring_matrix(6, 0.3), B=2),
+            validate_weight_matrix(ring_matrix(6, 0.3)),
             validate_weight_matrix(complete_matrix(5)),
             validate_weight_matrix([[0.5, 0.5], [0.5, 0.5]]),
         ]
