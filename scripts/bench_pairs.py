@@ -8,10 +8,13 @@ Each seed is one pair: ``perfbench/run.py --trace 0`` of both checkouts
 (each its own copy, from its own directory, at its default run length), the
 parent first in odd pairs and the change first in even ones.  It refuses to
 start when only one checkout's ``src/`` holds bytecode caches, since
-``setup_s`` would then time a compile on one side only.  The output file
+``setup_s`` would then time a compile on one side only, and when the two
+checkouts' benchmarks differ (``BENCHMARK.json`` and ``perfbench/*.py``),
+naming the files that differ.  The output file
 records the machine (CPU model and count, the CPUs this process may
 use, Python and numpy versions), each checkout's commit (whether its tree
-was dirty, and the git tree of the ``src/`` it ran), every run's result
+was dirty, the git tree of the ``src/`` it ran, and its
+``benchmark_digest``), every run's result
 line with the machine's load during the run (``machine_load``: the
 CPU-seconds stolen by the hypervisor, and those the machine spent busy
 outside the run, from ``/proc/stat``; null without it), each side's
@@ -29,6 +32,7 @@ so one file can hold several.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -99,6 +103,35 @@ def check_bytecode_caches(sides: dict[str, Path]) -> None:
             f"{cached[0]}: src/ holds __pycache__ and the other checkout's does not, so setup_s "
             "would time a compile on one side only; remove the caches or create them on both sides"
         )
+
+
+def benchmark_files(checkout: Path) -> dict[str, str]:
+    """The SHA-256 of each file of a checkout that defines its benchmark,
+    ``BENCHMARK.json`` and ``perfbench/*.py``, by path, in sorted path order."""
+    paths = sorted([checkout / "BENCHMARK.json", *(checkout / "perfbench").glob("*.py")])
+    return {
+        path.relative_to(checkout).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in paths
+        if path.is_file()
+    }
+
+
+def check_same_benchmark(sides: dict[str, Path]) -> dict[str, str]:
+    """Each checkout's ``benchmark_digest``: the SHA-256 of its ``benchmark_files``
+    as ``sha256sum`` prints them, so ``sha256sum BENCHMARK.json perfbench/*.py |
+    sha256sum`` in the checkout gives it.  Ends the script, naming the files
+    that differ, if the two checkouts' benchmarks are not the same."""
+    files = {side: benchmark_files(path) for side, path in sides.items()}
+    parent, change = files["parent"], files["change"]
+    if differ := sorted(path for path in parent.keys() | change.keys() if parent.get(path) != change.get(path)):
+        raise SystemExit(
+            f"the checkouts measure with different benchmarks: {', '.join(differ)} differ "
+            f"between {sides['parent']} and {sides['change']}"
+        )
+    return {
+        side: hashlib.sha256("".join(f"{digest}  {path}\n" for path, digest in found.items()).encode()).hexdigest()
+        for side, found in files.items()
+    }
 
 
 def machine_cpu(stat: Path = PROC_STAT) -> tuple[float, float] | None:
@@ -219,6 +252,7 @@ def main() -> int:
         parser.error(f"need at least 2 pairs, one seed each; got {len(seeds)} seeds")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     check_bytecode_caches(sides)
+    digests = check_same_benchmark(sides)
     bounds = end_to_end_bounds()
 
     pairs = []
@@ -240,7 +274,7 @@ def main() -> int:
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record["machine"] = machine()
     record.setdefault("workloads", {})[args.workload] = {
-        "commits": {side: commit(path) for side, path in sides.items()},
+        "commits": {side: commit(path) | {"benchmark_digest": digests[side]} for side, path in sides.items()},
         "command": f"perfbench/run.py --workload {args.workload} --seed SEED --trace 0",
         "seeds": seeds,
         "pairs": pairs,

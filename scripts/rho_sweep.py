@@ -3,37 +3,38 @@
 
 Shows how the first round where the running weighted regret drops below 0.01
 grows with the forgetting factor, and compares against the unweighted
-cumulative regret (which never decays).
+cumulative regret (which never decays).  The forgetting factor changes only
+the scoring, so the engine runs once, with every value in the config's rho.
 """
 
 import argparse
 import sys
 
-from dffr import harness, metrics
+from dffr import cli, harness
 from dffr.errors import DffrError
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--values", default="0.96,0.97,0.98")
     parser.add_argument("--out", default=None)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    cfg = harness.preset("paper-tracking-dogd")
-    values = [float(v) for v in args.values.split(",")]
-    rows = harness.sweep(cfg, "rho", values, out_dir=args.out)
+    values = cli._parse_numbers("--values", args.values)
+    raw = harness.preset("paper-tracking-dogd").to_dict() | {"rho": values}
+    summary = harness.run_experiment(harness.ExperimentConfig.from_dict(raw), out_dir=args.out)
+    aggregate = summary["aggregate"]
 
     print(f"{'rho':>6s} {'regret<0.01 at':>15s} {'final weighted regret':>22s}")
-    for row in rows:
-        t = row["median_regret_first_below"]
+    for value in values:
+        t = aggregate["median_regret_first_below"][repr(value)]
         print(
-            f"{row['value']:6.2f} {str(t) if t else 'never':>15s} "
-            f"{row['mean_final_dffr']:>22.4g}"
+            f"{value:6.2f} {str(t) if t else 'never':>15s} "
+            f"{aggregate['mean_final_dffr'][repr(value)]:>22.4g}"
         )
 
-    trace = harness.run_single(cfg, cfg.seeds[0])
-    cum = metrics.cumulative_regret(trace)
-    print(f"\nunweighted cumulative regret at T={trace.T}: {float(cum[-1]):.4g} "
+    cum = summary["per_seed"][0]["final_cumulative_regret"]
+    print(f"\nunweighted cumulative regret at T={summary['traces'][0].T}: {cum:.4g} "
           "(non-decreasing; never crosses a decay threshold)")
 
 

@@ -23,15 +23,15 @@ def _load_config(args) -> harness.ExperimentConfig:
 
 
 def _parse_seeds(args) -> list[int] | None:
-    if getattr(args, "seed", None) is not None:
-        return [args.seed]
     spec = getattr(args, "seeds", None)
     if spec is None:
         return None
     try:
         if ".." in spec:
-            lo, hi = spec.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, spec.split("..", 1))
+            if hi - lo + 1 > harness.MAX_SEEDS:
+                raise harness.ParseError(f"bad --seeds {spec!r}: more than {harness.MAX_SEEDS} seeds")
+            return list(range(lo, hi + 1))
         return [int(s) for s in spec.split(",") if s]
     except ValueError:
         raise harness.ParseError(
@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", help="path to a JSON config file")
     config.add_argument("--preset", help=f"preset name ({', '.join(harness.PRESET_NAMES)})")
-    config.add_argument("--seed", type=int, help="run a single seed")
     config.add_argument("--seeds", help="seed list '0,1,2' or range '0..19'")
     config.add_argument("--out", help="output directory for trace files")
 

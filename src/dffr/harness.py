@@ -215,6 +215,19 @@ class ExperimentConfig:
                 f"the topology has {wm.n} agents, the {p.stream!r} stream has {stream.n}"
             )
         self._check_run_bytes(algo.kind, stream.n, stream.d)
+        if (step := algo.step) is not None:
+            # The float power first: an integer p would take t**p exactly, which
+            # can take forever.  The schedule does not increase, so a positive
+            # finite step at round T is one at every round before it.
+            T = p.horizon
+            try:
+                alphas = (step.c / float(T) ** float(step.p), step(T))
+            except ArithmeticError:
+                alphas = (math.nan,)
+            if not all(0.0 < alpha < math.inf for alpha in alphas):
+                raise ConstraintViolation(
+                    f"algorithm.step {self.algorithm['step']!r} leaves the positive floats by round {T}"
+                )
         if algo.kind == "gradient_free":
             try:
                 ShrunkSet(box, algo.delta)
@@ -358,10 +371,12 @@ _SEED = (lambda value: _is_int(value) and 0 <= value < 2**64), "an integer in [0
 _VERSION = (lambda value: _is_int(value) and value == SCHEMA_VERSION), str(SCHEMA_VERSION)
 
 # Parsing tables the target path c(t) round by round, so the horizon is
-# bounded: 10**6 rounds parse in a few seconds.  The agent count and d are
-# bounded so that a typo fails here, not in a 75 GiB matrix for 10**5 agents.
+# bounded: 10**6 rounds parse in a few seconds.  The agent count, seed count
+# and d are bounded so that a typo fails here, not in a 75 GiB matrix for
+# 10**5 agents or a list of 10**11 seeds.
 MAX_HORIZON = 10**6
 MAX_AGENTS = 1000
+MAX_SEEDS = 2**17
 MAX_DIMENSION = 100
 # The run keeps every round of every seed in memory (``run_bytes``), so a
 # config whose arrays would pass this many bytes (4 GiB) is refused.
@@ -425,8 +440,8 @@ _CONFIG_FIELDS = {
     }, null=True),
     "rho": _Field(_list_of(_FRACTION[0], distinct=True), "a list of distinct numbers in (0, 1)"),
     "seeds": _Field(  # ``algorithms.agent_rngs`` masks a seed to 64 bits
-        _list_of(_SEED[0], 1, distinct=True),
-        "a non-empty list of distinct integers in [0, 2**64)",
+        _list_of(_SEED[0], 1, MAX_SEEDS, distinct=True),
+        f"a list of 1 to {MAX_SEEDS} distinct integers in [0, 2**64)",
     ),
     "bounds": _Field(*_BOOL),
     "out": _Field(*_STRING, null=True),
@@ -572,24 +587,18 @@ def preset(name: str) -> ExperimentConfig:
 
 # --- execution ----------------------------------------------------------------
 
-def run_seeds(cfg: ExperimentConfig, seeds=None) -> list[Trace]:
-    """One batch, a trace per seed (default ``cfg.seeds``), each labelled with its seed and ``cfg.to_dict()``."""
-    seeds = list(cfg.seeds if seeds is None else seeds)
+def run_seeds(cfg: ExperimentConfig) -> list[Trace]:
+    """One batch, a trace per seed of ``cfg.seeds``, each labelled with its seed and ``cfg.to_dict()``."""
     if cfg.problem.stream == "remark1":
         gaps = metrics.power_spike_gaps(cfg.problem.horizon)
-        traces = [Trace.from_gap_sequence(gaps, algorithm="remark1") for _ in seeds]
+        traces = [Trace.from_gap_sequence(gaps, algorithm="remark1") for _ in cfg.seeds]
     else:
         stream, wm = cfg.built()
-        traces = algorithms.run(stream, wm, cfg.build_algorithm(), T=cfg.problem.horizon, seeds=seeds)
+        traces = algorithms.run(stream, wm, cfg.build_algorithm(), T=cfg.problem.horizon, seeds=cfg.seeds)
     config = cfg.to_dict()
-    for seed, trace in zip(seeds, traces):
+    for seed, trace in zip(cfg.seeds, traces):
         trace.seed, trace.config = seed, dict(config)
     return traces
-
-
-def run_single(cfg: ExperimentConfig, seed: int) -> Trace:
-    """One seeded run of the configured experiment: a batch of one."""
-    return run_seeds(cfg, [seed])[0]
 
 
 def _seed_summary(trace: Trace, rhos: list[float]) -> tuple[dict, dict[float, np.ndarray]]:

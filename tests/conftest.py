@@ -28,6 +28,12 @@ def _preset_without_bounds(name: str, **algorithm) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+def seed_alone(cfg: ExperimentConfig, seed: int):
+    """The trace of ``seed`` run alone: a run of ``cfg`` with that one seed."""
+    [trace] = harness.run_seeds(ExperimentConfig.from_dict(cfg.to_dict() | {"seeds": [seed]}))
+    return trace
+
+
 @pytest.fixture(scope="session")
 def alg1_traces():
     """The 20-seed gradient-free benchmark runs (shared across acceptance tests)."""
@@ -51,21 +57,21 @@ def alg1_constant_step_traces():
 def alg2_fixed_trace():
     """The deterministic projection-free benchmark run, fixed step 0.002."""
     cfg = _preset_without_bounds("paper-tracking-alg2")
-    return harness.run_single(cfg, 0)
+    return seed_alone(cfg, 0)
 
 
 @pytest.fixture(scope="session")
 def alg2_exact_trace():
     """The projection-free run with the exact per-round line search."""
     cfg = _preset_without_bounds("paper-tracking-alg2-linesearch")
-    return harness.run_single(cfg, 0)
+    return seed_alone(cfg, 0)
 
 
 @pytest.fixture(scope="session")
 def dogd_trace():
     """The projected-gradient baseline run."""
     cfg = _preset_without_bounds("paper-tracking-dogd")
-    return harness.run_single(cfg, 0)
+    return seed_alone(cfg, 0)
 
 
 @pytest.fixture()

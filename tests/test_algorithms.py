@@ -30,6 +30,7 @@ from dffr.linesearch import golden_section
 from dffr.network import generator_matrix, validate_weight_matrix
 from dffr.objectives import ObjectiveStream, QuadraticTrackingFamily, paper_tracking_stream
 from dffr.trace import Trace
+from conftest import seed_alone
 
 
 class ConstStream(ObjectiveStream):
@@ -753,8 +754,9 @@ class TestBatchedEngine:
             "algorithm": RULE_SECTIONS[rule],
             "seeds": seeds,
         })
-        batch = harness.run_seeds(cfg, seeds)
-        assert_same_traces(batch, [harness.run_single(cfg, seed) for seed in seeds])
+        # A seed run alone is labelled with its own one-seed config.
+        batch = [dataclasses.replace(t, config=t.config | {"seeds": [t.seed]}) for t in harness.run_seeds(cfg)]
+        assert_same_traces(batch, [seed_alone(cfg, seed) for seed in seeds])
 
     @settings(max_examples=10, deadline=None)
     @given(

@@ -1,8 +1,10 @@
 """scripts/bench_pairs.py keeps only valid runs as pairs."""
 
+import hashlib
 import importlib.util
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,3 +198,44 @@ def test_bounds_are_read_from_the_benchmark_file(bench_pairs):
     bounds = bench_pairs.end_to_end_bounds()
     assert bounds == {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
     assert "rescore_s" in bounds
+
+
+def benchmark_checkout(root: Path, run_py: str) -> Path:
+    """A checkout with a BENCHMARK.json, a perfbench/workloads.py and this
+    perfbench/run.py, which leaves a file ``ran`` in the checkout if it runs."""
+    checkout_printing(root, VALID)
+    (root / "BENCHMARK.json").write_text('{"end_to_end": []}\n')
+    (root / "perfbench" / "workloads.py").write_text("CASES = []\n")
+    (root / "perfbench" / "run.py").write_text(f"open('ran', 'w')\n{run_py}")
+    (root / "perfbench" / "README.md").write_text(f"{root.name}\n")  # not part of the benchmark
+    return root
+
+
+def test_the_same_benchmark_gives_its_digest_on_both_sides(bench_pairs, tmp_path):
+    sides = {side: benchmark_checkout(tmp_path / side, "print(1)\n") for side in ("parent", "change")}
+    digests = bench_pairs.check_same_benchmark(sides)
+    files = ["BENCHMARK.json", "perfbench/run.py", "perfbench/workloads.py"]
+    lines = "".join(
+        f"{hashlib.sha256((sides['parent'] / name).read_bytes()).hexdigest()}  {name}\n" for name in files
+    )
+    assert digests == dict.fromkeys(sides, hashlib.sha256(lines.encode()).hexdigest())
+
+
+@pytest.mark.parametrize("edit", ["run.py", "new.py", "BENCHMARK.json"])
+def test_different_benchmarks_end_the_script_before_any_run(bench_pairs, tmp_path, monkeypatch, edit):
+    sides = {side: benchmark_checkout(tmp_path / side, "print(1)\n") for side in ("parent", "change")}
+    changed = sides["change"] / ("BENCHMARK.json" if edit == "BENCHMARK.json" else f"perfbench/{edit}")
+    changed.write_text('{"end_to_end": [], "workloads": []}\n' if edit == "BENCHMARK.json" else "print(2)\n")
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--parent", str(sides["parent"]), "--change", str(sides["change"]),
+        "--workload", "paper-presets", "--seeds", "1..2", "--out", str(out),
+    ])
+    with pytest.raises(SystemExit) as caught:
+        bench_pairs.main()
+    name = "BENCHMARK.json" if edit == "BENCHMARK.json" else f"perfbench/{edit}"
+    assert str(caught.value) == (
+        f"the checkouts measure with different benchmarks: {name} differ "
+        f"between {sides['parent']} and {sides['change']}"
+    )
+    assert not any((path / "ran").exists() for path in sides.values()) and not out.exists()

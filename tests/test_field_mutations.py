@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from dffr import harness
 from dffr.errors import DffrError
+from conftest import seed_alone
 
 QUADRATIC = {
     "name": "quadratic-ring",
@@ -100,7 +101,7 @@ def written(tmp_path_factory):
     """A two-dimensional trace of three agents, written once: (directory, rhos)."""
     cfg = harness.ExperimentConfig.from_dict(QUADRATIC)
     out = tmp_path_factory.mktemp("written")
-    harness.write_trace(harness.run_single(cfg, 0), cfg.rho, out / "trace")
+    harness.write_trace(seed_alone(cfg, 0), cfg.rho, out / "trace")
     return out, cfg.rho
 
 

@@ -33,6 +33,7 @@ import pytest
 from dffr import harness
 from dffr.errors import ConstraintViolation
 from dffr.harness import ExperimentConfig
+from conftest import seed_alone
 
 GOLDEN = {
     "paper-tracking-alg1": {
@@ -134,7 +135,7 @@ def test_csv_body_matches_golden_digest(name, request, tmp_path):
         traces = request.getfixturevalue(FIXTURES[name])
         traces = traces if isinstance(traces, list) else [traces]
     else:
-        traces = [harness.run_single(cfg, seed) for seed in cfg.seeds]
+        traces = [seed_alone(cfg, seed) for seed in cfg.seeds]
     digests = {}
     for seed, trace in zip(cfg.seeds, traces):
         csv_path, *_ = harness.write_trace(trace, cfg.rho, tmp_path / f"seed{seed}")
@@ -240,7 +241,7 @@ def test_wide_csv_body_matches_golden_digest(name, tmp_path):
     cfg = ExperimentConfig.from_dict(scale_config(name))
     digests = {}
     for seed in cfg.seeds:
-        trace = harness.run_single(cfg, seed)
+        trace = seed_alone(cfg, seed)
         csv_path, *_ = harness.write_trace(trace, cfg.rho, tmp_path / f"seed{seed}")
         digests[seed] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
     assert digests == SCALE_GOLDEN[name]

@@ -1,8 +1,12 @@
+import argparse
 import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +356,42 @@ class TestConfigValidation:
         with pytest.raises(ConstraintViolation, match=rf"^problem.target '1/t\^-?400' leaves the floats by round 30$"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "step",
+        [{"c": 2.0, "p": 400.0}, {"c": 2.0, "p": 400}, {"c": 2.0, "p": 10**30}, {"c": 1e-300, "p": 10}],
+        ids=["p-float", "p-int", "p-int-huge", "underflow-to-0"],
+    )
+    def test_step_leaving_the_positive_floats_by_the_horizon(self, step):
+        """alpha_T = c / T**p: T**p past the floats, as a float or an integer
+        power (10**30 as an exact one would never finish), or alpha_T rounding to 0."""
+        raw = harness.preset("paper-tracking-alg1").to_dict()
+        raw["algorithm"]["step"] = step
+        start = time.perf_counter()
+        with pytest.raises(ConstraintViolation) as refused:
+            ExperimentConfig.from_dict(raw)
+        assert time.perf_counter() - start < 5.0
+        assert str(refused.value) == f"algorithm.step {step!r} leaves the positive floats by round 1000"
+
+    def test_integer_step_exponent_inside_the_floats_passes(self):
+        raw = harness.preset("paper-tracking-alg1").to_dict()
+        raw["algorithm"]["step"] = {"c": 2.0, "p": 100}  # alpha_1000 = 2 / 10**300
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.build_algorithm().step(1000) == pytest.approx(2e-300, rel=1e-15, abs=0.0)
+        assert cfg.stability_warnings()[0].endswith("up to round t = 1 of 1000")
+
+    def test_seed_count_limit_is_named(self):
+        raw = harness.PRESETS["remark1-synthetic"]()
+        raw["problem"]["horizon"] = 1
+        raw["seeds"] = list(range(harness.MAX_SEEDS))
+        assert len(ExperimentConfig.from_dict(raw).seeds) == 131072
+        raw["seeds"].append(harness.MAX_SEEDS)
+        with pytest.raises(ParseError) as caught:
+            ExperimentConfig.from_dict(raw)
+        assert str(caught.value) == (
+            "field 'seeds' must be a list of 1 to 131072 distinct integers in [0, 2**64), "
+            "got [0, 1, 2, 3, 4, 5, ...]"
+        )
+
 
 class TestRunExperiment:
     def test_writes_trace_and_summary(self, tmp_path):
@@ -447,7 +487,7 @@ class TestRunExperiment:
         assert builds == []
         assert len(summary["traces"]) == 3 and "bounds" in summary
         cfg.problem.horizon = 20  # a changed section is built again
-        assert harness.run_single(cfg, 0).T == 20
+        assert [trace.T for trace in harness.run_seeds(cfg)] == [20, 20, 20]
         # the run reads the box from the stream and never builds one
         assert sorted(builds) == ["build_stream", "build_weight_matrix"]
 
@@ -849,6 +889,24 @@ class TestCli:
         assert cli.main(["validate", "--config", str(cfg_path)]) == 0
         assert "OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_a_step_past_the_floats_ends_in_one_error_line(self, tmp_path, command):
+        """In a fresh process, so that an exact 1000**(10**30) would hang the
+        subprocess until its timeout, not the suite."""
+        raw = harness.preset("paper-tracking-alg1").to_dict()
+        raw["algorithm"]["step"] = {"c": 2.0, "p": 10**30}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "dffr.cli", command, "--config", str(cfg_path)],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            f"error: algorithm.step {{'c': 2.0, 'p': {10**30}}} leaves the positive floats by round 1000\n"
+        )
+
     def test_validate_refuses_a_run_past_the_byte_budget(self, tmp_path, capsys, monkeypatch):
         """T = 10**6, 1,000 agents, d = 100 and two seeds: the gradient-free run's
         arrays would take 8 * 2 * 10**6 * (1000 * 404 + 101) bytes."""
@@ -945,8 +1003,9 @@ class TestCli:
             with pytest.raises(SystemExit):
                 cli.main([command, "--help"])
             text = " ".join(capsys.readouterr().out.split())
-            for option in ("--config", "--preset", "--seed SEED", "--seeds", "--out"):
+            for option in ("--config", "--preset", "--seeds", "--out"):
                 assert option in text, (command, option)
+            assert "--seed SEED" not in text  # a config's run is all its seeds
             assert "--seeds SEEDS seed list" in text
         assert "one of rho, delta, alpha0, alpha_schedule_scale, omega" in text
 
@@ -962,7 +1021,7 @@ class TestCli:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith(message)
 
-    @pytest.mark.parametrize(
+    @pytest.mark.parametrize(  # argparse reads --seed as an abbreviation of --seeds
         "option, seeds", [(["--seeds", "0..2"], [0, 1, 2]), (["--seed", "5"], [5])], ids=["seeds", "seed"]
     )
     def test_seed_range_override(self, capsys, option, seeds):
@@ -970,6 +1029,15 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["config"]["seeds"] == seeds
         assert len(out["per_seed"]) == len(seeds)
+
+    @pytest.mark.parametrize("spec", ["0..100000000000", "0..131072"])
+    def test_a_seed_range_past_the_limit_is_refused_before_it_is_built(self, capsys, spec):
+        assert cli.main(["run", "--preset", "remark1-synthetic", "--seeds", spec]) == 1
+        assert capsys.readouterr() == ("", f"error: bad --seeds {spec!r}: more than 131072 seeds\n")
+
+    def test_a_seed_range_at_the_limit_is_built(self):
+        seeds = cli._parse_seeds(argparse.Namespace(seeds=f"5..{harness.MAX_SEEDS + 4}"))
+        assert seeds == list(range(5, harness.MAX_SEEDS + 5))
 
     def test_remark1_run_labels_its_entry_and_files_with_the_seed(self, tmp_path, capsys):
         assert cli.main(["run", "--preset", "remark1-synthetic", "--seeds", "3", "--out", str(tmp_path)]) == 0

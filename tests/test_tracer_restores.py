@@ -71,10 +71,11 @@ def test_each_rule_records_its_step_spans(name):
     raw = dffr.harness.PRESETS[name]()
     raw["problem"]["horizon"] = 3
     raw["bounds"] = False
+    raw["seeds"] = [0]
     cfg = dffr.harness.ExperimentConfig.from_dict(raw)
     recorder = tracer.SpanRecorder()
     with tracer.instrument(recorder):
-        dffr.harness.run_single(cfg, 0)
+        dffr.harness.run_seeds(cfg)
     step = STEP_OF_PRESET[name]
     assert step in tracer.STEP_SPANS
     assert recorder.totals(0, len(recorder)).get(step, (0, 0.0))[0] == 3
