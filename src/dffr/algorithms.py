@@ -331,35 +331,38 @@ def run(
     z_hist = np.empty((S, T, n, d))
     g_hist = np.zeros((S, T, n, d)) if cfg.kind == "gradient_free" else None
 
-    for t in range(1, T + 1):
-        row = t - 1
-        x_hist[:, row] = x
-        z_hist[:, row] = z
-        z = network.gossip_average(wm, x)
-        try:
-            x, g = step(t, x, z)
-        except DffrError as exc:
-            if not getattr(exc, "batch_index", None):
-                raise
-            raise type(exc)(f"seed {seeds[exc.batch_index[0]]}, {exc}") from None
-        if g is not None:
-            g_hist[:, row] = g
+    # An overflow or invalid value is refused by name below (a step in the loop,
+    # a loss after it), so NumPy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, T + 1):
+            row = t - 1
+            x_hist[:, row] = x
+            z_hist[:, row] = z
+            z = network.gossip_average(wm, x)
+            try:
+                x, g = step(t, x, z)
+            except DffrError as exc:
+                if not getattr(exc, "batch_index", None):
+                    raise
+                raise type(exc)(f"seed {seeds[exc.batch_index[0]]}, {exc}") from None
+            if g is not None:
+                g_hist[:, row] = g
 
-    # The recorded-only columns, in round chunks that bound the temporaries.
-    # Row 0 of the consensus errors is x - x = 0.
-    eps_norm = np.empty((S, T, n))
-    loss_self = np.empty((S, T, n))
-    loss_global = np.empty((S, T, n))
-    g_norm = np.zeros((S, T, n))
-    rounds = max(1, RESIDUAL_CHUNK // (S * n * d))
-    for first in range(0, T, rounds):
-        chunk = slice(first, first + rounds)
-        x_chunk = x_hist[:, chunk]
-        eps_norm[:, chunk] = np.linalg.norm(x_chunk - z_hist[:, chunk], axis=-1)
-        loss_self[:, chunk] = stream.values_over_rounds(first + 1, x_chunk)
-        loss_global[:, chunk] = stream.average_values_over_rounds(first + 1, x_chunk)
-        if g_hist is not None:
-            g_norm[:, chunk] = np.linalg.norm(g_hist[:, chunk], axis=-1)
+        # The recorded-only columns, in round chunks that bound the temporaries.
+        # Row 0 of the consensus errors is x - x = 0.
+        eps_norm = np.empty((S, T, n))
+        loss_self = np.empty((S, T, n))
+        loss_global = np.empty((S, T, n))
+        g_norm = np.zeros((S, T, n))
+        rounds = max(1, RESIDUAL_CHUNK // (S * n * d))
+        for first in range(0, T, rounds):
+            chunk = slice(first, first + rounds)
+            x_chunk = x_hist[:, chunk]
+            eps_norm[:, chunk] = np.linalg.norm(x_chunk - z_hist[:, chunk], axis=-1)
+            loss_self[:, chunk] = stream.values_over_rounds(first + 1, x_chunk)
+            loss_global[:, chunk] = stream.average_values_over_rounds(first + 1, x_chunk)
+            if g_hist is not None:
+                g_norm[:, chunk] = np.linalg.norm(g_hist[:, chunk], axis=-1)
     finite = np.isfinite(loss_self) & np.isfinite(loss_global)
     if not finite.all():
         s, row, i = np.unravel_index(np.argmin(finite), finite.shape)

@@ -72,7 +72,10 @@ class BoxSet:
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "d", int(lower.size))
         object.__setattr__(self, "r", float(np.min(np.minimum(np.abs(lower), upper))))
-        object.__setattr__(self, "R", float(np.linalg.norm(corner)))
+        # A box near the float limit has R = inf, and its stream's constants, which
+        # ``ExperimentConfig.validate`` refuses by name, overflow too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "R", float(np.linalg.norm(corner)))
 
     @classmethod
     def symmetric(cls, half_width: float, d: int = 1) -> "BoxSet":

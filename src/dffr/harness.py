@@ -59,14 +59,6 @@ REGRET_CROSS_THRESHOLD = 1e-2
 _NUMBER_EXPR = r"\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*"
 _TARGET_EXPR = re.compile(rf"^{_NUMBER_EXPR}(?:/\s*t\s*\^{_NUMBER_EXPR})?$")
 
-_CUSTOM_STREAMS: dict[str, callable] = {}
-
-
-def register_stream(name: str, factory) -> None:
-    """Register a named stream factory: factory(problem: ProblemConfig) -> ObjectiveStream."""
-    _CUSTOM_STREAMS[name] = factory
-
-
 @dataclass
 class ProblemConfig:
     stream: str = "paper_tracking"
@@ -74,7 +66,6 @@ class ProblemConfig:
     box: list = field(default_factory=lambda: [[-10.0, 10.0]])
     scales: list | None = None
     target: str | None = None
-    custom_name: str | None = None
 
 
 @dataclass
@@ -95,7 +86,6 @@ class ExperimentConfig:
     rho: list = field(default_factory=list)
     seeds: list = field(default_factory=lambda: [0])
     bounds: bool = False
-    out: str | None = None
     _built: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -108,7 +98,6 @@ class ExperimentConfig:
             "rho": list(self.rho),
             "seeds": list(self.seeds),
             "bounds": self.bounds,
-            "out": self.out,
         }
 
     @classmethod
@@ -149,10 +138,6 @@ class ExperimentConfig:
                 raise ConstraintViolation(
                     f"problem.target {p.target!r} leaves the floats by round {p.horizon}"
                 ) from None
-        if p.stream == "custom":
-            if p.custom_name not in _CUSTOM_STREAMS:
-                raise ParseError(f"unknown custom stream {p.custom_name!r}")
-            return _CUSTOM_STREAMS[p.custom_name](p)
         return None  # remark1: a hand-set gap sequence, no stream
 
     def build_weight_matrix(self) -> WeightMatrix:
@@ -400,7 +385,7 @@ _CONFIG_FIELDS = {
     "schema_version": _Field(*_VERSION),
     "name": _Field(*_STRING),
     "problem": _Field(*_OBJECT, {
-        "stream": _Field(*_one_of(("paper_tracking", "quadratic", "custom", "remark1"))),
+        "stream": _Field(*_one_of(("paper_tracking", "quadratic", "remark1"))),
         "horizon": _Field(*_at_most(_POSITIVE_INT, MAX_HORIZON)),
         "box": _Field(
             lambda box: _is_table(box, 2, MAX_DIMENSION),
@@ -414,7 +399,6 @@ _CONFIG_FIELDS = {
             lambda value: _parse_target(value) is not None,
             "an 'A/t^p' string, a number or an [A, p] pair of numbers", null=True,
         ),
-        "custom_name": _Field(*_STRING, null=True),
     }, required=True),
     "topology": _Field(*_OBJECT, {
         "generator": _Field(*_one_of(tuple(network.GENERATORS)), null=True),
@@ -444,7 +428,6 @@ _CONFIG_FIELDS = {
         f"a list of 1 to {MAX_SEEDS} distinct integers in [0, 2**64)",
     ),
     "bounds": _Field(*_BOOL),
-    "out": _Field(*_STRING, null=True),
 }
 
 
@@ -694,13 +677,15 @@ def score(cfg: ExperimentConfig, traces: list[Trace]) -> dict:
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Run every configured seed and ``score`` its traces; with an output directory,
-    write each seed's trace files, then the summary.  Partial outputs are removed
-    if any seed fails.
+    write each seed's trace files, then the summary.  If any seed fails, the files
+    it wrote are removed, and so are the directories it made for them.
     """
-    out = Path(out_dir) if out_dir else (Path(cfg.out) if cfg.out else None)
+    out = Path(out_dir) if out_dir else None
     written: list[Path] = []
+    made: list[Path] = []  # deepest first
     try:
         if out:
+            made = [path for path in (out, *out.parents) if not path.exists()]
             try:
                 out.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
@@ -719,6 +704,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)
+        for path in made:
+            try:
+                path.rmdir()
+            except OSError:  # not made, or it holds files that are not the run's
+                pass
         raise
 
 
@@ -1215,10 +1205,8 @@ def recompute_metrics(trace_path, rhos: list[float]) -> dict:
 
 # --- parameter sweeps ------------------------------------------------------------
 
-# Each sweep parameter and the config field it sets.  The "[]" marks a list
-# field, which the sweep sets to the one-element list [value].
+# Each sweep parameter and the config field it sets.
 SWEEP_PARAMETERS = {
-    "rho": "rho[]",
     "delta": "algorithm.delta",
     "alpha0": "algorithm.alpha0",
     "alpha_schedule_scale": "algorithm.step.c",
@@ -1234,13 +1222,13 @@ def _with_value(cfg: ExperimentConfig, parameter: str, value: float) -> Experime
         if topo["generator"] == "paper4":  # the 4-agent ring with edge weight 0.22
             topo.update(generator="ring", params={"n": 4, "weight": 0.22})
     field_path = SWEEP_PARAMETERS[parameter]
-    *sections, key = field_path.removesuffix("[]").split(".")
+    *sections, key = field_path.split(".")
     owner = raw
     for name in sections:
         owner = owner.get(name) or {}
     if key not in owner:
         raise ConstraintViolation(f"the {parameter} sweep sets {field_path}; this config lacks it")
-    owner[key] = [float(value)] if field_path.endswith("[]") else float(value)
+    owner[key] = float(value)
     raw["name"] = f"{cfg.name}-{parameter}{value}"
     return ExperimentConfig.from_dict(raw)
 

@@ -258,12 +258,14 @@ class QuadraticTrackingFamily(ObjectiveStream):
         c = self.targets(last) if callable(target) else np.array([self._target(1), self._target(last)])[:, None]
         # Agents in chunks of about 2**16 values, each summed over its contiguous
         # last axis as one agent's (rows, d) block is, so every bit is the same.
+        # A constant that overflows is inf, which ``ExperimentConfig.validate`` refuses by name.
         step = max(1, 2**16 // c.size) if c.size else scales.size
-        worst_sq = np.concatenate([
-            np.max(np.sum(np.maximum(np.abs(a * box.lower - c), np.abs(a * box.upper - c))**2, axis=2), axis=1)
-            for a in (scales[lo:lo + step, None, None] for lo in range(0, scales.size, step))
-        ])
-        L, L_s, L_1 = np.max(2.0 * scales * np.sqrt(worst_sq)), np.max(2.0 * scales**2), np.max(worst_sq)
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst_sq = np.concatenate([
+                np.max(np.sum(np.maximum(np.abs(a * box.lower - c), np.abs(a * box.upper - c))**2, axis=2), axis=1)
+                for a in (scales[lo:lo + step, None, None] for lo in range(0, scales.size, step))
+            ])
+            L, L_s, L_1 = np.max(2.0 * scales * np.sqrt(worst_sq)), np.max(2.0 * scales**2), np.max(worst_sq)
         super().__init__(scales.size, box.d, horizon, box, L, L_s, L_1)
 
     def targets(self, T: int) -> np.ndarray:

@@ -362,8 +362,9 @@ def test_criterion_09_spike_sequence_discrimination():
 def test_criterion_10_rho_monotonicity():
     t0 = time.perf_counter()
     cfg = harness.preset("paper-tracking-dogd")
-    rows = harness.sweep(cfg, "rho", [0.96, 0.97, 0.98])
-    times = [r["median_regret_first_below"] for r in rows]
+    assert cfg.rho == [0.96, 0.97, 0.98]
+    crossings = harness.run_experiment(cfg)["aggregate"]["median_regret_first_below"]
+    times = [crossings[repr(rho)] for rho in cfg.rho]
     finite = all(t is not None for t in times)
     monotone = all(
         (a or math.inf) <= (b or math.inf) for a, b in zip(times, times[1:])

@@ -41,7 +41,7 @@ CONFIGS = [harness.preset(name).to_dict() for name in harness.PRESET_NAMES] + [Q
 # Strings a field may take, so that a mutant also reaches the checks past the types.
 WORDS = (
     "gradient_free", "projection_free", "projected_gd", "exact_1d", "fixed_alpha0",
-    "paper_tracking", "quadratic", "custom", "remark1", "paper4", "ring", "complete",
+    "paper_tracking", "quadratic", "remark1", "paper4", "ring", "complete",
     "60/t^2", "1/t^400", "1e999",
 )
 

@@ -73,11 +73,11 @@ GOLDEN = {
 }
 
 SUMMARY_GOLDEN = {
-    "paper-tracking-alg1": "8591e72166721b3b4b5b90640524a7039c44d7ddad1526ace5369438b41f4769",
-    "paper-tracking-alg2": "beab39c97fd1d74831d28f33199498c5bc9756019d9e0007b6d0089bf194681c",
-    "paper-tracking-alg2-linesearch": "c626f041fc92a26674c63bd0647ec02fa09e99ef7e438ca72381308341633a54",
-    "paper-tracking-dogd": "76d83fa9720ef212a64e4dc364c139f931d311d47b0edc9ae15954affe5b30a8",
-    "remark1-synthetic": "c8951762055f71886b9b4ff2c9a602dd82a18e0bb1c936c27cadb981a951160a",
+    "paper-tracking-alg1": "43e5f649a1d5a8bb2f188a9d175bf917cf5b6d58b2d603a7e8d735c3d5920348",
+    "paper-tracking-alg2": "6426728ae6931ae5e6b9173788df0a1a1ac8d645e7e4eace8933bce868a6ca95",
+    "paper-tracking-alg2-linesearch": "30f7266b34d0ac163dda6cf4a80310ddb4f2becc60d973f05977a72ea5db73f4",
+    "paper-tracking-dogd": "2dc04115758da8970111b2b879e7eb9afed82aae03f449842e1c1ed2ce2fa9bc",
+    "remark1-synthetic": "42983140ec3135d098f2013fe305e78092c450c14404788eac20f358a6330c66",
 }
 
 SCALE_GOLDEN = {

@@ -17,13 +17,13 @@ from dffr.errors import (
     ConstraintViolation,
     DffrError,
     MalformedTrace,
+    NonFiniteInput,
     ParseError,
     SchemaVersionMismatch,
     UnknownParameter,
 )
 from dffr.harness import ExperimentConfig
 from dffr.network import MixingConstants, ring_matrix
-from dffr.objectives import ObjectiveStream
 from dffr.trace import Trace
 from test_golden_traces import GOLDEN
 
@@ -47,6 +47,22 @@ def _set_field(raw: dict, key: str, value) -> None:
     for part in sections:
         raw = raw.setdefault(part, {})
     raw[name] = value
+
+
+def _unstable_dogd() -> ExperimentConfig:
+    """The dogd preset with a step of 1e308, whose first update overflows."""
+    raw = harness.preset("paper-tracking-dogd").to_dict()
+    raw["algorithm"]["step"] = {"c": 1e308, "p": 0}
+    return ExperimentConfig.from_dict(raw)
+
+
+def _benchmark_configs(monkeypatch) -> list[dict]:
+    """The raw config of every case of the benchmark's workloads."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    return [case.raw for name in workloads.WORKLOADS for case in workloads.cases(name, 0, harness.PRESETS)]
 
 
 def _quadratic_ring(n: int, d: int) -> dict:
@@ -651,39 +667,49 @@ class TestRunExperiment:
         assert trace.T == 729
         assert summary["per_seed"][0]["final_dffr"]["0.9"] == pytest.approx(1.0)
 
-    def test_custom_stream_registration(self):
-        class Tiny(ObjectiveStream):
-            def __init__(self, box):
-                super().__init__(2, 1, 10, box, 2.0, 2.0, 30.0)
+    @pytest.mark.parametrize(
+        "name, rhos", [("paper-tracking-dogd", [0.96, 0.97, 0.98]), ("paper-tracking-alg1", [0.99, 0.995])],
+        ids=["dogd", "alg1"],
+    )
+    def test_each_rho_of_one_run_scores_as_a_run_of_it_alone(self, name, rhos):
+        """rho weights the gaps and nothing else, so a rho sweep is a config whose
+        rho lists the values: every entry keyed by a rho is that rho's run's."""
+        def at(summary, key):  # each per-seed entry and the aggregate, read at one rho
+            return [{k: v[key] if isinstance(v, dict) else v for k, v in entry.items()}
+                    for entry in summary["per_seed"] + [summary["aggregate"]]]
 
-            def _value(self, i, t, x):
-                return float(x[0] ** 2)
+        raw = harness.preset(name).to_dict() | {"rho": rhos}
+        together = harness.run_experiment(ExperimentConfig.from_dict(raw))
+        for rho in map(repr, rhos):
+            alone = harness.run_experiment(ExperimentConfig.from_dict(raw | {"rho": [float(rho)]}))
+            assert at(together, rho) == at(alone, rho)
+            assert together.get("bounds", {}).get(rho) == alone.get("bounds", {}).get(rho)
+        assert ("bounds" in together) == (name == "paper-tracking-alg1")
 
-            def _gradient(self, i, t, x):
-                return 2.0 * x
+    def test_a_failed_run_keeps_a_directory_that_existed_and_its_files(self, tmp_path):
+        harness.run_experiment(small_alg2_config(horizon=5), out_dir=tmp_path)
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(NonFiniteInput):
+            harness.run_experiment(_unstable_dogd(), out_dir=tmp_path)
+        assert sorted(tmp_path.iterdir()) == before and len(before) == 4
 
-        harness.register_stream("tiny-test", lambda p: Tiny(harness.BoxSet.symmetric(5.0)))
-        raw = {
-            "name": "custom-run",
-            "problem": {
-                "stream": "custom",
-                "custom_name": "tiny-test",
-                "horizon": 5,
-                "box": [[-5.0, 5.0]],
-            },
-            "topology": {"generator": "complete", "params": {"n": 2}},
-            "algorithm": {"kind": "projected_gd", "step": {"c": 0.1}},
-            "rho": [0.9],
-        }
-        summary = harness.run_experiment(ExperimentConfig.from_dict(raw))
-        assert summary["per_seed"][0]["final_dffr"]["0.9"] >= -1e-9
+    def test_to_dict_has_exactly_the_field_tables_keys(self, monkeypatch):
+        """Every field a config holds is one a config may set, and the reverse,
+        for every preset and benchmark config."""
+        raws = [harness.PRESETS[name]() for name in harness.PRESET_NAMES] + _benchmark_configs(monkeypatch)
+        for raw in raws:
+            config = ExperimentConfig.from_dict(raw).to_dict()
+            assert config.keys() == harness._CONFIG_FIELDS.keys()
+            for section in ("problem", "topology"):
+                if config[section] is not None:
+                    assert config[section].keys() == harness._CONFIG_FIELDS[section].fields.keys()
 
 
 class TestSweep:
     def test_empty_values_warns(self):
         cfg = small_alg2_config()
         with pytest.warns(UserWarning):
-            rows = harness.sweep(cfg, "rho", [])
+            rows = harness.sweep(cfg, "alpha0", [])
         assert rows == []
 
     def test_unknown_parameter(self):
@@ -692,7 +718,7 @@ class TestSweep:
             harness.sweep(cfg, "temperature", [1.0])
 
     def test_unknown_parameter_lists_the_names(self):
-        known = "rho, delta, alpha0, alpha_schedule_scale, omega"
+        known = "delta, alpha0, alpha_schedule_scale, omega"
         with pytest.raises(UnknownParameter, match=f"known: {known}$"):
             harness.sweep(small_alg2_config(), "temperature", [1.0])
 
@@ -709,34 +735,6 @@ class TestSweep:
     def test_sweep_of_a_field_the_config_leaves_out(self, name, parameter, field):
         with pytest.raises(ConstraintViolation, match=f"sets {field}; this config lacks it$"):
             harness.sweep(harness.preset(name), parameter, [0.5])
-
-    def test_rho_sweep_rows(self):
-        raw = harness.preset("paper-tracking-dogd").to_dict()
-        raw["problem"]["horizon"] = 120
-        cfg = ExperimentConfig.from_dict(raw)
-        rows = harness.sweep(cfg, "rho", [0.9, 0.95])
-        assert [r["value"] for r in rows] == [0.9, 0.95]
-        assert all("median_regret_first_below" in r for r in rows)
-
-    def test_rho_sweep_writes_one_trace_per_value_and_seed(self, tmp_path):
-        # Each value's name has a dot ("paper-tracking-dogd-rho0.96"), which
-        # must stay in the trace files' names so that no run overwrites another.
-        raw = harness.preset("paper-tracking-dogd").to_dict()
-        raw["problem"]["horizon"] = 30
-        raw["seeds"] = [0, 1]
-        harness.sweep(ExperimentConfig.from_dict(raw), "rho", [0.96, 0.97], out_dir=tmp_path)
-        names = {f"paper-tracking-dogd-rho{value}" for value in (0.96, 0.97)}
-        bases = {f"{name}-seed{seed}" for name in names for seed in (0, 1)}
-        assert {p.name for p in tmp_path.iterdir()} == {
-            base + suffix for base in bases for suffix in (".csv", ".meta.json", ".body")
-        } | {f"{name}-summary.json" for name in names}
-        for name in names:
-            summary = json.loads((tmp_path / f"{name}-summary.json").read_text())
-            rho = summary["config"]["rho"]
-            for entry in summary["per_seed"]:
-                result = harness.recompute_metrics(tmp_path / f"{name}-seed{entry['seed']}", rho)
-                assert result.pop("stored_dffr_max_delta") == {repr(rho[0]): 0.0}
-                assert result == entry
 
     def test_omega_sweep_rebuilds_topology(self):
         cfg = small_alg2_config(horizon=20)
@@ -827,14 +825,13 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         out = tmp_path / "out"
         argv = [command, "--config", str(cfg_path)] + (["--out", str(out)] if command == "run" else [])
-        with np.errstate(over="ignore"):
-            for bounds in (True, False):
-                cfg_path.write_text(json.dumps({**raw, "bounds": bounds}))
-                assert cli.main(argv) == 1
-                assert capsys.readouterr().err == (
-                    "error: the run needs finite stream constants; "
-                    "the 'quadratic' stream has L = inf, L_1 = inf\n"
-                )
+        for bounds in (True, False):
+            cfg_path.write_text(json.dumps({**raw, "bounds": bounds}))
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == (
+                "error: the run needs finite stream constants; "
+                "the 'quadratic' stream has L = inf, L_1 = inf\n"
+            )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -871,7 +868,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [["run", "--preset", "remark1-synthetic"],
-         ["sweep", "--preset", "remark1-synthetic", "--param", "rho", "--values", "0.9"]],
+         ["sweep", "--preset", "paper-tracking-alg2", "--param", "alpha0", "--values", "0.01"]],
         ids=["run", "sweep"],
     )
     @pytest.mark.parametrize("below, why", [("", "File exists"), ("sub", "Not a directory")], ids=["file", "under-a-file"])
@@ -907,6 +904,59 @@ class TestCli:
             f"error: algorithm.step {{'c': 2.0, 'p': {10**30}}} leaves the positive floats by round 1000\n"
         )
 
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("validate", "huge-box", "the run needs finite stream constants; the 'quadratic' stream has L = inf, L_1 = inf"),
+            ("run", "huge-box", "the run needs finite stream constants; the 'quadratic' stream has L = inf, L_1 = inf"),
+            ("run", "huge-step", "seed 0, round 1: agent 0 step [inf] is not finite"),
+        ],
+        ids=["validate-huge-box", "run-huge-box", "run-huge-step"],
+    )
+    def test_an_overflow_ends_in_one_error_line_and_leaves_no_directory(self, tmp_path, command, config, message):
+        """NumPy warns on an overflow to standard error unless told not to; the
+        refusal that follows is the one line printed.  A fresh process, so that
+        no warnings filter of the suite hides a warning."""
+        if config == "huge-box":
+            raw = {
+                "problem": {"stream": "quadratic", "horizon": 20, "box": [[-1e300, 1e300]],
+                            "scales": [1, 2], "target": "0.5"},
+                "topology": {"generator": "ring", "params": {"n": 2, "weight": 0.3}, "lambda_override": 0.5},
+                "algorithm": {"kind": "projection_free", "alpha0": 0.1},
+                "rho": [0.9],
+                "bounds": True,
+            }
+        else:
+            raw = _unstable_dogd().to_dict()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = ["--out", str(tmp_path / "new" / "deeper")] if command == "run" else []
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "dffr.cli", command, "--config", str(cfg_path), *out],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("key", ["out", "problem.custom_name"])
+    def test_a_field_a_run_does_not_read_is_refused(self, tmp_path, capsys, command, key):
+        raw = harness.preset("remark1-synthetic").to_dict()
+        _set_field(raw, key, "elsewhere")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main([command, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr() == ("", f"error: field '{key}' is not a known field\n")
+
+    def test_a_rho_sweep_is_refused_naming_the_sweep_parameters(self, capsys):
+        """A rho sweep is one run whose config lists the values in rho."""
+        argv = ["sweep", "--preset", "paper-tracking-dogd", "--param", "rho", "--values", "0.96,0.97"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: unknown sweep parameter 'rho'; known: delta, alpha0, alpha_schedule_scale, omega\n"
+        )
+
     def test_validate_refuses_a_run_past_the_byte_budget(self, tmp_path, capsys, monkeypatch):
         """T = 10**6, 1,000 agents, d = 100 and two seeds: the gradient-free run's
         arrays would take 8 * 2 * 10**6 * (1000 * 404 + 101) bytes."""
@@ -932,11 +982,7 @@ class TestCli:
         assert harness.run_bytes(kind, T, S, n, d) == expected
 
     def test_every_preset_and_benchmark_config_is_within_the_byte_budget(self, monkeypatch):
-        spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
-        spec.loader.exec_module(workloads)
-        raws = [case.raw for name in workloads.WORKLOADS for case in workloads.cases(name, 0, harness.PRESETS)]
+        raws = _benchmark_configs(monkeypatch)
         assert len(raws) == 7
         for raw in raws + [harness.PRESETS[name]() for name in harness.PRESET_NAMES]:
             ExperimentConfig.from_dict(raw)  # validate refuses a run past the budget
@@ -1007,7 +1053,7 @@ class TestCli:
                 assert option in text, (command, option)
             assert "--seed SEED" not in text  # a config's run is all its seeds
             assert "--seeds SEEDS seed list" in text
-        assert "one of rho, delta, alpha0, alpha_schedule_scale, omega" in text
+        assert "one of delta, alpha0, alpha_schedule_scale, omega" in text
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -1057,7 +1103,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, option",
         [
-            (["sweep", "--preset", "remark1-synthetic", "--param", "rho", "--values"], "--values"),
+            (["sweep", "--preset", "paper-tracking-alg2", "--param", "alpha0", "--values"], "--values"),
             (["metrics", "--trace", "no-such-trace", "--rho"], "--rho"),
         ],
         ids=["sweep", "metrics"],

@@ -1,0 +1,62 @@
+"""README.md's config example, config field table and command lines against
+the code: the example parses and holds every field a config has, the table
+lists exactly the fields of ``harness._CONFIG_FIELDS``, and each command of
+"Command line" exits 0 when run in order."""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+from dffr import cli, harness
+from dffr.harness import ExperimentConfig
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def section(title: str) -> str:
+    """The text of the README section headed ``## <title>``, up to the next one."""
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def first_block(text: str) -> str:
+    """The body of the first fenced block in ``text``."""
+    return re.search(r"^```[a-z]*\n(.*?)^```$", text, re.M | re.S).group(1)
+
+
+def example_config() -> dict:
+    """The config example of "Config format", its ``//`` comments taken out."""
+    return json.loads(re.sub(r"\s*//.*$", "", first_block(section("Config format")), flags=re.M))
+
+
+def field_paths(table: dict, path: str = "") -> list[str]:
+    paths = []
+    for key, row in table.items():
+        paths.append(path + key)
+        if row.fields:
+            paths += field_paths(row.fields, f"{path}{key}.")
+    return paths
+
+
+def test_the_config_example_parses_with_every_field_of_a_config():
+    raw = example_config()
+    config = ExperimentConfig.from_dict(raw).to_dict()
+    assert raw.keys() == config.keys()
+    for name in ("problem", "topology"):
+        assert raw[name].keys() == config[name].keys(), name
+
+
+def test_the_field_table_lists_exactly_the_config_fields():
+    body = section("Config format").split("\n| field | type | default | null |\n|---|---|---|---|\n", 1)[1]
+    rows = body.split("\n\n", 1)[0].splitlines()
+    assert [re.match(r"^\| `([\w.]+)` \|", row).group(1) for row in rows] == field_paths(harness._CONFIG_FIELDS)
+
+
+def test_the_command_lines_run_in_order(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my_experiment.json").write_text(json.dumps(example_config()))
+    lines = first_block(section("Command line")).splitlines()
+    assert len(lines) == 5 and all(line.startswith("dffr ") for line in lines)
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)
+        capsys.readouterr()
