@@ -48,7 +48,6 @@ from .objectives import (
     ObjectiveStream,
     QuadraticTrackingFamily,
     RoundOptimum,
-    paper_tracking_stream,
     round_optimum,
     verify_assumptions,
 )

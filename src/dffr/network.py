@@ -211,13 +211,7 @@ def complete_matrix(n: int) -> np.ndarray:
     return np.full((n, n), 1.0 / n)
 
 
-def paper4_matrix() -> np.ndarray:
-    """The shipped 4-agent benchmark topology: ring with minimum positive weight 0.22."""
-    return ring_matrix(4, 0.22)
-
-
 GENERATORS = {
-    "paper4": paper4_matrix,
     "ring": ring_matrix,
     "complete": complete_matrix,
 }

@@ -351,21 +351,6 @@ class QuadraticTrackingFamily(ObjectiveStream):
         return set_.project(self._optimum_factor * self.targets(last)[first - 1:])
 
 
-def paper_tracking_stream(horizon: int = 1000) -> QuadraticTrackingFamily:
-    """The built-in 4-agent target-tracking benchmark.
-
-    Scales (1, 2, 3, 6), common target 60/t^2, feasible interval [-10, 10].
-    The resulting constants are L = 1440, L_s = 72, L_1 = 14400 (the round-1
-    target dominates because the path decays).
-    """
-    return QuadraticTrackingFamily(
-        scales=(1.0, 2.0, 3.0, 6.0),
-        target=(60.0, 2.0),
-        box=BoxSet.symmetric(10.0, d=1),
-        horizon=horizon,
-    )
-
-
 @dataclass(frozen=True)
 class RoundOptimum:
     t: int

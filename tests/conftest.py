@@ -3,17 +3,18 @@ import pytest
 
 from dffr import harness, network
 from dffr.harness import ExperimentConfig
-from dffr.objectives import paper_tracking_stream
 
 
 @pytest.fixture(scope="session")
 def paper_stream():
-    return paper_tracking_stream(horizon=1000)
+    """The paper presets' stream: scales (1, 2, 3, 6), target 60/t^2 on [-10, 10], T = 1000."""
+    return harness.preset("paper-tracking-alg2").built()[0]
 
 
 @pytest.fixture(scope="session")
 def paper_wm():
-    return network.validate_weight_matrix(network.paper4_matrix())
+    """The paper presets' weight matrix: the ring of 4 agents with edge weight 0.22."""
+    return harness.preset("paper-tracking-alg2").built()[1]
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ from dffr.errors import (
 from dffr.geometry import BoxSet, ShrunkSet, lmo, sample_unit_sphere
 from dffr.linesearch import golden_section
 from dffr.network import generator_matrix, validate_weight_matrix
-from dffr.objectives import ObjectiveStream, QuadraticTrackingFamily, paper_tracking_stream
+from dffr.objectives import ObjectiveStream, QuadraticTrackingFamily
 from dffr.trace import Trace
 from conftest import seed_alone
 
@@ -567,7 +567,8 @@ class TestLoopContract:
     @pytest.mark.parametrize("kind", sorted(RULES))
     def test_stream_queries_per_round_and_per_chunk(self, kind, monkeypatch):
         T, seeds = 30, [3, 5, 9]
-        stream, wm = paper_tracking_stream(T), network_of(4)
+        stream = QuadraticTrackingFamily((1.0, 2.0, 3.0, 6.0), (60.0, 2.0), BoxSet.symmetric(10.0), T)
+        wm = network_of(4)
         events = []
 
         def logged(name, fn):

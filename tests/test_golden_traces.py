@@ -73,10 +73,10 @@ GOLDEN = {
 }
 
 SUMMARY_GOLDEN = {
-    "paper-tracking-alg1": "43e5f649a1d5a8bb2f188a9d175bf917cf5b6d58b2d603a7e8d735c3d5920348",
-    "paper-tracking-alg2": "6426728ae6931ae5e6b9173788df0a1a1ac8d645e7e4eace8933bce868a6ca95",
-    "paper-tracking-alg2-linesearch": "30f7266b34d0ac163dda6cf4a80310ddb4f2becc60d973f05977a72ea5db73f4",
-    "paper-tracking-dogd": "2dc04115758da8970111b2b879e7eb9afed82aae03f449842e1c1ed2ce2fa9bc",
+    "paper-tracking-alg1": "8182543b618ddc8e5f386a774713dff3482a57c5093ae8386695cfbf48e3c52d",
+    "paper-tracking-alg2": "c18f423f02c97000bdfd5e525dcc998f4696c18ef09665076c54c483e68e77b0",
+    "paper-tracking-alg2-linesearch": "91709e442ab0abf958c0b34feded73c1356d8182fcb0ed4b8775c2140de6ec61",
+    "paper-tracking-dogd": "b168e8e93c6c664b394d710ac8bbe9292b15848545f5514e5ec67b9cb2d5da64",
     "remark1-synthetic": "42983140ec3135d098f2013fe305e78092c450c14404788eac20f358a6330c66",
 }
 

@@ -75,6 +75,12 @@ def _quadratic_ring(n: int, d: int) -> dict:
     }
 
 
+# A remark-1 run is a hand-set gap sequence, so its config refuses the fields the run would drop.
+REMARK1_UNREAD = (
+    "the remark1 stream is a hand-set gap sequence; a run of it reads none of {}, "
+    "so the config must leave them out"
+)
+
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position"
 
 
@@ -120,6 +126,15 @@ class TestPresets:
         assert topology is None or topology["B"] == 1  # remark1 has no network
         assert cli.main(["validate", "--config", str(cfg_path)]) == 0
         assert capsys.readouterr().out == "OK\n"
+
+    @pytest.mark.parametrize("name", [name for name in harness.PRESET_NAMES if name != "remark1-synthetic"])
+    def test_paper_presets_build_the_papers_problem(self, name):
+        """Scales (1, 2, 3, 6) and target 60/t^2 on [-10, 10]: the round-1 target
+        sets the constants, as the path decays.  W is the 4-agent ring with weight 0.22."""
+        stream, wm = harness.preset(name).built()
+        assert (stream.L, stream.L_s, stream.L_1) == (1440.0, 72.0, 14400.0)
+        assert np.array_equal(wm.w, ring_matrix(4, 0.22))
+        assert wm.w[0].tolist() == [0.56, 0.22, 0.0, 0.22]
 
     def test_unknown_preset(self):
         with pytest.raises(ParseError):
@@ -199,9 +214,22 @@ class TestConfigValidation:
              "projected_gd requires a step schedule"),
             ("paper-tracking-alg2", lambda raw: raw["algorithm"].update(alpha0=None),
              "fixed_alpha0 mode requires alpha0 in (0, 1)"),
+            ("remark1-synthetic", lambda raw: raw.update(topology={"generator": "ring", "params": {"n": 4, "weight": 0.22}}),
+             REMARK1_UNREAD.format("topology")),
+            ("remark1-synthetic", lambda raw: raw.update(algorithm={"kind": "projected_gd", "step": {"c": 1.0}}),
+             REMARK1_UNREAD.format("algorithm")),
+            ("remark1-synthetic", lambda raw: raw["problem"].update(scales=[5.0]), REMARK1_UNREAD.format("problem.scales")),
+            ("remark1-synthetic", lambda raw: raw["problem"].update(target="1/t^1"), REMARK1_UNREAD.format("problem.target")),
+            ("remark1-synthetic", lambda raw: raw.update(bounds=True), REMARK1_UNREAD.format("bounds")),
+            ("remark1-synthetic",
+             lambda raw: raw.update(algorithm={"kind": "projected_gd", "step": {"c": 1.0}}, bounds=True)
+             or raw["problem"].update(scales=[5.0]),
+             REMARK1_UNREAD.format("algorithm, problem.scales, bounds")),
         ],
         ids=["projected-gd", "projection-free-without-alpha0", "gradient-free-without-step",
-             "gradient-free-without-delta", "projected-gd-without-step", "fixed-alpha0-without-alpha0"],
+             "gradient-free-without-delta", "projected-gd-without-step", "fixed-alpha0-without-alpha0",
+             "remark1-topology", "remark1-algorithm", "remark1-scales", "remark1-target", "remark1-bounds",
+             "remark1-three"],
     )
     def test_refused_config_gives_its_message(self, name, edit, message):
         raw = harness.preset(name).to_dict()
@@ -209,6 +237,45 @@ class TestConfigValidation:
         with pytest.raises(ConstraintViolation) as caught:
             ExperimentConfig.from_dict(raw)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("problem.stream", "paper_tracking",
+             "field 'problem.stream' must be one of 'quadratic', 'remark1', got 'paper_tracking'"),
+            ("topology.generator", "paper4",
+             "field 'topology.generator' must be one of 'ring', 'complete' or null, got 'paper4'"),
+        ],
+        ids=["stream", "generator"],
+    )
+    def test_a_removed_alias_is_refused(self, tmp_path, capsys, key, value, message):
+        raw = harness.preset("paper-tracking-alg2").to_dict()
+        _set_field(raw, key, value)
+        with pytest.raises(ParseError) as refused:
+            ExperimentConfig.from_dict(raw)
+        assert str(refused.value) == message
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main(["validate", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "topology, field",
+        [
+            ({"generator": "ring", "params": {"n": 4, "weight": 0.1}}, "generator"),
+            ({"generator": None, "params": {"n": 4}}, "params"),
+        ],
+        ids=["generator", "params"],
+    )
+    def test_a_matrix_topology_refuses_a_generators_fields(self, topology, field):
+        raw = harness.preset("paper-tracking-alg2").to_dict()
+        raw["topology"].update(topology, matrix=[[0.25] * 4] * 4)
+        with pytest.raises(ParseError) as refused:
+            ExperimentConfig.from_dict(raw)
+        assert str(refused.value) == (
+            f"fields 'topology.{field}' and 'topology.matrix' are both given; "
+            "a topology names either a generator or a matrix"
+        )
 
     def test_missing_topology(self):
         raw = harness.preset("paper-tracking-alg2").to_dict()
@@ -274,7 +341,7 @@ class TestConfigValidation:
             ("problem.scales", [1.0] * 1001),
             ("problem.box", [[-1.0, 1.0]] * 101),
             ("topology.params.n", 100000),
-            ("topology", {"generator": "paper4", "params": {"n": 4}}),
+            ("topology", {"generator": "complete", "params": {"weight": 0.2}}),
             ("topology", {"generator": "ring"}),
             ("topology.params.n", "4"),
             ("topology.params", [4, 0.22]),
@@ -432,7 +499,7 @@ class TestRunExperiment:
 
     def test_matrix_topology_runs_as_its_generator(self, tmp_path):
         raw = harness.preset("paper-tracking-alg2").to_dict()
-        raw["topology"].update(generator=None, matrix=ring_matrix(4, 0.22).tolist())
+        raw["topology"].update(generator=None, params={}, matrix=ring_matrix(4, 0.22).tolist())
         harness.run_experiment(ExperimentConfig.from_dict(raw), out_dir=tmp_path)
         body = (tmp_path / "paper-tracking-alg2-seed0.csv").read_bytes()
         assert hashlib.sha256(body).hexdigest() == GOLDEN["paper-tracking-alg2"][0]
@@ -504,8 +571,8 @@ class TestRunExperiment:
         assert len(summary["traces"]) == 3 and "bounds" in summary
         cfg.problem.horizon = 20  # a changed section is built again
         assert [trace.T for trace in harness.run_seeds(cfg)] == [20, 20, 20]
-        # the run reads the box from the stream and never builds one
-        assert sorted(builds) == ["build_stream", "build_weight_matrix"]
+        # the stream is built on the box; the run reads the box from the stream
+        assert sorted(builds) == ["build_box", "build_stream", "build_weight_matrix"]
 
     def test_hand_set_gap_trace_roundtrip(self, tmp_path):
         trace = Trace.from_gap_sequence([1.0, 1.0, 1.0])
@@ -740,6 +807,15 @@ class TestSweep:
         cfg = small_alg2_config(horizon=20)
         rows = harness.sweep(cfg, "omega", [0.2, 0.25])
         assert len(rows) == 2
+
+    def test_omega_sweep_at_the_presets_weight_is_the_presets_run(self):
+        cfg = harness.preset("paper-tracking-dogd")
+        [row] = harness.sweep(cfg, "omega", [0.22])
+        first = repr(cfg.rho[0])
+        aggregate = harness.run_experiment(cfg)["aggregate"]
+        assert row == {"value": 0.22} | {
+            key: entry[first] if isinstance(entry, dict) else entry for key, entry in aggregate.items()
+        }
 
     def test_alpha0_and_scale_sweeps(self):
         cfg = small_alg2_config(horizon=20)
@@ -1019,21 +1095,10 @@ class TestCli:
             (
                 "topology",
                 {"generator": "ring", "params": {"n": 3, "weight": 0.3}},
-                "the topology has 3 agents, the 'paper_tracking' stream has 4",
-            ),
-            (
-                "problem.box",
-                [[-10.0, 10.0], [-10.0, 10.0]],
-                "problem.box [[-10.0, 10.0], [-10.0, 10.0]] is not the box of the "
-                "'paper_tracking' stream, [[-10.0, 10.0]]",
-            ),
-            (
-                "problem.box",
-                [[-5.0, 5.0]],
-                "problem.box [[-5.0, 5.0]] is not the box of the 'paper_tracking' stream",
+                "the topology has 3 agents, the 'quadratic' stream has 4",
             ),
         ],
-        ids=["agents", "box-2d", "box-narrow"],
+        ids=["agents"],
     )
     def test_config_at_odds_with_its_stream(self, tmp_path, capsys, command, key, value, message):
         raw = small_alg2_config(horizon=5).to_dict()

@@ -16,7 +16,6 @@ from dffr.network import (
     gossip_average,
     mixing_bound_check,
     mixing_constants,
-    paper4_matrix,
     ring_matrix,
     validate_weight_matrix,
 )
@@ -38,8 +37,8 @@ class TestValidation:
         assert wm.omega == 0.5
         assert wm.n == 2
 
-    def test_paper4_omega(self):
-        wm = validate_weight_matrix(paper4_matrix())
+    def test_paper_ring_omega(self):
+        wm = validate_weight_matrix(ring_matrix(4, 0.22))
         assert wm.omega == 0.22
         assert wm.n == 4
 

@@ -10,7 +10,6 @@ from dffr.objectives import (
     LINE_SEARCH_TOL,
     ObjectiveStream,
     QuadraticTrackingFamily,
-    paper_tracking_stream,
     power_path,
     round_optimum,
     round_optimum_grid,

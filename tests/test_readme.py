@@ -1,15 +1,17 @@
 """README.md's config example, config field table and command lines against
 the code: the example parses and holds every field a config has, the table
-lists exactly the fields of ``harness._CONFIG_FIELDS``, and each command of
-"Command line" exits 0 when run in order."""
+lists exactly the fields of ``harness._CONFIG_FIELDS`` with the code's
+defaults, and each command of "Command line" exits 0 when run in order."""
 
+import dataclasses
 import json
 import re
 import shlex
 from pathlib import Path
 
 from dffr import cli, harness
-from dffr.harness import ExperimentConfig
+from dffr.algorithms import AlgorithmConfig, StepSchedule
+from dffr.harness import ExperimentConfig, ProblemConfig, TopologyConfig
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -38,6 +40,38 @@ def field_paths(table: dict, path: str = "") -> list[str]:
     return paths
 
 
+def field_table() -> list[list[str]]:
+    """The cells of each row of the config field table: field, type, default, null."""
+    body = section("Config format").split("\n| field | type | default | null |\n|---|---|---|---|\n", 1)[1]
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in body.split("\n\n", 1)[0].splitlines()]
+
+
+NO_DEFAULT = object()
+
+
+def code_default(path: str):
+    """The value the code gives the config field at the dotted ``path`` when a
+    config leaves it out, or NO_DEFAULT if it has none: a required field or a
+    generator's parameter.  The algorithm section's come from its dataclasses;
+    the rest from ``to_dict()`` of a config built from defaults alone."""
+    head, *rest = path.split(".")
+    row = harness._CONFIG_FIELDS[head]
+    for key in rest:
+        row = row.fields[key]
+    if row.required:
+        return NO_DEFAULT
+    if head == "algorithm" and rest:
+        owner = StepSchedule if rest[:-1] == ["step"] else AlgorithmConfig
+        default = {f.name: f.default for f in dataclasses.fields(owner)}[rest[-1]]
+        return NO_DEFAULT if default is dataclasses.MISSING else default
+    value = ExperimentConfig(ProblemConfig(), topology=TopologyConfig() if rest else None).to_dict()
+    for key in (head, *rest):
+        if key not in value:
+            return NO_DEFAULT
+        value = value[key]
+    return value
+
+
 def test_the_config_example_parses_with_every_field_of_a_config():
     raw = example_config()
     config = ExperimentConfig.from_dict(raw).to_dict()
@@ -47,9 +81,14 @@ def test_the_config_example_parses_with_every_field_of_a_config():
 
 
 def test_the_field_table_lists_exactly_the_config_fields():
-    body = section("Config format").split("\n| field | type | default | null |\n|---|---|---|---|\n", 1)[1]
-    rows = body.split("\n\n", 1)[0].splitlines()
-    assert [re.match(r"^\| `([\w.]+)` \|", row).group(1) for row in rows] == field_paths(harness._CONFIG_FIELDS)
+    assert [re.fullmatch(r"`([\w.]+)`", row[0]).group(1) for row in field_table()] == field_paths(harness._CONFIG_FIELDS)
+
+
+def test_the_field_tables_defaults_are_the_codes():
+    for name, _, default, _ in field_table():
+        path = name.strip("`")
+        want = NO_DEFAULT if default == "" else json.loads(default.strip("`"))
+        assert want == code_default(path), path
 
 
 def test_the_command_lines_run_in_order(tmp_path, monkeypatch, capsys):
