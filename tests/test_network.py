@@ -37,7 +37,7 @@ class TestValidation:
         assert wm.omega == 0.5
         assert wm.n == 2
 
-    def test_paper_ring_omega(self):
+    def test_paper4_omega(self):
         wm = validate_weight_matrix(ring_matrix(4, 0.22))
         assert wm.omega == 0.22
         assert wm.n == 4
@@ -96,7 +96,7 @@ class TestMixingBound:
 
     @pytest.mark.parametrize("lam, passed", [(0.9, True), (0.6, True), (0.55, False), (0.5, False)])
     def test_round_off_passes_and_a_rate_below_the_modulus_fails(self, paper_wm, paper_mc, lam, passed):
-        """paper4's second-largest eigenvalue modulus is 0.56.  Without the k*n*eps
+        """The paper ring's second-largest eigenvalue modulus is 0.56.  Without the k*n*eps
         allowance for the float error of W^k, 0.9 failed by 8.3e-16 at k = 685
         and 0.6 by as much at k = 142.  At 0.55 an entry exceeds gamma * lambda^k
         by 9.0e-13 at k = 41, against an allowance of 3.6e-14, and at 0.5 by
