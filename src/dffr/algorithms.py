@@ -101,7 +101,6 @@ class AlgorithmConfig:
     delta: float | None = None
     line_search: str = "fixed_alpha0"
     alpha0: float | None = None
-    clamp_to_feasible: bool = False
 
     def __post_init__(self):
         if self.kind not in ALGORITHM_KINDS:
@@ -229,19 +228,17 @@ def gradient_free_step(stream, shrunk: ShrunkSet, t: int, x, z, alpha_t: float, 
     return _naming_agent(shrunk.project, z - alpha_t * g, t, "step"), g
 
 
-def projection_free_step(stream, box: BoxSet, t: int, x, z, line_search, alpha0, clamp_to_feasible):
+def projection_free_step(stream, box: BoxSet, t: int, x, z, line_search, alpha0):
     """One projection-free update: vertex oracle at x, then z plus a multiple of v - x.
 
-    The update is applied verbatim; it is not guaranteed to stay in the box
-    when z != x, so an optional clamp is available.
+    The update is applied verbatim, never projected: it is not guaranteed to
+    stay in the box when z != x.
     """
     h = _naming_agent(lambda g: lmo(box, g), stream.gradients(t, x), t, "gradient") - x
     if line_search == "fixed_alpha0":
         x_new = z + alpha0 * h
     else:
         x_new = z + stream.line_search_coefficients(t, z, h)[..., None] * h
-    if clamp_to_feasible:
-        return _naming_agent(box.project, x_new, t, "step")
     return _require_finite(x_new, t, "update")
 
 
@@ -318,7 +315,7 @@ def run(
         def step(t, x, z):
             return gradient_free_step(stream, feasible, t, x, z, cfg.step(t), u[t - 1])
     elif cfg.kind == "projection_free":
-        rule = cfg.line_search, cfg.alpha0, cfg.clamp_to_feasible
+        rule = cfg.line_search, cfg.alpha0
 
         def step(t, x, z):
             return projection_free_step(stream, box, t, x, z, *rule), None

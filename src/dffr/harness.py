@@ -63,7 +63,7 @@ _TARGET_EXPR = re.compile(rf"^{_NUMBER_EXPR}(?:/\s*t\s*\^{_NUMBER_EXPR})?$")
 class ProblemConfig:
     stream: str = "quadratic"
     horizon: int = 1000
-    box: list = field(default_factory=lambda: [[-10.0, 10.0]])
+    box: list | None = None
     scales: list | None = None
     target: str | None = None
 
@@ -102,6 +102,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ParseError(f"the config must be a JSON object, got {reprlib.repr(raw)}")
         _check_fields(raw, _CONFIG_FIELDS, ParseError, "field")
         fields = copy.deepcopy({k: v for k, v in raw.items() if k != "schema_version"})
         fields["problem"] = ProblemConfig(**fields["problem"])
@@ -127,8 +129,8 @@ class ExperimentConfig:
     def build_stream(self) -> ObjectiveStream | None:
         p = self.problem
         if p.stream == "quadratic":
-            if p.scales is None or p.target is None:
-                raise ParseError("quadratic stream needs 'scales' and 'target'")
+            if p.box is None or p.scales is None or p.target is None:
+                raise ParseError("quadratic stream needs 'box', 'scales' and 'target'")
             target = _parse_target(p.target)
             try:
                 return QuadraticTrackingFamily(p.scales, target, self.build_box(), p.horizon)
@@ -186,8 +188,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         p = self.problem
         if p.stream == "remark1":
-            given = {"topology": self.topology, "algorithm": self.algorithm, "problem.scales": p.scales,
-                     "problem.target": p.target, "bounds": self.bounds or None}
+            given = {"topology": self.topology, "algorithm": self.algorithm, "problem.box": p.box,
+                     "problem.scales": p.scales, "problem.target": p.target, "bounds": self.bounds or None}
             if unread := [name for name, value in given.items() if value is not None]:
                 raise ConstraintViolation(
                     f"the remark1 stream is a hand-set gap sequence; a run of it reads none of "
@@ -394,7 +396,7 @@ _CONFIG_FIELDS = {
         "horizon": _Field(*_at_most(_POSITIVE_INT, MAX_HORIZON)),
         "box": _Field(
             lambda box: _is_table(box, 2, MAX_DIMENSION),
-            f"a list of 1 to {MAX_DIMENSION} [lower, upper] pairs",
+            f"a list of 1 to {MAX_DIMENSION} [lower, upper] pairs", null=True,
         ),
         "scales": _Field(
             _list_of(_POSITIVE[0], 1, MAX_AGENTS), f"a list of 1 to {MAX_AGENTS} positive numbers",
@@ -425,7 +427,6 @@ _CONFIG_FIELDS = {
         "delta": _Field(*_POSITIVE, null=True),
         "line_search": _Field(*_one_of(algorithms.LINE_SEARCH_MODES)),
         "alpha0": _Field(*_FRACTION, null=True),
-        "clamp_to_feasible": _Field(*_BOOL),
     }, null=True),
     "rho": _Field(_list_of(_FRACTION[0], distinct=True), "a list of distinct numbers in (0, 1)"),
     "seeds": _Field(  # ``algorithms.agent_rngs`` masks a seed to 64 bits

@@ -78,7 +78,7 @@ def cumulative_regret(trace: Trace) -> np.ndarray:
 def consensus_diameter_series(trace: Trace) -> np.ndarray:
     """Per-round max over coordinates of (max_i - min_i) of the decisions."""
     spread = trace.x.max(axis=1) - trace.x.min(axis=1)
-    return spread.max(axis=1)
+    return spread.max(axis=1, initial=0.0)
 
 
 def consensus_diameter(trace: Trace, t: int) -> float:

@@ -25,13 +25,12 @@ them with closed forms that give the same bits as the scalar loop: its average
 loss adds the agents' contiguous (..., R, m) blocks one by one, in the loop's
 order.  The optimum path's f*_t is ``average_values_over_rounds`` at x*_t for
 every stream, which supplies only x* (``_optimum_points``).  The quadratic
-family's c(t) is one table, ``targets``, filled on demand (its capacity doubles).
+family's c(t) is one table, ``targets``, filled on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -216,73 +215,53 @@ class ObjectiveStream:
         raise NotImplementedError
 
 
-def power_path(amplitude: float, power: float) -> Callable[[int], float]:
-    """Target path t -> amplitude / t**power."""
-    return lambda t: amplitude / t**power
-
-
 class QuadraticTrackingFamily(ObjectiveStream):
     """Losses f_i^t(x) = ||a_i * x - c(t)||^2 with per-agent scale a_i > 0.
 
-    ``target`` maps a round to the common target value (scalar, broadcast to
-    every coordinate, or a length-d vector).  Closed forms: the gradient is
-    2 a_i (a_i x - c(t)); the unconstrained minimizer of the average loss is
-    (sum a_i) c(t) / (sum a_i^2) per coordinate, and the box-constrained
-    optimum is its clamp because the average loss is separable.
+    ``target`` is an (A, p) pair: the path c(t) = A / t**p, broadcast to every
+    coordinate.  Closed forms: the gradient is 2 a_i (a_i x - c(t)); the
+    unconstrained minimizer of the average loss is (sum a_i) c(t) / (sum a_i^2)
+    per coordinate, and the box-constrained optimum is its clamp because the
+    average loss is separable.
 
     c(t) is computed once per round into a table that every evaluator reads.
-    The table is filled by the scalar callable, because NumPy's ``t**p`` can
-    differ from Python's in the last bit.
+    The table is filled by Python's scalar ``A / t**p``, because NumPy's
+    ``t**p`` can differ from Python's in the last bit.
     """
 
-    def __init__(self, scales, target, box: BoxSet, horizon: int):
+    def __init__(self, scales, target: tuple[float, float], box: BoxSet, horizon: int):
         scales = np.atleast_1d(np.asarray(scales, dtype=float))
         if np.any(scales <= 0.0):
             raise ValueError("agent scales must be positive")
-        if callable(target):
-            self._target = target
-        else:
-            amplitude, power = target
-            self._target = power_path(float(amplitude), float(power))
+        amplitude, power = map(float, target)
+        self._target = lambda t: amplitude / t**power
         self.scales = scales
         self._optimum_factor = float(np.sum(scales)) / float(np.sum(scales**2))
-        self._table = self._rows = np.empty((0, box.d))
-        self._first_fill = max(horizon, 1)  # rows that the first request fills, as one block
+        self._rows = np.empty((0, box.d))
         # L, L_s and L_1: the worst case over box corners (exact for a fixed round,
         # as each coordinate's deviation peaks at a corner) and rounds 1..horizon,
         # at least round 1 so that the base class refuses horizon < 1.  It is convex
-        # in c, so a power path, monotone in t, peaks at round 1 or ``last``.  These
+        # in c, so a power path, monotone in t, peaks at round 1 or the last.  These
         # two rows give the table's bits with one box row, and at most a relative
-        # (d + 4) * 2**-50 less where mixed rows make the sum nearly flat.
-        last = max(horizon, 1)
-        c = self.targets(last) if callable(target) else np.array([self._target(1), self._target(last)])[:, None]
-        # Agents in chunks of about 2**16 values, each summed over its contiguous
-        # last axis as one agent's (rows, d) block is, so every bit is the same.
+        # (d + 4) * 2**-50 less where mixed rows make the sum nearly flat.  Each
+        # agent's (2, d) block is summed over its contiguous last axis.
         # A constant that overflows is inf, which ``ExperimentConfig.validate`` refuses by name.
-        step = max(1, 2**16 // c.size) if c.size else scales.size
+        c = np.array([self._target(1), self._target(max(horizon, 1))])[:, None]
+        a = scales[:, None, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            worst_sq = np.concatenate([
-                np.max(np.sum(np.maximum(np.abs(a * box.lower - c), np.abs(a * box.upper - c))**2, axis=2), axis=1)
-                for a in (scales[lo:lo + step, None, None] for lo in range(0, scales.size, step))
-            ])
+            worst_sq = np.max(np.sum(np.maximum(np.abs(a * box.lower - c), np.abs(a * box.upper - c))**2, axis=2), axis=1)
             L, L_s, L_1 = np.max(2.0 * scales * np.sqrt(worst_sq)), np.max(2.0 * scales**2), np.max(worst_sq)
         super().__init__(scales.size, box.d, horizon, box, L, L_s, L_1)
 
     def targets(self, T: int) -> np.ndarray:
         """c(1..T) as read-only rows, shape (T, d).  Rows are filled on demand: the
         first request fills every round up to the horizon (a run reads them one
-        round at a time), later ones extend a table whose capacity doubles when
-        full, so each new round past the horizon costs one row."""
+        round at a time), a later one appends the rounds up to T (the bound path
+        asks for one round past the horizon).  Rows handed out earlier stay valid."""
         have, d = self._rows.shape
         if T > have:
-            stop = T if have else max(T, self._first_fill)
-            if stop > len(self._table):  # rows past ``have`` are filled below
-                self._table = np.resize(self._table, (max(stop, 2 * len(self._table)), d))
-            rows = np.array([self._target(t) for t in range(have + 1, stop + 1)], dtype=float)
-            if rows.shape[1:] not in ((), (d,)):
-                raise ValueError(f"target path has shape {rows.shape[1:]} from round {have + 1}, expected ({d},)")
-            self._table[have:stop] = rows.reshape(stop - have, -1)
-            self._rows = self._table[:stop]
+            new = np.array([self._target(t) for t in range(have + 1, max(T, self.horizon) + 1)], dtype=float)
+            self._rows = np.concatenate([self._rows, np.broadcast_to(new[:, None], (new.size, d))])
             self._rows.flags.writeable = False
         return self._rows[:T]
 

@@ -169,7 +169,7 @@ class TestSmoothedValue:
         # f(x) = x^2 smoothed over radius-0.1 ball in 1-D: bias delta^2/3
         box = BoxSet.symmetric(5.0)
         stream = QuadraticTrackingFamily(
-            scales=(1.0,), target=lambda t: 0.0, box=box, horizon=10
+            scales=(1.0,), target=(0.0, 0.0), box=box, horizon=10
         )
         x = 0.5
         est = smoothed_value(stream, 0, 1, [x], 0.1, rng, 60_000)
@@ -198,7 +198,7 @@ class TestProjectionFreeStep:
         x = np.zeros((4, 1))
         new = projection_free_step(
             paper_stream, paper_stream.box, 2, x, wm4.w @ x,
-            line_search="fixed_alpha0", alpha0=0.5, clamp_to_feasible=False,
+            line_search="fixed_alpha0", alpha0=0.5,
         )
         assert new[0] == pytest.approx([5.0])  # 0 + 0.5 * (10 - 0)
 
@@ -206,7 +206,7 @@ class TestProjectionFreeStep:
         x0 = np.full((4, 1), 2.0)
         new = projection_free_step(
             paper_stream, paper_stream.box, 3, x0, wm4.w @ x0,
-            line_search="fixed_alpha0", alpha0=0.25, clamp_to_feasible=False,
+            line_search="fixed_alpha0", alpha0=0.25,
         )
         # z = x at consensus, so the step is (1-a) x + a v with v in the box
         assert np.all(np.abs(new) <= 10.0 + 1e-12)
@@ -217,7 +217,7 @@ class TestProjectionFreeStep:
         t = 4
         new = projection_free_step(
             paper_stream, paper_stream.box, t, x, z_all,
-            line_search="exact_1d", alpha0=None, clamp_to_feasible=False,
+            line_search="exact_1d", alpha0=None,
         )
         for i in range(4):
             h = lmo(paper_stream.box, paper_stream.gradient(i, t, x[i])) - x[i]
@@ -242,7 +242,7 @@ class TestProjectionFreeStep:
         # classical vertex-stepping anchor: time-invariant quadratic, exact search
         box = BoxSet.symmetric(10.0)
         stream = QuadraticTrackingFamily(
-            scales=(1.0,), target=lambda t: 3.0, box=box, horizon=300
+            scales=(1.0,), target=(3.0, 0.0), box=box, horizon=300
         )
         wm = validate_weight_matrix([[1.0]])
         cfg = AlgorithmConfig(kind="projection_free", line_search="exact_1d")
@@ -382,7 +382,7 @@ def reference_gradient_free_step(x, stream, wm, shrunk, t, alpha_t, u):
     return x_new, z_new, g
 
 
-def reference_projection_free_step(x, stream, wm, box, t, line_search, alpha0, clamp):
+def reference_projection_free_step(x, stream, wm, box, t, line_search, alpha0):
     n, _ = x.shape
     v = np.empty_like(x)
     for i in range(n):
@@ -399,8 +399,6 @@ def reference_projection_free_step(x, stream, wm, box, t, line_search, alpha0, c
             raw = stream.line_minimum_coefficient(i, t, z_new[i], h)
             coeff = float(min(1.0, max(0.0, raw)))
         x_new[i] = z_new[i] + coeff * h
-        if clamp:
-            x_new[i] = box.project(x_new[i])
     return x_new, z_new
 
 
@@ -442,22 +440,16 @@ class TestBatchedSteps:
             assert np.array_equal(x, x_ref) and np.array_equal(z, z_ref)
 
     @pytest.mark.parametrize("n, d", [(1, 1), (4, 1), (4, 3), (32, 10)])
-    @pytest.mark.parametrize(
-        "line_search, alpha0, clamp",
-        [("exact_1d", None, False), ("fixed_alpha0", 0.05, False), ("exact_1d", None, True)],
-    )
-    def test_projection_free_matches_loop(self, n, d, line_search, alpha0, clamp):
+    @pytest.mark.parametrize("line_search, alpha0", [("exact_1d", None), ("fixed_alpha0", 0.05)])
+    def test_projection_free_matches_loop(self, n, d, line_search, alpha0):
         stream, wm, rng = ring_case(n, d, 2)
         x = rng.uniform(-9.0, 9.0, size=(n, d))
         for t in range(1, 21):
             x_ref, z_ref = reference_projection_free_step(
-                x, stream, wm, stream.box, t, line_search, alpha0, clamp
+                x, stream, wm, stream.box, t, line_search, alpha0
             )
             z = network.gossip_average(wm, x)
-            x = projection_free_step(
-                stream, stream.box, t, x, z,
-                line_search=line_search, alpha0=alpha0, clamp_to_feasible=clamp,
-            )
+            x = projection_free_step(stream, stream.box, t, x, z, line_search=line_search, alpha0=alpha0)
             assert np.array_equal(x, x_ref) and np.array_equal(z, z_ref)
 
     @pytest.mark.parametrize("n, d", [(1, 1), (4, 3), (32, 10)])
@@ -526,9 +518,6 @@ def bypassed(*args, **kwargs):
 RULES = {
     "gradient_free": AlgorithmConfig(kind="gradient_free", step=StepSchedule(c=0.1), delta=0.01),
     "exact_1d": AlgorithmConfig(kind="projection_free", line_search="exact_1d"),
-    "clamped": AlgorithmConfig(
-        kind="projection_free", line_search="exact_1d", clamp_to_feasible=True
-    ),
     "projected_gd": AlgorithmConfig(kind="projected_gd", step=StepSchedule(c=0.1)),
 }
 
@@ -542,7 +531,7 @@ class TestSinglePaths:
         with pytest.raises(Bypassed):
             run(paper_stream, wm4, RULES[kind], T=3, seeds=[0], x0=np.zeros((4, 1)))
 
-    @pytest.mark.parametrize("kind", ["gradient_free", "clamped", "projected_gd"])
+    @pytest.mark.parametrize("kind", ["gradient_free", "projected_gd"])
     def test_projection_goes_through_the_set(self, kind, paper_stream, wm4, monkeypatch):
         # x0 is given, so the engine needs no projection before round 1
         monkeypatch.setattr(BoxSet, "project", bypassed)
@@ -660,10 +649,9 @@ class TestSeedRefusals:
         with pytest.raises(NonFiniteInput, match="^seed 9, round 1: agent 2 step "):
             run(FaultWherePositive(), network_of(4), RULES[kind], T=4, seeds=self.seeds, x0=self.x0)
 
-    @pytest.mark.parametrize("kind", ["exact_1d", "clamped"])
-    def test_nonfinite_gradient(self, kind):
+    def test_nonfinite_gradient(self):
         with pytest.raises(NonFiniteInput, match="^seed 9, round 1: agent 2 gradient "):
-            run(FaultWherePositive(), network_of(4), RULES[kind], T=4, seeds=self.seeds, x0=self.x0)
+            run(FaultWherePositive(), network_of(4), RULES["exact_1d"], T=4, seeds=self.seeds, x0=self.x0)
 
     def test_nonfinite_update(self):
         stream = FaultWherePositive("search")
@@ -724,7 +712,6 @@ RULE_SECTIONS = {
     "gradient_free": {"kind": "gradient_free", "step": {"c": 0.05, "p": 0.5}, "delta": 0.01},
     "exact_1d": {"kind": "projection_free", "line_search": "exact_1d"},
     "fixed_alpha0": {"kind": "projection_free", "line_search": "fixed_alpha0", "alpha0": 0.05},
-    "clamped": {"kind": "projection_free", "line_search": "exact_1d", "clamp_to_feasible": True},
     "projected_gd": {"kind": "projected_gd", "step": {"c": 0.02, "p": 0.5}},
 }
 SEED_LISTS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5, unique=True)

@@ -1,10 +1,11 @@
 """Mutation tests of the config and sidecar field tables.
 
-Each example replaces one leaf of a valid document with a drawn JSON value:
-a leaf of a preset's config or of a small quadratic config on a ring, or a
-leaf of one field of a written trace sidecar.  Parsing the config, or
-re-scoring the trace, must either succeed or raise a DffrError, never a bare
-exception.  Integers are drawn from -3..64, so no mutant asks for a horizon
+Each example replaces one leaf of a valid document, or the whole document,
+with a drawn JSON value: a preset's config or a small quadratic config on a
+ring, or one field of a written trace sidecar.  Parsing the config, or
+re-scoring the trace and parsing its sidecar's config (as
+scripts/trace_digest.py does), must either succeed or raise a DffrError,
+never a bare exception.  Integers are drawn from -3..64, so no mutant asks for a horizon
 or a network large enough that parsing alone would allocate or loop over it.
 """
 
@@ -74,7 +75,14 @@ def leaf_paths(value, path=()):
         yield path
 
 
+def mutation_paths(doc, path=()):
+    """The path of the document itself, then of each of its leaves."""
+    return list(dict.fromkeys([path, *leaf_paths(doc, path)]))
+
+
 def replaced(doc, path, value):
+    if not path:
+        return value
     doc = copy.deepcopy(doc)
     *head, last = path
     owner = doc
@@ -88,7 +96,7 @@ def replaced(doc, path, value):
 @given(st.data())
 def test_config_mutant_parses_or_raises_a_dffr_error(data):
     raw = data.draw(st.sampled_from(CONFIGS))
-    path = data.draw(st.sampled_from(list(leaf_paths(raw))))
+    path = data.draw(st.sampled_from(mutation_paths(raw)))
     mutant = replaced(raw, path, data.draw(json_values))
     try:
         harness.ExperimentConfig.from_dict(mutant)
@@ -111,12 +119,16 @@ def test_sidecar_mutant_rescores_or_raises_a_dffr_error(written, tmp_path_factor
     source, rhos = written
     meta = json.loads((source / "trace.meta.json").read_text())
     key = data.draw(st.sampled_from(sorted(meta)))
-    path = data.draw(st.sampled_from(list(leaf_paths(meta[key], (key,)))))
+    path = data.draw(st.sampled_from(mutation_paths(meta[key], (key,))))
     mutant = replaced(meta, path, data.draw(json_values))
     out = tmp_path_factory.mktemp("mutant")
     shutil.copy(source / "trace.csv", out / "trace.csv")
     (out / "trace.meta.json").write_text(json.dumps(mutant))
     try:
         harness.recompute_metrics(out / "trace", rhos)
+    except DffrError:
+        pass
+    try:
+        harness.ExperimentConfig.from_dict(mutant["config"])
     except DffrError:
         pass

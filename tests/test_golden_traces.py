@@ -77,7 +77,7 @@ SUMMARY_GOLDEN = {
     "paper-tracking-alg2": "c18f423f02c97000bdfd5e525dcc998f4696c18ef09665076c54c483e68e77b0",
     "paper-tracking-alg2-linesearch": "91709e442ab0abf958c0b34feded73c1356d8182fcb0ed4b8775c2140de6ec61",
     "paper-tracking-dogd": "b168e8e93c6c664b394d710ac8bbe9292b15848545f5514e5ec67b9cb2d5da64",
-    "remark1-synthetic": "42983140ec3135d098f2013fe305e78092c450c14404788eac20f358a6330c66",
+    "remark1-synthetic": "4a0887e62f8ed764829aa4c70f27f8dfac729a1a5e0946f2286ee2538d6b0eba",
 }
 
 SCALE_GOLDEN = {

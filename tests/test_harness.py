@@ -218,6 +218,7 @@ class TestConfigValidation:
              REMARK1_UNREAD.format("topology")),
             ("remark1-synthetic", lambda raw: raw.update(algorithm={"kind": "projected_gd", "step": {"c": 1.0}}),
              REMARK1_UNREAD.format("algorithm")),
+            ("remark1-synthetic", lambda raw: raw["problem"].update(box=[[-10.0, 10.0]]), REMARK1_UNREAD.format("problem.box")),
             ("remark1-synthetic", lambda raw: raw["problem"].update(scales=[5.0]), REMARK1_UNREAD.format("problem.scales")),
             ("remark1-synthetic", lambda raw: raw["problem"].update(target="1/t^1"), REMARK1_UNREAD.format("problem.target")),
             ("remark1-synthetic", lambda raw: raw.update(bounds=True), REMARK1_UNREAD.format("bounds")),
@@ -228,7 +229,7 @@ class TestConfigValidation:
         ],
         ids=["projected-gd", "projection-free-without-alpha0", "gradient-free-without-step",
              "gradient-free-without-delta", "projected-gd-without-step", "fixed-alpha0-without-alpha0",
-             "remark1-topology", "remark1-algorithm", "remark1-scales", "remark1-target", "remark1-bounds",
+             "remark1-topology", "remark1-algorithm", "remark1-box", "remark1-scales", "remark1-target", "remark1-bounds",
              "remark1-three"],
     )
     def test_refused_config_gives_its_message(self, name, edit, message):
@@ -245,8 +246,9 @@ class TestConfigValidation:
              "field 'problem.stream' must be one of 'quadratic', 'remark1', got 'paper_tracking'"),
             ("topology.generator", "paper4",
              "field 'topology.generator' must be one of 'ring', 'complete' or null, got 'paper4'"),
+            ("algorithm.clamp_to_feasible", False, "field 'algorithm.clamp_to_feasible' is not a known field"),
         ],
-        ids=["stream", "generator"],
+        ids=["stream", "generator", "clamp-option"],
     )
     def test_a_removed_alias_is_refused(self, tmp_path, capsys, key, value, message):
         raw = harness.preset("paper-tracking-alg2").to_dict()
@@ -348,7 +350,7 @@ class TestConfigValidation:
             ("topology.matrix", [[0.5, 0.5], [0.5]]),
             ("topology.generator", "torus"),
             ("problem.target", [1, "x"]),
-            ("algorithm.clamp_to_feasible", "no"),
+            ("algorithm.line_search", "exact"),
             ("algorithm.step.c", "2"),
             ("topology.lambda_override", "0.9"),
             ("topology.lambda_override", -1.0),
@@ -365,7 +367,7 @@ class TestConfigValidation:
              "step-str", "alpha0-str", "delta-str", "scales-str", "scales-past-limit", "box-past-limit",
              "params-n-past-limit", "params-not-taken",
              "ring-no-params", "params-n-str", "params-list", "matrix-ragged",
-             "generator-unknown", "target-pair-str", "clamp-str", "step-c-str", "lambda-str",
+             "generator-unknown", "target-pair-str", "line-search-unknown", "step-c-str", "lambda-str",
              "lambda-negative", "key-misspelt", "key-unknown", "name-int", "out-int"],
     )
     def test_bad_seeds_or_bounds_name_the_field(self, key, value):
@@ -385,7 +387,7 @@ class TestConfigValidation:
         ("problem.scales", [2.0] * 1001,
          "a list of 1 to 1000 positive numbers or null, got [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, ...]"),
         ("problem.box", [[-1.0, 1.0]] * 101,
-         "a list of 1 to 100 [lower, upper] pairs, got [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], "
+         "a list of 1 to 100 [lower, upper] pairs or null, got [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], "
          "[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], ...]"),
     ])
     def test_size_limits_are_named(self, key, value, message):
@@ -396,6 +398,19 @@ class TestConfigValidation:
         with pytest.raises(ParseError) as caught:
             ExperimentConfig.from_dict(raw)
         assert str(caught.value) == f"field '{key}' must be {message}"
+
+    @pytest.mark.parametrize("key", ["box", "scales", "target"])
+    def test_a_quadratic_stream_without_its_inputs_is_refused(self, key):
+        raw = _quadratic_ring(n=4, d=1)
+        del raw["problem"][key]
+        with pytest.raises(ParseError, match="^quadratic stream needs 'box', 'scales' and 'target'$"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("raw", [None, 3, "x", [1]], ids=["null", "number", "string", "list"])
+    def test_a_config_that_is_not_an_object_is_refused(self, raw):
+        with pytest.raises(ParseError) as refused:
+            ExperimentConfig.from_dict(raw)
+        assert str(refused.value) == f"the config must be a JSON object, got {raw!r}"
 
     def test_size_limits_admit_their_maximum(self):
         raw = _quadratic_ring(n=harness.MAX_AGENTS, d=harness.MAX_DIMENSION)

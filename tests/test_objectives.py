@@ -10,7 +10,6 @@ from dffr.objectives import (
     LINE_SEARCH_TOL,
     ObjectiveStream,
     QuadraticTrackingFamily,
-    power_path,
     round_optimum,
     round_optimum_grid,
     verify_assumptions,
@@ -308,23 +307,13 @@ class TestQuadraticFamily:
                 box=BoxSet.symmetric(1.0), horizon=5,
             )
 
-    def test_vector_target_dimensions(self):
-        box = BoxSet.symmetric(2.0, d=2)
-        stream = QuadraticTrackingFamily(
-            scales=(1.0, 3.0), target=lambda t: np.array([1.0 / t, -0.5]),
-            box=box, horizon=10,
-        )
-        val = stream.value(1, 2, [0.1, 0.2])
-        expected = (3 * 0.1 - 0.5) ** 2 + (3 * 0.2 + 0.5) ** 2
-        assert val == pytest.approx(expected)
-
     def test_target_past_the_table_is_the_scalar_path(self):
         # At p = 1.3, NumPy's t**p differs from Python's in the last bit at
         # t = 5, 56, 64, ...; every row, past the horizon too, is the scalar path's.
         stream = QuadraticTrackingFamily(
             scales=(1.0, 2.0), target=(7.0, 1.3), box=BoxSet.symmetric(5.0), horizon=10,
         )
-        path = power_path(7.0, 1.3)
+        path = lambda t: 7.0 / t**1.3
         assert stream.targets(4).shape == (4, 1)  # shorter than the table
         for t in (64, 5, 11, 300, 56):
             assert stream.target(t)[0] == path(t)
@@ -334,7 +323,7 @@ class TestQuadraticFamily:
         stream = QuadraticTrackingFamily(
             scales=(1.0, 2.0), target=(7.0, 1.3), box=BoxSet.symmetric(5.0), horizon=1,
         )
-        path = power_path(7.0, 1.3)
+        path = lambda t: 7.0 / t**1.3
         early = stream.targets(1)
         grown = [stream.targets(T) for T in range(2, 400)]
         for rows in [early, stream.target(399), *grown]:
@@ -343,6 +332,18 @@ class TestQuadraticFamily:
         assert early[0, 0] == path(1)
         for rows in grown:
             assert rows[:, 0].tolist() == [path(t) for t in range(1, len(rows) + 1)]
+
+    def test_a_round_past_the_horizon_keeps_the_first_fill(self):
+        box = BoxSet.symmetric(5.0, d=3)
+        stream = QuadraticTrackingFamily(scales=(1.0, 2.0), target=(7.0, 1.3), box=box, horizon=64)
+        first = stream.targets(64)
+        kept = first.copy()
+        past = stream.targets(65)
+        assert past.shape == (65, 3) and past[64, 0] == 7.0 / 65**1.3
+        for rows in (first, stream.targets(64)):
+            assert rows.tobytes() == kept.tobytes()
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1.0
 
     def test_batch_average_matches_scalar(self, paper_stream, rng):
         points = rng.uniform(-10, 10, size=(50, 1))

@@ -36,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dffr import harness, metrics
+from dffr import cli, harness, metrics
 from dffr.errors import DffrError, MalformedTrace, SchemaVersionMismatch
 from dffr.trace import Trace
 
@@ -241,6 +241,21 @@ def test_copy_reads_as_the_parsed_text(trace, rhos):
         assert calls == [1]
     assert meta == again
     assert_identical(copy, parsed)
+
+
+def test_a_trace_without_coordinates_rescores(tmp_path):
+    """A d = 0 trace reads back, so it re-scores too: with no coordinate to
+    disagree on, the agents agree from round 1."""
+    T, n = 3, 2
+    trace = Trace(
+        algorithm="hand", seed=0, config={}, x=np.empty((T, n, 0)), z=np.empty((T, n, 0)),
+        eps_norm=np.zeros((T, n)), loss_self=np.ones((T, n)), loss_global=np.ones((T, n)),
+        x_star=np.empty((T, 0)), f_star=np.ones(T), g_norm=np.zeros((T, n)),
+    )
+    base = tmp_path / "flat"
+    harness.write_trace(trace, [0.9], base)
+    assert harness.recompute_metrics(base, [0.9])["consensus_time"] == 1
+    assert cli.main(["metrics", "--trace", str(base), "--rho", "0.9"]) == 0
 
 
 def _small_trace() -> Trace:
