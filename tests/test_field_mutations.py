@@ -5,8 +5,9 @@ with a drawn JSON value: a preset's config or a small quadratic config on a
 ring, or one field of a written trace sidecar.  Parsing the config, or
 re-scoring the trace and parsing its sidecar's config (as
 scripts/trace_digest.py does), must either succeed or raise a DffrError,
-never a bare exception.  Integers are drawn from -3..64, so no mutant asks for a horizon
-or a network large enough that parsing alone would allocate or loop over it.
+never a bare exception.  Integers are drawn from -3..64, so no mutant asks
+for a horizon or a network large enough that parsing alone would allocate or
+loop over it.
 """
 
 import copy
