@@ -24,8 +24,9 @@ the scalar evaluators per (round, slice), so a stream that only defines
 them with closed forms that give the same bits as the scalar loop: its average
 loss adds the agents' contiguous (..., R, m) blocks one by one, in the loop's
 order.  The optimum path's f*_t is ``average_values_over_rounds`` at x*_t for
-every stream, which supplies only x* (``_optimum_points``).  The quadratic
-family's c(t) is one table, ``targets``, filled on demand.
+every stream, which supplies only x* (``_optimum_points``).  A stream keeps
+nothing per round: the quadratic family's c(t) is one scalar, computed where
+it is read, and the optimum path is computed on each request.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ class ObjectiveStream:
         self.L = float(L)
         self.L_s = float(L_s)
         self.L_1 = float(L_1)
-        self._optima: dict = {}
 
     def _check(self, i: int, t: int, x: np.ndarray, check: bool) -> np.ndarray:
         if not 0 <= i < self.n:
@@ -184,25 +184,10 @@ class ObjectiveStream:
         return _per_slice(search, base, direction)
 
     def optimum_path(self, T: int, set_=None) -> tuple[np.ndarray, np.ndarray]:
-        """x*_t, shape (T, d), and f*_t, shape (T,), for rounds 1..T over the set.
-
-        The set defaults to the stream's box.  Each round is computed once per
-        set and kept on the stream, so every seed's run and the bound inputs
-        read the same read-only arrays.
-        """
-        set_ = self.box if set_ is None else set_
-        key = (set_.lower.tobytes(), set_.upper.tobytes())
-        x_star, f_star = self._optima.get(key, (np.empty((0, self.d)), np.empty(0)))
-        have = f_star.shape[0]
-        if T > have:
-            x_new = self._optimum_points(have + 1, T, set_)
-            f_new = self.average_values_over_rounds(have + 1, x_new[:, None, :])[:, 0]
-            x_star = np.concatenate([x_star, x_new])
-            f_star = np.concatenate([f_star, f_new])
-            x_star.flags.writeable = False
-            f_star.flags.writeable = False
-            self._optima[key] = (x_star, f_star)
-        return x_star[:T], f_star[:T]
+        """x*_t, shape (T, d), and f*_t, shape (T,), for rounds 1..T over the set
+        (default: the stream's box), computed on each call."""
+        x_star = self._optimum_points(1, T, self.box if set_ is None else set_)
+        return x_star, self.average_values_over_rounds(1, x_star[:, None, :])[:, 0]
 
     def _optimum_points(self, first: int, last: int, set_) -> np.ndarray:
         """x*_t over the set for rounds first..last, shape (R, d), by search."""
@@ -224,9 +209,8 @@ class QuadraticTrackingFamily(ObjectiveStream):
     per coordinate, and the box-constrained optimum is its clamp because the
     average loss is separable.
 
-    c(t) is computed once per round into a table that every evaluator reads.
-    The table is filled by Python's scalar ``A / t**p``, because NumPy's
-    ``t**p`` can differ from Python's in the last bit.
+    Every evaluator reads c(t) from Python's scalar ``A / t**p``, one round at
+    a time, because NumPy's ``t**p`` can differ from Python's in the last bit.
     """
 
     def __init__(self, scales, target: tuple[float, float], box: BoxSet, horizon: int):
@@ -237,12 +221,11 @@ class QuadraticTrackingFamily(ObjectiveStream):
         self._target = lambda t: amplitude / t**power
         self.scales = scales
         self._optimum_factor = float(np.sum(scales)) / float(np.sum(scales**2))
-        self._rows = np.empty((0, box.d))
         # L, L_s and L_1: the worst case over box corners (exact for a fixed round,
         # as each coordinate's deviation peaks at a corner) and rounds 1..horizon,
         # at least round 1 so that the base class refuses horizon < 1.  It is convex
         # in c, so a power path, monotone in t, peaks at round 1 or the last.  These
-        # two rows give the table's bits with one box row, and at most a relative
+        # two rounds give the maximum's bits with one box row, and at most a relative
         # (d + 4) * 2**-50 less where mixed rows make the sum nearly flat.  Each
         # agent's (2, d) block is summed over its contiguous last axis.
         # A constant that overflows is inf, which ``ExperimentConfig.validate`` refuses by name.
@@ -253,21 +236,13 @@ class QuadraticTrackingFamily(ObjectiveStream):
             L, L_s, L_1 = np.max(2.0 * scales * np.sqrt(worst_sq)), np.max(2.0 * scales**2), np.max(worst_sq)
         super().__init__(scales.size, box.d, horizon, box, L, L_s, L_1)
 
-    def targets(self, T: int) -> np.ndarray:
-        """c(1..T) as read-only rows, shape (T, d).  Rows are filled on demand: the
-        first request fills every round up to the horizon (a run reads them one
-        round at a time), a later one appends the rounds up to T (the bound path
-        asks for one round past the horizon).  Rows handed out earlier stay valid."""
-        have, d = self._rows.shape
-        if T > have:
-            new = np.array([self._target(t) for t in range(have + 1, max(T, self.horizon) + 1)], dtype=float)
-            self._rows = np.concatenate([self._rows, np.broadcast_to(new[:, None], (new.size, d))])
-            self._rows.flags.writeable = False
-        return self._rows[:T]
+    def targets(self, first: int, last: int) -> np.ndarray:
+        """c(first..last), shape (R,): one scalar per round, any round >= 1."""
+        return np.array([self._target(t) for t in range(first, last + 1)])
 
     def target(self, t: int) -> np.ndarray:
-        """c(t), shape (d,): a read-only row of the table."""
-        return self.targets(t)[t - 1]
+        """c(t) in every coordinate, shape (d,), for the scalar evaluators."""
+        return np.full(self.d, self._target(t))
 
     def _value(self, i, t, x):
         residual = self.scales[i] * x - self.target(t)
@@ -282,18 +257,18 @@ class QuadraticTrackingFamily(ObjectiveStream):
 
     def values_over_rounds(self, first: int, X) -> np.ndarray:
         X = self._points(first, X, self.n, lead=1)
-        c = self.targets(first + X.shape[-3] - 1)[first - 1:]  # (R, d)
-        return _row_dots(self.scales[:, None] * X - c[:, None, :])
+        c = self.targets(first, first + X.shape[-3] - 1)[:, None, None]  # (R, 1, 1)
+        return _row_dots(self.scales[:, None] * X - c)
 
     def gradients(self, t: int, X) -> np.ndarray:
         X = self._points(t, X, self.n)
         a = self.scales[:, None]
-        return 2.0 * a * (a * X - self.target(t))
+        return 2.0 * a * (a * X - self._target(t))
 
     def average_values_over_rounds(self, first: int, X) -> np.ndarray:
         X = self._points(first, X, lead=1)
-        c = self.targets(first + X.shape[-3] - 1)[first - 1:, None, :]  # (R, 1, d)
-        c = np.repeat(c, X.shape[-2], axis=1)  # (R, m, d), so each subtraction is contiguous
+        c = self.targets(first, first + X.shape[-3] - 1)[:, None, None]
+        c = np.broadcast_to(c, X.shape[-3:]).copy()  # (R, m, d), so each subtraction is contiguous
         # Mean of ||a_j x - c||^2 over agents j, adding their blocks to 0.0 in the
         # order of Python's ``sum``; ``np.sum`` can go pairwise and move the last bit.
         total = 0.0
@@ -310,7 +285,7 @@ class QuadraticTrackingFamily(ObjectiveStream):
         direction = self._points(t, direction, self.n)
         a = self.scales
         denom = a * _row_dots(direction)
-        numer = _row_dots(self.target(t) - a[:, None] * base, direction)
+        numer = _row_dots(self._target(t) - a[:, None] * base, direction)
         raw = np.divide(numer, denom, out=np.zeros(denom.shape), where=denom != 0.0)
         # The clamp keeps Python's min(1, max(0, raw)) semantics, NaN and -0.0 included.
         coeff = np.where(raw > 0.0, raw, 0.0)
@@ -327,7 +302,8 @@ class QuadraticTrackingFamily(ObjectiveStream):
         return float(np.dot(self.target(t) - a * base, direction)) / denom
 
     def _optimum_points(self, first: int, last: int, set_) -> np.ndarray:
-        return set_.project(self._optimum_factor * self.targets(last)[first - 1:])
+        c = self._optimum_factor * self.targets(first, last)[:, None]  # (R, 1)
+        return set_.project(np.broadcast_to(c, (c.shape[0], self.d)))
 
 
 @dataclass(frozen=True)
@@ -400,15 +376,16 @@ def round_optimum(
 ) -> RoundOptimum:
     """Per-round minimizer of the average loss over the set (default: the stream's box).
 
-    Reads round t of ``stream.optimum_path``: the clamped closed form for
-    quadratic families, search for other streams.  With ``cross_check`` the
+    Round t of ``stream.optimum_path``, computed alone: the clamped closed form
+    for quadratic families, search for other streams.  With ``cross_check`` the
     result is compared against the grid oracle and a disagreement in optimal
     value beyond 1e-5 raises.
     """
     if t < 1:
         raise IndexOutOfRange(f"round {t} must be >= 1")
-    x_path, f_path = stream.optimum_path(t, set_)
-    result = RoundOptimum(t=t, x_star=x_path[t - 1].copy(), f_star=float(f_path[t - 1]))
+    x_star = stream._optimum_points(t, t, stream.box if set_ is None else set_)
+    f_star = stream.average_values_over_rounds(t, x_star[:, None, :])[0, 0]
+    result = RoundOptimum(t=t, x_star=x_star[0], f_star=float(f_star))
     if cross_check:
         oracle = round_optimum_grid(stream, t, set_, pitch=pitch)
         if abs(oracle.f_star - result.f_star) > ORACLE_TOL:

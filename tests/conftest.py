@@ -87,7 +87,7 @@ def tabled_constants():
     row, the construction that reads those two rows must give the table's bits."""
 
     def constants(stream, ends: bool = False):
-        c = stream.targets(stream.horizon)
+        c = np.broadcast_to(stream.targets(1, stream.horizon)[:, None], (stream.horizon, stream.d))
         c = c[[0, -1]] if ends else c
         lower, upper = stream.box.lower, stream.box.upper
         worst_sq = np.array([

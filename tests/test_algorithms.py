@@ -540,8 +540,12 @@ class TestSinglePaths:
             run(paper_stream, wm4, RULES[kind], T=3, seeds=[0], x0=np.zeros((4, 1)))
 
     def test_unclamped_projection_free_never_projects(self, paper_stream, wm4, monkeypatch):
-        monkeypatch.setattr(BoxSet, "project", bypassed)
+        # The box projects only the optimum path's (T, d) rows, never the (S, n, d) decisions.
+        shapes = []
+        project = BoxSet.project
+        monkeypatch.setattr(BoxSet, "project", lambda box, y: shapes.append(np.shape(y)) or project(box, y))
         run(paper_stream, wm4, RULES["exact_1d"], T=3, seeds=[0], x0=np.zeros((4, 1)))
+        assert shapes == [(3, 1)]
 
 
 class TestLoopContract:

@@ -261,5 +261,20 @@ def test_stream_constants_are_the_tabled_maximum(name, horizon, tabled_constants
         raw = scale_config(name)
         raw["problem"]["horizon"] = horizon
     stream, _ = ExperimentConfig.from_dict(raw).built()
-    assert len(stream._rows) == 0
     assert (stream.L, stream.L_s, stream.L_1) == tabled_constants(stream)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in harness.PRESET_NAMES if name != "remark1-synthetic"] + sorted(SCALE_GOLDEN)
+)
+def test_a_run_leaves_its_stream_as_it_found_it(name):
+    """A stream holds no per-round state: a run, with its bounds where the
+    preset has them, neither adds nor replaces any of the stream's attributes."""
+    cfg = ExperimentConfig.from_dict(scale_config(name) if name in SCALE_GOLDEN else harness.preset(name).to_dict())
+    stream, _ = cfg.built()
+    before = dict(vars(stream))
+    harness.run_experiment(cfg)
+    assert cfg.built()[0] is stream
+    after = vars(stream)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

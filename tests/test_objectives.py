@@ -180,7 +180,6 @@ class TestTwoRowConstants:
     @settings(max_examples=200, deadline=None)
     @given(mixed_power_streams())
     def test_rows_read_hold_each_agents_tabled_maximum(self, tabled_constants, stream):
-        assert stream._rows.shape == (0, stream.d)
         assert_two_end_constants(stream, tabled_constants)
 
     def test_a_nearly_flat_path_reads_the_rows_next_to_its_ends(self, tabled_constants):
@@ -190,7 +189,7 @@ class TestTwoRowConstants:
         # are within the rounding tolerance below the table's.
         box = BoxSet(np.array([-6.1, -9.2]), np.array([5.8, 6.1]))
         stream = QuadraticTrackingFamily((0.6, 3.35), (-0.9299999999999998, 1e-12), box, 183)
-        table = stream.targets(183)
+        table = np.broadcast_to(stream.targets(1, 183)[:, None], (183, 2))
         assert worst_per_agent(stream, table[[0, -1]]) != worst_per_agent(stream, table)
         assert_two_end_constants(stream, tabled_constants)
 
@@ -200,7 +199,6 @@ class TestTwoRowConstants:
         # from flat and its worst case sits at round 1, with the table's bits.
         box = BoxSet(np.array([-5.0, -10.0] * 5), np.array([10.0, 10.0] * 5))
         stream = QuadraticTrackingFamily(np.linspace(0.5, 1.5, 50), (8.0, 0.5), box, 1000)
-        assert stream._rows.shape == (0, 10)
         assert_two_end_constants(stream, tabled_constants)
         assert (stream.L, stream.L_s, stream.L_1) == tabled_constants(stream)
 
@@ -224,15 +222,11 @@ class TestTwoRowConstants:
     def test_power_path_builds_no_table(self):
         stream = QuadraticTrackingFamily((1.0, 2.0), (60.0, 2.0), BoxSet.symmetric(10.0), 1000)
         assert (stream.L, stream.L_s, stream.L_1) == (320.0, 8.0, 6400.0)
-        assert stream._rows.shape == (0, 1)
-        # The first request fills every round up to the horizon as one block.
-        assert stream.targets(3)[:, 0].tolist() == [60.0, 15.0, 60.0 / 9]
-        assert stream._rows[:, 0].tolist() == [60.0 / t**2.0 for t in range(1, 1001)]
-        # One shared box row: the path crosses the midpoint 1, and still no table.
+        assert stream.targets(1, 3).tolist() == [60.0, 15.0, 60.0 / 9]
+        # One shared box row: the path crosses the midpoint 1.
         shared = BoxSet(np.array([-4.0, -4.0]), np.array([6.0, 6.0]))
         stream = QuadraticTrackingFamily((1.0,), (60.0, 2.0), shared, 10**6)
         assert stream.L_1 == 2 * 64.0**2  # c(1) = 60 against the corner -4
-        assert stream._rows.shape == (0, 2)
 
 
 class TestRoundOptimum:
@@ -309,41 +303,15 @@ class TestQuadraticFamily:
 
     def test_target_past_the_table_is_the_scalar_path(self):
         # At p = 1.3, NumPy's t**p differs from Python's in the last bit at
-        # t = 5, 56, 64, ...; every row, past the horizon too, is the scalar path's.
+        # t = 5, 56, 64, ...; every round, past the horizon too, is the scalar path's.
         stream = QuadraticTrackingFamily(
-            scales=(1.0, 2.0), target=(7.0, 1.3), box=BoxSet.symmetric(5.0), horizon=10,
+            scales=(1.0, 2.0), target=(7.0, 1.3), box=BoxSet.symmetric(5.0, d=3), horizon=10,
         )
         path = lambda t: 7.0 / t**1.3
-        assert stream.targets(4).shape == (4, 1)  # shorter than the table
+        assert stream.targets(1, 300).tolist() == [path(t) for t in range(1, 301)]
+        assert stream.targets(56, 64).tolist() == [path(t) for t in range(56, 65)]
         for t in (64, 5, 11, 300, 56):
-            assert stream.target(t)[0] == path(t)
-        assert stream.targets(300)[:, 0].tolist() == [path(t) for t in range(1, 301)]
-
-    def test_targets_grown_round_by_round_stay_read_only(self):
-        stream = QuadraticTrackingFamily(
-            scales=(1.0, 2.0), target=(7.0, 1.3), box=BoxSet.symmetric(5.0), horizon=1,
-        )
-        path = lambda t: 7.0 / t**1.3
-        early = stream.targets(1)
-        grown = [stream.targets(T) for T in range(2, 400)]
-        for rows in [early, stream.target(399), *grown]:
-            with pytest.raises(ValueError):
-                rows[..., 0] = 1.0
-        assert early[0, 0] == path(1)
-        for rows in grown:
-            assert rows[:, 0].tolist() == [path(t) for t in range(1, len(rows) + 1)]
-
-    def test_a_round_past_the_horizon_keeps_the_first_fill(self):
-        box = BoxSet.symmetric(5.0, d=3)
-        stream = QuadraticTrackingFamily(scales=(1.0, 2.0), target=(7.0, 1.3), box=box, horizon=64)
-        first = stream.targets(64)
-        kept = first.copy()
-        past = stream.targets(65)
-        assert past.shape == (65, 3) and past[64, 0] == 7.0 / 65**1.3
-        for rows in (first, stream.targets(64)):
-            assert rows.tobytes() == kept.tobytes()
-            with pytest.raises(ValueError):
-                rows[0, 0] = 1.0
+            assert stream.target(t).tolist() == [path(t)] * 3
 
     def test_batch_average_matches_scalar(self, paper_stream, rng):
         points = rng.uniform(-10, 10, size=(50, 1))
@@ -514,8 +482,10 @@ class TestBatchedEvaluators:
                 opt = round_optimum(stream, t, set_)
                 assert np.array_equal(x_star[t - 1], x_ref) and f_star[t - 1] == f_ref
                 assert np.array_equal(opt.x_star, x_ref) and opt.f_star == f_ref
-            # a shorter request reads the same arrays
+            # a shorter request gives the same rounds; a repeated one, new arrays of the same bits
             assert np.array_equal(stream.optimum_path(10, set_)[1], f_star[:10])
+            for again, first in zip(stream.optimum_path(60, set_), (x_star, f_star)):
+                assert np.array_equal(again, first) and not np.shares_memory(again, first)
 
     def test_optimum_path_fallback_is_round_optimum(self, paper_stream):
         opaque = Opaque(paper_stream)
