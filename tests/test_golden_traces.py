@@ -20,6 +20,11 @@ for ``scale_config(<rule>)`` saved as JSON.
 A run's written files alone (a sidecar's config and each seed's trace)
 rebuild its summary through ``harness.score`` byte for byte, so the
 rescored summary of every preset hashes to its ``SUMMARY_GOLDEN`` digest.
+
+Each bound preset has one forgetting factor, so ``MULTI_RHO_GOLDEN`` pins
+the written and the rescored summary of short runs of the three bound
+presets with two or three values of rho: every rho's bound curve is read
+from one set of measured inputs.
 """
 
 import dataclasses
@@ -116,6 +121,26 @@ def scale_config(name: str) -> dict:
     }
 
 
+MULTI_RHO_GOLDEN = {
+    "paper-tracking-alg1": "2680845b79d0b4c95b9ef63b9e0e0e111b313a46edd48f6e5bdc74bb809d9658",
+    "paper-tracking-alg2": "98d750f8c6637d4000d512ee536fd5fc0f5ca5499470e55751d2b48419cac1b2",
+    "paper-tracking-alg2-linesearch": "6196de68390d1f7e9e41b4d6afa4c4628209ab207401bac554b170aaeb99e54c",
+}
+
+MULTI_RHO = {
+    "paper-tracking-alg1": {"seeds": [0, 1, 2], "rho": [0.987, 0.9875, 0.99]},
+    "paper-tracking-alg2": {"rho": [0.9875, 0.995]},
+    "paper-tracking-alg2-linesearch": {"rho": [0.987, 0.999]},
+}
+
+
+def multi_rho_config(name: str) -> ExperimentConfig:
+    """A bound preset at T = 200 with the forgetting factors of ``MULTI_RHO``."""
+    raw = harness.PRESETS[name]() | MULTI_RHO[name]
+    raw["problem"]["horizon"] = 200
+    return ExperimentConfig.from_dict(raw)
+
+
 FIXTURES = {
     "paper-tracking-alg1": "alg1_traces",
     "paper-tracking-alg2": "alg2_fixed_trace",
@@ -210,6 +235,14 @@ def test_a_saved_run_scored_at_an_unstored_rho_is_that_rhos_run(preset_run):
     del expected["traces"]
     rescored = harness.score(cfg, traces)
     assert harness.strict_json(rescored, "the rescored summary") == harness.strict_json(expected, "the summary")
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_RHO_GOLDEN))
+def test_multi_rho_summary_matches_golden_digest(name, trace_digest):
+    cfg = multi_rho_config(name)
+    assert cfg.bounds and len(cfg.rho) > 1
+    found = dict(trace_digest.digests(cfg))
+    assert (found["summary"], found["rescored"]) == (MULTI_RHO_GOLDEN[name],) * 2
 
 
 @pytest.mark.parametrize("raw", [harness.PRESETS["remark1-synthetic"](), scale_config("scale-gradient-free")])
