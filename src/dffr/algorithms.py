@@ -280,6 +280,7 @@ def run(
     first non-finite own or global loss, in seed, round and agent order, is
     refused.  A refusal names the seed, the round and the agent.  Each trace
     holds its seed and an empty config, which ``harness.run_seeds`` fills in.
+    Every trace holds the same read-only optimum path ``x_star``/``f_star``.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
@@ -369,6 +370,7 @@ def run(
         )
     final_eps_norm = np.linalg.norm(x - z, axis=-1)
     x_path, f_path = stream.optimum_path(T, box)
+    x_path.flags.writeable = f_path.flags.writeable = False
 
     traces = []
     for k, seed in enumerate(seeds):
@@ -381,8 +383,8 @@ def run(
             eps_norm=eps_norm[k],
             loss_self=loss_self[k],
             loss_global=loss_global[k],
-            x_star=x_path.copy(),
-            f_star=f_path.copy(),
+            x_star=x_path,
+            f_star=f_path,
             g_norm=g_norm[k],
             final_eps_norm=final_eps_norm[k],
         ))

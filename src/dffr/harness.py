@@ -638,26 +638,25 @@ def _aggregate(per_seed: list[dict], rhos: list[float]) -> dict:
 
 def _bound_curves(cfg: ExperimentConfig, traces: list[Trace], curves: list[dict]) -> dict:
     """Each rho's bound curve and the mean of the seeds' DFFR ``curves``."""
+    if not cfg.rho:
+        return {}
     stream, wm = cfg.built()
     mc = MixingConstants(gamma=mixing_constants(wm).gamma, lam=cfg.effective_lambda())
     algo = cfg.build_algorithm()
-    out = {}
-    for rho in cfg.rho:
-        if algo.kind == "gradient_free":
-            shrunk = ShrunkSet(stream.box, algo.delta)
-            inputs = BoundInputs.from_traces(
-                traces, stream, mc, rho, delta=algo.delta, path_set=shrunk
-            )
-            bound = metrics.gradient_free_regret_bound(inputs, algo.step)
-        else:
-            inputs = BoundInputs.from_traces(traces, stream, mc, rho)
-            bound = metrics.projection_free_regret_bound(inputs, algo.alpha0)
-        mean_dffr = np.mean([seed_curves[rho] for seed_curves in curves], axis=0)
-        out[repr(float(rho))] = {
-            "bound": [float(v) for v in bound],
-            "mean_dffr": [float(v) for v in mean_dffr],
+    if algo.kind == "gradient_free":
+        shrunk = ShrunkSet(stream.box, algo.delta)
+        inputs = BoundInputs.from_traces(traces, stream, mc, delta=algo.delta, path_set=shrunk)
+        evaluate = lambda rho: metrics.gradient_free_regret_bound(inputs, rho, algo.step)
+    else:
+        inputs = BoundInputs.from_traces(traces, stream, mc)
+        evaluate = lambda rho: metrics.projection_free_regret_bound(inputs, rho, algo.alpha0)
+    return {
+        repr(float(rho)): {
+            "bound": [float(v) for v in evaluate(rho)],
+            "mean_dffr": [float(v) for v in np.mean([seed_curves[rho] for seed_curves in curves], axis=0)],
         }
-    return out
+        for rho in cfg.rho
+    }
 
 
 def score(cfg: ExperimentConfig, traces: list[Trace]) -> dict:

@@ -12,13 +12,15 @@ for long horizons and yields the whole running sequence in one pass.
 The bound evaluators assemble, term by term, the theoretical upper bounds for
 the gradient-free algorithm (any step schedule; a constant step is the
 schedule with p = 0) and the projection-free algorithm, given measured input
-sequences and the problem constants.  They require the forgetting factor to
-exceed the network mixing rate.
+sequences and the problem constants.  The inputs do not depend on the
+forgetting factor, so one ``BoundInputs`` serves every rho of a run; each
+evaluator takes rho and refuses one outside (0, 1) or not above the network
+mixing rate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,10 +83,6 @@ def consensus_diameter_series(trace: Trace) -> np.ndarray:
     return spread.max(axis=1, initial=0.0)
 
 
-def consensus_diameter(trace: Trace, t: int) -> float:
-    return float(consensus_diameter_series(trace)[t - 1])
-
-
 def tracking_error_series(trace: Trace) -> np.ndarray:
     """Per-round worst agent distance to the round optimum."""
     return np.linalg.norm(trace.x - trace.x_star[:, None, :], axis=2).max(axis=1)
@@ -143,6 +141,15 @@ def optimum_path_lengths(stream: ObjectiveStream, set_, T: int) -> np.ndarray:
     return np.linalg.norm(np.diff(optima, axis=0), axis=1)
 
 
+def _mixing_term(coeff: float, lam: float, rho: float) -> float:
+    """coeff * rho^-2 / (1 - lam/rho), in that order: the mixing factor of sigma and of the
+    projection-free eps term.  The bounds hold only for rho in (0, 1) above lam."""
+    rho = _check_rho(rho)
+    if rho <= lam:
+        raise RhoNotGreaterThanLambda(f"need rho > lambda, got rho={rho}, lambda={lam}")
+    return coeff * rho**-2 / (1.0 - lam / rho)
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Measured sequences and constants consumed by the bound evaluators.
@@ -150,11 +157,8 @@ class BoundInputs:
     ``F`` holds |change of consensus-error norm| per round/agent, ``theta``
     the optimum path increments over the evaluation set, ``nu`` the average
     distance to the optimum, ``eps`` the consensus-error norms produced by
-    each round's update.  ``sigma`` is derived:
-
-        sigma = (4 + 5 d) L + 2 L (1 + d) rho^-2 / (1 - lam/rho),
-
-    which requires rho > lam.
+    each round's update.  None of them depends on the forgetting factor, so
+    one measurement serves every rho; the evaluators take rho.
     """
 
     F: np.ndarray
@@ -170,20 +174,7 @@ class BoundInputs:
     r: float
     gamma: float
     lam: float
-    rho: float
     delta: float
-    sigma: float = field(init=False)
-
-    def __post_init__(self):
-        rho = _check_rho(self.rho)
-        if rho <= self.lam:
-            raise RhoNotGreaterThanLambda(
-                f"need rho > lambda, got rho={rho}, lambda={self.lam}"
-            )
-        sigma = (4.0 + 5.0 * self.d) * self.L + (
-            2.0 * self.L * (1.0 + self.d) * rho**-2
-        ) / (1.0 - self.lam / rho)
-        object.__setattr__(self, "sigma", sigma)
 
     @property
     def T(self) -> int:
@@ -193,13 +184,16 @@ class BoundInputs:
     def n(self) -> int:
         return self.F.shape[1]
 
+    def sigma(self, rho: float) -> float:
+        """sigma = (4 + 5 d) L + 2 L (1 + d) rho^-2 / (1 - lam/rho); needs rho > lam."""
+        return (4.0 + 5.0 * self.d) * self.L + _mixing_term(2.0 * self.L * (1.0 + self.d), self.lam, rho)
+
     @classmethod
     def from_traces(
         cls,
         traces: list[Trace],
         stream: ObjectiveStream,
         mixing: MixingConstants,
-        rho: float,
         delta: float = 0.0,
         path_set=None,
     ) -> "BoundInputs":
@@ -230,7 +224,6 @@ class BoundInputs:
             r=stream.box.r,
             gamma=mixing.gamma,
             lam=mixing.lam,
-            rho=rho,
             delta=delta,
         )
 
@@ -241,70 +234,73 @@ def _lam_powers(inputs: BoundInputs) -> np.ndarray:
     return inputs.lam ** (t - 2.0)
 
 
-def gradient_free_regret_bound(inputs: BoundInputs, schedule) -> np.ndarray:
+def _gradient_free_coefficients(inputs: BoundInputs, rho: float) -> tuple[float, float, float]:
+    """The step, smoothing and terminal coefficients n sigma^2 / 2, delta L_1 / r and 2 M^2."""
+    return inputs.n * inputs.sigma(rho) ** 2 / 2.0, (inputs.delta / inputs.r) * inputs.L_1, 2.0 * inputs.M**2
+
+
+def gradient_free_regret_bound(inputs: BoundInputs, rho: float, schedule) -> np.ndarray:
     """Upper bound on the expected regret of the gradient-free algorithm, per horizon.
 
     Six terms: initial-condition mixing, the F increments, the sigma^2 step
     term, the smoothing-bias term delta/r * L_1, the optimum-path term with
     theta_t / alpha_t, and the terminal 2 M^2 / alpha_T.
     """
-    rho = inputs.rho
+    step, smoothing, terminal = _gradient_free_coefficients(inputs, rho)
     T = inputs.T
     alphas = np.array([schedule(t) for t in range(1, T + 1)], dtype=float)
     rec = lambda a: forgetting_weighted_series(a, rho)
     x1 = float(np.sum(inputs.init_norms))
     term1 = 2.0 * inputs.L * (1.0 + inputs.d) * inputs.gamma * x1 * rec(_lam_powers(inputs))
     term2 = (4.0 * inputs.L * (1.0 + inputs.d) / inputs.n) * rec(inputs.F.sum(axis=1))
-    term3 = (inputs.n * inputs.sigma**2 / 2.0) * rec(alphas)
-    term4 = (inputs.delta / inputs.r) * inputs.L_1 * rec(np.ones(T))
+    term3 = step * rec(alphas)
+    term4 = smoothing * rec(np.ones(T))
     term5 = 2.0 * inputs.M * rec(inputs.theta / alphas)
-    term6 = 2.0 * inputs.M**2 / alphas
+    term6 = terminal / alphas
     return term1 + term2 + term3 + term4 + term5 + term6
 
 
-def constant_step_asymptote(inputs: BoundInputs, alpha: float) -> float:
+def constant_step_asymptote(inputs: BoundInputs, rho: float, alpha: float) -> float:
     """Horizon limit of the constant-step bound when the F and theta terms vanish."""
-    one_minus = 1.0 - inputs.rho
-    return (
-        alpha * inputs.sigma**2 * inputs.n / (2.0 * one_minus)
-        + inputs.delta * inputs.L_1 / (inputs.r * one_minus)
-        + 2.0 * inputs.M**2 / alpha
-    )
+    step, smoothing, terminal = _gradient_free_coefficients(inputs, rho)
+    return forgetting_sum_limit(step * alpha + smoothing, rho) + terminal / alpha
 
 
-def optimal_constant_step(inputs: BoundInputs) -> float:
+def optimal_constant_step(inputs: BoundInputs, rho: float) -> float:
     """Minimizer of the two-term step tradeoff in the constant-step asymptote."""
-    return 2.0 * inputs.M * np.sqrt((1.0 - inputs.rho) / (inputs.sigma**2 * inputs.n))
+    step, _, terminal = _gradient_free_coefficients(inputs, rho)
+    return (terminal / forgetting_sum_limit(step, rho)) ** 0.5
 
 
-def projection_free_regret_bound(inputs: BoundInputs, alpha0: float) -> np.ndarray:
+def _projection_free_level(inputs: BoundInputs, alpha0: float) -> float:
+    """The per-round step level 2 L alpha0 M + 2 L_s alpha0^2 M^2."""
+    if not 0.0 < alpha0 < 1.0:
+        raise ValueError("alpha0 must lie in (0, 1)")
+    return 2.0 * inputs.L * alpha0 * inputs.M + 2.0 * inputs.L_s * alpha0**2 * inputs.M**2
+
+
+def projection_free_regret_bound(inputs: BoundInputs, rho: float, alpha0: float) -> np.ndarray:
     """Upper bound on the regret of the projection-free algorithm, per horizon.
 
     The F term enters as a per-agent average (the tighter rendering of the
     two equivalent groupings).
     """
-    if not 0.0 < alpha0 < 1.0:
-        raise ValueError("alpha0 must lie in (0, 1)")
-    rho = inputs.rho
-    T = inputs.T
+    level = _projection_free_level(inputs, alpha0)
+    L, n = inputs.L, inputs.n
+    coeff5 = 9.0 * L / n + _mixing_term(4.0 * L / n, inputs.lam, rho)
     rec = lambda a: forgetting_weighted_series(a, rho)
     x1 = float(np.sum(inputs.init_norms))
-    L, L_s, M = inputs.L, inputs.L_s, inputs.M
     term1 = L * rec(inputs.nu)
-    term2 = (2.0 * L * alpha0 * M + 2.0 * L_s * alpha0**2 * M**2) * rec(np.ones(T))
-    term3 = (8.0 * L / inputs.n) * rec(inputs.F.sum(axis=1))
+    term2 = level * rec(np.ones(inputs.T))
+    term3 = (8.0 * L / n) * rec(inputs.F.sum(axis=1))
     term4 = 4.0 * L * inputs.gamma * x1 * rec(_lam_powers(inputs))
-    coeff5 = 9.0 * L / inputs.n + (4.0 * L / inputs.n) * rho**-2 / (1.0 - inputs.lam / rho)
     term5 = coeff5 * rec(inputs.eps.sum(axis=1))
     return term1 + term2 + term3 + term4 + term5
 
 
-def projection_free_asymptote(inputs: BoundInputs, alpha0: float) -> float:
+def projection_free_asymptote(inputs: BoundInputs, rho: float, alpha0: float) -> float:
     """Horizon limit of the projection-free bound when nu, F, eps all vanish."""
-    return (
-        2.0 * inputs.L * alpha0 * inputs.M
-        + 2.0 * inputs.L_s * alpha0**2 * inputs.M**2
-    ) / (1.0 - inputs.rho)
+    return forgetting_sum_limit(_projection_free_level(inputs, alpha0), rho)
 
 
 @dataclass(frozen=True)

@@ -273,11 +273,11 @@ def test_criterion_07_regret_convergence_behavior(
     shrunk = ShrunkSet(paper_stream.box, 0.01)
     inputs = BoundInputs.from_traces(
         alg1_constant_step_traces, paper_stream,
-        MixingConstants(gamma=paper_mc.gamma, lam=0.98625), rho=rho,
+        MixingConstants(gamma=paper_mc.gamma, lam=0.98625),
         delta=0.01, path_set=shrunk,
     )
     alpha_T = 2.0 / np.sqrt(1000.0)
-    asymptote = constant_step_asymptote(inputs, alpha_T)
+    asymptote = constant_step_asymptote(inputs, rho, alpha_T)
     if not np.all(window < asymptote):
         failures.append(f"window max {window.max():.3e} above asymptote {asymptote:.3e}")
 
@@ -301,20 +301,19 @@ def test_criterion_08_bound_dominance(
     t0 = time.perf_counter()
 
     inputs2 = BoundInputs.from_traces(
-        [alg2_fixed_trace], paper_stream, MixingConstants(gamma=paper_mc.gamma, lam=0.98625),
-        rho=0.9875,
+        [alg2_fixed_trace], paper_stream, MixingConstants(gamma=paper_mc.gamma, lam=0.98625)
     )
-    bound2 = projection_free_regret_bound(inputs2, 0.002)
+    bound2 = projection_free_regret_bound(inputs2, 0.9875, 0.002)
     measured2 = dffr_series(alg2_fixed_trace, 0.9875)
     ok2 = bool(np.all(bound2 >= measured2))
 
     shrunk = ShrunkSet(paper_stream.box, 0.01)
     inputs1 = BoundInputs.from_traces(
         alg1_traces, paper_stream, MixingConstants(gamma=paper_mc.gamma, lam=0.98625),
-        rho=0.9875, delta=0.01, path_set=shrunk,
+        delta=0.01, path_set=shrunk,
     )
     schedule = lambda t: 2.0 / np.sqrt(t)
-    bound1 = gradient_free_regret_bound(inputs1, schedule)
+    bound1 = gradient_free_regret_bound(inputs1, 0.9875, schedule)
     per_seed = np.stack([dffr_series(tr, 0.9875) for tr in alg1_traces])
     mean1 = per_seed.mean(axis=0)
     se1 = per_seed.std(axis=0, ddof=1) / np.sqrt(len(alg1_traces))

@@ -298,6 +298,16 @@ class TestRunEngine:
         [b] = run(paper_stream, wm4, AlgorithmConfig(**base), T=40, seeds=[2])
         assert not np.array_equal(a.x, b.x)
 
+    def test_seeds_share_one_read_only_optimum_path(self, paper_stream, wm4):
+        a, b = run(paper_stream, wm4, RULES["gradient_free"], T=20, seeds=[1, 2])
+        x_path, f_path = paper_stream.optimum_path(20)
+        for trace in (a, b):
+            assert np.array_equal(trace.x_star, x_path) and np.array_equal(trace.f_star, f_path)
+        for name in ("x_star", "f_star"):
+            assert np.shares_memory(getattr(a, name), getattr(b, name))
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(a, name)[0] = 0.0
+
     def test_gradient_free_respects_shrunk_set(self, paper_stream, wm4):
         cfg = AlgorithmConfig(
             kind="gradient_free", step=StepSchedule(c=2.0, p=0.5), delta=0.01

@@ -507,9 +507,9 @@ class TestRunExperiment:
         summary = harness.run_experiment(harness.preset("paper-tracking-alg2"))
         (trace,) = summary["traces"]
         mc = MixingConstants(gamma=paper_mc.gamma, lam=0.98625)
-        inputs = metrics.BoundInputs.from_traces([trace], paper_stream, mc, 0.9875)
+        inputs = metrics.BoundInputs.from_traces([trace], paper_stream, mc)
         curve = summary["bounds"]["0.9875"]
-        assert curve["bound"] == list(metrics.projection_free_regret_bound(inputs, 0.002))
+        assert curve["bound"] == list(metrics.projection_free_regret_bound(inputs, 0.9875, 0.002))
         assert curve["mean_dffr"] == list(metrics.dffr_series(trace, 0.9875))
 
     def test_matrix_topology_runs_as_its_generator(self, tmp_path):

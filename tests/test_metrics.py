@@ -153,14 +153,14 @@ class TestTimesAndDiameters:
     def test_identical_states(self):
         trace = Trace.from_gap_sequence(np.zeros(5))
         assert consensus_time(trace, 0.001) == 1
-        assert metrics.consensus_diameter(trace, 3) == 0.0
+        assert metrics.consensus_diameter_series(trace)[2] == 0.0
 
     def test_two_point_diameter(self):
         trace = Trace.from_gap_sequence(np.zeros(3))
         trace.x = np.zeros((3, 2, 1))
         trace.x[:, 0, 0] = -1.0
         trace.x[:, 1, 0] = 1.0
-        assert metrics.consensus_diameter(trace, 1) == 2.0
+        assert metrics.consensus_diameter_series(trace)[0] == 2.0
         assert consensus_time(trace, 0.001) is None
 
     def test_persistence_semantics(self):
@@ -178,7 +178,7 @@ class TestTimesAndDiameters:
             consensus_time(trace, 0.0)
 
 
-def make_inputs(T=50, n=4, rho=0.9, lam=0.5, **overrides):
+def make_inputs(T=50, n=4, lam=0.5, **overrides):
     fields = dict(
         F=np.zeros((T, n)),
         theta=np.zeros(T),
@@ -193,37 +193,52 @@ def make_inputs(T=50, n=4, rho=0.9, lam=0.5, **overrides):
         r=10.0,
         gamma=1.1,
         lam=lam,
-        rho=rho,
         delta=0.01,
     )
     fields.update(overrides)
     return BoundInputs(**fields)
 
 
+# Each evaluator of a rho-dependent quantity, called at rho on make_inputs().
+AT_RHO = {
+    "sigma": lambda inputs, rho: inputs.sigma(rho),
+    "gradient_free": lambda inputs, rho: gradient_free_regret_bound(inputs, rho, StepSchedule(c=0.1)),
+    "projection_free": lambda inputs, rho: projection_free_regret_bound(inputs, rho, 0.002),
+}
+
+
 class TestBoundEvaluators:
-    def test_rho_must_exceed_lambda(self):
+    @pytest.mark.parametrize("rho", [0.4, 0.5])
+    @pytest.mark.parametrize("name", sorted(AT_RHO))
+    def test_rho_must_exceed_lambda(self, name, rho):
         with pytest.raises(RhoNotGreaterThanLambda):
-            make_inputs(rho=0.4, lam=0.5)
+            AT_RHO[name](make_inputs(lam=0.5), rho)
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0, -0.5, 1.5])
+    @pytest.mark.parametrize("name", sorted(AT_RHO))
+    def test_rho_must_lie_in_the_unit_interval(self, name, rho):
+        # lambda = -1 lies below every rho drawn, so only the range refuses
+        with pytest.raises(RhoOutOfRange):
+            AT_RHO[name](make_inputs(lam=-1.0), rho)
 
     def test_sigma_formula(self):
-        inputs = make_inputs(rho=0.9, lam=0.5, L=10.0, d=1)
+        inputs = make_inputs(lam=0.5, L=10.0, d=1)
         expected = 9.0 * 10.0 + (2.0 * 10.0 * 2.0 * 0.9**-2) / (1.0 - 0.5 / 0.9)
-        assert inputs.sigma == pytest.approx(expected, abs=1e-12)
+        assert inputs.sigma(0.9) == pytest.approx(expected, abs=1e-12)
 
     def test_sigma_blows_up_near_lambda(self):
-        far = make_inputs(rho=0.9, lam=0.5).sigma
-        near = make_inputs(rho=0.5000001, lam=0.5).sigma
-        assert near > 100.0 * far
+        inputs = make_inputs(lam=0.5)
+        assert inputs.sigma(0.5000001) > 100.0 * inputs.sigma(0.9)
 
     def test_zero_trace_surviving_terms(self):
         # F = theta = init = 0: only the sigma, smoothing, and terminal terms remain
         T, n, rho = 30, 4, 0.9
-        inputs = make_inputs(T=T, n=n, rho=rho)
+        inputs = make_inputs(T=T, n=n)
         sched = lambda t: 2.0 / np.sqrt(t)
-        bound = gradient_free_regret_bound(inputs, sched)
+        bound = gradient_free_regret_bound(inputs, rho, sched)
         alphas = np.array([sched(t) for t in range(1, T + 1)])
         expected = (
-            (n * inputs.sigma**2 / 2.0) * forgetting_weighted_series(alphas, rho)
+            (n * inputs.sigma(rho)**2 / 2.0) * forgetting_weighted_series(alphas, rho)
             + (inputs.delta / inputs.r) * inputs.L_1 * forgetting_weighted_series(np.ones(T), rho)
             + 2.0 * inputs.M**2 / alphas
         )
@@ -231,30 +246,30 @@ class TestBoundEvaluators:
 
     def test_constant_step_approaches_asymptote(self):
         T = 4000
-        inputs = make_inputs(T=T, rho=0.99, lam=0.5)
+        inputs = make_inputs(T=T, lam=0.5)
         alpha = 0.05
-        bound = gradient_free_regret_bound(inputs, StepSchedule(c=alpha))
-        asymptote = metrics.constant_step_asymptote(inputs, alpha)
+        bound = gradient_free_regret_bound(inputs, 0.99, StepSchedule(c=alpha))
+        asymptote = metrics.constant_step_asymptote(inputs, 0.99, alpha)
         assert bound[-1] == pytest.approx(asymptote, rel=0.01)
 
     def test_optimal_constant_step_first_order_condition(self):
-        inputs = make_inputs()
-        alpha = metrics.optimal_constant_step(inputs)
-        h = lambda a: a * inputs.sigma**2 * inputs.n / (2 * (1 - inputs.rho)) + 2 * inputs.M**2 / a
+        inputs, rho = make_inputs(), 0.9
+        alpha = metrics.optimal_constant_step(inputs, rho)
+        h = lambda a: a * inputs.sigma(rho)**2 * inputs.n / (2 * (1 - rho)) + 2 * inputs.M**2 / a
         assert h(alpha) <= min(h(alpha * 1.01), h(alpha * 0.99))
 
     def test_projection_free_zero_case_asymptote(self):
         T = 3000
-        inputs = make_inputs(T=T, rho=0.99, lam=0.5)
+        inputs = make_inputs(T=T, lam=0.5)
         alpha0 = 0.002
-        bound = projection_free_regret_bound(inputs, alpha0)
-        expected_limit = projection_free_asymptote(inputs, alpha0)
+        bound = projection_free_regret_bound(inputs, 0.99, alpha0)
+        expected_limit = projection_free_asymptote(inputs, 0.99, alpha0)
         assert bound[-1] == pytest.approx(expected_limit, rel=0.01)
 
     def test_projection_free_alpha0_validated(self):
         inputs = make_inputs()
         with pytest.raises(ValueError):
-            projection_free_regret_bound(inputs, 1.0)
+            projection_free_regret_bound(inputs, 0.9, 1.0)
 
     def test_bound_inputs_from_traces(self, paper_stream, alg2_fixed_trace):
         wm = validate_weight_matrix(
@@ -265,8 +280,7 @@ class TestBoundEvaluators:
         )
         mc = mixing_constants(wm)
         inputs = BoundInputs.from_traces(
-            [alg2_fixed_trace], paper_stream, MixingConstants(gamma=mc.gamma, lam=0.98625),
-            rho=0.9875,
+            [alg2_fixed_trace], paper_stream, MixingConstants(gamma=mc.gamma, lam=0.98625)
         )
         assert inputs.T == alg2_fixed_trace.T
         assert inputs.F.shape == (1000, 4)

@@ -79,3 +79,31 @@ def test_each_rule_records_its_step_spans(name):
     step = STEP_OF_PRESET[name]
     assert step in tracer.STEP_SPANS
     assert recorder.totals(0, len(recorder)).get(step, (0, 0.0))[0] == 3
+
+
+# Each bound preset and the span of its evaluator.
+EVALUATOR_OF_PRESET = {
+    "paper-tracking-alg1": "metrics.gradient_free_regret_bound",
+    "paper-tracking-alg2": "metrics.projection_free_regret_bound",
+}
+
+
+@pytest.mark.parametrize("rho", [[0.987, 0.9875, 0.99], []], ids=["three-rho", "no-rho"])
+@pytest.mark.parametrize("name", sorted(EVALUATOR_OF_PRESET))
+def test_bound_inputs_are_measured_once_per_run(name, rho):
+    # The measured inputs do not depend on rho: one from_traces per run with
+    # any rho to score, none without, and one evaluator call per rho.
+    tracer = load_tracer()
+    raw = dffr.harness.PRESETS[name]()
+    raw["problem"]["horizon"] = 5
+    raw["seeds"] = [0, 1]
+    raw["rho"] = rho
+    cfg = dffr.harness.ExperimentConfig.from_dict(raw)
+    assert cfg.bounds
+    recorder = tracer.SpanRecorder()
+    with tracer.instrument(recorder):
+        summary = dffr.harness.run_experiment(cfg)
+    calls = {span: count for span, (count, _) in recorder.totals(0, len(recorder)).items()}
+    assert calls.get("metrics.BoundInputs.from_traces", 0) == min(len(rho), 1)
+    assert calls.get(EVALUATOR_OF_PRESET[name], 0) == len(rho)
+    assert sorted(summary["bounds"]) == sorted(repr(r) for r in rho)
