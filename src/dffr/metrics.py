@@ -30,10 +30,13 @@ from .objectives import ObjectiveStream
 from .trace import Trace
 
 
-def _check_rho(rho: float) -> float:
+def _check_rho(rho: float, lam: float | None = None) -> float:
+    """rho as a float; refused outside (0, 1), and at or below ``lam`` where a bound needs rho > lam."""
     rho = float(rho)
     if not 0.0 < rho < 1.0:
         raise RhoOutOfRange(f"forgetting factor must lie in (0, 1), got {rho}")
+    if lam is not None and rho <= lam:
+        raise RhoNotGreaterThanLambda(f"need rho > lambda, got rho={rho}, lambda={lam}")
     return rho
 
 
@@ -143,10 +146,8 @@ def optimum_path_lengths(stream: ObjectiveStream, set_, T: int) -> np.ndarray:
 
 def _mixing_term(coeff: float, lam: float, rho: float) -> float:
     """coeff * rho^-2 / (1 - lam/rho), in that order: the mixing factor of sigma and of the
-    projection-free eps term.  The bounds hold only for rho in (0, 1) above lam."""
-    rho = _check_rho(rho)
-    if rho <= lam:
-        raise RhoNotGreaterThanLambda(f"need rho > lambda, got rho={rho}, lambda={lam}")
+    projection-free eps term, which hold only for rho in (0, 1) above lam."""
+    rho = _check_rho(rho, lam)
     return coeff * rho**-2 / (1.0 - lam / rho)
 
 
@@ -300,7 +301,7 @@ def projection_free_regret_bound(inputs: BoundInputs, rho: float, alpha0: float)
 
 def projection_free_asymptote(inputs: BoundInputs, rho: float, alpha0: float) -> float:
     """Horizon limit of the projection-free bound when nu, F, eps all vanish."""
-    return forgetting_sum_limit(_projection_free_level(inputs, alpha0), rho)
+    return forgetting_sum_limit(_projection_free_level(inputs, alpha0), _check_rho(rho, inputs.lam))
 
 
 @dataclass(frozen=True)

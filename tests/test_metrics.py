@@ -204,6 +204,9 @@ AT_RHO = {
     "sigma": lambda inputs, rho: inputs.sigma(rho),
     "gradient_free": lambda inputs, rho: gradient_free_regret_bound(inputs, rho, StepSchedule(c=0.1)),
     "projection_free": lambda inputs, rho: projection_free_regret_bound(inputs, rho, 0.002),
+    "constant_step_asymptote": lambda inputs, rho: metrics.constant_step_asymptote(inputs, rho, 0.1),
+    "optimal_constant_step": lambda inputs, rho: metrics.optimal_constant_step(inputs, rho),
+    "projection_free_asymptote": lambda inputs, rho: projection_free_asymptote(inputs, rho, 0.002),
 }
 
 
