@@ -26,6 +26,7 @@ from .geometry import (
     sample_unit_ball,
     sample_unit_sphere,
 )
+from .linesearch import golden_section
 from .metrics import (
     BoundInputs,
     consensus_time,

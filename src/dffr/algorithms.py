@@ -153,8 +153,7 @@ def smoothed_value(
     """Monte Carlo estimate of the delta-smoothed loss: mean of f(x + delta*v) over ball draws.
 
     Every draw is evaluated in one ``values`` call, as if every agent stood at
-    it; agent i's column is kept.  (A stream without a closed form therefore
-    evaluates all n agents at each draw.)
+    it; agent i's column is kept.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     shrunk = ShrunkSet(stream.box, delta)

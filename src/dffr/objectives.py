@@ -18,15 +18,13 @@ every agent's point of a round at once, for any number of leading axes (one
 per seed of a batched run).  Each stream quantity has one closed form that
 every other evaluator reads.  The losses' are ``values_over_rounds`` and
 ``average_values_over_rounds``, which add a rounds axis; ``values`` and
-``average_values`` are their one-round slices.  The base class loops them over
-the scalar evaluators per (round, slice), so a stream that only defines
-``_value`` and ``_gradient`` works unchanged; the quadratic family overrides
-them with closed forms that give the same bits as the scalar loop: its average
-loss adds the agents' contiguous (..., R, m) blocks one by one, in the loop's
-order.  The optimum path's f*_t is ``average_values_over_rounds`` at x*_t for
-every stream, which supplies only x* (``_optimum_points``).  A stream keeps
-nothing per round: the quadratic family's c(t) is one scalar, computed where
-it is read, and the optimum path is computed on each request.
+``average_values`` are their one-round slices.  The quadratic family's closed
+forms give the bits of its scalar evaluators, which stay as the reference they
+are tested against: its average loss adds the agents' contiguous (..., R, m)
+blocks one by one, in the order of ``average_value``.  The optimum path's f*_t
+is ``average_values_over_rounds`` at x*_t (``_optimum_points``).  A stream
+keeps nothing per round: the quadratic family's c(t) is one scalar, computed
+where it is read, and the optimum path is computed on each request.
 """
 
 from __future__ import annotations
@@ -37,10 +35,8 @@ import numpy as np
 
 from .errors import IndexOutOfRange, OracleDisagreement, OutOfFeasibleSet
 from .geometry import BoxSet
-from .linesearch import golden_section
 
 ORACLE_TOL = 1e-5
-LINE_SEARCH_TOL = 1e-10
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -55,21 +51,27 @@ def _row_dots(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _per_slice(fn, *arrays) -> np.ndarray:
-    """``fn(k, ...)`` of the (rows, d) slices at each leading index k of equally
-    shaped (..., rows, d) arrays, stacked back on the leading axes."""
-    lead = arrays[0].shape[:-2]
-    out = np.array([fn(k, *(a[k] for a in arrays)) for k in np.ndindex(lead)], dtype=float)
-    return out.reshape(lead + out.shape[1:])
-
-
 class ObjectiveStream:
-    """Base class; subclasses implement ``_value`` and ``_gradient``.
+    """Base class of the loss streams.
 
-    The public evaluators validate indices and (optionally) feasibility, then
-    delegate.  ``check=False`` skips the membership test for callers that own
-    feasibility semantics, e.g. the round engine recording a step rule that
-    can leave the box by design.
+    A subclass supplies the scalar ``_value`` and ``_gradient`` and five
+    batched forms:
+
+    - ``values_over_rounds(first, X)``: agent i's loss at X[..., k, i, :] in
+      round first + k, for an (..., R, n, d) array, shape (..., R, n);
+    - ``average_values_over_rounds(first, X)``: the all-agent average loss in
+      round first + k at each row of an (..., R, m, d) array, shape (..., R, m);
+    - ``gradients(t, X)``: agent i's gradient at X[..., i, :], shape (..., n, d);
+    - ``line_search_coefficients(t, base, direction)``: the minimizer of
+      alpha -> f_i^t(base[i] + alpha * direction[i]) over [0, 1] for every
+      agent, 0 where direction[i] is the zero vector, shape (..., n);
+    - ``_optimum_points(first, last, set_)``: x*_t over the set for rounds
+      first..last, shape (R, d).
+
+    The public scalar evaluators validate indices and (optionally)
+    feasibility, then delegate.  ``check=False`` skips the membership test for
+    callers that own feasibility semantics, e.g. the round engine recording a
+    step rule that can leave the box by design.
     """
 
     def __init__(self, n, d, horizon, box: BoxSet, L, L_s, L_1):
@@ -108,7 +110,7 @@ class ObjectiveStream:
         return sum(self.value(i, t, x, check=check) for i in range(self.n)) / self.n
 
     # --- batched evaluators: no membership checks --------------------------
-    # Each takes (..., rows, d) arrays; the base class loops over the leading axes.
+    # Each takes (..., rows, d) arrays, for any number of leading axes.
 
     def _points(self, t: int, X, rows: int | None = None, lead: int = 0) -> np.ndarray:
         """X as floats, checked to be (..., rows, d) with at least ``lead`` leading axes."""
@@ -120,23 +122,6 @@ class ObjectiveStream:
             raise ValueError(f"points have shape {X.shape}, expected {expected}")
         return X
 
-    def values_over_rounds(self, first: int, X) -> np.ndarray:
-        """Agent i's loss at X[..., k, i, :] in round first + k, for every agent
-        and round row of a (..., R, n, d) array, shape (..., R, n)."""
-        X = self._points(first, X, self.n, lead=1)
-        def own(k, x):
-            return [self.value(i, first + k[-1], x[i], check=False) for i in range(self.n)]
-
-        return _per_slice(own, X)
-
-    def average_values_over_rounds(self, first: int, X) -> np.ndarray:
-        """The all-agent average loss in round first + k at each row of
-        X[..., k, :, :], for an (..., R, m, d) array, shape (..., R, m)."""
-        X = self._points(first, X, lead=1)
-        return _per_slice(
-            lambda k, pts: [self.average_value(first + k[-1], p, check=False) for p in pts], X
-        )
-
     def values(self, t: int, X) -> np.ndarray:
         """Agent i's loss at X[..., i, :] for every agent, shape (..., n)."""
         X = self._points(t, X, self.n)
@@ -147,57 +132,15 @@ class ObjectiveStream:
         X = self._points(t, X)
         return self.average_values_over_rounds(t, X[..., None, :, :])[..., 0, :]
 
-    def gradients(self, t: int, X) -> np.ndarray:
-        """Agent i's gradient at X[..., i, :] for every agent, shape (..., n, d)."""
-        X = self._points(t, X, self.n)
-        return _per_slice(
-            lambda _, x: [self.gradient(i, t, x[i], check=False) for i in range(self.n)], X
-        ).reshape(X.shape)
-
     def batch_average_value(self, t: int, points: np.ndarray) -> np.ndarray:
         """Same as ``average_values``."""
         return self.average_values(t, points)
-
-    def line_search_coefficients(self, t: int, base, direction) -> np.ndarray:
-        """Exact line search for every agent, shape (..., n).
-
-        Entry i minimizes alpha -> f_i^t(base[i] + alpha * direction[i]) over
-        [0, 1]; it is 0 where direction[i] is the zero vector.  Golden-section
-        search here; closed-form streams override it.
-        """
-        base = self._points(t, base, self.n)
-        direction = self._points(t, direction, self.n)
-
-        def search(_, base, direction):
-            out = np.zeros(self.n)
-            for i in range(self.n):
-                h = direction[i]
-                if float(np.dot(h, h)) != 0.0:
-                    out[i] = golden_section(
-                        lambda a: self.value(i, t, base[i] + a * h, check=False),
-                        0.0,
-                        1.0,
-                        tol=LINE_SEARCH_TOL,
-                    )
-            return out
-
-        return _per_slice(search, base, direction)
 
     def optimum_path(self, T: int, set_=None) -> tuple[np.ndarray, np.ndarray]:
         """x*_t, shape (T, d), and f*_t, shape (T,), for rounds 1..T over the set
         (default: the stream's box), computed on each call."""
         x_star = self._optimum_points(1, T, self.box if set_ is None else set_)
         return x_star, self.average_values_over_rounds(1, x_star[:, None, :])[:, 0]
-
-    def _optimum_points(self, first: int, last: int, set_) -> np.ndarray:
-        """x*_t over the set for rounds first..last, shape (R, d), by search."""
-        return np.stack([_search_optimum(self, t, set_) for t in range(first, last + 1)])
-
-    def _value(self, i, t, x):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def _gradient(self, i, t, x):  # pragma: no cover - interface
-        raise NotImplementedError
 
 
 class QuadraticTrackingFamily(ObjectiveStream):
@@ -342,31 +285,6 @@ def round_optimum_grid(stream: ObjectiveStream, t: int, set_=None, pitch: float 
     return RoundOptimum(t=t, x_star=points[best].copy(), f_star=float(values[best]))
 
 
-def _search_optimum(stream: ObjectiveStream, t: int, set_) -> np.ndarray:
-    """Minimize the average loss without a closed form.
-
-    Golden-section per the single coordinate in d=1; projected gradient
-    descent with a diminishing-then-fixed step otherwise (driven to gradient
-    norm 1e-10).
-    """
-    if stream.d == 1:
-        lo, hi = float(set_.lower[0]), float(set_.upper[0])
-        x = golden_section(
-            lambda v: stream.average_value(t, np.array([v]), check=False), lo, hi
-        )
-        return np.array([x])
-    x = set_.project(np.zeros(stream.d))
-    step = 1.0 / max(stream.L_s, 1e-12)
-    for _ in range(100_000):
-        grad = np.mean(
-            [stream.gradient(i, t, x, check=False) for i in range(stream.n)], axis=0
-        )
-        if np.linalg.norm(grad) <= 1e-10:
-            break
-        x = set_.project(x - step * grad)
-    return x
-
-
 def round_optimum(
     stream: ObjectiveStream,
     t: int,
@@ -376,10 +294,10 @@ def round_optimum(
 ) -> RoundOptimum:
     """Per-round minimizer of the average loss over the set (default: the stream's box).
 
-    Round t of ``stream.optimum_path``, computed alone: the clamped closed form
-    for quadratic families, search for other streams.  With ``cross_check`` the
-    result is compared against the grid oracle and a disagreement in optimal
-    value beyond 1e-5 raises.
+    Round t of ``stream.optimum_path``, computed alone: the stream's
+    ``_optimum_points``, the clamped closed form for quadratic families.  With
+    ``cross_check`` the result is compared against the grid oracle and a
+    disagreement in optimal value beyond 1e-5 raises.
     """
     if t < 1:
         raise IndexOutOfRange(f"round {t} must be >= 1")

@@ -34,6 +34,9 @@ from conftest import seed_alone
 
 
 class ConstStream(ObjectiveStream):
+    """Every loss is ``level``: zero gradients, line-search coefficients 0, and
+    the box's projection of the origin as each round's optimum."""
+
     def __init__(self, level=7.0, box=None, n=4):
         box = box or BoxSet.symmetric(10.0)
         super().__init__(n, box.d, 100, box, 0.0, 0.0, abs(level))
@@ -44,6 +47,21 @@ class ConstStream(ObjectiveStream):
 
     def _gradient(self, i, t, x):
         return np.zeros(self.d)
+
+    def values_over_rounds(self, first, X):
+        return np.full(np.shape(X)[:-1], self.level)
+
+    def average_values_over_rounds(self, first, X):
+        return np.full(np.shape(X)[:-1], self.level)
+
+    def gradients(self, t, X):
+        return np.zeros(np.shape(X))
+
+    def line_search_coefficients(self, t, base, direction):
+        return np.zeros(np.shape(base)[:-1])
+
+    def _optimum_points(self, first, last, set_):
+        return set_.project(np.zeros((last - first + 1, self.d)))
 
 
 @pytest.fixture()
@@ -160,6 +178,9 @@ class TestSmoothedValue:
 
             def _gradient(self, i, t, x):
                 return np.array([3.0])
+
+            def values_over_rounds(self, first, X):
+                return 3.0 * X[..., 0] + 1.0
 
         stream = Linear()
         est = smoothed_value(stream, 0, 1, [0.7], 0.1, rng, 40_000)
@@ -480,18 +501,23 @@ class TestBatchedSteps:
             assert np.array_equal(u[:, i], [sample_unit_sphere(rng, 3) for _ in range(30)])
 
 
-class NaNAtOneAgent(ObjectiveStream):
-    """Zero losses, except NaN value and gradient for agent 2 at round 3."""
+AGENTS = np.arange(4)
+
+
+class NaNAtOneAgent(QuadraticTrackingFamily):
+    """x^2 losses, except NaN batched losses and gradients for agent 2 at round 3."""
 
     def __init__(self):
-        box = BoxSet.symmetric(10.0)
-        super().__init__(4, 1, 10, box, 1.0, 1.0, 1.0)
+        super().__init__((1.0,) * 4, (0.0, 0.0), BoxSet.symmetric(10.0), 10)
 
-    def _value(self, i, t, x):
-        return float("nan") if (i, t) == (2, 3) else float(x[0] ** 2)
+    def values_over_rounds(self, first, X):
+        rounds = first + np.arange(np.shape(X)[-3])[:, None]
+        faults = (rounds == 3) & (AGENTS == 2)
+        return np.where(faults, np.nan, super().values_over_rounds(first, X))
 
-    def _gradient(self, i, t, x):
-        return np.array([float("nan")]) if (i, t) == (2, 3) else 2.0 * x
+    def gradients(self, t, X):
+        faults = (t == 3) & (AGENTS == 2)
+        return np.where(faults[:, None], np.nan, super().gradients(t, X))
 
 
 class TestRefusals:
@@ -601,23 +627,25 @@ class TestLoopContract:
         assert events == expected
 
 
-class FaultWherePositive(ObjectiveStream):
+class FaultWherePositive(QuadraticTrackingFamily):
     """x^2 losses on [-10, 10], 4 agents, except that agent 2 faults at round 1
-    where its decision is positive: its loss and gradient are NaN ("loss") or
-    its exact line-search coefficient is infinite ("search")."""
+    where its decision is positive: its batched loss and gradient are NaN
+    ("loss") or its exact line-search coefficient is infinite ("search")."""
 
     def __init__(self, fault="loss"):
-        super().__init__(4, 1, 10, BoxSet.symmetric(10.0), 20.0, 2.0, 100.0)
+        super().__init__((1.0,) * 4, (0.0, 0.0), BoxSet.symmetric(10.0), 10)
         self.fault = fault
 
-    def _faults(self, i, t, x):
-        return self.fault == "loss" and (i, t) == (2, 1) and x[0] > 0.0
+    def _faults(self, t, X):
+        """Where agent 2 faults in round(s) t, over the (..., n) rows of X."""
+        return (self.fault == "loss") & (t == 1) & (AGENTS == 2) & (X[..., 0] > 0.0)
 
-    def _value(self, i, t, x):
-        return float("nan") if self._faults(i, t, x) else float(x[0] ** 2)
+    def values_over_rounds(self, first, X):
+        rounds = first + np.arange(np.shape(X)[-3])[:, None]
+        return np.where(self._faults(rounds, X), np.nan, super().values_over_rounds(first, X))
 
-    def _gradient(self, i, t, x):
-        return np.array([float("nan")]) if self._faults(i, t, x) else 2.0 * x
+    def gradients(self, t, X):
+        return np.where(self._faults(t, X)[..., None], np.nan, super().gradients(t, X))
 
     def line_search_coefficients(self, t, base, direction):
         coeff = super().line_search_coefficients(t, base, direction)
@@ -627,15 +655,20 @@ class FaultWherePositive(ObjectiveStream):
 
 
 class InfiniteLossWherePositive(FaultWherePositive):
-    """x^2 losses with finite gradients, except that agent ``faulty``'s loss is
-    infinite where the decision is positive."""
+    """x^2 losses with finite gradients, except that agent ``faulty``'s batched
+    loss is infinite where the decision is positive, and so is the average loss
+    at a positive point."""
 
     def __init__(self, faulty):
         super().__init__(fault=None)
         self.faulty = faulty
 
-    def _value(self, i, t, x):
-        return float("inf") if i == self.faulty and x[0] > 0.0 else float(x[0] ** 2)
+    def values_over_rounds(self, first, X):
+        faults = (AGENTS == self.faulty) & (X[..., 0] > 0.0)
+        return np.where(faults, np.inf, super().values_over_rounds(first, X))
+
+    def average_values_over_rounds(self, first, X):
+        return np.where(X[..., 0] > 0.0, np.inf, super().average_values_over_rounds(first, X))
 
 
 class Unshrunk(ShrunkSet):

@@ -7,7 +7,6 @@ from dffr.errors import IndexOutOfRange, OracleDisagreement, OutOfFeasibleSet
 from dffr.geometry import BoxSet, ShrunkSet
 from dffr.linesearch import golden_section
 from dffr.objectives import (
-    LINE_SEARCH_TOL,
     ObjectiveStream,
     QuadraticTrackingFamily,
     round_optimum,
@@ -28,21 +27,6 @@ class ZeroStream(ObjectiveStream):
 
     def _gradient(self, i, t, x):
         return np.zeros(self.d)
-
-
-class Opaque(ObjectiveStream):
-    """A stream that only has the scalar evaluators: the base-class batched paths."""
-
-    def __init__(self, inner):
-        super().__init__(inner.n, inner.d, inner.horizon, inner.box,
-                         inner.L, inner.L_s, inner.L_1)
-        self.inner = inner
-
-    def _value(self, i, t, x):
-        return self.inner._value(i, t, x)
-
-    def _gradient(self, i, t, x):
-        return self.inner._gradient(i, t, x)
 
 
 class TestEvaluators:
@@ -266,13 +250,6 @@ class TestRoundOptimum:
         opt = round_optimum(paper_stream, 1, shrunk)
         assert opt.x_star == pytest.approx([9.99])
 
-    def test_search_fallback_matches_closed_form(self, paper_stream):
-        opaque = Opaque(paper_stream)
-        for t in (2, 7):
-            searched = round_optimum(opaque, t)
-            closed = round_optimum(paper_stream, t)
-            assert searched.f_star == pytest.approx(closed.f_star, abs=1e-8)
-
 
 class TestAssumptionChecks:
     def test_benchmark_passes(self, paper_stream, rng):
@@ -379,12 +356,6 @@ class TestBatchedEvaluators:
     def test_quadratic_matches_scalar(self, case):
         self.check_against_scalar(*quadratic_case(*case))
 
-    @settings(max_examples=15, deadline=None)
-    @given(CASES)
-    def test_base_class_fallback_matches_scalar(self, case):
-        stream, rng = quadratic_case(*case)
-        self.check_against_scalar(Opaque(stream), rng)
-
     @staticmethod
     def check_leading_axes(stream, rng):
         """Each evaluator of a (2, 3, rows, d) stack gives the bits of a loop over its slices."""
@@ -418,12 +389,6 @@ class TestBatchedEvaluators:
     def test_quadratic_leading_axes_are_slices(self, case):
         self.check_leading_axes(*quadratic_case(*case))
 
-    @settings(max_examples=5, deadline=None)
-    @given(st.sampled_from([1, 4]), st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
-    def test_base_class_leading_axes_are_slices(self, n, d, seed):
-        stream, rng = quadratic_case(n, d, seed)
-        self.check_leading_axes(Opaque(stream), rng)
-
     def test_average_loss_adds_agents_in_order(self):
         """At n = 32, d = 10 the rounds-axis average loss has the bits of the scalar
         loop, on an (S, R, m, d) stack with m != n and on the optimum path's
@@ -449,7 +414,6 @@ class TestBatchedEvaluators:
     @pytest.mark.parametrize("n, d", [(1, 1), (4, 1), (4, 3), (32, 10)])
     def test_line_search_matches_scalar(self, n, d):
         stream, rng = quadratic_case(n, d, 7)
-        opaque = Opaque(stream)
         for t in (1, 3, 40):
             base = rng.uniform(-10.0, 10.0, size=(n, d))
             direction = rng.uniform(-20.0, 20.0, size=(n, d))
@@ -460,11 +424,14 @@ class TestBatchedEvaluators:
                 for i in range(1, n)
             ]
             assert np.array_equal(closed, expected)
-            searched = opaque.line_search_coefficients(t, base, direction)
-            assert searched[0] == 0.0
-            for i in range(1, n):
-                f = lambda a: stream.value(i, t, base[i] + a * direction[i], check=False)
-                assert searched[i] == golden_section(f, 0.0, 1.0, tol=LINE_SEARCH_TOL)
+            # reference: golden-section search over each agent's own losses
+            searched = [0.0] + [
+                golden_section(
+                    lambda a: stream.value(i, t, base[i] + a * direction[i], check=False),
+                    0.0, 1.0, tol=1e-10,
+                )
+                for i in range(1, n)
+            ]
             assert searched == pytest.approx(closed, abs=1e-6)
 
     @pytest.mark.parametrize("n, d", [(1, 1), (4, 3), (32, 10)])
@@ -486,19 +453,6 @@ class TestBatchedEvaluators:
             assert np.array_equal(stream.optimum_path(10, set_)[1], f_star[:10])
             for again, first in zip(stream.optimum_path(60, set_), (x_star, f_star)):
                 assert np.array_equal(again, first) and not np.shares_memory(again, first)
-
-    def test_optimum_path_fallback_is_round_optimum(self, paper_stream):
-        opaque = Opaque(paper_stream)
-        x_star, f_star = opaque.optimum_path(4)
-        for t in range(1, 5):
-            # reference: golden-section search over the interval, round by round
-            x_ref = golden_section(
-                lambda v: opaque.average_value(t, np.array([v]), check=False), -10.0, 10.0
-            )
-            f_ref = opaque.average_value(t, np.array([x_ref]), check=False)
-            opt = round_optimum(opaque, t)
-            assert x_star[t - 1, 0] == x_ref and f_star[t - 1] == f_ref
-            assert opt.x_star[0] == x_ref and opt.f_star == f_ref
 
     def test_point_shapes_checked(self, paper_stream):
         with pytest.raises(ValueError):
