@@ -380,10 +380,11 @@ def run_bytes(kind: str, T: int, S: int, n: int, d: int) -> int:
     S seeds, n agents and d dimensions: per seed, round and agent the decision
     and the consensus intermediate (d values each), the consensus error, both
     losses and the estimator norm, and for the gradient-free rule its estimate
-    and sphere draw (d each); per seed and round the optimum and its value.
+    and sphere draw (d each); per round the optimum and its value, one path
+    that every seed's trace shares.
     """
     per_agent = 2 * d + 4 + (2 * d if kind == "gradient_free" else 0)
-    return 8 * S * T * (n * per_agent + d + 1)
+    return 8 * T * (S * n * per_agent + d + 1)
 
 # Every config field.  A field left out takes its default (from ProblemConfig,
 # TopologyConfig, AlgorithmConfig, StepSchedule or from_dict).  The checks that

@@ -1050,7 +1050,7 @@ class TestCli:
 
     def test_validate_refuses_a_run_past_the_byte_budget(self, tmp_path, capsys, monkeypatch):
         """T = 10**6, 1,000 agents, d = 100 and two seeds: the gradient-free run's
-        arrays would take 8 * 2 * 10**6 * (1000 * 404 + 101) bytes."""
+        arrays would take 8 * 10**6 * (2 * 1000 * 404 + 101) bytes."""
         raw = _quadratic_ring(n=harness.MAX_AGENTS, d=harness.MAX_DIMENSION)
         raw["problem"]["horizon"] = harness.MAX_HORIZON
         raw["algorithm"] = {"kind": "gradient_free", "step": {"c": 0.02, "p": 0.5}, "delta": 0.01}
@@ -1060,12 +1060,12 @@ class TestCli:
         monkeypatch.setattr(algorithms, "run", None)  # validate runs nothing
         assert cli.main(["validate", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == (
-            "error: the run's arrays would take about 6.47e+12 bytes for T = 1000000, S = 2 seeds, "
+            "error: the run's arrays would take about 6.46e+12 bytes for T = 1000000, S = 2 seeds, "
             "n = 1000 agents and d = 100, above the budget of 4294967296 bytes\n"
         )
 
     @pytest.mark.parametrize("kind, T, S, n, d, expected", [
-        ("gradient_free", 1000, 20, 4, 1, 8 * 20 * 1000 * (4 * 8 + 2)),
+        ("gradient_free", 1000, 20, 4, 1, 8 * 1000 * (20 * 4 * 8 + 2)),
         ("projection_free", 400, 1, 32, 10, 8 * 400 * (32 * 24 + 11)),
         ("remark1", 729, 1, 1, 1, 8 * 729 * 8),
     ])
