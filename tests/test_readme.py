@@ -1,7 +1,8 @@
-"""README.md's config example, config field table and command lines against
-the code: the example parses and holds every field a config has, the table
-lists exactly the fields of ``harness._CONFIG_FIELDS`` with the code's
-defaults, and each command of "Command line" exits 0 when run in order."""
+"""README.md's config example, config field table, command lines and layout
+against the code: the example parses and holds every field a config has, the
+table lists exactly the fields of ``harness._CONFIG_FIELDS`` with the code's
+defaults, each command of "Command line" exits 0 when run in order, and
+"Layout" names every module of the package."""
 
 import dataclasses
 import json
@@ -99,3 +100,9 @@ def test_the_command_lines_run_in_order(tmp_path, monkeypatch, capsys):
     for line in lines:
         assert cli.main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)
         capsys.readouterr()
+
+
+def test_the_layout_names_every_module():
+    package = Path(__file__).resolve().parents[1] / "src" / "dffr"
+    named = re.findall(r"^  (\w+\.py) ", first_block(section("Layout")), re.M)
+    assert sorted(named) == sorted(p.name for p in package.glob("*.py") if p.name != "__init__.py")
