@@ -29,6 +29,63 @@ class ZeroStream(ObjectiveStream):
         return np.zeros(self.d)
 
 
+def row_dots(a, b=None):
+    """<a[..., k, :], b[..., k, :]> per row, in the matmul form the quadratic family uses."""
+    b = a if b is None else b
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+class OwnTargets(ObjectiveStream):
+    """Losses f_i^t(x) = ||x - c_i / t||^2, each agent with its own target c_i in
+    R^d: a stream outside the quadratic family, with closed forms of its own."""
+
+    def __init__(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        box = BoxSet(-rng.uniform(1.0, 20.0, d), rng.uniform(1.0, 20.0, d))
+        self.offsets = rng.uniform(-30.0, 30.0, size=(n, d))
+        super().__init__(n, d, 50, box, 0.0, 2.0, 0.0)
+        self.rng = rng
+
+    def _targets(self, first, rows):
+        """c_i / t for rounds first..first + rows - 1, shape (R, n, d)."""
+        return self.offsets / np.arange(first, first + rows)[:, None, None]
+
+    def _value(self, i, t, x):
+        residual = x - self.offsets[i] / t
+        return float(np.dot(residual, residual))
+
+    def _gradient(self, i, t, x):
+        return 2.0 * (x - self.offsets[i] / t)
+
+    def values_over_rounds(self, first, X):
+        X = self._points(first, X, self.n, lead=1)
+        return row_dots(X - self._targets(first, X.shape[-3]))
+
+    def average_values_over_rounds(self, first, X):
+        X = self._points(first, X, lead=1)
+        c = self._targets(first, X.shape[-3])
+        total = 0.0
+        for j in range(self.n):
+            total += row_dots(X - c[:, j, None, :])
+        return total / self.n
+
+    def gradients(self, t, X):
+        X = self._points(t, X, self.n)
+        return 2.0 * (X - self.offsets / t)
+
+    def line_search_coefficients(self, t, base, direction):
+        base = self._points(t, base, self.n)
+        direction = self._points(t, direction, self.n)
+        denom = row_dots(direction)
+        numer = row_dots(self.offsets / t - base, direction)
+        raw = np.divide(numer, denom, out=np.zeros(denom.shape), where=denom != 0.0)
+        return np.clip(raw, 0.0, 1.0)
+
+    def _optimum_points(self, first, last, set_):
+        # the average loss is separable, so its box minimizer is the clamped mean target
+        return set_.project(self._targets(first, last - first + 1).mean(axis=1))
+
+
 class TestEvaluators:
     def test_benchmark_value(self, paper_stream):
         # scale-1 agent, t=2: target 60/4 = 15, so f(3.6) = (3.6-15)^2
@@ -453,6 +510,49 @@ class TestBatchedEvaluators:
             assert np.array_equal(stream.optimum_path(10, set_)[1], f_star[:10])
             for again, first in zip(stream.optimum_path(60, set_), (x_star, f_star)):
                 assert np.array_equal(again, first) and not np.shares_memory(again, first)
+
+    @settings(max_examples=15, deadline=None)
+    @given(CASES)
+    def test_own_stream_matches_scalar(self, case):
+        """The base class's one-round slices give a non-family stream's scalar bits."""
+        stream = OwnTargets(*case)
+        self.check_against_scalar(stream, stream.rng)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.sampled_from([1, 4]), st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
+    def test_own_stream_leading_axes_are_slices(self, n, d, seed):
+        stream = OwnTargets(n, d, seed)
+        self.check_leading_axes(stream, stream.rng)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (4, 1), (3, 2)])
+    def test_optimum_path_reads_the_streams_optimum_points(self, n, d):
+        """For a non-family stream, ``optimum_path`` and ``round_optimum`` give the
+        clamped mean target and its scalar average loss, round by round."""
+        stream = OwnTargets(n, d, 5)
+        x_star, f_star = stream.optimum_path(12)
+        assert x_star.shape == (12, d) and f_star.shape == (12,)
+        for t in range(1, 13):
+            x_ref = np.clip(stream.offsets.mean(axis=0) / t, stream.box.lower, stream.box.upper)
+            f_ref = stream.average_value(t, x_ref, check=False)
+            opt = round_optimum(stream, t, cross_check=d == 1, pitch=0.001)
+            assert x_star[t - 1] == pytest.approx(x_ref, abs=1e-12)
+            assert np.array_equal(opt.x_star, x_star[t - 1])
+            assert f_star[t - 1] == opt.f_star == stream.average_value(t, opt.x_star, check=False)
+            assert opt.f_star == pytest.approx(f_ref, rel=1e-12, abs=1e-12)
+
+    def test_a_stream_without_the_batched_forms_has_no_fallback(self):
+        """A stream that supplies only ``_value`` and ``_gradient`` has no batched
+        evaluators: the base class loops over nothing on its behalf."""
+        stream = ZeroStream(n=2)
+        assert stream.value(1, 3, [0.5]) == 0.0
+        for call in (
+            lambda: stream.values(1, np.zeros((2, 1))),
+            lambda: stream.average_values(1, np.zeros((3, 1))),
+            lambda: stream.gradients(1, np.zeros((2, 1))),
+            lambda: stream.optimum_path(4),
+        ):
+            with pytest.raises(AttributeError):
+                call()
 
     def test_point_shapes_checked(self, paper_stream):
         with pytest.raises(ValueError):
