@@ -22,10 +22,11 @@ by naming the round and the agent.
 
 Seeds only change the sphere draws, so the engine advances every seed of a
 config in one round loop over (S, n, d) state; the steps take such stacks as
-they take one (n, d) state.  The loop keeps only what the recurrence needs
-(the decisions, the gossip points and the bandit estimates); the columns a
-trace merely records, the own losses among them, are computed from the
-history after the loop.
+they take one (n, d) state.  The loop keeps only what the recurrence needs:
+the decisions and the gossip points, and for the bandit rule the sphere draws
+and the estimates of one block of rounds at a time.  The columns a trace
+merely records, the own losses among them, are computed from the history
+after the loop.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     OutOfFeasibleSet,
 )
 from .geometry import BoxSet, ShrunkSet, ball_batch, lmo, sphere_batch
-from .objectives import ObjectiveStream
+from .objectives import RESIDUAL_CHUNK, ObjectiveStream
 from .trace import Trace
 
 
@@ -65,10 +66,14 @@ def agent_rngs(master_seed: int, n: int) -> list[np.random.Generator]:
 
 
 def sphere_draws(rngs: list[np.random.Generator], T: int, d: int) -> np.ndarray:
-    """Each agent's sphere draws for rounds 1..T, shape (T, n, d).
+    """Each agent's sphere draws for the next T rounds, shape (T, n, d).
 
-    Row t-1 holds the draws of round t: agent i's block is what T calls of
-    ``sample_unit_sphere`` on its own generator would return.
+    Row k holds the draws of the k-th of those rounds: agent i's block is
+    what T calls of ``sample_unit_sphere`` on its own generator would return.
+    The generators keep their state, so consecutive calls continue each
+    agent's stream: per-block calls give the rows of one call over all their
+    rounds, since in both forms a row too short to normalize is skipped in
+    favour of the next row drawn.
     """
     return np.stack([sphere_batch(rng, T, d) for rng in rngs], axis=1)
 
@@ -246,12 +251,6 @@ def projected_gradient_step(stream, box: BoxSet, t: int, x, z, alpha_t: float):
     return _naming_agent(box.project, z - alpha_t * stream.gradients(t, x), t, "step")
 
 
-# Elements of the (seeds, rounds, agents, d) history that the after-loop columns
-# read at once, 128 KiB of float64 per temporary.  2^14 and 2^15 ran n = 32,
-# d = 10 equally fast; the smaller keeps the paper presets' peak lower.
-RESIDUAL_CHUNK = 1 << 14
-
-
 def run(
     stream: ObjectiveStream,
     wm,
@@ -270,13 +269,17 @@ def run(
     gradient-free rule.
 
     Each round records the state, gossips z = W x and applies the rule's hook
-    (t, x, z) -> (x_new, g or None).  Rounds are recorded before their
-    update (decision-then-reveal order), so the final update contributes
-    only the epilogue consensus errors.  The own and average losses, the
-    consensus errors and the estimator norms are computed from the history
-    after the loop, in round chunks of at most ``RESIDUAL_CHUNK`` history
-    elements (S·rounds·n·d, or one round when a round is larger); then the
-    first non-finite own or global loss, in seed, round and agent order, is
+    (t, x, z, u) -> (x_new, g or None), where u is the round's (S, n, d)
+    sphere draws (None for the rules that draw none).  Rounds are recorded
+    before their update (decision-then-reveal order), so the final update
+    contributes only the epilogue consensus errors.  The loop runs in blocks
+    of at most ``RESIDUAL_CHUNK`` elements (S·rounds·n·d, or one round when a
+    round is larger): each block draws its rounds' sphere directions from
+    every seed's generators and keeps its rounds' estimates, whose norms it
+    records when it ends, so no draw or estimate outlives its block.  The own
+    and average losses and the consensus errors are computed from the history
+    after the loop, in round chunks of the same size; then the first
+    non-finite own or global loss, in seed, round and agent order, is
     refused.  A refusal names the seed, the round and the agent.  Each trace
     holds its seed and an empty config, which ``harness.run_seeds`` fills in.
     Every trace holds the same read-only optimum path ``x_star``/``f_star``.
@@ -307,59 +310,65 @@ def run(
 
     # The hooks name the step functions, so a wrapper rebound over one later
     # (a profiler, a test) still sees every call.
-    if cfg.kind == "gradient_free":
-        u = np.empty((T, S, n, d))
-        for k, seed in enumerate(seeds):
-            u[:, k] = sphere_draws(agent_rngs(seed, n), T, d)
+    gradient_free = cfg.kind == "gradient_free"
+    if gradient_free:
+        rngs = [agent_rngs(seed, n) for seed in seeds]
 
-        def step(t, x, z):
-            return gradient_free_step(stream, feasible, t, x, z, cfg.step(t), u[t - 1])
+        def step(t, x, z, u):
+            return gradient_free_step(stream, feasible, t, x, z, cfg.step(t), u)
     elif cfg.kind == "projection_free":
         rule = cfg.line_search, cfg.alpha0
 
-        def step(t, x, z):
+        def step(t, x, z, u):
             return projection_free_step(stream, box, t, x, z, *rule), None
     else:
-        def step(t, x, z):
+        def step(t, x, z, u):
             return projected_gradient_step(stream, box, t, x, z, cfg.step(t)), None
 
     # Seed-major history: each seed's trace fields are contiguous views.
     x_hist = np.empty((S, T, n, d))
     z_hist = np.empty((S, T, n, d))
-    g_hist = np.zeros((S, T, n, d)) if cfg.kind == "gradient_free" else None
+    g_norm = np.zeros((S, T, n))
+    # One block of rounds: its sphere draws (the other rules draw none) and
+    # its estimates, round-major.
+    rounds = max(1, RESIDUAL_CHUNK // (S * n * d))
+    u = [None] * rounds
+    g_block = np.empty((rounds, S, n, d)) if gradient_free else None
 
     # An overflow or invalid value is refused by name below (a step in the loop,
     # a loss after it), so NumPy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, T + 1):
-            row = t - 1
-            x_hist[:, row] = x
-            z_hist[:, row] = z
-            z = network.gossip_average(wm, x)
-            try:
-                x, g = step(t, x, z)
-            except DffrError as exc:
-                if not getattr(exc, "batch_index", None):
-                    raise
-                raise type(exc)(f"seed {seeds[exc.batch_index[0]]}, {exc}") from None
-            if g is not None:
-                g_hist[:, row] = g
+        for first in range(0, T, rounds):
+            count = min(rounds, T - first)
+            if gradient_free:
+                u = np.stack([sphere_draws(agents, count, d) for agents in rngs], axis=1)
+            for k in range(count):
+                row = first + k
+                x_hist[:, row] = x
+                z_hist[:, row] = z
+                z = network.gossip_average(wm, x)
+                try:
+                    x, g = step(row + 1, x, z, u[k])
+                except DffrError as exc:
+                    if not getattr(exc, "batch_index", None):
+                        raise
+                    raise type(exc)(f"seed {seeds[exc.batch_index[0]]}, {exc}") from None
+                if g is not None:
+                    g_block[k] = g
+            if gradient_free:
+                g_norm[:, first:first + count] = np.linalg.norm(g_block[:count], axis=-1).swapaxes(0, 1)
 
         # The recorded-only columns, in round chunks that bound the temporaries.
         # Row 0 of the consensus errors is x - x = 0.
         eps_norm = np.empty((S, T, n))
         loss_self = np.empty((S, T, n))
         loss_global = np.empty((S, T, n))
-        g_norm = np.zeros((S, T, n))
-        rounds = max(1, RESIDUAL_CHUNK // (S * n * d))
         for first in range(0, T, rounds):
             chunk = slice(first, first + rounds)
             x_chunk = x_hist[:, chunk]
             eps_norm[:, chunk] = np.linalg.norm(x_chunk - z_hist[:, chunk], axis=-1)
             loss_self[:, chunk] = stream.values_over_rounds(first + 1, x_chunk)
             loss_global[:, chunk] = stream.average_values_over_rounds(first + 1, x_chunk)
-            if g_hist is not None:
-                g_norm[:, chunk] = np.linalg.norm(g_hist[:, chunk], axis=-1)
     finite = np.isfinite(loss_self) & np.isfinite(loss_global)
     if not finite.all():
         s, row, i = np.unravel_index(np.argmin(finite), finite.shape)

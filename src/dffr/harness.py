@@ -195,7 +195,7 @@ class ExperimentConfig:
                     f"the remark1 stream is a hand-set gap sequence; a run of it reads none of "
                     f"{', '.join(unread)}, so the config must leave them out"
                 )
-            self._check_run_bytes("remark1", 1, 1)
+            self._check_run_bytes(1, 1)
             return
         try:
             algo = self.build_algorithm()
@@ -206,7 +206,7 @@ class ExperimentConfig:
             raise ConstraintViolation(
                 f"the topology has {wm.n} agents, the {p.stream!r} stream has {stream.n}"
             )
-        self._check_run_bytes(algo.kind, stream.n, stream.d)
+        self._check_run_bytes(stream.n, stream.d)
         if (step := algo.step) is not None:
             # The float power first: an integer p would take t**p exactly, which
             # can take forever.  The schedule does not increase, so a positive
@@ -255,9 +255,9 @@ class ExperimentConfig:
                         f"bound evaluation needs rho > lambda, got rho={rho}, lambda={lam}"
                     )
 
-    def _check_run_bytes(self, kind: str, n: int, d: int) -> None:
+    def _check_run_bytes(self, n: int, d: int) -> None:
         T, S = self.problem.horizon, len(self.seeds)
-        if (need := run_bytes(kind, T, S, n, d)) > MAX_RUN_BYTES:
+        if (need := run_bytes(T, S, n, d)) > MAX_RUN_BYTES:
             raise ConstraintViolation(
                 f"the run's arrays would take about {need:.3g} bytes for T = {T}, S = {S} seeds, "
                 f"n = {n} agents and d = {d}, above the budget of {MAX_RUN_BYTES} bytes"
@@ -375,16 +375,16 @@ MAX_DIMENSION = 100
 MAX_RUN_BYTES = 2**32
 
 
-def run_bytes(kind: str, T: int, S: int, n: int, d: int) -> int:
-    """Bytes of the float64 arrays a run of rule ``kind`` keeps for T rounds of
-    S seeds, n agents and d dimensions: per seed, round and agent the decision
-    and the consensus intermediate (d values each), the consensus error, both
-    losses and the estimator norm, and for the gradient-free rule its estimate
-    and sphere draw (d each); per round the optimum and its value, one path
-    that every seed's trace shares.
+def run_bytes(T: int, S: int, n: int, d: int) -> int:
+    """Bytes of the float64 arrays a run keeps for T rounds of S seeds, n
+    agents and d dimensions, whatever its rule: per seed, round and agent the
+    decision and the consensus intermediate (d values each), the consensus
+    error, both losses and the estimator norm; per round the optimum and its
+    value, one path that every seed's trace shares.  The gradient-free rule's
+    sphere draws and estimates live one block of rounds at a time
+    (``algorithms.run``), so they add no T axis.
     """
-    per_agent = 2 * d + 4 + (2 * d if kind == "gradient_free" else 0)
-    return 8 * T * (S * n * per_agent + d + 1)
+    return 8 * T * (S * n * (2 * d + 4) + d + 1)
 
 # Every config field.  A field left out takes its default (from ProblemConfig,
 # TopologyConfig, AlgorithmConfig, StepSchedule or from_dict).  The checks that

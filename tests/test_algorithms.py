@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dffr import algorithms, harness, network
+from dffr import algorithms, harness, network, objectives
 from dffr.algorithms import (
     AlgorithmConfig,
     StepSchedule,
@@ -810,3 +811,69 @@ class TestBatchedEngine:
             for seed in seeds
         ]
         assert_same_traces(batch, singles)
+
+
+class Scripted:
+    """A generator whose normals are a fixed script, read in order across calls."""
+
+    def __init__(self, rows):
+        self.values = np.asarray(rows, dtype=float).ravel()
+        self.used = 0
+
+    def standard_normal(self, size):
+        count = int(np.prod(size))
+        out = self.values[self.used:self.used + count].reshape(size)
+        self.used += count
+        return out
+
+
+class TestRoundBlocks:
+    """The engine draws the sphere directions and keeps the estimates one block
+    of rounds at a time, with the bits of one pass over every round."""
+
+    @pytest.mark.parametrize("kind", sorted(RULES))
+    def test_blocks_of_three_rounds_keep_every_trace_field(self, kind, monkeypatch):
+        T, seeds, n, d = 10, [4, 7], 4, 2
+        stream, wm, _ = ring_case(n, d, 6)
+        whole = run(stream, wm, RULES[kind], T, seeds=seeds)
+        monkeypatch.setattr(algorithms, "RESIDUAL_CHUNK", 3 * len(seeds) * n * d)
+        monkeypatch.setattr(objectives, "RESIDUAL_CHUNK", 3 * d)  # f* in 3-round chunks too
+        assert_same_traces(run(stream, wm, RULES[kind], T, seeds=seeds), whole)
+
+    def test_a_redraw_crosses_the_block_edge(self):
+        """Agent 0's script has a zero row last in the first block of 3 rounds,
+        agent 1's last in the second: each is skipped for the next row drawn."""
+        T, d, block = 7, 3, 3
+        scripts = np.random.default_rng(8).standard_normal((2, T + 1, d))
+        scripts[0, block - 1] = scripts[1, 2 * block - 1] = 0.0
+        whole = sphere_draws([Scripted(s) for s in scripts], T, d)
+        agents = [Scripted(s) for s in scripts]
+        blocks = [sphere_draws(agents, min(block, T - first), d) for first in range(0, T, block)]
+        assert same_bits(np.concatenate(blocks), whole)
+        for i, zero_row in enumerate((block - 1, 2 * block - 1)):
+            kept = np.delete(scripts[i], zero_row, axis=0)
+            assert np.allclose(whole[:, i], kept / np.linalg.norm(kept, axis=1, keepdims=True))
+
+    def test_a_run_holds_no_draw_or_estimate_history(self):
+        """Beyond what its trace holds, the peak of a gradient-free run at
+        n = 2, d = 100, T = 2,000 stays below one (T, n, d) float64 array."""
+        T, n, d = 2000, 2, 100
+        cfg = harness.ExperimentConfig.from_dict({
+            "problem": {"stream": "quadratic", "horizon": T, "box": [[-10.0, 10.0]] * d,
+                        "scales": [1.0, 2.0], "target": "8.0/t^0.5"},
+            "topology": {"generator": "complete", "params": {"n": n}},
+            "algorithm": RULE_SECTIONS["gradient_free"],
+            "seeds": [0],
+            "bounds": False,
+        })
+        tracemalloc.start()
+        try:
+            [trace] = harness.run_seeds(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(
+            value.nbytes for field in dataclasses.fields(Trace)
+            if isinstance(value := getattr(trace, field.name), np.ndarray)
+        )
+        assert peak - held < 8 * T * n * d

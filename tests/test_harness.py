@@ -1050,7 +1050,7 @@ class TestCli:
 
     def test_validate_refuses_a_run_past_the_byte_budget(self, tmp_path, capsys, monkeypatch):
         """T = 10**6, 1,000 agents, d = 100 and two seeds: the gradient-free run's
-        arrays would take 8 * 10**6 * (2 * 1000 * 404 + 101) bytes."""
+        arrays would take 8 * 10**6 * (2 * 1000 * 204 + 101) bytes."""
         raw = _quadratic_ring(n=harness.MAX_AGENTS, d=harness.MAX_DIMENSION)
         raw["problem"]["horizon"] = harness.MAX_HORIZON
         raw["algorithm"] = {"kind": "gradient_free", "step": {"c": 0.02, "p": 0.5}, "delta": 0.01}
@@ -1060,17 +1060,29 @@ class TestCli:
         monkeypatch.setattr(algorithms, "run", None)  # validate runs nothing
         assert cli.main(["validate", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == (
-            "error: the run's arrays would take about 6.46e+12 bytes for T = 1000000, S = 2 seeds, "
+            "error: the run's arrays would take about 3.26e+12 bytes for T = 1000000, S = 2 seeds, "
             "n = 1000 agents and d = 100, above the budget of 4294967296 bytes\n"
         )
 
-    @pytest.mark.parametrize("kind, T, S, n, d, expected", [
-        ("gradient_free", 1000, 20, 4, 1, 8 * 1000 * (20 * 4 * 8 + 2)),
-        ("projection_free", 400, 1, 32, 10, 8 * 400 * (32 * 24 + 11)),
-        ("remark1", 729, 1, 1, 1, 8 * 729 * 8),
+    def test_validate_accepts_the_alg1_preset_at_the_longest_horizon(self, tmp_path, capsys, monkeypatch):
+        """The 20-seed gradient-free preset at T = 10**6 keeps
+        8 * 10**6 * (20 * 4 * 6 + 2) = 3.86e9 bytes, inside the budget: its
+        sphere draws and estimates take no T axis."""
+        raw = harness.preset("paper-tracking-alg1").to_dict()
+        raw["problem"]["horizon"] = harness.MAX_HORIZON
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        monkeypatch.setattr(algorithms, "run", None)  # validate runs nothing
+        assert cli.main(["validate", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out == "OK\n"
+
+    @pytest.mark.parametrize("T, S, n, d, expected", [
+        (1000, 20, 4, 1, 8 * 1000 * (20 * 4 * 6 + 2)),  # the gradient-free alg1 preset
+        (400, 1, 32, 10, 8 * 400 * (32 * 24 + 11)),  # the scale workload's projection-free run
+        (729, 1, 1, 1, 8 * 729 * 8),  # remark1
     ])
-    def test_run_bytes_counts_the_rules_arrays(self, kind, T, S, n, d, expected):
-        assert harness.run_bytes(kind, T, S, n, d) == expected
+    def test_run_bytes_counts_the_rules_arrays(self, T, S, n, d, expected):
+        assert harness.run_bytes(T, S, n, d) == expected
 
     def test_every_preset_and_benchmark_config_is_within_the_byte_budget(self, monkeypatch):
         raws = _benchmark_configs(monkeypatch)
