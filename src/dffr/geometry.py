@@ -209,14 +209,13 @@ def sphere_batch(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     ``np.linalg.norm`` of one vector, and a row too short to normalize is
     skipped in favour of the next one drawn, as the scalar loop redraws.
     """
-    rows = [np.empty((0, d))]
-    while count > 0:
-        v = rng.standard_normal((count, d))
-        norms = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-        keep = norms > 1e-12
-        rows.append(v[keep] / norms[keep, None])
-        count -= int(keep.sum())
-    return np.concatenate(rows)
+    v = rng.standard_normal((count, d))
+    norms = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    keep = norms > 1e-12
+    if keep.all():
+        return v / norms[:, None]
+    rest = sphere_batch(rng, count - int(keep.sum()), d)
+    return np.concatenate([v[keep] / norms[keep, None], rest])
 
 
 def ball_batch(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
