@@ -65,6 +65,13 @@ def agent_rngs(master_seed: int, n: int) -> list[np.random.Generator]:
     ]
 
 
+def block_rounds(T: int, S: int, n: int, d: int) -> int:
+    """Rounds per block of ``run``'s sphere draws and estimates: as many as
+    ``RESIDUAL_CHUNK`` elements (S·rounds·n·d) hold, but at least ⌈T/8⌉, so
+    each agent's generator is called at most 8 times a run; at most T."""
+    return min(T, max(RESIDUAL_CHUNK // (S * n * d), -(-T // 8)))
+
+
 def sphere_draws(rngs: list[np.random.Generator], T: int, d: int) -> np.ndarray:
     """Each agent's sphere draws for the next T rounds, shape (T, n, d).
 
@@ -273,12 +280,12 @@ def run(
     sphere draws (None for the rules that draw none).  Rounds are recorded
     before their update (decision-then-reveal order), so the final update
     contributes only the epilogue consensus errors.  The loop runs in blocks
-    of at most ``RESIDUAL_CHUNK`` elements (S·rounds·n·d, or one round when a
-    round is larger): each block draws its rounds' sphere directions from
-    every seed's generators and keeps its rounds' estimates, whose norms it
-    records when it ends, so no draw or estimate outlives its block.  The own
-    and average losses and the consensus errors are computed from the history
-    after the loop, in round chunks of the same size; then the first
+    of ``block_rounds`` rounds: each block draws its rounds' sphere
+    directions from every seed's generators and keeps its rounds' estimates,
+    whose norms it records when it ends, so no draw or estimate outlives its
+    block.  The own and average losses and the consensus errors are computed
+    from the history after the loop, in round chunks of at most
+    ``RESIDUAL_CHUNK`` elements (one round when a round is larger); then the first
     non-finite own or global loss, in seed, round and agent order, is
     refused.  A refusal names the seed, the round and the agent.  Each trace
     holds its seed and an empty config, which ``harness.run_seeds`` fills in.
@@ -331,7 +338,7 @@ def run(
     g_norm = np.zeros((S, T, n))
     # One block of rounds: its sphere draws (the other rules draw none) and
     # its estimates, round-major.
-    rounds = max(1, RESIDUAL_CHUNK // (S * n * d))
+    rounds = block_rounds(T, S, n, d)
     u = [None] * rounds
     g_block = np.empty((rounds, S, n, d)) if gradient_free else None
 
@@ -363,6 +370,7 @@ def run(
         eps_norm = np.empty((S, T, n))
         loss_self = np.empty((S, T, n))
         loss_global = np.empty((S, T, n))
+        rounds = max(1, RESIDUAL_CHUNK // (S * n * d))
         for first in range(0, T, rounds):
             chunk = slice(first, first + rounds)
             x_chunk = x_hist[:, chunk]

@@ -101,8 +101,10 @@ class BoxSet:
         if y.ndim < 1 or y.shape[-1] != self.d:
             raise ValueError(f"points have shape {y.shape}, box has dimension {self.d}")
         _require_finite(y)
-        # np.clip's bits on finite input, without its Python-level dispatch.
-        return np.minimum(np.maximum(y, self.lower), self.upper)
+        # np.clip's bits on finite input, without its Python-level dispatch;
+        # the upper clip runs in place, so one array of the input's size is made.
+        out = np.maximum(y, self.lower)
+        return np.minimum(out, self.upper, out=out)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lower, self.upper)

@@ -2,8 +2,8 @@
 
 Configs are declarative JSON documents with nested sections (problem,
 topology, algorithm); every cross-field constraint is checked at parse time.
-A run writes, per seed, a CSV trace body, a JSON metadata sidecar and a
-binary copy of the parsed body; the CSV bytes are a pure function of
+A run writes, per seed, a binary trace record, a JSON metadata sidecar and a
+CSV rendering of the record; the CSV bytes are a pure function of
 (config, seed), so identical runs are byte-identical.  ``score`` builds a
 run's whole summary from its traces, so the traces ``read_trace`` gives back
 and the config in a sidecar rebuild the written summary byte for byte.
@@ -12,7 +12,6 @@ and the config in a sidecar rebuild the written summary byte for byte.
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import math
 import os
@@ -26,7 +25,6 @@ import time
 import warnings
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -380,11 +378,12 @@ def run_bytes(T: int, S: int, n: int, d: int) -> int:
     agents and d dimensions, whatever its rule: per seed, round and agent the
     decision and the consensus intermediate (d values each), the consensus
     error, both losses and the estimator norm; per round the optimum and its
-    value, one path that every seed's trace shares.  The gradient-free rule's
-    sphere draws and estimates live one block of rounds at a time
-    (``algorithms.run``), so they add no T axis.
+    value, one path that every seed's trace shares; and the two buffers of one
+    block of rounds (``algorithms.block_rounds``) that hold the gradient-free
+    rule's sphere draws and estimates, (rounds, S, n, d) each.
     """
-    return 8 * T * (S * n * (2 * d + 4) + d + 1)
+    block = algorithms.block_rounds(T, S, n, d)
+    return 8 * T * (S * n * (2 * d + 4) + d + 1) + 16 * block * S * n * d
 
 # Every config field.  A field left out takes its default (from ProblemConfig,
 # TopologyConfig, AlgorithmConfig, StepSchedule or from_dict).  The checks that
@@ -727,10 +726,11 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-# The trace body's layout after the ``t`` and ``agent`` columns: each Trace field
-# in column order, its column stem, whether it has one value per agent (else one
-# per round, repeated on each agent row) and whether it has one column per
-# coordinate.  Per-agent fields come first; ``gap`` and ``dffr_<rho>`` follow.
+# The trace's layout: each Trace field in column order, its column stem, whether
+# it has one value per agent (else one per round, repeated on each agent row of
+# the CSV) and whether it has one column per coordinate.  In both files the
+# per-agent fields come first, then the per-round ones, ``gap`` and
+# ``dffr_<rho>``; the CSV puts the ``t`` and ``agent`` columns before them.
 _INDEX = ("t", "agent")
 _LAYOUT = (
     # field, stem, per_agent, per_coordinate
@@ -750,6 +750,14 @@ def trace_columns(d: int, rhos: list[float]) -> list[str]:
     for _, stem, _, per_coordinate in _LAYOUT:
         cols += [f"{stem}_{k}" for k in range(d)] if per_coordinate else [stem]
     return cols + ["gap"] + [f"dffr_{_fmt(rho)}" for rho in rhos]
+
+
+def _widths(d: int, rhos: list[float]) -> tuple[int, int]:
+    """Values per agent and round (2d + 4) and per round (d + 2 + len(rhos))."""
+    width = {True: 0, False: 1 + len(rhos)}  # gap and dffr_<rho> per round
+    for _, _, per_agent, per_coordinate in _LAYOUT:
+        width[per_agent] += d if per_coordinate else 1
+    return width[True], width[False]
 
 
 # Per-agent values from which _write_body splits the body between two processes.
@@ -788,42 +796,13 @@ def _write_rounds(write, per_agent: np.ndarray, per_round: np.ndarray, lo: int, 
             block, size = [], 0
 
 
-# Values per chunk of the binary copy's rows: 128 KiB of float64 at most.
-COPY_CHUNK_VALUES = 2**14
-DIGEST_BYTES = 32  # SHA-256
-
-
-def _write_copy(out, per_agent: np.ndarray, per_round: np.ndarray) -> None:
-    """The rows ``np.loadtxt`` parses from the body, as little-endian float64.
-
-    Row (t, i) is t + 1, i, then per_agent[t, i] and per_round[t], as the CSV
-    row; every NaN becomes ``np.nan``, the value the text ``nan`` parses to.
-    Chunks of whole rounds, ``COPY_CHUNK_VALUES`` values at most (one round
-    if a round alone is larger), go through one reused buffer.
-    """
-    T, n, width = per_agent.shape
-    columns = 2 + width + per_round.shape[1]
-    step = max(1, COPY_CHUNK_VALUES // (n * columns))
-    buffer = np.empty((min(step, T), n, columns), dtype="<f8")
-    buffer[:, :, 1] = np.arange(n)
-    for lo in range(0, T, step):
-        chunk = buffer[:min(step, T - lo)]
-        chunk[:, :, 0] = np.arange(lo + 1, lo + 1 + len(chunk))[:, None]
-        chunk[:, :, 2:2 + width] = per_agent[lo:lo + len(chunk)]
-        chunk[:, :, 2 + width:] = per_round[lo:lo + len(chunk), None]
-        np.copyto(chunk, np.nan, where=np.isnan(chunk))
-        out.write(chunk.data)
-
-
-def _write_body(write, body, per_agent: np.ndarray, per_round: np.ndarray, spill_dir: Path) -> None:
-    """Every round of the body through ``_write_rounds`` to ``write``, and the
-    copy's rows (``_write_copy``) to ``body``.
+def _write_body(write, per_agent: np.ndarray, per_round: np.ndarray, spill_dir: Path) -> None:
+    """Every round of the body through ``_write_rounds`` to ``write``.
 
     Below ``SPLIT_MIN_VALUES`` per-agent values, or unless ``_can_split``
     holds, this process writes all of it.  Otherwise a forked child formats
     rounds T//2 + 1..T into an anonymous temporary file in ``spill_dir``
-    while this process writes rounds 1..T//2 and the copy's rows; the
-    child's bytes are then passed to ``write`` in 64 KiB chunks, so the
+    while this process writes rounds 1..T//2; the child's bytes are then passed to ``write`` in 64 KiB chunks, so the
     bytes are the same either way.  The child always leaves through
     ``os._exit``; if it fails, this process formats its rounds again, so a
     real error surfaces here with its own type.  If this process raises,
@@ -832,7 +811,6 @@ def _write_body(write, body, per_agent: np.ndarray, per_round: np.ndarray, spill
     T = len(per_agent)
     if per_agent.size < SPLIT_MIN_VALUES or not _can_split():
         _write_rounds(write, per_agent, per_round, 0, T)
-        _write_copy(body, per_agent, per_round)
         return
     half = T // 2
     with tempfile.TemporaryFile(dir=spill_dir) as spill:
@@ -853,7 +831,6 @@ def _write_body(write, body, per_agent: np.ndarray, per_round: np.ndarray, spill
                 os._exit(status)
         try:
             _write_rounds(write, per_agent, per_round, 0, half)
-            _write_copy(body, per_agent, per_round)
             child_ok = os.waitpid(pid, 0)[1] == 0
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -883,26 +860,19 @@ def _trace_paths(base_path) -> tuple[Path, Path, Path]:
 
 
 def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
-    """Write <base>.csv (deterministic body), <base>.meta.json (sidecar) and
-    <base>.body (a binary copy of the parsed body); returns the three paths.
+    """Write <base>.body (the record), <base>.csv (its text rendering) and
+    <base>.meta.json (the sidecar); returns the CSV, sidecar and record paths.
 
-    Rows are round-major then agent; per-round values (optimum, gap, running
-    regret) repeat on each agent row of the round.  Every value is written as
-    ``repr(float(v))``.  The body is formatted and written one round at a
-    time, and each round's per-round values are formatted once.
-
-    <base>.body holds the array ``np.loadtxt`` gives for the CSV body, (T*n,
-    width) little-endian float64 rows with every NaN as ``np.nan``, followed
-    by the SHA-256 of the CSV file's bytes.  The digest is taken as the bytes
-    are written, so the CSV is not read again; ``read_trace`` uses the copy
-    only while that digest matches.
-
-    ``_write_body`` writes the rows and the copy's rows, in two processes for a
-    large body; either way the bytes are the same.  A write that fails, or is
+    The record holds the per-agent block, (T, n, 2d + 4), then the per-round
+    block, (T, d + 2 + len(rhos)), as raw little-endian float64 in ``_LAYOUT``'s
+    order; ``read_trace`` reads it back bit for bit.  The CSV's rows are
+    round-major then agent; per-round values (optimum, gap, running regret)
+    repeat on each agent row of the round.  Every value is written as
+    ``repr(float(v))``, so the CSV is a pure function of (config, seed); no
+    reader reads it.  ``_write_body`` formats it, in two processes for a
+    large body, with the same bytes either way.  A write that fails, or is
     interrupted, leaves none of the three files behind.
     """
-    import hashlib  # here, not at the top: the module takes about 5 ms to import
-
     csv_path, meta_path, body_path = _trace_paths(base_path)
     columns = trace_columns(trace.d, rhos)
     blocks = {True: [], False: []}  # per agent (T, n, width), per round (T, width)
@@ -927,17 +897,13 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
         "final_eps_norm": [float(v) for v in trace.final_eps_norm],
         "config": trace.config,
     }
-    digest = hashlib.sha256()
     try:
-        with csv_path.open("wb") as fh, body_path.open("wb") as body:
-
-            def write(data: bytes) -> None:
-                fh.write(data)
-                digest.update(data)
-
-            write((",".join(columns) + "\n").encode())
-            _write_body(write, body, per_agent, per_round, csv_path.parent)
-            body.write(digest.digest())
+        with body_path.open("wb") as body:
+            for block in (per_agent, per_round):
+                body.write(np.ascontiguousarray(block, dtype="<f8").data)
+        with csv_path.open("wb") as fh:
+            fh.write((",".join(columns) + "\n").encode())
+            _write_body(fh.write, per_agent, per_round, csv_path.parent)
         meta_path.write_text(strict_json(meta, f"the sidecar {meta_path}"))
     except BaseException:
         for path in (csv_path, meta_path, body_path):
@@ -958,173 +924,51 @@ _SIDECAR_FIELDS = {
 
 
 def read_trace(base_path) -> tuple[dict, Trace, dict]:
-    """Re-ingest a trace; returns (meta, trace, stored running-regret columns).
+    """Re-ingest a trace from its sidecar and record; returns (meta, trace,
+    stored running-regret columns).  The CSV is never opened.
 
-    The body comes from the binary copy <base>.body when it is the copy of
-    this CSV file: its size is exactly 8 bytes per value (T*n rows from the
-    sidecar, by the header's width) plus the 32-byte digest, and that digest
-    is the SHA-256 of the CSV file's bytes.  A helper thread hashes the CSV
-    while the copy's rows are checked (``_read``), and nothing taken from the
-    copy is returned or raised unless the digest matches.  Otherwise
-    ``np.loadtxt`` parses the CSV body.  Both give the same array bit for
-    bit, so a file reads back, or fails, the same way.  A file that cannot
-    be read as text raises MalformedTrace naming it.
+    The sidecar's fields are checked first, its ``columns`` against
+    ``trace_columns(d, rhos)``.  The record must then be exactly
+    8*T*(n*(2d + 4) + d + 2 + len(rhos)) bytes, which is checked before
+    anything is read, so a sidecar cannot size a buffer alone.  Both blocks
+    are sliced by ``_LAYOUT``, as ``write_trace`` wrote them.  A file that
+    cannot be read, or a record of another size, raises MalformedTrace
+    naming it.
     """
-    return _read(base_path, lambda *read: read)
-
-
-def _read(base_path, then):
-    """``then(meta, trace, stored)`` of the trace at ``base_path``, as
-    ``read_trace`` reads it.
-
-    With a copy of the expected size, ``then`` runs on the copy's rows while
-    a helper thread hashes the CSV (``_from_copy``); if the digest differs,
-    what that gave (its result, exception or warnings) is dropped and
-    ``then`` runs again on the rows ``np.loadtxt`` parses from the CSV.
-    """
-    csv_path, meta_path, body_path = _trace_paths(base_path)
-    if not csv_path.exists() or not meta_path.exists():
-        raise SchemaVersionMismatch(f"missing trace files at {csv_path.with_name(csv_path.stem)}")
+    _, meta_path, body_path = _trace_paths(base_path)
+    if not meta_path.exists():
+        raise SchemaVersionMismatch(f"missing trace files at {body_path.with_suffix('')}")
     meta = _json_object(meta_path, MalformedTrace, "sidecar")
     if (version := meta.get("schema_version")) != SCHEMA_VERSION:
         raise SchemaVersionMismatch(f"trace schema {version} != {SCHEMA_VERSION}")
+    _check_sidecar_fields(meta_path, meta)
+    T, n, d, rhos = meta["T"], meta["n"], meta["d"], meta["rhos"]
+    agent_width, round_width = _widths(d, rhos)
+    size = 8 * T * (n * agent_width + round_width)
     try:
-        with csv_path.open() as fh:
-            header = next(csv.reader([fh.readline()]), [])
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedTrace(_unreadable(csv_path, exc)) from None
-    _check_sidecar_fields(meta_path, meta, header)
-
-    def finish(data: np.ndarray):
-        return then(meta, *_trace_of(csv_path, header, meta, data))
-
-    if (verified := _from_copy(csv_path, body_path, meta["T"] * meta["n"], len(header), finish)) is not None:
-        return verified()
-    with csv_path.open() as fh:
-        fh.readline()  # the header
-        try:
-            data = _load_rows(fh)
-        except ValueError as exc:
-            raise _malformed_row(csv_path, header, exc) from None
-    return finish(data)
-
-
-def _trace_of(csv_path: Path, header: list[str], meta: dict, data: np.ndarray) -> tuple[Trace, dict]:
-    """The trace and the stored running-regret columns in the parsed body ``data``."""
-    T, n, d = meta["T"], meta["n"], meta["d"]
-    rows = data.shape[0]
-    if rows and data.shape[1] != len(header):
-        raise MalformedTrace(
-            f"{csv_path}: line 2: {data.shape[1]} fields, the header has {len(header)}"
-        )
-    if rows != T * n:
-        raise SchemaVersionMismatch(
-            f"{csv_path}: line {min(rows, T * n) + 2}: trace has {rows} rows, "
-            f"expected T*n = {T * n}"
-        )
-    body = data.reshape(T, n, len(header))
-    _check_rows(csv_path, header, body, d)
-    fields, pos = {}, len(_INDEX)
+        with body_path.open("rb") as fh:
+            got = os.fstat(fh.fileno()).st_size
+            data = np.fromfile(fh, dtype="<f8", count=size // 8) if got == size else None
+    except OSError as exc:
+        raise MalformedTrace(_unreadable(body_path, exc)) from None
+    if data is None or data.size != size // 8:
+        raise MalformedTrace(f"{body_path}: {got} bytes, the sidecar's T, n, d and rhos imply {size}")
+    data = data.astype(float, copy=False)
+    blocks = {True: data[:T * n * agent_width].reshape(T, n, agent_width),
+              False: data[T * n * agent_width:].reshape(T, round_width)}
+    fields, pos = {}, {True: 0, False: 0}
     for name, _, per_agent, per_coordinate in _LAYOUT:
         width = d if per_coordinate else 1
-        block = body[:, :, pos:pos + width] if per_agent else body[:, 0, pos:pos + width]
+        block = blocks[per_agent][..., pos[per_agent]:pos[per_agent] + width]
         fields[name] = block if per_coordinate else block[..., 0]
-        pos += width
+        pos[per_agent] += width
     fields["final_eps_norm"] = np.asarray(meta["final_eps_norm"], dtype=float)
     trace = Trace(meta["algorithm"], meta["seed"], meta.get("config", {}), **fields)
-    stored = dict(zip(meta["rhos"], body[:, 0, len(header) - len(meta["rhos"]):].T))
-    return trace, stored
+    stored = dict(zip(rhos, blocks[False][:, round_width - len(rhos):].T))
+    return meta, trace, stored
 
 
-# ``warnings.catch_warnings`` swaps process-wide state and puts back what it
-# found, so readers in several threads take turns inside it.
-_WARNINGS_LOCK = threading.Lock()
-
-
-def _load_rows(fh) -> np.ndarray:
-    with _WARNINGS_LOCK, warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # an empty body
-        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-
-
-# The CSV is hashed through one buffer of at most this many bytes.
-HASH_CHUNK = 2**18
-
-
-def _hash_csv(digest, source, buffer: bytearray, failed: list) -> None:
-    """Update ``digest`` with the rest of the unbuffered binary file ``source``,
-    read into ``buffer``; a read error goes to ``failed``.  Both calls release
-    the GIL."""
-    view = memoryview(buffer)
-    try:
-        while got := source.readinto(view):
-            digest.update(view[:got])
-    except OSError as exc:  # raised again by the thread that started this one
-        failed.append(exc)
-
-
-def _held(fn, *args):
-    """``fn(*args)``, held: a callable that issues again the warnings ``fn``
-    issued, then raises what it raised or returns what it returned."""
-    with _WARNINGS_LOCK, warnings.catch_warnings(record=True) as issued:
-        try:
-            result, error = fn(*args), None
-        except Exception as exc:
-            result, error = None, exc
-
-    def replay():
-        for w in issued:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
-        if error is not None:
-            raise error
-        return result
-
-    return replay
-
-
-def _from_copy(csv_path: Path, body_path: Path, rows: int, width: int, finish):
-    """``finish`` of the (rows, width) array of <base>.body, held (``_held``),
-    or None unless the file is exactly that many float64 values plus the CSV
-    file's SHA-256.
-
-    Once the size matches, a helper thread hashes the CSV while this one
-    reads the copy and runs ``finish``; the helper has ended before this
-    returns or raises.
-    """
-    import hashlib  # here, not at the top: the module takes about 5 ms to import
-
-    size = 8 * rows * width + DIGEST_BYTES
-    try:
-        body = body_path.open("rb")
-    except OSError:
-        return None
-    with body, csv_path.open("rb", buffering=0) as source:
-        # The size comes first, so a sidecar cannot size the buffer alone.
-        if os.fstat(body.fileno()).st_size != size:
-            return None
-        digest, failed = hashlib.sha256(), []
-        buffer = bytearray(min(HASH_CHUNK, os.fstat(source.fileno()).st_size))
-        hasher = threading.Thread(target=_hash_csv, args=(digest, source, buffer, failed))
-        hasher.start()
-        try:
-            raw = bytearray(size)
-            try:
-                got = body.readinto(raw)
-            except OSError:
-                got = None
-            if got == size:
-                data = np.frombuffer(raw, dtype="<f8", count=rows * width).reshape(rows, width)
-                outcome = _held(finish, data.astype(float, copy=False))
-        finally:
-            hasher.join()
-    if failed:
-        raise failed[0]
-    if got != size or raw[-DIGEST_BYTES:] != digest.digest():
-        return None
-    return outcome
-
-
-def _check_sidecar_fields(meta_path: Path, meta: dict, header: list[str]) -> None:
+def _check_sidecar_fields(meta_path: Path, meta: dict) -> None:
     """Raise MalformedTrace naming a sidecar field that is missing, wrong or at odds."""
     _check_fields(meta, _SIDECAR_FIELDS, MalformedTrace, f"{meta_path}: sidecar field")
     if len(meta["final_eps_norm"]) != meta["n"]:
@@ -1132,84 +976,33 @@ def _check_sidecar_fields(meta_path: Path, meta: dict, header: list[str]) -> Non
             f"{meta_path}: sidecar field 'final_eps_norm' has "
             f"{len(meta['final_eps_norm'])} entries, n is {meta['n']}"
         )
-    # The header and the sidecar's columns must both be trace_columns(d, rhos); a
-    # huge d fails on the header's width alone.
-    d, rhos = meta["d"], meta["rhos"]
-    width = len(trace_columns(0, rhos)) + d * sum(per_coordinate for *_, per_coordinate in _LAYOUT)
+    # The columns must be trace_columns(d, rhos); a huge d fails on their count alone.
+    d, rhos, columns = meta["d"], meta["rhos"], meta["columns"]
+    width = len(_INDEX) + sum(_widths(d, rhos))
     implied = f"{meta_path}: sidecar fields 'd' and 'rhos' imply"
-    if width != len(header):
-        raise MalformedTrace(f"{implied} {width} columns, the header has {len(header)}")
-    for where, names in (("the header", header), ("sidecar field 'columns'", meta["columns"])):
-        for want, got in zip_longest(trace_columns(d, rhos), names, fillvalue="none"):
-            if want != got:
-                raise MalformedTrace(f"{implied} the column {want}, {where} has {got}")
-
-
-def _check_rows(csv_path: Path, header: list[str], body: np.ndarray, d: int) -> None:
-    """Raise MalformedTrace at the first row off the round-major (t, agent) grid,
-    or whose per-round values differ from its round's first row.
-    """
-    T, n, _ = body.shape
-    off_grid = (body[:, :, 0] != np.arange(1, T + 1)[:, None]) | (body[:, :, 1] != np.arange(n))
-    shared = len(_INDEX) + sum(  # the first per-round column
-        d if per_coordinate else 1 for _, _, per_agent, per_coordinate in _LAYOUT if per_agent
-    )
-    bits = body[:, :, shared:].view(np.uint64)  # so -0.0 and 0.0 differ, as their text does
-    differs = bits != bits[:, :1]
-    bad = np.flatnonzero(off_grid | differs.any(axis=2))
-    if bad.size:
-        t, i = divmod(int(bad[0]), n)
-        if off_grid[t, i]:
-            why = f"expected round {t + 1}, agent {i}; rows run round-major over (t, agent)"
-        else:
-            column = header[shared + np.flatnonzero(differs[t, i])[0]]
-            why = f"{column} differs from line {t * n + 2}, the first row of round {t + 1}"
-        raise MalformedTrace(f"{csv_path}: line {t * n + i + 2}: {why}")
-
-
-def _malformed_row(csv_path: Path, header: list[str], exc: ValueError) -> MalformedTrace:
-    """Name the first body line that is not one number per header column.
-
-    A byte that is not UTF-8 is read as U+FFFD, so its field is not a number.
-    """
-    with csv_path.open(errors="replace") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if not row:
-                continue
-            where = f"{csv_path}: line {reader.line_num}"
-            if len(row) != len(header):
-                return MalformedTrace(f"{where}: {len(row)} fields, expected {len(header)}")
-            for name, value in zip(header, row):
-                try:
-                    float(value)
-                except ValueError:
-                    return MalformedTrace(f"{where}: {name} is not a number: {value!r}")
-    return MalformedTrace(f"{csv_path}: {exc}")
+    if width != len(columns):
+        raise MalformedTrace(f"{implied} {width} columns, sidecar field 'columns' has {len(columns)}")
+    for want, got in zip(trace_columns(d, rhos), columns):
+        if want != got:
+            raise MalformedTrace(f"{implied} the column {want}, sidecar field 'columns' has {got}")
 
 
 def recompute_metrics(trace_path, rhos: list[float]) -> dict:
     """One seed's summary entry, as ``score`` builds it, from its stored trace
-    rows only (no re-simulation), for any ``rhos``, stored or not.
-
-    The rows come from ``read_trace``'s reader, and the entry is built while
-    the CSV is hashed; it is the same with or without the binary copy.
+    (``read_trace``) only, with no re-simulation, for any ``rhos``, stored or not.
 
     For every requested forgetting factor that was stored at write time, the
     recomputed running regret is compared against the stored column; the
     worst absolute deviation is reported as ``stored_dffr_max_delta``.
     """
-    def entry(meta: dict, trace: Trace, stored: dict) -> dict:
-        result, curves = _seed_summary(trace, rhos)
-        result["stored_dffr_max_delta"] = {
-            repr(float(rho)): float(np.max(np.abs(series - stored[float(rho)])))
-            for rho, series in curves.items()
-            if float(rho) in stored
-        }
-        return result
-
-    return _read(trace_path, entry)
+    _, trace, stored = read_trace(trace_path)
+    result, curves = _seed_summary(trace, rhos)
+    result["stored_dffr_max_delta"] = {
+        repr(float(rho)): float(np.max(np.abs(series - stored[float(rho)])))
+        for rho, series in curves.items()
+        if float(rho) in stored
+    }
+    return result
 
 
 # --- parameter sweeps ------------------------------------------------------------

@@ -88,7 +88,7 @@ def consensus_diameter_series(trace: Trace) -> np.ndarray:
 
 def tracking_error_series(trace: Trace) -> np.ndarray:
     """Per-round worst agent distance to the round optimum."""
-    return np.linalg.norm(trace.x - trace.x_star[:, None, :], axis=2).max(axis=1)
+    return trace.optimum_distances().max(axis=1)
 
 
 def first_time_below(series, threshold: float) -> int | None:

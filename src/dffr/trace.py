@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .objectives import RESIDUAL_CHUNK
+
 
 @dataclass
 class Trace:
@@ -53,7 +55,17 @@ class Trace:
     @property
     def nu(self) -> np.ndarray:
         """Average distance to the per-round optimum, shape (T,)."""
-        return np.linalg.norm(self.x - self.x_star[:, None, :], axis=2).mean(axis=1)
+        return self.optimum_distances().mean(axis=1)
+
+    def optimum_distances(self) -> np.ndarray:
+        """||x_i[t] - x*[t]|| per round and agent, shape (T, n), with x - x*
+        formed in round chunks of at most ``RESIDUAL_CHUNK`` elements."""
+        out = np.empty((self.T, self.n))
+        rounds = max(1, RESIDUAL_CHUNK // max(1, self.n * self.d))
+        for first in range(0, self.T, rounds):
+            rows = slice(first, first + rounds)
+            out[rows] = np.linalg.norm(self.x[rows] - self.x_star[rows, None, :], axis=2)
+        return out
 
     def eps_seq(self) -> np.ndarray:
         """Consensus errors produced BY each round's update, shape (T, n).

@@ -854,6 +854,23 @@ class TestRoundBlocks:
             kept = np.delete(scripts[i], zero_row, axis=0)
             assert np.allclose(whole[:, i], kept / np.linalg.norm(kept, axis=1, keepdims=True))
 
+    def test_a_run_calls_each_generator_at_most_eight_times(self, monkeypatch):
+        """400 seeds of 4 agents at d = 1 fill ``RESIDUAL_CHUNK`` in 10 rounds,
+        but a block takes at least T/8 of the T = 200 rounds: at most 8*S*n calls
+        of ``sphere_batch``, not S*n*T/10, and every round drawn once."""
+        S, n, d, T = 400, 4, 1, 200
+        stream = QuadraticTrackingFamily(
+            scales=[1.0, 2.0, 3.0, 6.0], target=(8.0, 0.5), box=BoxSet.symmetric(10.0, d=d), horizon=T
+        )
+        wm = validate_weight_matrix(generator_matrix("ring", n=n, weight=0.3))
+        calls = []
+        real = algorithms.sphere_batch
+        monkeypatch.setattr(algorithms, "sphere_batch", lambda rng, count, d: calls.append(count) or real(rng, count, d))
+        run(stream, wm, RULES["gradient_free"], T, seeds=range(S))
+        assert algorithms.RESIDUAL_CHUNK // (S * n * d) == 10
+        assert len(calls) <= 8 * S * n
+        assert sum(calls) == T * S * n
+
     def test_a_run_holds_no_draw_or_estimate_history(self):
         """Beyond what its trace holds, the peak of a gradient-free run at
         n = 2, d = 100, T = 2,000 stays below one (T, n, d) float64 array."""

@@ -123,7 +123,7 @@ def test_sidecar_mutant_rescores_or_raises_a_dffr_error(written, tmp_path_factor
     path = data.draw(st.sampled_from(mutation_paths(meta[key], (key,))))
     mutant = replaced(meta, path, data.draw(json_values))
     out = tmp_path_factory.mktemp("mutant")
-    shutil.copy(source / "trace.csv", out / "trace.csv")
+    shutil.copy(source / "trace.body", out / "trace.body")
     (out / "trace.meta.json").write_text(json.dumps(mutant))
     try:
         harness.recompute_metrics(out / "trace", rhos)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,20 @@ class TestProjection:
         y = rng.uniform(-5.0, 5.0, size=(2, 4, 5, 3))
         projected = box.project(y)
         assert np.array_equal(projected, [[box.project(rows) for rows in s] for s in y])
+
+    def test_one_call_makes_one_array_of_the_inputs_size(self, rng):
+        """The upper clip runs in place on the lower clip's output, with
+        np.clip's bits: the peak of a call stays within 1.25 times the input's bytes."""
+        box = BoxSet(-rng.uniform(0.5, 3.0, 100), rng.uniform(0.5, 3.0, 100))
+        y = rng.uniform(-5.0, 5.0, size=(2000, 100))
+        tracemalloc.start()
+        try:
+            projected = box.project(y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * y.nbytes
+        assert np.array_equal(projected, np.clip(y, box.lower, box.upper))
 
     @pytest.mark.parametrize("y", [1.0, [1.0], [[1.0]], np.zeros((1, 1, 3))])
     def test_wrong_shape_rejected(self, y):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -82,21 +83,6 @@ REMARK1_UNREAD = (
 )
 
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position"
-
-
-def _non_utf8_field(data: bytes, line: int, k: int) -> bytes:
-    """``data`` with field ``k`` of its (1-based) line ``line`` replaced by the byte 0xff."""
-    lines = data.split(b"\n")
-    fields = lines[line - 1].split(b",")
-    fields[k] = b"\xff"
-    lines[line - 1] = b",".join(fields)
-    return b"\n".join(lines)
-
-
-def _with_field(line: str, k: int, value: str) -> str:
-    fields = line.split(",")
-    fields[k] = value
-    return ",".join(fields)
 
 
 class TestPresets:
@@ -567,7 +553,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "write_trace", flaky)
         with pytest.raises(RuntimeError):
             harness.run_experiment(cfg, out_dir=tmp_path)
-        assert list(tmp_path.iterdir()) == []  # seed 0's CSV, sidecar and binary copy
+        assert list(tmp_path.iterdir()) == []  # seed 0's record, CSV and sidecar
 
     def test_pieces_built_once_per_config(self, monkeypatch):
         raw = harness.preset("paper-tracking-alg1").to_dict()
@@ -589,6 +575,27 @@ class TestRunExperiment:
         # the stream is built on the box; the run reads the box from the stream
         assert sorted(builds) == ["build_box", "build_stream", "build_weight_matrix"]
 
+    def test_score_holds_no_trace_sized_temporary(self):
+        """x - x* is formed in round chunks, so on an n = 2, d = 100 trace the
+        score's peak stays below 1.25 (T, n, d) float64 arrays; at n = 2 the
+        consensus diameter's (T, d) maximum and minimum take one."""
+        T, n, d = 2000, 2, 100
+        cfg = ExperimentConfig.from_dict({
+            "problem": {"stream": "quadratic", "horizon": T, "box": [[-10.0, 10.0]] * d,
+                        "scales": [1.0, 2.0], "target": "8.0/t^0.5"},
+            "topology": {"generator": "complete", "params": {"n": n}},
+            "algorithm": {"kind": "projected_gd", "step": {"c": 0.02, "p": 0.5}},
+            "rho": [0.99],
+        })
+        traces = harness.run_seeds(cfg)
+        tracemalloc.start()
+        try:
+            harness.score(cfg, traces)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * T * n * d
+
     def test_hand_set_gap_trace_roundtrip(self, tmp_path):
         trace = Trace.from_gap_sequence([1.0, 1.0, 1.0])
         harness.write_trace(trace, [0.5], tmp_path / "hand")
@@ -597,50 +604,13 @@ class TestRunExperiment:
         assert result["stored_dffr_max_delta"]["0.5"] == 0.0
 
     def test_truncated_file_rejected(self, tmp_path):
+        """T = 40, n = 4, d = 1 and one rho: 8 * 40 * (4 * 6 + 4) bytes."""
         cfg = small_alg2_config()
         harness.run_experiment(cfg, out_dir=tmp_path)
-        csv_path = tmp_path / "paper-tracking-alg2-seed0.csv"
-        lines = csv_path.read_text().splitlines()
-        csv_path.write_text("\n".join(lines[:-5]) + "\n")
-        with pytest.raises(SchemaVersionMismatch):
-            harness.recompute_metrics(tmp_path / "paper-tracking-alg2-seed0", [0.9875])
-
-    @pytest.mark.parametrize(
-        "corrupt, line",
-        [
-            (lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]], 161),
-            (lambda lines: lines[:9] + [_with_field(lines[9], 4, "abc")] + lines[10:], 10),
-            (lambda lines: lines[:4] + [lines[4] + ",0.5"] + lines[5:], 5),
-            (lambda lines: lines[:1] + [line + ",0.5" for line in lines[1:]], 2),
-        ],
-        ids=["truncated-row", "non-numeric", "wrong-width", "every-row-wider"],
-    )
-    def test_malformed_body_names_file_and_line(self, tmp_path, corrupt, line):
-        cfg = small_alg2_config()
-        harness.run_experiment(cfg, out_dir=tmp_path)
-        csv_path = tmp_path / "paper-tracking-alg2-seed0.csv"
-        lines = csv_path.read_text().splitlines()
-        csv_path.write_text("\n".join(corrupt(lines)) + "\n")
-        with pytest.raises(MalformedTrace, match=f"seed0.csv: line {line}: "):
-            harness.recompute_metrics(tmp_path / "paper-tracking-alg2-seed0", [0.9875])
-
-    @pytest.mark.parametrize(
-        "corrupt, message",
-        [
-            (lambda lines: lines[:5] + [lines[9]] + lines[6:9] + [lines[5]] + lines[10:],
-             "line 6: expected round 2, agent 0; rows run round-major over \\(t, agent\\)$"),
-            (lambda lines: lines[:10] + [_with_field(lines[10], 10, "1.5")] + lines[11:],
-             "line 11: gap differs from line 10, the first row of round 3$"),
-        ],
-        ids=["rows-swapped", "gap-differs"],
-    )
-    def test_rows_off_the_grid_or_at_odds_name_the_line(self, tmp_path, corrupt, message):
-        harness.run_experiment(small_alg2_config(), out_dir=tmp_path)
-        csv_path = tmp_path / "paper-tracking-alg2-seed0.csv"
-        lines = csv_path.read_text().splitlines()
-        assert lines[0].split(",")[10] == "gap"
-        csv_path.write_text("\n".join(corrupt(lines)) + "\n")
-        with pytest.raises(MalformedTrace, match=f"seed0.csv: {message}"):
+        body_path = tmp_path / "paper-tracking-alg2-seed0.body"
+        body_path.write_bytes(body_path.read_bytes()[:-40])
+        message = f"^{body_path}: 8920 bytes, the sidecar's T, n, d and rhos imply 8960$"
+        with pytest.raises(MalformedTrace, match=message):
             harness.recompute_metrics(tmp_path / "paper-tracking-alg2-seed0", [0.9875])
 
     def test_schema_version_mismatch(self, tmp_path):
@@ -692,12 +662,12 @@ class TestRunExperiment:
             ("rhos", [True], "sidecar field 'rhos' must be a list of numbers, got \\[True\\]"),
             ("final_eps_norm", "abc", "sidecar field 'final_eps_norm' must be a list of numbers"),
             ("final_eps_norm", [0.1], "sidecar field 'final_eps_norm' has 1 entries, n is 4"),
-            ("d", 2, "sidecar fields 'd' and 'rhos' imply 15 columns, the header has 12$"),
-            ("d", 10**9, "sidecar fields 'd' and 'rhos' imply 3000000009 columns, the header has 12$"),
+            ("d", 2, "sidecar fields 'd' and 'rhos' imply 15 columns, sidecar field 'columns' has 12$"),
+            ("d", 10**9, "sidecar fields 'd' and 'rhos' imply 3000000009 columns, sidecar field 'columns' has 12$"),
             ("rhos", [0.5], "sidecar fields 'd' and 'rhos' imply the column dffr_0.5, "
-             "the header has dffr_0.9875$"),
+             "sidecar field 'columns' has dffr_0.9875$"),
             ("columns", harness.trace_columns(1, [0.9875])[:-1], "sidecar fields 'd' and 'rhos' "
-             "imply the column dffr_0.9875, sidecar field 'columns' has none$"),
+             "imply 12 columns, sidecar field 'columns' has 11$"),
             ("seed", [1, 2], r"sidecar field 'seed' must be an integer in \[0, 2\*\*64\) or null, got \[1, 2\]$"),
             ("seed", -1, r"sidecar field 'seed' must be an integer in \[0, 2\*\*64\) or null, got -1$"),
             ("seed", 2**64, r"sidecar field 'seed' must be an integer in \[0, 2\*\*64\) or null, got 18446744073709551616$"),
@@ -722,13 +692,12 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("key", ["T", "n"], ids=["T-zero", "n-zero"])
     def test_empty_trace_names_the_field(self, tmp_path, key):
-        # A sidecar of no rounds (or no agents) over a header-only body.
+        # A sidecar of no rounds (or no agents).
         harness.write_trace(Trace.from_gap_sequence([1.0, 1.0]), [0.5], tmp_path / "hand")
-        meta_path, csv_path = tmp_path / "hand.meta.json", tmp_path / "hand.csv"
+        meta_path = tmp_path / "hand.meta.json"
         meta = json.loads(meta_path.read_text())
         meta[key] = 0
         meta_path.write_text(json.dumps(meta))
-        csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
         message = f"hand.meta.json: sidecar field '{key}' must be a positive integer, got 0$"
         with pytest.raises(MalformedTrace, match=message):
             harness.recompute_metrics(tmp_path / "hand", [0.5])
@@ -933,23 +902,24 @@ class TestCli:
             ("run", "cfg.json", lambda data: b"\xff\xfe{}", f"{NOT_UTF8} 0: invalid start byte"),
             ("metrics", "run-seed0.meta.json", "directory", "Is a directory"),
             ("metrics", "run-seed0.meta.json", lambda data: b"\xff" + data, f"{NOT_UTF8} 0: invalid start byte"),
-            ("metrics", "run-seed0.csv", "directory", "Is a directory"),
-            ("metrics", "run-seed0.csv", lambda data: _non_utf8_field(data, 1, 2), f"{NOT_UTF8} 8: invalid start byte"),
-            # past the reader's first 8 KiB: the parse fails, and the line is named
-            ("metrics", "run-seed0.csv", lambda data: _non_utf8_field(data, 161, 4),
-             "line 161: eps_norm is not a number: '\ufffd'"),
+            ("metrics", "run-seed0.body", "directory", "Is a directory"),
+            ("metrics", "run-seed0.body", "missing", "No such file or directory"),
+            # T = 40, n = 4, d = 1 and one rho: 8 * 40 * (4 * 6 + 4) bytes
+            ("metrics", "run-seed0.body", lambda data: data + b"\0",
+             "8961 bytes, the sidecar's T, n, d and rhos imply 8960"),
         ],
         ids=["config-directory", "config-not-utf8", "run-config-not-utf8", "sidecar-directory",
-             "sidecar-not-utf8", "csv-directory", "csv-header-not-utf8", "csv-body-not-utf8"],
+             "sidecar-not-utf8", "body-directory", "body-missing", "body-one-byte-longer"],
     )
     def test_an_unreadable_input_file_is_an_error_naming_it(self, tmp_path, capsys, command, name, spoil, why):
         cfg = small_alg2_config(horizon=40, name="run")
         harness.serialize_config(cfg, tmp_path / "cfg.json")
         harness.run_experiment(cfg, out_dir=tmp_path)
         path = tmp_path / name
-        if spoil == "directory":
+        if spoil in ("directory", "missing"):
             path.unlink()
-            path.mkdir()
+            if spoil == "directory":
+                path.mkdir()
         else:
             path.write_bytes(spoil(path.read_bytes()))
         where = ["--trace", str(tmp_path / "run-seed0"), "--rho", "0.9"] if command == "metrics" else ["--config", str(path)]
@@ -1050,7 +1020,8 @@ class TestCli:
 
     def test_validate_refuses_a_run_past_the_byte_budget(self, tmp_path, capsys, monkeypatch):
         """T = 10**6, 1,000 agents, d = 100 and two seeds: the gradient-free run's
-        arrays would take 8 * 10**6 * (2 * 1000 * 204 + 101) bytes."""
+        arrays would take 8 * 10**6 * (2 * 1000 * 204 + 101) bytes, and its
+        draw and estimate buffers 16 * 125,000 * 2 * 1000 * 100 more."""
         raw = _quadratic_ring(n=harness.MAX_AGENTS, d=harness.MAX_DIMENSION)
         raw["problem"]["horizon"] = harness.MAX_HORIZON
         raw["algorithm"] = {"kind": "gradient_free", "step": {"c": 0.02, "p": 0.5}, "delta": 0.01}
@@ -1060,14 +1031,14 @@ class TestCli:
         monkeypatch.setattr(algorithms, "run", None)  # validate runs nothing
         assert cli.main(["validate", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == (
-            "error: the run's arrays would take about 3.26e+12 bytes for T = 1000000, S = 2 seeds, "
+            "error: the run's arrays would take about 3.66e+12 bytes for T = 1000000, S = 2 seeds, "
             "n = 1000 agents and d = 100, above the budget of 4294967296 bytes\n"
         )
 
     def test_validate_accepts_the_alg1_preset_at_the_longest_horizon(self, tmp_path, capsys, monkeypatch):
         """The 20-seed gradient-free preset at T = 10**6 keeps
-        8 * 10**6 * (20 * 4 * 6 + 2) = 3.86e9 bytes, inside the budget: its
-        sphere draws and estimates take no T axis."""
+        8 * 10**6 * (20 * 4 * 6 + 2) + 16 * 125,000 * 80 = 4.02e9 bytes, inside
+        the budget: its sphere draws and estimates take blocks of T/8 rounds."""
         raw = harness.preset("paper-tracking-alg1").to_dict()
         raw["problem"]["horizon"] = harness.MAX_HORIZON
         cfg_path = tmp_path / "cfg.json"
@@ -1077,9 +1048,10 @@ class TestCli:
         assert capsys.readouterr().out == "OK\n"
 
     @pytest.mark.parametrize("T, S, n, d, expected", [
-        (1000, 20, 4, 1, 8 * 1000 * (20 * 4 * 6 + 2)),  # the gradient-free alg1 preset
-        (400, 1, 32, 10, 8 * 400 * (32 * 24 + 11)),  # the scale workload's projection-free run
-        (729, 1, 1, 1, 8 * 729 * 8),  # remark1
+        # the history, then the two (rounds, S, n, d) buffers of one block
+        (1000, 20, 4, 1, 8 * 1000 * (20 * 4 * 6 + 2) + 16 * 204 * 80),  # the gradient-free alg1 preset
+        (400, 1, 32, 10, 8 * 400 * (32 * 24 + 11) + 16 * 51 * 320),  # the scale workload's projection-free run
+        (729, 1, 1, 1, 8 * 729 * 8 + 16 * 729),  # remark1: a block is at most T rounds
     ])
     def test_run_bytes_counts_the_rules_arrays(self, T, S, n, d, expected):
         assert harness.run_bytes(T, S, n, d) == expected
