@@ -613,6 +613,30 @@ class TestRunExperiment:
         with pytest.raises(MalformedTrace, match=message):
             harness.recompute_metrics(tmp_path / "paper-tracking-alg2-seed0", [0.9875])
 
+    @pytest.mark.parametrize(
+        "edit, implied",
+        [
+            (lambda meta: meta.update(T=39), 8 * 39 * (4 * 6 + 4)),
+            (lambda meta: meta.update(n=5, final_eps_norm=[0.0] * 5), 8 * 40 * (5 * 6 + 4)),
+            (lambda meta: meta.update(d=2, columns=harness.trace_columns(2, [0.9875])), 8 * 40 * (4 * 8 + 5)),
+            (lambda meta: meta.update(rhos=[0.9875, 0.5], columns=harness.trace_columns(1, [0.9875, 0.5])),
+             8 * 40 * (4 * 6 + 5)),
+        ],
+        ids=["T-one-less", "n-one-more", "d-one-more", "rho-added"],
+    )
+    def test_a_sidecar_at_odds_with_the_record_names_the_record(self, tmp_path, edit, implied):
+        """A sidecar whose fields pass on their own but whose T, n, d or rhos
+        imply another size than the record's 8 * 40 * (4 * 6 + 4) bytes."""
+        harness.run_experiment(small_alg2_config(), out_dir=tmp_path)
+        meta_path = tmp_path / "paper-tracking-alg2-seed0.meta.json"
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+        body_path = tmp_path / "paper-tracking-alg2-seed0.body"
+        message = f"^{body_path}: 8960 bytes, the sidecar's T, n, d and rhos imply {implied}$"
+        with pytest.raises(MalformedTrace, match=message):
+            harness.recompute_metrics(tmp_path / "paper-tracking-alg2-seed0", [0.9875])
+
     def test_schema_version_mismatch(self, tmp_path):
         cfg = small_alg2_config()
         harness.run_experiment(cfg, out_dir=tmp_path)

@@ -7,13 +7,17 @@ trace record beside it.
 tests/test_algorithms.py keeps the per-agent loops of the batched engine.
 ``reference_record`` is the record's layout written out field by field.  The
 reader is checked against the writer: a written trace reads back from its
-record bit for bit, NaN signs and payloads included, with its CSV deleted or
-not.  ``TestSplitWriter`` checks the two-process writer on a trace above
-``harness.SPLIT_MIN_VALUES``: the same bytes as ``reference_body`` and as one
-process, and no file or child process left after a failure on either side.
+record bit for bit, NaN signs and payloads included, with its CSV deleted,
+edited or not; the CSV parses to the record's values, and a re-score is the
+score of the trace in memory.  ``TestSplitWriter`` checks the two-process
+writer on a trace above ``harness.SPLIT_MIN_VALUES``: the same bytes as
+``reference_body``, ``reference_record`` and one process, and no file or
+child process left after a failure on either side or in the record.
 ``TestRecord`` checks what the reader refuses: a record of any other size
-(one of the older layout included), a missing one or a directory in its
-place, each named, and a sidecar that would size a read alone.
+(one of the older layout included, at every shape), a missing one or a
+directory in its place, each named, and a sidecar that would size a read
+alone.  ``TestConcurrentReads`` checks that reads share no state: threads
+agree, warnings pass through, and the writer may fork after a read.
 """
 
 import csv
@@ -201,6 +205,48 @@ def test_read_gives_back_what_write_wrote(trace, rhos):
     assert (again.algorithm, again.seed, again.config) == (trace.algorithm, trace.seed, trace.config)
 
 
+@settings(max_examples=100, deadline=None)
+@given(traces(), rho_lists)
+def test_the_csv_is_the_records_text(trace, rhos):
+    """Parsed back, every CSV row is its round and agent, that agent's
+    per-agent values, then the round's per-round values, bit for bit as the
+    record holds them."""
+    with np.errstate(all="ignore"), tempfile.TemporaryDirectory() as tmp:
+        csv_path, _, body_path = harness.write_trace(trace, rhos, Path(tmp) / "hand")
+        parsed = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        record = np.frombuffer(body_path.read_bytes(), dtype="<f8").astype(float)
+    T, n = trace.T, trace.n
+    agent_width, round_width = harness._widths(trace.d, rhos)
+    per_agent = record[:T * n * agent_width].reshape(T, n, agent_width)
+    per_round = record[T * n * agent_width:].reshape(T, round_width)
+    grid = np.stack(np.meshgrid(np.arange(1.0, T + 1), np.arange(float(n)), indexing="ij"), axis=2)
+    rows = np.concatenate([grid, per_agent, np.broadcast_to(per_round[:, None], (T, n, round_width))], axis=2)
+    assert_identical([parsed], [rows.reshape(T * n, -1)])
+
+
+def _as_text(entry: dict) -> str:
+    """A summary entry as JSON text, so NaN compares equal to NaN."""
+    return json.dumps(entry, sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(traces(), rho_lists)
+def test_a_rescore_is_the_score_of_the_written_trace(trace, rhos):
+    """recompute_metrics gives the entry that scoring the trace in memory
+    gives, at the stored rhos and at one that was not stored; each stored
+    column matches its recomputation exactly (or both hold a NaN)."""
+    asked = [*rhos, 0.75]
+    with np.errstate(all="ignore"), warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
+        warnings.simplefilter("ignore")
+        harness.write_trace(trace, rhos, Path(tmp) / "hand")
+        entry = harness.recompute_metrics(Path(tmp) / "hand", asked)
+        want, _ = harness._seed_summary(trace, asked)
+    delta = entry.pop("stored_dffr_max_delta")
+    assert _as_text(entry) == _as_text(want)
+    assert sorted(delta) == sorted({repr(float(rho)) for rho in rhos})
+    assert all(v == 0.0 or np.isnan(v) for v in delta.values())
+
+
 def test_a_trace_rescores_from_its_record_alone(tmp_path):
     """read_trace never opens the CSV: with it deleted, or a directory in its
     place, the trace reads and re-scores as before."""
@@ -215,6 +261,43 @@ def test_a_trace_rescores_from_its_record_alone(tmp_path):
         assert_identical(again_arrays, arrays)
         assert harness.recompute_metrics(base, rhos) == entry
     assert cli.main(["metrics", "--trace", str(base), "--rho", "0.9"]) == 0
+
+
+def _edit_a_digit(data: bytes) -> bytes:
+    """The last digit of x_0 on the first body row changed, at the same length."""
+    start = data.index(b"\n") + 1
+    k = start
+    for _ in range(3):  # past t and agent, to the comma after x_0
+        k = data.index(b",", k) + 1
+    k -= 2
+    assert chr(data[k]).isdigit()
+    return data[:k] + (b"2" if data[k] == ord("1") else b"1") + data[k + 1:]
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        _edit_a_digit,
+        lambda data: data[:data.rindex(b"\n", 0, -1) + 1],
+        lambda data: data[:-2] + b"x\n",
+        lambda data: b"\xff" + data,
+        lambda data: data.replace(b"eps_norm", b"eps", 1),
+        lambda data: b"",
+    ],
+    ids=["digit-edited", "last-row-dropped", "non-numeric", "not-utf8", "header-changed", "emptied"],
+)
+def test_an_edit_to_the_csv_is_not_seen(tmp_path, spoil):
+    """The CSV is a rendering of the record: an edit to it, whatever it is,
+    changes neither what reads back nor the re-score."""
+    base, rhos = tmp_path / "hand", [0.9, 0.5]
+    csv_path, *_ = harness.write_trace(_small_trace(), [0.9], base)
+    meta, arrays = _every_array(base, [0.9])
+    entry = harness.recompute_metrics(base, rhos)
+    csv_path.write_bytes(spoil(csv_path.read_bytes()))
+    again, again_arrays = _every_array(base, [0.9])
+    assert again == meta
+    assert_identical(again_arrays, arrays)
+    assert harness.recompute_metrics(base, rhos) == entry
 
 
 def test_a_trace_without_coordinates_rescores(tmp_path):
@@ -283,6 +366,14 @@ class TestFailedWrite:
             harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failure_while_writing_the_record(self, tmp_path, monkeypatch, error):
+        """The record fails after its per-agent block, before the CSV is opened."""
+        monkeypatch.setattr(harness.np, "ascontiguousarray", _second_block_failing(error))
+        with pytest.raises(error, match="injected record failure"):
+            harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
+        assert list(tmp_path.iterdir()) == []
+
     def test_failure_while_writing_the_sidecar(self, tmp_path, monkeypatch):
         def failing_dumps(*args, **kwargs):
             raise RuntimeError("injected sidecar failure")
@@ -291,6 +382,21 @@ class TestFailedWrite:
         with pytest.raises(RuntimeError, match="injected sidecar failure"):
             harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
         assert list(tmp_path.iterdir()) == []
+
+
+def _second_block_failing(error: type):
+    """A stand-in for ``np.ascontiguousarray`` that gives back the record's
+    first block, then raises ``error`` on the second."""
+    real = np.ascontiguousarray
+    calls = []
+
+    def failing(block, *args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            raise error("injected record failure")
+        return real(block, *args, **kwargs)
+
+    return failing
 
 
 # The split writer's hand trace: its per-agent block, WIDE_T * n * (2d + 4)
@@ -397,6 +503,25 @@ class TestSplitWriter:
         assert csv_path.read_bytes() == reference_body(trace, [0.9, 1e-05]).encode()
         assert_no_child()
 
+    def test_split_record_is_the_reference_record(self, tmp_path, forks):
+        trace = _wide_trace()
+        *_, body_path = harness.write_trace(trace, [0.9, 1e-05], tmp_path / "hand")
+        assert forks == [1]
+        assert body_path.read_bytes() == reference_record(trace, [0.9, 1e-05])
+        assert_no_child()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failure_while_writing_the_record_forks_no_child(self, tmp_path, monkeypatch, forks, error):
+        """The record is written before the CSV is split, so a record that
+        fails leaves no child to kill, and no file."""
+        monkeypatch.setattr(harness.np, "ascontiguousarray", _second_block_failing(error))
+        with pytest.raises(error, match="injected record failure"):
+            harness.write_trace(_wide_trace(), [0.9], tmp_path / "hand")
+        assert forks == []
+        assert list(tmp_path.iterdir()) == []
+        assert_no_child()
+        assert_cpus_unchanged()
+
     @pytest.mark.parametrize("disable", ["threshold", "one_cpu", "another_thread"])
     def test_one_process_writes_the_same_bytes(self, tmp_path, monkeypatch, forks, disable):
         trace = _wide_trace()
@@ -472,6 +597,16 @@ def _read_error(base) -> tuple[type, str]:
     return type(info.value), str(info.value)
 
 
+# The record bytes of one round of _small_trace with one rho: 8 * (3 * 8 + 5).
+SMALL_ROUND = 232
+
+
+def _record_with_another_rho(path: Path) -> None:
+    """The record at ``path`` replaced by that of the same trace written with a second rho."""
+    *_, other = harness.write_trace(_small_trace(), [0.9, 0.5], path.parent / "other")
+    path.write_bytes(other.read_bytes())
+
+
 class TestRecord:
     """What the reader refuses in the record: each is a MalformedTrace naming it."""
 
@@ -499,6 +634,43 @@ class TestRecord:
         )
 
     @pytest.mark.parametrize(
+        "T, n, d, rhos",
+        [(1, 1, 0, []), (3, 1, 1, [0.9]), (2, 4, 0, [0.9, 0.5, 1e-05])],
+        ids=["one-agent-no-coordinates", "one-agent", "no-coordinates"],
+    )
+    def test_the_older_layout_never_has_the_records_size(self, tmp_path, T, n, d, rhos):
+        """At one agent and at d = 0, where the older record's repeated cells
+        vanish, its t and agent columns and digest still make it longer."""
+        rng = np.random.default_rng(11)
+        trace = Trace(
+            algorithm="hand", seed=0, config={}, x=rng.random((T, n, d)), z=rng.random((T, n, d)),
+            eps_norm=rng.random((T, n)), loss_self=rng.random((T, n)), loss_global=rng.random((T, n)),
+            x_star=rng.random((T, d)), f_star=rng.random(T), g_norm=rng.random((T, n)),
+        )
+        base = tmp_path / "hand"
+        harness.write_trace(trace, rhos, base)
+        size = base.with_suffix(".body").stat().st_size
+        csv_bytes = base.with_suffix(".csv").read_bytes()
+        rows = np.loadtxt(io.BytesIO(csv_bytes), delimiter=",", skiprows=1, ndmin=2)
+        old = rows.astype("<f8").tobytes() + hashlib.sha256(csv_bytes).digest()
+        P = d + 2 + len(rhos)
+        assert len(old) - size == 8 * T * (2 * n + (n - 1) * P) + 32
+        base.with_suffix(".body").write_bytes(old)
+        assert _read_error(base) == (
+            MalformedTrace, f"{base}.body: {len(old)} bytes, the sidecar's T, n, d and rhos imply {size}"
+        )
+
+    @pytest.mark.parametrize("n", [1, WIDE_N])
+    def test_one_round_is_read_from_its_record(self, tmp_path, forks, n):
+        trace = _wide_trace(T=1, n=n)
+        harness.write_trace(trace, [0.9, 1e-05], tmp_path / "hand")
+        _, arrays = _every_array(tmp_path / "hand", [0.9, 1e-05])
+        assert forks == []
+        arrays_of_trace = [getattr(trace, f.name) for f in fields(Trace)]
+        series = [metrics.dffr_series(trace, rho) for rho in (0.9, 1e-05)]
+        assert_identical(arrays, [a for a in arrays_of_trace if isinstance(a, np.ndarray)] + series)
+
+    @pytest.mark.parametrize(
         "spoil, why",
         [
             (lambda path: path.unlink(), "No such file or directory"),
@@ -507,8 +679,15 @@ class TestRecord:
              f"{SIZE - 8} bytes, the sidecar's T, n, d and rhos imply {SIZE}"),
             (lambda path: path.write_bytes(path.read_bytes() + b"\0"),
              f"{SIZE + 1} bytes, the sidecar's T, n, d and rhos imply {SIZE}"),
+            (lambda path: path.write_bytes(path.read_bytes()[:-SMALL_ROUND]),
+             f"{SIZE - SMALL_ROUND} bytes, the sidecar's T, n, d and rhos imply {SIZE}"),
+            (lambda path: path.write_bytes(path.read_bytes() + path.read_bytes()[-SMALL_ROUND:]),
+             f"{SIZE + SMALL_ROUND} bytes, the sidecar's T, n, d and rhos imply {SIZE}"),
+            (_record_with_another_rho, f"{SIZE + 8 * 6} bytes, the sidecar's T, n, d and rhos imply {SIZE}"),
+            (lambda path: path.write_bytes(b""), f"0 bytes, the sidecar's T, n, d and rhos imply {SIZE}"),
         ],
-        ids=["missing", "directory", "one-value-short", "one-byte-longer"],
+        ids=["missing", "directory", "one-value-short", "one-byte-longer", "one-round-short",
+             "one-round-longer", "written-with-another-rho", "empty"],
     )
     def test_a_record_that_cannot_be_read_is_named(self, base, spoil, why):
         spoil(base.with_suffix(".body"))
@@ -532,3 +711,61 @@ class TestRecord:
         size = 8 * 10**6 * (1000 * 8 + 5)
         assert error == (MalformedTrace, f"{base}.body: {self.SIZE} bytes, the sidecar's T, n, d and rhos imply {size}")
         assert peak < 2**20
+
+
+class TestConcurrentReads:
+    """The reader starts no thread and touches no process-wide state: reads
+    in several threads agree, a re-score warns as the score does, and the
+    writer may fork right after one."""
+
+    @pytest.fixture(scope="class")
+    def wide(self, tmp_path_factory) -> Path:
+        """The wide trace's shape, with values that score without a warning."""
+        rng = np.random.default_rng(7)
+        T, n, d = WIDE_T, WIDE_N, WIDE_D
+        trace = Trace(
+            algorithm="hand", seed=0, config={}, x=rng.standard_normal((T, n, d)),
+            z=rng.standard_normal((T, n, d)), eps_norm=rng.random((T, n)), loss_self=rng.random((T, n)),
+            loss_global=rng.random((T, n)) + 1.0, x_star=rng.standard_normal((T, d)), f_star=rng.random(T),
+            g_norm=rng.random((T, n)),
+        )
+        base = tmp_path_factory.mktemp("wide") / "hand"
+        harness.write_trace(trace, [0.9, 1e-05], base)
+        return base
+
+    def test_reads_in_several_threads_agree(self, wide):
+        expected = harness.recompute_metrics(wide, [0.9, 0.5])
+        got = []
+
+        def reads():
+            for _ in range(10):
+                got.append(harness.recompute_metrics(wide, [0.9, 0.5]))
+
+        readers = [threading.Thread(target=reads) for _ in range(3)]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=60)
+        assert not any(reader.is_alive() for reader in readers)
+        assert got == [expected] * 30
+
+    def test_a_rescore_warns_as_the_score_does(self, tmp_path):
+        over = _small_trace()
+        over.loss_global[:] = 1e308  # the mean over agents overflows
+        with np.errstate(all="ignore"):
+            harness.write_trace(over, [0.9], tmp_path / "over")
+        with warnings.catch_warnings(record=True) as scored:
+            warnings.simplefilter("always")
+            harness._seed_summary(over, [0.9])
+        with warnings.catch_warnings(record=True) as rescored:
+            warnings.simplefilter("always")
+            harness.recompute_metrics(tmp_path / "over", [0.9])
+        scored, rescored = [str(w.message) for w in scored], [str(w.message) for w in rescored]
+        assert "overflow encountered in reduce" in scored
+        # then the stored column's comparison, inf - inf, warns on its own
+        assert rescored == [*scored, "invalid value encountered in subtract"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or harness._usable_cpus() < 2, reason="the writer cannot split here")
+    def test_the_writer_can_split_right_after_a_rescore(self, wide):
+        harness.recompute_metrics(wide, [0.9])
+        assert harness._can_split()
