@@ -12,9 +12,9 @@ start when only one checkout's ``src/`` holds bytecode caches, since
 checkouts' benchmarks differ (``BENCHMARK.json`` and ``perfbench/*.py``),
 naming the files that differ.  The output file
 records the machine (CPU model and count, the CPUs this process may
-use, Python and numpy versions), each checkout's commit (whether its tree
-was dirty, the git tree of the ``src/`` it ran, and its
-``benchmark_digest``), every run's result
+use, whether bytecode writing is off, Python and numpy versions), each
+checkout's commit (whether its tree was dirty, the git tree of the
+``src/`` it ran, and its ``benchmark_digest``), every run's result
 line with the machine's load during the run (``machine_load``: the
 CPU-seconds stolen by the hypervisor, and those the machine spent busy
 outside the run, from ``/proc/stat``; null without it), each side's
@@ -64,7 +64,10 @@ def machine() -> dict:
     return {
         "cpu_model": cpu_model(),
         "cpu_count": os.cpu_count(),
-        "usable_cpus": harness._usable_cpus(),  # more than 1: write_trace can split the body
+        "usable_cpus": harness._usable_cpus(),  # more than 1: write_trace shares the body with its worker
+        # Set (PYTHONDONTWRITEBYTECODE=1 or -B): nothing caches bytecode, so every
+        # set-up probe compiles src/dffr again, and setup_s holds that compile.
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),

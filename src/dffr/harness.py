@@ -11,16 +11,14 @@ and the config in a sidecar rebuild the written summary byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import math
 import os
 import re
 import reprlib
-import signal
 import sys
-import tempfile
-import threading
 import time
 import warnings
 from collections import namedtuple
@@ -29,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algorithms, metrics, network
+from . import algorithms, csvrows, metrics, network
 from .algorithms import AlgorithmConfig, StepSchedule
 from .errors import (
     ConstraintViolation,
@@ -760,12 +758,12 @@ def _widths(d: int, rhos: list[float]) -> tuple[int, int]:
     return width[True], width[False]
 
 
-# Per-agent values from which _write_body splits the body between two processes.
-# Fork, exit and wait took 2.2-3.9 ms at a 70-90 MB RSS on a 2-vCPU Xeon VM,
-# against about 1.1 us of ``repr`` per value, so a child that formats half of
-# a block pays for itself from about 4,000-8,000 values.  At 16,800 values
-# (n = 4, d = 1, T = 700) a split write took 22.5 ms against 31 ms in one process.
-SPLIT_MIN_VALUES = 2**14
+# Per-agent values from which write_trace shares the body with the worker
+# process (``csvrows``).  On a 2-vCPU Xeon VM (n = 4, d = 1, medians of 80
+# writes with a running worker), a shared write took 8-10 ms against 15-16 ms
+# in one process at 8,192 values and 12-13 ms against 20-24 ms at 12,288,
+# but 5-9 ms either way at 4,096, where the round trip eats the gain.
+SPLIT_MIN_VALUES = 2**13
 
 
 def _usable_cpus() -> int:
@@ -774,74 +772,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _can_split() -> bool:
-    """Whether work may be shared with a forked child: this platform can fork,
-    more than one CPU is usable and no other Python thread runs."""
-    return hasattr(os, "fork") and _usable_cpus() > 1 and threading.active_count() == 1
-
-
 def _write_rounds(write, per_agent: np.ndarray, per_round: np.ndarray, lo: int, hi: int) -> None:
     """Rows of rounds lo + 1..hi (0-based rows lo..hi - 1) of the body, passed
-    to ``write`` as ASCII bytes in blocks of whole rounds of about 64 KiB."""
-    block, size = [], 0
-    for t, (agents, tail) in enumerate(zip(per_agent[lo:hi], per_round[lo:hi].tolist()), start=lo + 1):
-        tail = ",".join(map(repr, tail))
-        block.append("".join([
-            f"{t},{i},{','.join(map(repr, row))},{tail}\n"
-            for i, row in enumerate(agents.tolist())
-        ]))
-        size += len(block[-1])
-        if size >= 2**16 or t == hi:
-            write("".join(block).encode())
-            block, size = [], 0
-
-
-def _write_body(write, per_agent: np.ndarray, per_round: np.ndarray, spill_dir: Path) -> None:
-    """Every round of the body through ``_write_rounds`` to ``write``.
-
-    Below ``SPLIT_MIN_VALUES`` per-agent values, or unless ``_can_split``
-    holds, this process writes all of it.  Otherwise a forked child formats
-    rounds T//2 + 1..T into an anonymous temporary file in ``spill_dir``
-    while this process writes rounds 1..T//2; the child's bytes are then passed to ``write`` in 64 KiB chunks, so the
-    bytes are the same either way.  The child always leaves through
-    ``os._exit``; if it fails, this process formats its rounds again, so a
-    real error surfaces here with its own type.  If this process raises,
-    interrupts included, the child is killed and reaped first.
-    """
-    T = len(per_agent)
-    if per_agent.size < SPLIT_MIN_VALUES or not _can_split():
-        _write_rounds(write, per_agent, per_round, 0, T)
-        return
-    half = T // 2
-    with tempfile.TemporaryFile(dir=spill_dir) as spill:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on fork whenever another OS thread exists, such as
-            # a BLAS pool.  No other Python thread runs (``_can_split``), and the
-            # child only formats numbers and writes its own file, so it takes no
-            # lock another thread could hold.
-            warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                with open(spill.fileno(), "wb", closefd=False) as out:
-                    _write_rounds(out.write, per_agent, per_round, half, T)
-                status = 0
-            finally:
-                os._exit(status)
-        try:
-            _write_rounds(write, per_agent, per_round, 0, half)
-            child_ok = os.waitpid(pid, 0)[1] == 0
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-        if child_ok:
-            spill.seek(0)
-            while data := spill.read(2**16):
-                write(data)
-        else:
-            _write_rounds(write, per_agent, per_round, half, T)
+    to ``write`` in the ASCII blocks of ``csvrows.rows``, one round's values
+    made Python floats at a time."""
+    agents = (block.tolist() for block in per_agent[lo:hi])
+    for block in csvrows.rows(lo + 1, agents, per_round[lo:hi].tolist()):
+        write(block)
 
 
 _TRACE_SUFFIXES = (".csv", ".meta.json", ".body")
@@ -869,9 +806,14 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
     round-major then agent; per-round values (optimum, gap, running regret)
     repeat on each agent row of the round.  Every value is written as
     ``repr(float(v))``, so the CSV is a pure function of (config, seed); no
-    reader reads it.  ``_write_body`` formats it, in two processes for a
-    large body, with the same bytes either way.  A write that fails, or is
-    interrupted, leaves none of the three files behind.
+    reader reads it.  From ``SPLIT_MIN_VALUES`` per-agent values, and with
+    more than one usable CPU, rounds T//2 + 1..T go to this process's
+    ``csvrows`` worker before the record is written, and this process
+    formats rounds 1..T//2, then appends the worker's reply; a worker that is
+    busy, dead or short formats nothing, and this process formats its rounds,
+    so the bytes are the same either way.  A write that fails, or is
+    interrupted, kills and reaps a worker holding its rounds and leaves none
+    of the three files behind.
     """
     csv_path, meta_path, body_path = _trace_paths(base_path)
     columns = trace_columns(trace.d, rhos)
@@ -897,14 +839,20 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
         "final_eps_norm": [float(v) for v in trace.final_eps_norm],
         "config": trace.config,
     }
+    T = trace.T
+    half = T // 2 if T > 1 and per_agent.size >= SPLIT_MIN_VALUES and _usable_cpus() > 1 else T
+    share = csvrows.sent(per_agent[half:], per_round[half:], half + 1) if half < T else contextlib.nullcontext()
     try:
-        with body_path.open("wb") as body:
-            for block in (per_agent, per_round):
-                body.write(np.ascontiguousarray(block, dtype="<f8").data)
-        with csv_path.open("wb") as fh:
-            fh.write((",".join(columns) + "\n").encode())
-            _write_body(fh.write, per_agent, per_round, csv_path.parent)
-        meta_path.write_text(strict_json(meta, f"the sidecar {meta_path}"))
+        with share as reply:
+            with body_path.open("wb") as body:
+                for block in (per_agent, per_round):
+                    body.write(np.ascontiguousarray(block, dtype="<f8").data)
+            meta_path.write_text(strict_json(meta, f"the sidecar {meta_path}"))
+            with csv_path.open("wb") as fh:
+                fh.write((",".join(columns) + "\n").encode())
+                _write_rounds(fh.write, per_agent, per_round, 0, T if reply is None else half)
+                if reply is not None and not reply.copy_into(fh):
+                    _write_rounds(fh.write, per_agent, per_round, half, T)
     except BaseException:
         for path in (csv_path, meta_path, body_path):
             path.unlink(missing_ok=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import RhoNotGreaterThanLambda, RhoOutOfRange
 from .network import MixingConstants
-from .objectives import ObjectiveStream
+from .objectives import RESIDUAL_CHUNK, ObjectiveStream
 from .trace import Trace
 
 
@@ -81,9 +81,14 @@ def cumulative_regret(trace: Trace) -> np.ndarray:
 
 
 def consensus_diameter_series(trace: Trace) -> np.ndarray:
-    """Per-round max over coordinates of (max_i - min_i) of the decisions."""
-    spread = trace.x.max(axis=1) - trace.x.min(axis=1)
-    return spread.max(axis=1, initial=0.0)
+    """Per-round max over coordinates of (max_i - min_i) of the decisions,
+    formed in round chunks of at most ``RESIDUAL_CHUNK`` elements of x."""
+    out = np.empty(trace.T)
+    rounds = max(1, RESIDUAL_CHUNK // max(1, trace.n * trace.d))
+    for first in range(0, trace.T, rounds):
+        x = trace.x[first:first + rounds]
+        out[first:first + rounds] = (x.max(axis=1) - x.min(axis=1)).max(axis=1, initial=0.0)
+    return out
 
 
 def tracking_error_series(trace: Trace) -> np.ndarray:

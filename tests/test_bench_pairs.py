@@ -6,6 +6,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -108,6 +109,13 @@ def test_machine_records_usable_cpus(bench_pairs, monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     assert bench_pairs.machine()["usable_cpus"] == 5
+
+
+def test_machine_records_whether_bytecode_is_written(bench_pairs, monkeypatch):
+    assert bench_pairs.machine()["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
+    for flag in (1, 0):
+        monkeypatch.setattr(sys, "flags", SimpleNamespace(dont_write_bytecode=flag))
+        assert bench_pairs.machine()["dont_write_bytecode"] is bool(flag)
 
 
 @pytest.mark.parametrize("cached", [["parent"], ["change"], [], ["parent", "change"]])

@@ -163,6 +163,20 @@ class TestTimesAndDiameters:
         assert metrics.consensus_diameter_series(trace)[0] == 2.0
         assert consensus_time(trace, 0.001) is None
 
+    @pytest.mark.parametrize("n, d", [(3, 7000), (2, 100), (4, 0)], ids=["round-per-chunk", "many-chunks", "no-coordinates"])
+    def test_chunked_diameter_is_the_whole_arrays(self, n, d):
+        """The diameter over round chunks has the bits of the one over the
+        whole (T, n, d) array, NaNs and infinities included."""
+        rng = np.random.default_rng(4)
+        T = 200
+        trace = Trace.from_gap_sequence(np.zeros(T))
+        trace.x = rng.standard_normal((T, n, d))
+        if d:
+            trace.x[5, 1, 0], trace.x[150, 0, d - 1], trace.x[99, 2 % n, 0] = np.nan, np.inf, -np.inf
+        whole = (trace.x.max(axis=1) - trace.x.min(axis=1)).max(axis=1, initial=0.0)
+        got = metrics.consensus_diameter_series(trace)
+        assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
+
     def test_persistence_semantics(self):
         series = np.array([0.5, 0.0005, 0.5, 0.0005, 0.0004, 0.0003])
         assert first_time_below(series, 0.001) == 2

@@ -9,36 +9,47 @@ tests/test_algorithms.py keeps the per-agent loops of the batched engine.
 reader is checked against the writer: a written trace reads back from its
 record bit for bit, NaN signs and payloads included, with its CSV deleted,
 edited or not; the CSV parses to the record's values, and a re-score is the
-score of the trace in memory.  ``TestSplitWriter`` checks the two-process
-writer on a trace above ``harness.SPLIT_MIN_VALUES``: the same bytes as
-``reference_body``, ``reference_record`` and one process, and no file or
-child process left after a failure on either side or in the record.
-``TestRecord`` checks what the reader refuses: a record of any other size
-(one of the older layout included, at every shape), a missing one or a
-directory in its place, each named, and a sidecar that would size a read
-alone.  ``TestConcurrentReads`` checks that reads share no state: threads
-agree, warnings pass through, and the writer may fork after a read.
+score of the trace in memory.  ``TestSplitWriter`` checks the writer that
+shares a body above ``harness.SPLIT_MIN_VALUES`` with its ``csvrows``
+worker: the same bytes as ``reference_body``, ``reference_record`` and one
+process, from two threads at once, past a worker that was killed, stopped
+or interrupted, and in a forked child; and no file or process left after a
+failure on either side or in the record, or after the interpreter exits.
+``TestWorkerProtocol`` checks the worker's side of the protocol and a short
+reply in this process.  ``TestRecord`` checks what the reader refuses: a
+record of any other size (one of the older layout included, at every
+shape), a missing one or a directory in its place, each named, and a
+sidecar that would size a read alone.  ``TestConcurrentReads`` checks that
+reads share no state: threads agree, warnings pass through, and the writer
+shares a body with its worker right after a read.
 """
 
+import ast
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
+import signal
+import subprocess
+import sys
 import tempfile
+import textwrap
 import threading
 import time
 import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dffr import cli, harness, metrics
+from dffr import cli, csvrows, harness, metrics
 from dffr.errors import DffrError, MalformedTrace
 from dffr.trace import Trace
 
@@ -354,14 +365,14 @@ class TestFailedWrite:
     FAIL_AFTER = 60
 
     def test_failure_while_formatting_the_body(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "repr", _repr_failing_after(self.FAIL_AFTER), raising=False)
+        monkeypatch.setattr(csvrows, "repr", _repr_failing_after(self.FAIL_AFTER), raising=False)
         with pytest.raises(RuntimeError, match="injected formatting failure"):
             harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_rewrite_leaves_no_stale_sidecar(self, tmp_path, monkeypatch):
         harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
-        monkeypatch.setattr(harness, "repr", _repr_failing_after(self.FAIL_AFTER), raising=False)
+        monkeypatch.setattr(csvrows, "repr", _repr_failing_after(self.FAIL_AFTER), raising=False)
         with pytest.raises(RuntimeError, match="injected formatting failure"):
             harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
         assert list(tmp_path.iterdir()) == []
@@ -438,26 +449,54 @@ def _wide_trace(sentinel_row: int | None = None, T: int = WIDE_T, n: int = WIDE_
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """The forks of the code under test, counted."""
+def shares(monkeypatch):
+    """The requests of the code under test: (first round, rounds, taken by a
+    worker) for each call of ``csvrows.sent``."""
     calls = []
-    real = os.fork
+    real = csvrows.sent
 
-    def counted():
-        calls.append(1)
-        return real()
+    @contextlib.contextmanager
+    def counted(per_agent, per_round, first):
+        with real(per_agent, per_round, first) as reply:
+            calls.append((first, len(per_agent), reply is not None))
+            yield reply
 
-    monkeypatch.setattr(harness.os, "fork", counted)
+    monkeypatch.setattr(csvrows, "sent", counted)
     return calls
 
 
+def _children() -> set[int] | None:
+    """The pids of this process's children, or None where /proc does not list them."""
+    tasks = Path(f"/proc/{os.getpid()}/task")
+    try:
+        return {int(pid) for task in tasks.iterdir() for pid in (task / "children").read_text().split()}
+    except OSError:
+        return None
+
+
 def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    """No child process is left but this process's live worker."""
+    worker = csvrows._worker
+    live = set() if worker is None else {worker.proc.pid}
+    if worker is not None:
+        assert worker.owner == os.getpid() and worker.proc.poll() is None
+    if (children := _children()) is not None:
+        assert children == live
+    if live:
+        assert os.waitpid(-1, os.WNOHANG) == (0, 0)
+    else:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
-# The CPUs this process may use, taken before any test: the writer forks a
-# child and must leave the caller's CPUs as they were.
+def assert_gone(pid: int):
+    """No process has pid ``pid``: it exited and was reaped."""
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+# The CPUs this process may use, taken before any test: the writer starts a
+# worker and must leave the caller's CPUs as they were.
 CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
 
 
@@ -476,119 +515,313 @@ def _failing_on_sentinel(error: type):
     return failing_repr
 
 
-def _stalling_repr(inner):
-    """A stand-in for ``repr`` that sleeps ``STALL_SECONDS`` on ``STALL``, then
-    formats every value with ``inner``."""
+def _killing_on_sentinel(pid: int):
+    """A stand-in for ``repr`` that kills process ``pid`` when it formats ``SENTINEL``."""
 
-    def stalling_repr(v):
-        if v == STALL:
-            time.sleep(STALL_SECONDS)
-        return inner(v)
+    def killing_repr(v):
+        if v == SENTINEL:
+            os.kill(pid, signal.SIGKILL)
+        return repr(v)
 
-    return stalling_repr
+    return killing_repr
+
+
+def _worker_pid() -> int:
+    assert csvrows._worker is not None
+    return csvrows._worker.proc.pid
+
+
+def _kill_unseen(pid: int):
+    """Kill the worker ``pid`` and wait until it has died, leaving it for its owner to reap."""
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
 
 
 class TestSplitWriter:
-    """The two-process writer: the same bytes, and no file or child left behind."""
+    """The body shared with the worker process: the same bytes, and no file
+    or process left behind.  ``csvrows.repr`` stand-ins reach only this
+    process's rounds, so the worker's failures are made by signals."""
 
     @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
+    def two_cpus_and_a_new_worker(self, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        csvrows._drop()
+        yield
+        csvrows._drop()  # a stopped or killed worker goes with its test
 
-    def test_split_body_is_the_reference_body(self, tmp_path, forks):
+    def test_split_body_is_the_reference_body(self, tmp_path, shares):
         assert WIDE_T * WIDE_BLOCK >= harness.SPLIT_MIN_VALUES
         trace = _wide_trace()
         csv_path, *_ = harness.write_trace(trace, [0.9, 1e-05], tmp_path / "hand")
-        assert forks == [1]
+        assert shares == [(WIDE_T // 2 + 1, WIDE_T - WIDE_T // 2, True)]
         assert csv_path.read_bytes() == reference_body(trace, [0.9, 1e-05]).encode()
         assert_no_child()
 
-    def test_split_record_is_the_reference_record(self, tmp_path, forks):
+    def test_split_record_is_the_reference_record(self, tmp_path, shares):
         trace = _wide_trace()
         *_, body_path = harness.write_trace(trace, [0.9, 1e-05], tmp_path / "hand")
-        assert forks == [1]
+        assert [taken for *_, taken in shares] == [True]
         assert body_path.read_bytes() == reference_record(trace, [0.9, 1e-05])
         assert_no_child()
 
+    def test_every_later_write_uses_the_same_worker(self, tmp_path, shares):
+        trace = _wide_trace()
+        pids = []
+        for k in range(3):
+            csv_path, *_ = harness.write_trace(trace, [0.9], tmp_path / f"hand{k}")
+            assert csv_path.read_bytes() == reference_body(trace, [0.9]).encode()
+            pids.append(_worker_pid())
+        assert len(set(pids)) == 1
+        assert [taken for *_, taken in shares] == [True] * 3
+        assert_no_child()
+
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    def test_failure_while_writing_the_record_forks_no_child(self, tmp_path, monkeypatch, forks, error):
-        """The record is written before the CSV is split, so a record that
-        fails leaves no child to kill, and no file."""
+    def test_failure_while_writing_the_record_kills_and_reaps_the_worker(self, tmp_path, monkeypatch, shares, error):
+        """The worker holds its rounds while the record is written, so a
+        record that fails kills and reaps it, and leaves no file."""
+        trace = _wide_trace()
+        harness.write_trace(trace, [0.9], tmp_path / "first")
+        pid = _worker_pid()
         monkeypatch.setattr(harness.np, "ascontiguousarray", _second_block_failing(error))
         with pytest.raises(error, match="injected record failure"):
-            harness.write_trace(_wide_trace(), [0.9], tmp_path / "hand")
-        assert forks == []
-        assert list(tmp_path.iterdir()) == []
+            harness.write_trace(trace, [0.9], tmp_path / "hand")
+        assert [taken for *_, taken in shares] == [True, True]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["first.body", "first.csv", "first.meta.json"]
+        assert csvrows._worker is None
+        assert_gone(pid)
         assert_no_child()
         assert_cpus_unchanged()
 
-    @pytest.mark.parametrize("disable", ["threshold", "one_cpu", "another_thread"])
-    def test_one_process_writes_the_same_bytes(self, tmp_path, monkeypatch, forks, disable):
+    @pytest.mark.parametrize("disable", ["threshold", "one_cpu", "worker_busy"])
+    def test_one_process_writes_the_same_bytes(self, tmp_path, monkeypatch, shares, disable):
         trace = _wide_trace()
         split, _, split_copy = harness.write_trace(trace, [0.9], tmp_path / "split")
         if disable == "threshold":
             monkeypatch.setattr(harness, "SPLIT_MIN_VALUES", WIDE_T * WIDE_BLOCK + 1)
         elif disable == "one_cpu":
             monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait, args=(10.0,))
-        if disable == "another_thread":
-            other.start()
-        try:
+        with csvrows._lock if disable == "worker_busy" else contextlib.nullcontext():
             serial, _, serial_copy = harness.write_trace(trace, [0.9], tmp_path / "serial")
-        finally:
-            release.set()
-        if disable == "another_thread":
-            other.join(timeout=10.0)
-            assert not other.is_alive()
-        assert forks == [1]
+        taken = [True, False] if disable == "worker_busy" else [True]
+        assert [taken for *_, taken in shares] == taken
         assert serial.read_bytes() == split.read_bytes()
-        assert serial_copy.read_bytes() == split_copy.read_bytes()  # written during the wait, or after
+        assert serial_copy.read_bytes() == split_copy.read_bytes()
 
-    def test_failure_in_the_childs_half_is_raised_here(self, tmp_path, monkeypatch, forks):
+    def test_two_threads_writing_at_once_give_the_reference_body(self, tmp_path, shares):
+        """One thread holds the worker, and the other formats its rounds alone."""
+        traces = [_wide_trace(), _wide_trace(sentinel_row=WIDE_T - 2)]
+        start = threading.Barrier(2)
+        written = {k: [] for k in range(2)}
+
+        def writes(k):
+            start.wait(timeout=10.0)
+            for m in range(4):
+                written[k].append(harness.write_trace(traces[k], [0.9], tmp_path / f"t{k}-{m}")[0])
+
+        threads = [threading.Thread(target=writes, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        for k, trace in enumerate(traces):
+            want = reference_body(trace, [0.9]).encode()
+            assert [path.read_bytes() == want for path in written[k]] == [True] * 4
+        assert len(shares) == 8 and any(taken for *_, taken in shares)
+        assert_no_child()
+
+    def test_a_worker_killed_between_writes_is_replaced(self, tmp_path, shares):
+        trace = _wide_trace()
+        harness.write_trace(trace, [0.9], tmp_path / "first")
+        dead = _worker_pid()
+        _kill_unseen(dead)
+        csv_path, *_ = harness.write_trace(trace, [0.9], tmp_path / "hand")
+        assert csv_path.read_bytes() == reference_body(trace, [0.9]).encode()
+        assert_gone(dead)  # found dead, and reaped
+        csv_path, *_ = harness.write_trace(trace, [0.9], tmp_path / "next")
+        assert csv_path.read_bytes() == reference_body(trace, [0.9]).encode()
+        assert _worker_pid() != dead
+        assert shares[-1][-1] is True
+        assert_no_child()
+
+    def test_a_worker_that_dies_holding_the_rounds_is_dropped(self, tmp_path, monkeypatch, shares):
+        """The worker is stopped, then killed while this process formats its
+        own rounds, so its reply is short: this process formats the rest."""
+        trace = _wide_trace(sentinel_row=1)
+        harness.write_trace(trace, [0.9], tmp_path / "first")
+        pid = _worker_pid()
+        os.kill(pid, signal.SIGSTOP)
+        monkeypatch.setattr(csvrows, "repr", _killing_on_sentinel(pid), raising=False)
+        csv_path, *_ = harness.write_trace(trace, [0.9], tmp_path / "hand")
+        assert shares[-1][-1] is True
+        assert csv_path.read_bytes() == reference_body(trace, [0.9]).encode()
+        assert csvrows._worker is None
+        assert_gone(pid)
+        assert_no_child()
+
+    def test_an_error_in_the_workers_rounds_is_raised_here(self, tmp_path, monkeypatch, shares):
+        """With its worker dead, this process formats the worker's rounds, so a
+        real error in them is raised here, and no file is left."""
         trace = _wide_trace(sentinel_row=WIDE_T - 2)
-        monkeypatch.setattr(harness, "repr", _failing_on_sentinel(RuntimeError), raising=False)
+        harness.write_trace(trace, [0.9], tmp_path / "first")
+        pid = _worker_pid()
+        _kill_unseen(pid)
+        monkeypatch.setattr(csvrows, "repr", _failing_on_sentinel(RuntimeError), raising=False)
         with pytest.raises(RuntimeError, match="injected formatting failure"):
             harness.write_trace(trace, [0.9], tmp_path / "hand")
-        assert forks == [1]
-        assert list(tmp_path.iterdir()) == []
+        assert not list(tmp_path.glob("hand*"))
+        assert_gone(pid)
         assert_no_child()
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    def test_failure_in_this_half_kills_and_reaps_the_child(self, tmp_path, monkeypatch, forks, error):
-        """The child stalls in its half, so a child that is waited for, not
-        killed, holds the failed write for ``STALL_SECONDS``."""
+    def test_failure_in_this_half_kills_and_reaps_the_worker(self, tmp_path, monkeypatch, shares, error):
+        """The worker is stopped, and only continued after ``STALL_SECONDS``, so
+        a worker that is waited for, not killed, holds the failed write that long."""
         trace = _wide_trace(sentinel_row=1)
-        trace.eps_norm[WIDE_T - 2, 1] = STALL
-        monkeypatch.setattr(harness, "repr", _stalling_repr(_failing_on_sentinel(error)), raising=False)
+        harness.write_trace(trace, [0.9], tmp_path / "first")
+        pid = _worker_pid()
+        os.kill(pid, signal.SIGSTOP)
+        resume = threading.Timer(STALL_SECONDS, lambda: os.kill(pid, signal.SIGCONT))
+        resume.start()
+        monkeypatch.setattr(csvrows, "repr", _failing_on_sentinel(error), raising=False)
         start = time.monotonic()
-        with pytest.raises(error, match="injected formatting failure"):
-            harness.write_trace(trace, [0.9], tmp_path / "hand")
-        assert time.monotonic() - start < STALL_SECONDS
-        assert forks == [1]
-        assert list(tmp_path.iterdir()) == []
+        try:
+            with pytest.raises(error, match="injected formatting failure"):
+                harness.write_trace(trace, [0.9], tmp_path / "hand")
+            assert time.monotonic() - start < STALL_SECONDS
+        finally:
+            resume.cancel()
+        assert shares[-1][-1] is True
+        assert not list(tmp_path.glob("hand*"))
+        assert csvrows._worker is None
+        assert_gone(pid)
         assert_no_child()
         assert_cpus_unchanged()
 
-    def test_fork_warning_of_a_threaded_process_is_filtered(self, tmp_path, monkeypatch):
-        """Python 3.12+ warns on fork while another OS thread exists; this
-        stand-in fork gives that warning on any version."""
-        real = os.fork
-
-        def warning_fork():
-            warnings.warn(
-                "This process (pid=1) is multi-threaded, use of fork() may lead to deadlocks in the child.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return real()
-
-        monkeypatch.setattr(harness.os, "fork", warning_fork)
+    def test_the_worker_ignores_sigint_and_exits_on_eof(self, tmp_path):
         trace = _wide_trace()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            csv_path, *_ = harness.write_trace(trace, [0.9], tmp_path / "hand")
+        harness.write_trace(trace, [0.9], tmp_path / "first")
+        pid = _worker_pid()
+        os.kill(pid, signal.SIGINT)
+        csv_path, *_ = harness.write_trace(trace, [0.9], tmp_path / "hand")
         assert csv_path.read_bytes() == reference_body(trace, [0.9]).encode()
+        assert _worker_pid() == pid
+        proc = csvrows._worker.proc
+        proc.stdin.close()
+        assert proc.wait(timeout=10.0) == 0
+
+    def test_a_process_that_writes_leaves_no_process_behind(self, tmp_path):
+        """The exit handler reaps the worker: after the writing interpreter
+        exits, the worker's pid names no process, not even a zombie."""
+        script = textwrap.dedent(f"""
+            import numpy as np
+            from dffr import csvrows, harness
+            from dffr.trace import Trace
+            harness._usable_cpus = lambda: 2
+            trace = Trace.from_gap_sequence(np.arange(4096.0))
+            harness.write_trace(trace, [0.9], {str(tmp_path / "hand")!r})
+            print(csvrows._worker.proc.pid)
+        """)
+        pid = int(_python(script))
+        assert (tmp_path / "hand.csv").read_bytes() == reference_body(
+            Trace.from_gap_sequence(np.arange(4096.0)), [0.9]
+        ).encode()
+        assert_gone(pid)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+    def test_a_forked_child_writes_through_its_own_worker(self, tmp_path):
+        """A child forked after a write starts its own worker; the parent's
+        keeps running and takes the parent's next write."""
+        script = textwrap.dedent(f"""
+            import os, sys, warnings
+            import numpy as np
+            from dffr import csvrows, harness
+            from dffr.trace import Trace
+            harness._usable_cpus = lambda: 2
+            trace = Trace.from_gap_sequence(np.arange(4096.0))
+            out = {str(tmp_path)!r}
+            harness.write_trace(trace, [0.9], out + "/parent-1")
+            parent_worker = csvrows._worker.proc.pid
+            child = os.fork()
+            if child == 0:
+                harness.write_trace(trace, [0.9], out + "/child")
+                print(csvrows._worker.proc.pid, csvrows._worker.owner == os.getpid(), flush=True)
+                sys.exit(0)
+            assert os.waitpid(child, 0)[1] == 0
+            assert csvrows._worker.proc.poll() is None
+            harness.write_trace(trace, [0.9], out + "/parent-2")
+            print(parent_worker, csvrows._worker.proc.pid)
+        """)
+        child_line, parent_line = _python(script).splitlines()
+        child_worker, owned = child_line.split()
+        parent_worker, parent_worker_later = parent_line.split()
+        assert owned == "True"
+        assert child_worker not in (parent_worker, parent_worker_later)
+        assert parent_worker == parent_worker_later
+        want = reference_body(Trace.from_gap_sequence(np.arange(4096.0)), [0.9]).encode()
+        for name in ("parent-1", "child", "parent-2"):
+            assert (tmp_path / f"{name}.csv").read_bytes() == want
+        assert_gone(int(child_worker))
+        assert_gone(int(parent_worker))
+
+
+def _python(script: str) -> str:
+    """The standard output of ``script`` run by a new interpreter with the package on its path."""
+    path = [str(SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+SRC = Path(csvrows.__file__).resolve().parents[1]
+
+
+def _request(per_agent: np.ndarray, per_round: np.ndarray, first: int) -> bytes:
+    return csvrows._REQUEST.pack(*per_agent.shape, per_round.shape[1], first) + per_agent.tobytes() + per_round.tobytes()
+
+
+class TestWorkerProtocol:
+    """The worker's side of the protocol, and a short reply, in this process."""
+
+    def test_serve_answers_each_request_with_its_rows(self):
+        rng = np.random.default_rng(9)
+        blocks = [(rng.standard_normal((3, 2, 4)), rng.standard_normal((3, 5)), 7),
+                  (np.array(EDGE_VALUES[:8]).reshape(1, 2, 4), np.array([EDGE_VALUES[8:13]]), 1)]
+        out = io.BytesIO()
+        csvrows.serve(io.BytesIO(b"".join(_request(*block) for block in blocks)), out)
+        want = b""
+        for per_agent, per_round, first in blocks:
+            text = b"".join(csvrows.rows(first, per_agent.tolist(), per_round.tolist()))
+            want += csvrows._COUNT.pack(len(text)) + text
+        assert out.getvalue() == want
+
+    def test_a_truncated_request_gets_no_reply(self):
+        request = _request(np.ones((2, 1, 4)), np.ones((2, 3)), 1)
+        for cut in (3, csvrows._REQUEST.size + 8, len(request) - 1):
+            out = io.BytesIO()
+            csvrows.serve(io.BytesIO(request[:cut]), out)
+            assert out.getvalue() == b""
+
+    @pytest.mark.parametrize("reply", [b"", b"\0" * 5, csvrows._COUNT.pack(100) + b"x" * 99],
+                             ids=["empty", "count-cut", "rows-cut"])
+    def test_a_short_reply_leaves_the_file_as_it_was(self, tmp_path, reply):
+        path = tmp_path / "out"
+        with path.open("wb") as fh:
+            fh.write(b"header\n")
+            worker = SimpleNamespace(proc=SimpleNamespace(stdout=io.BytesIO(reply)))
+            assert csvrows.Reply(worker).copy_into(fh) is False
+            fh.write(b"rest\n")
+        assert path.read_bytes() == b"header\nrest\n"
+
+    def test_the_worker_imports_only_the_standard_library(self):
+        tree = ast.parse(Path(csvrows.__file__).read_text())
+        imported = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module != "__future__"}
+        assert not any(isinstance(node, ast.ImportFrom) and node.level for node in ast.walk(tree))
+        assert imported <= sys.stdlib_module_names
 
 
 def _read_error(base) -> tuple[type, str]:
@@ -661,11 +894,11 @@ class TestRecord:
         )
 
     @pytest.mark.parametrize("n", [1, WIDE_N])
-    def test_one_round_is_read_from_its_record(self, tmp_path, forks, n):
+    def test_one_round_is_read_from_its_record(self, tmp_path, shares, n):
         trace = _wide_trace(T=1, n=n)
         harness.write_trace(trace, [0.9, 1e-05], tmp_path / "hand")
         _, arrays = _every_array(tmp_path / "hand", [0.9, 1e-05])
-        assert forks == []
+        assert shares == []
         arrays_of_trace = [getattr(trace, f.name) for f in fields(Trace)]
         series = [metrics.dffr_series(trace, rho) for rho in (0.9, 1e-05)]
         assert_identical(arrays, [a for a in arrays_of_trace if isinstance(a, np.ndarray)] + series)
@@ -716,7 +949,7 @@ class TestRecord:
 class TestConcurrentReads:
     """The reader starts no thread and touches no process-wide state: reads
     in several threads agree, a re-score warns as the score does, and the
-    writer may fork right after one."""
+    writer shares the body with its worker right after one."""
 
     @pytest.fixture(scope="class")
     def wide(self, tmp_path_factory) -> Path:
@@ -765,7 +998,10 @@ class TestConcurrentReads:
         # then the stored column's comparison, inf - inf, warns on its own
         assert rescored == [*scored, "invalid value encountered in subtract"]
 
-    @pytest.mark.skipif(not hasattr(os, "fork") or harness._usable_cpus() < 2, reason="the writer cannot split here")
-    def test_the_writer_can_split_right_after_a_rescore(self, wide):
+    def test_the_writer_can_split_right_after_a_rescore(self, wide, tmp_path, monkeypatch, shares):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         harness.recompute_metrics(wide, [0.9])
-        assert harness._can_split()
+        trace = _wide_trace()
+        csv_path, *_ = harness.write_trace(trace, [0.9], tmp_path / "hand")
+        assert [taken for *_, taken in shares] == [True]
+        assert csv_path.read_bytes() == reference_body(trace, [0.9]).encode()
