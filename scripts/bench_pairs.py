@@ -13,8 +13,9 @@ checkouts' benchmarks differ (``BENCHMARK.json`` and ``perfbench/*.py``),
 naming the files that differ.  The output file
 records the machine (CPU model and count, the CPUs this process may
 use, whether bytecode writing is off, Python and numpy versions), each
-checkout's commit (whether its tree was dirty, the git tree of the
-``src/`` it ran, and its ``benchmark_digest``), every run's result
+checkout's commit (whether its tracked files or ``src/`` differ from
+it, the git tree of the ``src/`` it ran, untracked files included, and
+its ``benchmark_digest``), every run's result
 line with the machine's load during the run (``machine_load``: the
 CPU-seconds stolen by the hypervisor, and those the machine spent busy
 outside the run, from ``/proc/stat``; null without it), each side's
@@ -40,6 +41,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +66,8 @@ def machine() -> dict:
     return {
         "cpu_model": cpu_model(),
         "cpu_count": os.cpu_count(),
-        "usable_cpus": harness._usable_cpus(),  # more than 1: write_trace shares the body with its worker
+        # The CPUs this process may use; write_trace's worker process runs beside it.
+        "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         # Set (PYTHONDONTWRITEBYTECODE=1 or -B): nothing caches bytecode, so every
         # set-up probe compiles src/dffr again, and setup_s holds that compile.
         "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
@@ -74,23 +77,30 @@ def machine() -> dict:
     }
 
 
-def git(checkout: Path, *args: str) -> str:
-    proc = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+def git(checkout: Path, *args: str, env: dict | None = None) -> str:
+    proc = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True, env=env)
     return proc.stdout.strip() if proc.returncode == 0 else ""
 
 
 def commit(checkout: Path) -> dict:
-    """HEAD, whether the tracked files differ from it, and the tree of src/ as run.
+    """HEAD, whether the tracked files or src/ differ from it, and the tree of src/ as run.
 
-    ``src_tree`` equals ``git rev-parse <commit>:src`` of any commit whose
-    src/ is the measured one, dirty or not.
+    ``src_tree`` is written from a temporary index that holds HEAD with src/
+    as it is on disk, untracked files included, so it equals
+    ``git rev-parse <commit>:src`` of any commit whose src/ holds exactly the
+    measured files, dirty or not.
     """
-    dirty = bool(git(checkout, "status", "--porcelain", "--untracked-files=no"))
-    snapshot = git(checkout, "stash", "create") if dirty else "HEAD"
+    dirty = bool(git(checkout, "status", "--porcelain", "--untracked-files=no")
+                 or git(checkout, "ls-files", "--others", "--exclude-standard", "--", "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git(checkout, "read-tree", "HEAD", env=env)
+        git(checkout, "add", "-A", "--", "src", env=env)
+        tree = git(checkout, "write-tree", env=env)
     return {
         "head": git(checkout, "rev-parse", "HEAD") or None,
         "dirty": dirty,
-        "src_tree": git(checkout, "rev-parse", f"{snapshot}:src") or None,
+        "src_tree": (tree and git(checkout, "rev-parse", f"{tree}:src")) or None,
     }
 
 

@@ -14,11 +14,14 @@ block, (rounds, n, per-agent width), and per-round block, (rounds, per-round
 width), as native float64.  The reply is a native int64 byte count, then
 that many bytes of rows.
 
-``sent`` is the writer's side.  Each process has at most one worker, started
-on first use and kept for every later write; a lock taken without waiting
-guards it, and a process that did not start the worker (a forked child)
-never uses it, but starts its own.  The worker is killed and reaped when the
-caller raises while it holds a share, when it is found dead, and at exit.
+``started`` is the writer's side: it sends the second half of a body of
+more than one round to this process's worker (``sent``) and formats the
+first half here, and the second too when the worker is busy, dead or short.
+Each process has at most one worker, started on first use and kept for
+every later write; a lock taken without waiting guards it, and a process
+that did not start the worker (a forked child) never uses it, but starts
+its own.  The worker is killed and reaped when the caller raises while it
+holds a share, when it is found dead, and at exit.
 """
 
 import atexit
@@ -165,6 +168,31 @@ def sent(per_agent, per_round, first: int):
             raise
     finally:
         _lock.release()
+
+
+def _write_rounds(fh, per_agent, per_round, lo: int, hi: int) -> None:
+    """Append rows of rounds lo + 1..hi (0-based rows lo..hi - 1) to ``fh``,
+    one round's values made Python floats at a time."""
+    agents = (block.tolist() for block in per_agent[lo:hi])
+    fh.writelines(rows(lo + 1, agents, per_round[lo:hi].tolist()))
+
+
+@contextlib.contextmanager
+def started(per_agent, per_round):
+    """Send rounds T//2 + 1..T of the blocks, C-contiguous float64 arrays of
+    shapes (T, n, per-agent width) and (T, per-round width), to the worker
+    if T > 1; yield a function that appends rounds 1..T to a binary file: the
+    first half formatted here, then the worker's reply, or the second half
+    formatted here if no worker took it or its reply is short."""
+    T = len(per_round)
+    half = T // 2
+    with (sent(per_agent[half:], per_round[half:], half + 1) if half else contextlib.nullcontext()) as reply:
+        def write_rows(fh) -> None:
+            _write_rounds(fh, per_agent, per_round, 0, T if reply is None else half)
+            if reply is not None and not reply.copy_into(fh):
+                _write_rounds(fh, per_agent, per_round, half, T)
+
+        yield write_rows
 
 
 def _floats(stdin, shape: list[int]):

@@ -86,4 +86,5 @@ class SchemaVersionMismatch(DffrError):
 
 
 class MalformedTrace(DffrError):
-    """A trace sidecar is not JSON or lacks a field, or a CSV body row is malformed."""
+    """A trace sidecar is not JSON or breaks its field table, or the record is
+    missing, unreadable or not the size the sidecar implies."""

@@ -11,7 +11,6 @@ and the config in a sidecar rebuild the written summary byte for byte.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import json
 import math
@@ -758,29 +757,6 @@ def _widths(d: int, rhos: list[float]) -> tuple[int, int]:
     return width[True], width[False]
 
 
-# Per-agent values from which write_trace shares the body with the worker
-# process (``csvrows``).  On a 2-vCPU Xeon VM (n = 4, d = 1, medians of 80
-# writes with a running worker), a shared write took 8-10 ms against 15-16 ms
-# in one process at 8,192 values and 12-13 ms against 20-24 ms at 12,288,
-# but 5-9 ms either way at 4,096, where the round trip eats the gain.
-SPLIT_MIN_VALUES = 2**13
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _write_rounds(write, per_agent: np.ndarray, per_round: np.ndarray, lo: int, hi: int) -> None:
-    """Rows of rounds lo + 1..hi (0-based rows lo..hi - 1) of the body, passed
-    to ``write`` in the ASCII blocks of ``csvrows.rows``, one round's values
-    made Python floats at a time."""
-    agents = (block.tolist() for block in per_agent[lo:hi])
-    for block in csvrows.rows(lo + 1, agents, per_round[lo:hi].tolist()):
-        write(block)
-
-
 _TRACE_SUFFIXES = (".csv", ".meta.json", ".body")
 
 
@@ -806,14 +782,11 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
     round-major then agent; per-round values (optimum, gap, running regret)
     repeat on each agent row of the round.  Every value is written as
     ``repr(float(v))``, so the CSV is a pure function of (config, seed); no
-    reader reads it.  From ``SPLIT_MIN_VALUES`` per-agent values, and with
-    more than one usable CPU, rounds T//2 + 1..T go to this process's
-    ``csvrows`` worker before the record is written, and this process
-    formats rounds 1..T//2, then appends the worker's reply; a worker that is
-    busy, dead or short formats nothing, and this process formats its rounds,
-    so the bytes are the same either way.  A write that fails, or is
-    interrupted, kills and reaps a worker holding its rounds and leaves none
-    of the three files behind.
+    reader reads it.  ``csvrows.started`` formats the rows; for a body of
+    more than one round, its worker process takes the second half before the
+    record is written, and the bytes are the same whoever formats them.  A
+    write that fails, or is interrupted, kills and reaps a worker holding its
+    rounds and leaves none of the three files behind.
     """
     csv_path, meta_path, body_path = _trace_paths(base_path)
     columns = trace_columns(trace.d, rhos)
@@ -839,20 +812,15 @@ def write_trace(trace: Trace, rhos: list[float], base_path) -> list[Path]:
         "final_eps_norm": [float(v) for v in trace.final_eps_norm],
         "config": trace.config,
     }
-    T = trace.T
-    half = T // 2 if T > 1 and per_agent.size >= SPLIT_MIN_VALUES and _usable_cpus() > 1 else T
-    share = csvrows.sent(per_agent[half:], per_round[half:], half + 1) if half < T else contextlib.nullcontext()
     try:
-        with share as reply:
+        with csvrows.started(per_agent, per_round) as write_rows:
             with body_path.open("wb") as body:
                 for block in (per_agent, per_round):
                     body.write(np.ascontiguousarray(block, dtype="<f8").data)
             meta_path.write_text(strict_json(meta, f"the sidecar {meta_path}"))
             with csv_path.open("wb") as fh:
                 fh.write((",".join(columns) + "\n").encode())
-                _write_rounds(fh.write, per_agent, per_round, 0, T if reply is None else half)
-                if reply is not None and not reply.copy_into(fh):
-                    _write_rounds(fh.write, per_agent, per_round, half, T)
+                write_rows(fh)
     except BaseException:
         for path in (csv_path, meta_path, body_path):
             path.unlink(missing_ok=True)

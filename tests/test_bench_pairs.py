@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -116,6 +117,41 @@ def test_machine_records_whether_bytecode_is_written(bench_pairs, monkeypatch):
     for flag in (1, 0):
         monkeypatch.setattr(sys, "flags", SimpleNamespace(dont_write_bytecode=flag))
         assert bench_pairs.machine()["dont_write_bytecode"] is bool(flag)
+
+
+def _git(repo: Path, *args: str) -> str:
+    config = ["-c", "user.name=bench", "-c", "user.email=bench@example.com", "-c", "commit.gpgsign=false"]
+    proc = subprocess.run(["git", "-C", str(repo), *config, *args], capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
+@pytest.fixture
+def repo(tmp_path):
+    """A git repository whose one commit holds src/dffr/a.py and README."""
+    (tmp_path / "src" / "dffr").mkdir(parents=True)
+    (tmp_path / "src" / "dffr" / "a.py").write_text("A = 1\n")
+    (tmp_path / "README").write_text("readme\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "first")
+    return tmp_path
+
+
+@pytest.mark.parametrize("edit", ["clean", "tracked-edit", "untracked-module"])
+def test_commit_records_the_src_tree_as_run(bench_pairs, repo, edit):
+    """The recorded ``src_tree`` is that of a commit holding exactly the files
+    on disk, and a new module not yet added counts as dirty."""
+    if edit == "tracked-edit":
+        (repo / "src" / "dffr" / "a.py").write_text("A = 2\n")
+    elif edit == "untracked-module":
+        (repo / "src" / "dffr" / "b.py").write_text("B = 1\n")
+    recorded = bench_pairs.commit(repo)
+    assert recorded["head"] == _git(repo, "rev-parse", "HEAD")
+    assert recorded["dirty"] is (edit != "clean")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "--allow-empty", "-m", "as run")
+    assert recorded["src_tree"] == _git(repo, "rev-parse", "HEAD:src")
+    assert _git(repo, "status", "--porcelain") == ""
 
 
 @pytest.mark.parametrize("cached", [["parent"], ["change"], [], ["parent", "change"]])

@@ -9,11 +9,14 @@ tests/test_algorithms.py keeps the per-agent loops of the batched engine.
 reader is checked against the writer: a written trace reads back from its
 record bit for bit, NaN signs and payloads included, with its CSV deleted,
 edited or not; the CSV parses to the record's values, and a re-score is the
-score of the trace in memory.  ``TestSplitWriter`` checks the writer that
-shares a body above ``harness.SPLIT_MIN_VALUES`` with its ``csvrows``
-worker: the same bytes as ``reference_body``, ``reference_record`` and one
-process, from two threads at once, past a worker that was killed, stopped
-or interrupted, and in a forked child; and no file or process left after a
+score of the trace in memory.  ``TestFailedWrite`` checks that a failure
+leaves no file, and no process while the worker holds the body's second
+half.  ``TestSplitWriter`` checks the writer that shares every body of more
+than one round with its ``csvrows`` worker: the same bytes as
+``reference_body``, ``reference_record`` and one process, for two rounds,
+the ``remark1-synthetic`` preset and a wide trace (one round stays here),
+from two threads at once, past a worker that was killed, stopped or
+interrupted, and in a forked child; and no file or process left after a
 failure on either side or in the record, or after the interpreter exits.
 ``TestWorkerProtocol`` checks the worker's side of the protocol and a short
 reply in this process.  ``TestRecord`` checks what the reader refuses: a
@@ -357,18 +360,37 @@ def _repr_failing_after(calls: int):
     return failing_repr
 
 
-class TestFailedWrite:
-    """A write that fails partway leaves none of the three files."""
+@pytest.fixture
+def new_worker():
+    """A worker started by the test's first write, and none left after it."""
+    csvrows._drop()
+    yield
+    csvrows._drop()  # a stopped or killed worker goes with its test
 
-    # The header formats one value and a round of _small_trace 29; two rounds come
-    # before the failure, so the CSV exists and holds rows when it fails.
+
+def assert_worker_killed(shares):
+    """The one write held the worker, which was killed and reaped, and no process is left."""
+    assert [taken for *_, taken in shares] == [True]
+    assert csvrows._worker is None
+    assert_no_child()
+
+
+@pytest.mark.usefixtures("new_worker")
+class TestFailedWrite:
+    """A write that fails partway leaves none of the three files, and no
+    process: the worker holds rounds 4..6 of _small_trace while this process
+    fails, and is killed and reaped."""
+
+    # A round of _small_trace formats 29 values; this process's half is rounds
+    # 1..3, so the failure comes in round 3, with rows in the CSV.
     FAIL_AFTER = 60
 
-    def test_failure_while_formatting_the_body(self, tmp_path, monkeypatch):
+    def test_failure_while_formatting_the_body(self, tmp_path, monkeypatch, shares):
         monkeypatch.setattr(csvrows, "repr", _repr_failing_after(self.FAIL_AFTER), raising=False)
         with pytest.raises(RuntimeError, match="injected formatting failure"):
             harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
         assert list(tmp_path.iterdir()) == []
+        assert_worker_killed(shares)
 
     def test_failed_rewrite_leaves_no_stale_sidecar(self, tmp_path, monkeypatch):
         harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
@@ -376,16 +398,19 @@ class TestFailedWrite:
         with pytest.raises(RuntimeError, match="injected formatting failure"):
             harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
         assert list(tmp_path.iterdir()) == []
+        assert csvrows._worker is None
+        assert_no_child()
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    def test_failure_while_writing_the_record(self, tmp_path, monkeypatch, error):
+    def test_failure_while_writing_the_record(self, tmp_path, monkeypatch, shares, error):
         """The record fails after its per-agent block, before the CSV is opened."""
         monkeypatch.setattr(harness.np, "ascontiguousarray", _second_block_failing(error))
         with pytest.raises(error, match="injected record failure"):
             harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
         assert list(tmp_path.iterdir()) == []
+        assert_worker_killed(shares)
 
-    def test_failure_while_writing_the_sidecar(self, tmp_path, monkeypatch):
+    def test_failure_while_writing_the_sidecar(self, tmp_path, monkeypatch, shares):
         def failing_dumps(*args, **kwargs):
             raise RuntimeError("injected sidecar failure")
 
@@ -393,6 +418,7 @@ class TestFailedWrite:
         with pytest.raises(RuntimeError, match="injected sidecar failure"):
             harness.write_trace(_small_trace(), [0.9], tmp_path / "hand")
         assert list(tmp_path.iterdir()) == []
+        assert_worker_killed(shares)
 
 
 def _second_block_failing(error: type):
@@ -410,11 +436,9 @@ def _second_block_failing(error: type):
     return failing
 
 
-# The split writer's hand trace: its per-agent block, WIDE_T * n * (2d + 4)
-# values, just reaches harness.SPLIT_MIN_VALUES.
-WIDE_N, WIDE_D = 4, 3
-WIDE_BLOCK = WIDE_N * (2 * WIDE_D + 4)
-WIDE_T = -(-harness.SPLIT_MIN_VALUES // WIDE_BLOCK) + 1
+# The split writer's hand trace: each half's rows are more than one
+# csvrows.BLOCK of text, so the worker's reply comes in several chunks.
+WIDE_N, WIDE_D, WIDE_T = 4, 3, 206
 SENTINEL = 0.123456789
 STALL, STALL_SECONDS = 0.987654321, 20.0
 
@@ -537,20 +561,13 @@ def _kill_unseen(pid: int):
     os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
 
 
+@pytest.mark.usefixtures("new_worker")
 class TestSplitWriter:
     """The body shared with the worker process: the same bytes, and no file
     or process left behind.  ``csvrows.repr`` stand-ins reach only this
     process's rounds, so the worker's failures are made by signals."""
 
-    @pytest.fixture(autouse=True)
-    def two_cpus_and_a_new_worker(self, monkeypatch):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-        csvrows._drop()
-        yield
-        csvrows._drop()  # a stopped or killed worker goes with its test
-
     def test_split_body_is_the_reference_body(self, tmp_path, shares):
-        assert WIDE_T * WIDE_BLOCK >= harness.SPLIT_MIN_VALUES
         trace = _wide_trace()
         csv_path, *_ = harness.write_trace(trace, [0.9, 1e-05], tmp_path / "hand")
         assert shares == [(WIDE_T // 2 + 1, WIDE_T - WIDE_T // 2, True)]
@@ -562,6 +579,21 @@ class TestSplitWriter:
         *_, body_path = harness.write_trace(trace, [0.9, 1e-05], tmp_path / "hand")
         assert [taken for *_, taken in shares] == [True]
         assert body_path.read_bytes() == reference_record(trace, [0.9, 1e-05])
+        assert_no_child()
+
+    @pytest.mark.parametrize("name", ["one-round", "two-rounds", "remark1-synthetic"])
+    def test_a_body_is_shared_unless_it_has_one_round(self, tmp_path, shares, name):
+        """The smallest bodies, and the benchmark's smallest: the
+        ``remark1-synthetic`` preset's 729 rounds of one agent."""
+        if name == "remark1-synthetic":
+            trace = harness.run_seeds(harness.preset(name))[0]
+        else:
+            trace = _wide_trace(T=1 if name == "one-round" else 2)
+        csv_path, _, body_path = harness.write_trace(trace, [0.9], tmp_path / "hand")
+        T = trace.T
+        assert shares == ([(T // 2 + 1, T - T // 2, True)] if T > 1 else [])
+        assert csv_path.read_bytes() == reference_body(trace, [0.9]).encode()
+        assert body_path.read_bytes() == reference_record(trace, [0.9])
         assert_no_child()
 
     def test_every_later_write_uses_the_same_worker(self, tmp_path, shares):
@@ -592,18 +624,13 @@ class TestSplitWriter:
         assert_no_child()
         assert_cpus_unchanged()
 
-    @pytest.mark.parametrize("disable", ["threshold", "one_cpu", "worker_busy"])
-    def test_one_process_writes_the_same_bytes(self, tmp_path, monkeypatch, shares, disable):
+    def test_one_process_writes_the_same_bytes(self, tmp_path, shares):
+        """With the worker held, this process formats every round."""
         trace = _wide_trace()
         split, _, split_copy = harness.write_trace(trace, [0.9], tmp_path / "split")
-        if disable == "threshold":
-            monkeypatch.setattr(harness, "SPLIT_MIN_VALUES", WIDE_T * WIDE_BLOCK + 1)
-        elif disable == "one_cpu":
-            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-        with csvrows._lock if disable == "worker_busy" else contextlib.nullcontext():
+        with csvrows._lock:
             serial, _, serial_copy = harness.write_trace(trace, [0.9], tmp_path / "serial")
-        taken = [True, False] if disable == "worker_busy" else [True]
-        assert [taken for *_, taken in shares] == taken
+        assert [taken for *_, taken in shares] == [True, False]
         assert serial.read_bytes() == split.read_bytes()
         assert serial_copy.read_bytes() == split_copy.read_bytes()
 
@@ -717,7 +744,6 @@ class TestSplitWriter:
             import numpy as np
             from dffr import csvrows, harness
             from dffr.trace import Trace
-            harness._usable_cpus = lambda: 2
             trace = Trace.from_gap_sequence(np.arange(4096.0))
             harness.write_trace(trace, [0.9], {str(tmp_path / "hand")!r})
             print(csvrows._worker.proc.pid)
@@ -737,7 +763,6 @@ class TestSplitWriter:
             import numpy as np
             from dffr import csvrows, harness
             from dffr.trace import Trace
-            harness._usable_cpus = lambda: 2
             trace = Trace.from_gap_sequence(np.arange(4096.0))
             out = {str(tmp_path)!r}
             harness.write_trace(trace, [0.9], out + "/parent-1")
@@ -998,8 +1023,7 @@ class TestConcurrentReads:
         # then the stored column's comparison, inf - inf, warns on its own
         assert rescored == [*scored, "invalid value encountered in subtract"]
 
-    def test_the_writer_can_split_right_after_a_rescore(self, wide, tmp_path, monkeypatch, shares):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    def test_the_writer_can_split_right_after_a_rescore(self, wide, tmp_path, shares):
         harness.recompute_metrics(wide, [0.9])
         trace = _wide_trace()
         csv_path, *_ = harness.write_trace(trace, [0.9], tmp_path / "hand")
